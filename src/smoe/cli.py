@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -30,14 +30,24 @@ from .errors import (
     SequenceError,
 )
 from .metrics import bleu, corpus_token_accuracy, wer
-from .model import Model, ModelConfig, count_params, load_checkpoint, save_checkpoint
+from .model import (
+    CONFIG_TYPES,
+    Model,
+    ModelConfig,
+    StackCount,
+    count_params,
+    format_value,
+    load_checkpoint,
+    parse_config_text,
+    save_checkpoint,
+)
 from .moe import Bandwidth, Task
-from .nn import attention_param_count, ffn_param_count
 from .numerics import grad_check
 from .seqio import Vocabulary
 from .signal import fbank, read_wav
 from .train import (
     TrainConfig,
+    decode_pairs,
     decode_payload_symbols,
     finetune_nbwb,
     run_interference_benchmark,
@@ -59,13 +69,6 @@ class CliError(Exception):
 
 # -- flat config namespace ----------------------------------------------------
 
-MODEL_KEYS = {
-    "n_enc_layers": int, "n_dec_layers": int, "d_model": int, "d_ff": int,
-    "d_ff_dec": "opt_int", "n_heads": int, "vocab_size": int, "n_mels": int,
-    "dropout": float, "activation": str, "glu": "bool", "tied_embed": "bool",
-    "enc_smoe": "bool", "dec_smoe": "bool", "n_experts": int,
-    "max_src_frames": int, "max_tgt_tokens": int,
-}
 TRAIN_KEYS = {
     "steps": int, "batch_size": int, "lr_peak": float, "lr_floor": float,
     "optimizer": str, "momentum": float, "accum_steps": int,
@@ -78,7 +81,7 @@ BENCH_KEYS = {
     "budget_steps": int, "n_seeds": int, "n_train_inputs": int, "n_eval_inputs": int,
 }
 EXTRA_KEYS = {"preset": str, "max_decode_len": int}
-SCHEMA = {**MODEL_KEYS, **TRAIN_KEYS, **DATA_KEYS, **BENCH_KEYS, **EXTRA_KEYS}
+SCHEMA = {**CONFIG_TYPES, **TRAIN_KEYS, **DATA_KEYS, **BENCH_KEYS, **EXTRA_KEYS}
 
 DEFAULTS = {
     "preset": "toy",
@@ -91,52 +94,29 @@ DEFAULTS = {
 }
 
 
-def _parse_value(key: str, value: str):
-    kind = SCHEMA[key]
+def _parse_settings(text: str, source: str) -> dict:
     try:
-        if kind is int:
-            return int(value)
-        if kind is float:
-            return float(value)
-        if kind == "bool":
-            if value not in ("true", "false"):
-                raise ValueError(value)
-            return value == "true"
-        if kind == "opt_int":
-            return None if value == "none" else int(value)
-        return value
-    except ValueError as exc:
-        raise ConfigError(f"bad value for {key}: {value!r}") from exc
+        return parse_config_text(text, SCHEMA)
+    except ConfigError as exc:
+        raise ConfigError(f"{source}: {exc}") from exc
 
 
 def resolve_settings(config_path: str | None, overrides: list[str]) -> dict:
     settings = dict(DEFAULTS)
     if config_path:
-        text = _read_text(config_path)
-        for lineno, raw in enumerate(text.split("\n"), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{config_path}:{lineno}: expected key = value")
-            key, value = (p.strip() for p in line.split("=", 1))
-            if key not in SCHEMA:
-                raise ConfigError(f"{config_path}:{lineno}: unknown key {key!r}")
-            settings[key] = _parse_value(key, value)
+        settings.update(_parse_settings(_read_text(config_path), config_path))
     for item in overrides:
-        if "=" not in item:
-            raise ConfigError(f"--set needs key=value, got {item!r}")
-        key, value = (p.strip() for p in item.split("=", 1))
-        if key not in SCHEMA:
-            raise ConfigError(f"--set: unknown key {key!r}")
-        settings[key] = _parse_value(key, value)
+        parsed = _parse_settings(item, "--set")
+        if len(parsed) != 1:
+            raise ConfigError(f"--set needs one key=value, got {item!r}")
+        settings.update(parsed)
     return settings
 
 
 def _read_text(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
 
@@ -148,39 +128,19 @@ def build_model_config(settings: dict, vocab_size: int | None = None) -> ModelCo
         cfg = ModelConfig.paper_scale()
     else:
         raise ConfigError(f"unknown preset {preset!r} (use toy or paper)")
-    kwargs = {f.name: getattr(cfg, f.name) for f in fields(ModelConfig)}
-    for key in MODEL_KEYS:
-        if key in settings:
-            kwargs[key] = settings[key]
+    overrides = {key: settings[key] for key in CONFIG_TYPES if key in settings}
     if vocab_size is not None:
-        kwargs["vocab_size"] = vocab_size
-    return ModelConfig(**kwargs)
+        overrides["vocab_size"] = vocab_size
+    return replace(cfg, **overrides)
 
 
 def build_train_config(settings: dict, seed: int) -> TrainConfig:
-    return TrainConfig(
-        steps=settings["steps"],
-        batch_size=settings["batch_size"],
-        lr_peak=settings["lr_peak"],
-        lr_floor=settings["lr_floor"],
-        seed=seed,
-        optimizer=settings["optimizer"],
-        momentum=settings["momentum"],
-        accum_steps=settings["accum_steps"],
-        nbwb_mix_fraction=settings["nbwb_mix_fraction"],
-    )
+    return TrainConfig(seed=seed, **{key: settings[key] for key in TRAIN_KEYS})
 
 
 def write_snapshot(out_dir: Path, settings: dict, seed: int) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    lines = [f"seed = {seed}"]
-    for key in sorted(settings):
-        v = settings[key]
-        if v is None:
-            v = "none"
-        elif isinstance(v, bool):
-            v = "true" if v else "false"
-        lines.append(f"{key} = {v}")
+    lines = [f"seed = {seed}"] + [f"{k} = {format_value(settings[k])}" for k in sorted(settings)]
     (out_dir / "config.resolved").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -199,17 +159,14 @@ def _load_checkpoint(path: str) -> tuple[Model, int]:
 
 def _load_vocab(vocab_arg: str | None, ckpt_path: str | None) -> Vocabulary:
     if vocab_arg:
-        candidates = [Path(vocab_arg)]
+        path = Path(vocab_arg)
     elif ckpt_path:
-        candidates = [Path(ckpt_path).parent / "vocab.txt"]
+        path = Path(ckpt_path).parent / "vocab.txt"
     else:
-        candidates = []
-    for c in candidates:
-        if c.exists():
-            return Vocabulary.load(c)
-    if candidates:
-        raise CliError(EXIT_INPUT, f"vocabulary not found at {candidates[0]}")
-    return Vocabulary()
+        return Vocabulary()
+    if not path.exists():
+        raise CliError(EXIT_INPUT, f"vocabulary not found at {path}")
+    return Vocabulary.load(path)
 
 
 def _load_audio(path: str):
@@ -253,7 +210,7 @@ def cmd_datagen(args, settings: dict) -> int:
 
 
 def cmd_train(args, settings: dict) -> int:
-    vocab = Vocabulary.load(Path(args.data) / "vocab.txt")
+    vocab = _load_vocab(str(Path(args.data) / "vocab.txt"), None)
     items = _load_items(args.data, vocab)
     cfg = build_model_config(settings, vocab_size=vocab.size)
     model = Model(cfg, seed=args.seed)
@@ -293,14 +250,7 @@ def cmd_eval(args, settings: dict) -> int:
     model, _ = _load_checkpoint(args.ckpt)
     vocab = _load_vocab(args.vocab, args.ckpt)
     items = _load_items(args.data, vocab)
-    model.eval()
-    max_len = settings["max_decode_len"]
-    per_task: dict[Task, list[tuple[list[str], list[str]]]] = {Task.ASR: [], Task.ST: []}
-    for it in items:
-        result = model.infer_single(it.features, it.bandwidth, it.task, max_len=max_len)
-        hyp = decode_payload_symbols(result.ids, vocab)
-        ref = list(it.text.decode("utf-8"))
-        per_task[it.task].append((ref, hyp))
+    per_task = decode_pairs(model, items, vocab, settings["max_decode_len"])
     for task, pairs in per_task.items():
         if not pairs:
             continue
@@ -344,30 +294,19 @@ def cmd_inspect(args, settings: dict) -> int:
     pc = count_params(cfg)
     print(f"trainable = {pc.trainable}")
     print(f"active    = {pc.active}")
-    d = cfg.d_model
-    attn = attention_param_count(d)
-    enc_ffn = ffn_param_count(d, cfg.d_ff, cfg.glu)
-    dec_ffn = ffn_param_count(d, cfg.dec_ff, cfg.glu)
-    print(f"embedding           {cfg.vocab_size * d:>12d}")
-    if not cfg.tied_embed:
-        print(f"output projection   {d * cfg.vocab_size:>12d}")
-    print(f"input projection    {cfg.n_mels * d + d:>12d}")
-    enc_experts = cfg.n_experts if cfg.enc_smoe else 1
-    dec_experts = cfg.n_experts if cfg.dec_smoe else 1
-    print(f"encoder layers      {cfg.n_enc_layers * (attn + 4 * d + enc_experts * enc_ffn):>12d}"
-          f"  ({cfg.n_enc_layers} x [attn {attn} + norms {4 * d} + {enc_experts} x ffn {enc_ffn}])")
-    print(f"decoder layers      {cfg.n_dec_layers * (2 * attn + 6 * d + dec_experts * dec_ffn):>12d}"
-          f"  ({cfg.n_dec_layers} x [attn {2 * attn} + norms {6 * d} + {dec_experts} x ffn {dec_ffn}])")
-    print(f"final norms         {4 * d:>12d}")
+    for name, part in pc.parts.items():
+        if isinstance(part, StackCount):
+            print(f"{name:<20}{part.total:>12d}  ({part.n_layers} x [attn {part.attn} + "
+                  f"norms {part.norms} + {part.experts} x ffn {part.ffn}])")
+        else:
+            print(f"{name:<20}{part:>12d}")
     dup = pc.trainable - pc.active
     print(f"expert duplication: {dup} parameters held by non-routed expert copies")
     return EXIT_OK
 
 
 def cmd_gradcheck(args, settings: dict) -> int:
-    settings = dict(settings)
-    settings.setdefault("dropout", 0.0)
-    settings["dropout"] = 0.0  # finite differences need a deterministic loss
+    settings = dict(settings, dropout=0.0)  # finite differences need a deterministic loss
     cfg = build_model_config(settings)
     model = Model(cfg, seed=args.seed)
     model.train()
@@ -404,8 +343,6 @@ def cmd_benchmark(args, settings: dict) -> int:
     base = build_model_config(settings, vocab_size=vocab.size)
     if base.dec_smoe:
         raise ConfigError("benchmark derives its variants; start from a plain decoder config")
-    from dataclasses import replace
-
     configs = {
         "base": base,
         "dec_ffn_x2": replace(base, d_ff_dec=2 * base.dec_ff),

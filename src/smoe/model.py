@@ -10,15 +10,15 @@ routed subgraph and the tape trivially aligned.
 from __future__ import annotations
 
 import math
+import re
 import struct
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, FormatError, LimitError
-from .moe import Bandwidth, GateVector, SMoELayer, Task, clone_expert_bank, gate_decoder, gate_encoder
-from .moe import smoe_forward
+from .moe import Bandwidth, GateVector, SMoELayer, Task, gate_decoder, gate_encoder, smoe_forward
 from .nn import (
     AttentionParams,
     FFNParams,
@@ -33,15 +33,7 @@ from .nn import (
     sinusoidal_positions,
 )
 from .numerics import Tensor, add, constant, dropout, embedding, matmul, scale, transpose2d
-from .seqio import (
-    LANGUAGE_TOKEN,
-    TASK_LANGUAGE,
-    TASK_TOKEN,
-    GuidingToken,
-    Language,
-    TargetSequence,
-    task_of,
-)
+from .seqio import LANGUAGE_TOKEN, TASK_LANGUAGE, TASK_TOKEN, GuidingToken, Language, TargetSequence
 from .signal import N_MELS, FbankFeatures
 
 CHECKPOINT_MAGIC = b"SMOE"
@@ -112,23 +104,14 @@ class ModelConfig:
         return cls(**base)
 
     def to_text(self) -> str:
-        lines = []
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if v is None:
-                v = "none"
-            elif isinstance(v, bool):
-                v = "true" if v else "false"
-            lines.append(f"{f.name} = {v}")
-        return "\n".join(lines) + "\n"
+        return "".join(f"{f.name} = {format_value(getattr(self, f.name))}\n" for f in fields(self))
 
     @classmethod
     def from_text(cls, text: str) -> "ModelConfig":
-        kwargs = parse_config_text(text, _CONFIG_TYPES)
-        return cls(**kwargs)
+        return cls(**parse_config_text(text, CONFIG_TYPES))
 
 
-_CONFIG_TYPES = {
+CONFIG_TYPES = {
     "n_enc_layers": int, "n_dec_layers": int, "d_model": int, "d_ff": int,
     "d_ff_dec": "opt_int", "n_heads": int, "vocab_size": int, "n_mels": int,
     "dropout": float, "activation": str, "glu": "bool", "tied_embed": "bool",
@@ -168,10 +151,41 @@ def parse_config_text(text: str, schema: dict) -> dict:
     return out
 
 
+def format_value(value) -> str:
+    """Render one config value the way parse_config_text reads it back."""
+    if value is None:
+        return "none"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
+
+
+@dataclass(frozen=True)
+class StackCount:
+    """Parameters of one layer stack: per layer, attention, layer norms and
+    `experts` copies of one FFN."""
+
+    n_layers: int
+    attn: int
+    norms: int
+    experts: int
+    ffn: int
+
+    @property
+    def total(self) -> int:
+        return self.n_layers * (self.attn + self.norms + self.experts * self.ffn)
+
+    @property
+    def inactive(self) -> int:
+        """Expert copies one forward pass never touches under one-hot routing."""
+        return self.n_layers * (self.experts - 1) * self.ffn
+
+
 @dataclass
 class ParamCount:
     trainable: int
     active: int
+    parts: dict[str, int | StackCount] = field(default_factory=dict)  # component -> count
 
     def __post_init__(self):
         if self.active > self.trainable:
@@ -179,7 +193,8 @@ class ParamCount:
 
 
 def count_params(config: ModelConfig) -> ParamCount:
-    """Closed-form trainable/active parameter counts for a config.
+    """Closed-form trainable/active parameter counts for a config, with the
+    per-component breakdown they sum.
 
     Active counts what one forward pass touches under one-hot routing:
     trainable minus (n_experts - 1) expert copies per routed layer.
@@ -187,26 +202,23 @@ def count_params(config: ModelConfig) -> ParamCount:
     d, glu = config.d_model, config.glu
     attn = attention_param_count(d)
     ln = 2 * d
-    enc_ffn = ffn_param_count(d, config.d_ff, glu)
-    dec_ffn = ffn_param_count(d, config.dec_ff, glu)
-    enc_experts = config.n_experts if config.enc_smoe else 1
-    dec_experts = config.n_experts if config.dec_smoe else 1
-
-    enc_layer = attn + 2 * ln + enc_experts * enc_ffn
-    dec_layer = 2 * attn + 3 * ln + dec_experts * dec_ffn
-    total = config.n_enc_layers * enc_layer + config.n_dec_layers * dec_layer
-    total += 2 * ln  # final norms on both stacks
-    total += config.n_mels * d + d  # input projection
-    total += config.vocab_size * d  # token embedding
+    enc = StackCount(
+        config.n_enc_layers, attn, 2 * ln,
+        config.n_experts if config.enc_smoe else 1, ffn_param_count(d, config.d_ff, glu),
+    )
+    dec = StackCount(
+        config.n_dec_layers, 2 * attn, 3 * ln,
+        config.n_experts if config.dec_smoe else 1, ffn_param_count(d, config.dec_ff, glu),
+    )
+    parts: dict[str, int | StackCount] = {"embedding": config.vocab_size * d}
     if not config.tied_embed:
-        total += d * config.vocab_size  # separate output projection
-
-    inactive = 0
-    if config.enc_smoe:
-        inactive += config.n_enc_layers * (config.n_experts - 1) * enc_ffn
-    if config.dec_smoe:
-        inactive += config.n_dec_layers * (config.n_experts - 1) * dec_ffn
-    return ParamCount(trainable=total, active=total - inactive)
+        parts["output projection"] = d * config.vocab_size
+    parts["input projection"] = config.n_mels * d + d
+    parts["encoder layers"] = enc
+    parts["decoder layers"] = dec
+    parts["final norms"] = 2 * ln
+    total = sum(p.total if isinstance(p, StackCount) else p for p in parts.values())
+    return ParamCount(trainable=total, active=total - enc.inactive - dec.inactive, parts=parts)
 
 
 class EncoderLayer:
@@ -407,7 +419,7 @@ class Model:
     ) -> Tensor:
         """Teacher-forced logits [len(target.ids) x vocab]."""
         enc_out = self.encode(features, bw)
-        return self.decode(enc_out, target.ids, task_of(target))
+        return self.decode(enc_out, target.ids, target.task)
 
     # -- greedy decoding ----------------------------------------------------
 
@@ -442,42 +454,19 @@ class Model:
     def infer_dual(
         self, features: FbankFeatures, bw: Bandwidth, max_len: int = 64
     ) -> DualDecode:
-        """One encoder pass, then a 2-row greedy decode: the transcription
+        """One encoder pass shared by two greedy decodes: the transcription
         row routes to the ASR expert, the translation row to the ST expert.
-        Row results are exactly what two independent single-task decodes
-        produce."""
+        The rows never interact, so each is exactly the single-task decode
+        of its task."""
         enc_out = self.encode(features, bw)
-        rows = {
-            Task.ASR: _RowState(task=Task.ASR, language=TASK_LANGUAGE[Task.ASR]),
-            Task.ST: _RowState(task=Task.ST, language=TASK_LANGUAGE[Task.ST]),
-        }
-        for _ in range(max_len):
-            live = [r for r in rows.values() if not r.done]
-            if not live:
-                break
-            for row in live:  # lock-step: one token per live row per step
-                logits = self.decode(enc_out, row.ids, row.task)
-                next_id = int(np.argmax(logits.data[-1]))
-                row.generated.append(next_id)
-                row.ids.append(next_id)
-                if next_id == GuidingToken.EOS:
-                    row.done = True
-        asr, st = rows[Task.ASR], rows[Task.ST]
+        asr = self._greedy_row(enc_out, Task.ASR, TASK_LANGUAGE[Task.ASR], max_len)
+        st = self._greedy_row(enc_out, Task.ST, TASK_LANGUAGE[Task.ST], max_len)
         return DualDecode(
-            asr_ids=asr.generated,
-            st_ids=st.generated,
-            asr_truncated=not asr.done,
-            st_truncated=not st.done,
+            asr_ids=asr.ids,
+            st_ids=st.ids,
+            asr_truncated=asr.truncated,
+            st_truncated=st.truncated,
         )
-
-
-class _RowState:
-    def __init__(self, task: Task, language: Language):
-        self.task = task
-        self.language = language
-        self.ids = [int(TASK_TOKEN[task]), int(LANGUAGE_TOKEN[language]), int(GuidingToken.BOS)]
-        self.generated: list[int] = []
-        self.done = False
 
 
 # -- expert expansion --------------------------------------------------------
@@ -487,7 +476,11 @@ def expand_experts(donor: Model, encoder: bool = False, decoder: bool = False) -
     """Build a routed model from a shared-FFN donor by cloning each shared
     feedforward block into an expert bank. The new model computes exactly
     what the donor does, under every gate, until training moves the experts
-    apart."""
+    apart.
+
+    Every tensor is a deep copy of the donor tensor of the same name; a
+    newly routed `...ffn.expertK.x` copies the donor's shared `...ffn.x`.
+    """
     cfg = donor.config
     if encoder and cfg.enc_smoe:
         raise ConfigError("donor encoder is already routed")
@@ -499,54 +492,12 @@ def expand_experts(donor: Model, encoder: bool = False, decoder: bool = False) -
         dec_smoe=cfg.dec_smoe or decoder,
     )
     out = Model(new_cfg, seed=0)
-    out.embed = donor.embed.copy()
-    out.out_proj = donor.out_proj.copy() if donor.out_proj is not None else None
-    out.input_proj_w = donor.input_proj_w.copy()
-    out.input_proj_b = donor.input_proj_b.copy()
-    for src, dst in zip(donor.enc_layers, out.enc_layers):
-        dst.attn = _copy_attention(src.attn)
-        dst.ln_attn = _copy_ln(src.ln_attn)
-        dst.ln_ffn = _copy_ln(src.ln_ffn)
-        dst.ffn = _expand_ffn(src.ffn, encoder, cfg.n_experts)
-    for src, dst in zip(donor.dec_layers, out.dec_layers):
-        dst.self_attn = _copy_attention(src.self_attn)
-        dst.cross_attn = _copy_attention(src.cross_attn)
-        dst.ln_self = _copy_ln(src.ln_self)
-        dst.ln_cross = _copy_ln(src.ln_cross)
-        dst.ln_ffn = _copy_ln(src.ln_ffn)
-        dst.ffn = _expand_ffn(src.ffn, decoder, cfg.n_experts)
-    out.ln_enc_final = _copy_ln(donor.ln_enc_final)
-    out.ln_dec_final = _copy_ln(donor.ln_dec_final)
+    source = dict(donor.named_parameters())
+    for name, tensor in out.named_parameters():
+        if name not in source:
+            name = re.sub(r"\.ffn\.expert\d+\.", ".ffn.", name)
+        tensor.data = source[name].data.copy()
     return out
-
-
-def _expand_ffn(ffn, expand: bool, n_experts: int):
-    if isinstance(ffn, SMoELayer):
-        return SMoELayer(experts=[_copy_ffn(e) for e in ffn.experts])
-    if expand:
-        return clone_expert_bank(ffn, n_experts)
-    return _copy_ffn(ffn)
-
-
-def _copy_ffn(p: FFNParams) -> FFNParams:
-    return FFNParams(
-        w_in=p.w_in.copy(), b_in=p.b_in.copy(),
-        w_out=p.w_out.copy(), b_out=p.b_out.copy(),
-        w_gate=p.w_gate.copy() if p.w_gate is not None else None,
-        b_gate=p.b_gate.copy() if p.b_gate is not None else None,
-    )
-
-
-def _copy_attention(p: AttentionParams) -> AttentionParams:
-    return AttentionParams(
-        w_q=p.w_q.copy(), b_q=p.b_q.copy(), w_k=p.w_k.copy(), b_k=p.b_k.copy(),
-        w_v=p.w_v.copy(), b_v=p.b_v.copy(), w_o=p.w_o.copy(), b_o=p.b_o.copy(),
-        n_heads=p.n_heads,
-    )
-
-
-def _copy_ln(p: LayerNormParams) -> LayerNormParams:
-    return LayerNormParams(gain=p.gain.copy(), bias=p.bias.copy(), epsilon=p.epsilon)
 
 
 # -- checkpoint format --------------------------------------------------------
@@ -595,6 +546,12 @@ def load_checkpoint(path: str | Path) -> tuple[Model, int]:
         off += n
         return chunk
 
+    def take_text(n: int) -> str:
+        try:
+            return bytes(take(n)).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"non-UTF-8 text at byte {off - n} of {path}") from exc
+
     if bytes(take(4)) != CHECKPOINT_MAGIC:
         raise FormatError(f"bad magic in {path}")
     (version,) = struct.unpack("<I", take(4))
@@ -602,7 +559,10 @@ def load_checkpoint(path: str | Path) -> tuple[Model, int]:
         raise FormatError(f"unsupported checkpoint version {version} in {path}")
     (step,) = struct.unpack("<Q", take(8))
     (cfg_len,) = struct.unpack("<I", take(4))
-    config = ModelConfig.from_text(bytes(take(cfg_len)).decode("utf-8"))
+    try:
+        config = ModelConfig.from_text(take_text(cfg_len))
+    except ConfigError as exc:
+        raise FormatError(f"bad config block in {path}: {exc}") from exc
     (n_entries,) = struct.unpack("<I", take(4))
 
     model = Model(config, seed=0)
@@ -614,7 +574,7 @@ def load_checkpoint(path: str | Path) -> tuple[Model, int]:
     seen = set()
     for _ in range(n_entries):
         (name_len,) = struct.unpack("<I", take(4))
-        name = bytes(take(name_len)).decode("utf-8")
+        name = take_text(name_len)
         if name not in expected:
             raise FormatError(f"unknown parameter entry {name!r}")
         if name in seen:

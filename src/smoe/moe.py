@@ -99,9 +99,6 @@ class SMoELayer:
             out.extend((f"expert{i}.{name}", t) for name, t in e.tensors())
         return out
 
-    def param_count(self) -> int:
-        return sum(e.param_count() for e in self.experts)
-
 
 def smoe_forward(
     layer: SMoELayer, gate: GateVector, x: Tensor, activation: str = "silu"
@@ -121,26 +118,3 @@ def smoe_forward(
     layer.call_counts[k] += 1
     return ffn_forward(layer.experts[k], x, activation=activation)
 
-
-def clone_expert_bank(shared: FFNParams, n: int) -> SMoELayer:
-    """Build an n-expert bank whose experts are deep copies of one FFN.
-
-    Used to expand a trained shared FFN into a routed bank: immediately
-    after cloning, the routed layer computes exactly what the donor did
-    under every gate.
-    """
-    if n < 1:
-        raise ConfigError(f"expert count must be >= 1, got {n}")
-    experts = []
-    for _ in range(n):
-        experts.append(
-            FFNParams(
-                w_in=shared.w_in.copy(),
-                b_in=shared.b_in.copy(),
-                w_out=shared.w_out.copy(),
-                b_out=shared.b_out.copy(),
-                w_gate=shared.w_gate.copy() if shared.w_gate is not None else None,
-                b_gate=shared.b_gate.copy() if shared.b_gate is not None else None,
-            )
-        )
-    return SMoELayer(experts=experts)

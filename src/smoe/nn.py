@@ -83,9 +83,6 @@ class FFNParams:
         out += [("w_out", self.w_out), ("b_out", self.b_out)]
         return out
 
-    def param_count(self) -> int:
-        return ffn_param_count(self.d_model, self.d_ff, self.glu)
-
     @staticmethod
     def init(d_model: int, d_ff: int, glu: bool, rng: np.random.Generator) -> "FFNParams":
         std_in = 1.0 / math.sqrt(d_model)
@@ -151,9 +148,6 @@ class AttentionParams:
             ("w_o", self.w_o), ("b_o", self.b_o),
         ]
 
-    def param_count(self) -> int:
-        return attention_param_count(self.d_model)
-
     @staticmethod
     def init(d_model: int, n_heads: int, rng: np.random.Generator) -> "AttentionParams":
         std = 1.0 / math.sqrt(d_model)
@@ -171,6 +165,36 @@ def attention_param_count(d_model: int) -> int:
     return 4 * (d_model * d_model + d_model)
 
 
+def _split_heads(x: Tensor, n_heads: int) -> Tensor:
+    """[t x d] -> [h x t x d/h]."""
+    t, d = x.shape
+    return permute(reshape(x, (t, n_heads, d // n_heads)), (1, 0, 2))
+
+
+def attention_probs(
+    p: AttentionParams,
+    q_in: Tensor,
+    k_in: Tensor,
+    mask: np.ndarray | None = None,
+) -> Tensor:
+    """Per-head attention probabilities [h x t_q x t_k].
+
+    mask is a boolean [t_q x t_k] array, True where attention is allowed.
+    Disallowed logits are pushed to MASK_OFF so their softmax weight is an
+    exact 0.0 and each row remains a distribution over allowed keys only.
+    """
+    t_q, t_k = q_in.shape[0], k_in.shape[0]
+    if mask is not None and mask.shape != (t_q, t_k):
+        raise ShapeError(f"mask shape {mask.shape} does not cover ({t_q}, {t_k})")
+    q = _split_heads(add(matmul(q_in, p.w_q), p.b_q), p.n_heads)
+    k = _split_heads(add(matmul(k_in, p.w_k), p.b_k), p.n_heads)
+    dh = p.d_model // p.n_heads
+    logits = scale(matmul(q, permute(k, (0, 2, 1))), 1.0 / math.sqrt(dh))
+    if mask is not None:
+        logits = add(logits, constant(np.where(mask, 0.0, MASK_OFF)))
+    return softmax_last(logits)
+
+
 def attention_forward(
     p: AttentionParams,
     q_in: Tensor,
@@ -178,59 +202,18 @@ def attention_forward(
     v_in: Tensor,
     mask: np.ndarray | None = None,
 ) -> Tensor:
-    """Scaled dot-product multi-head attention.
-
-    mask is a boolean [t_q x t_k] array, True where attention is allowed.
-    Disallowed logits are pushed to MASK_OFF so their softmax weight is an
-    exact 0.0 and each row remains a distribution over allowed keys only.
-    """
-    t_q, t_k = q_in.shape[0], k_in.shape[0]
-    d, h = p.d_model, p.n_heads
-    dh = d // h
+    """Scaled dot-product multi-head attention: attention_probs weighting
+    the projected values, heads merged and projected out."""
+    d = p.d_model
     if q_in.shape[-1] != d or k_in.shape[-1] != d or v_in.shape[-1] != d:
         raise ShapeError("attention inputs must have width d_model")
-    if v_in.shape[0] != t_k:
+    if v_in.shape[0] != k_in.shape[0]:
         raise ShapeError(f"key/value lengths differ: {k_in.shape} vs {v_in.shape}")
-    if mask is not None and mask.shape != (t_q, t_k):
-        raise ShapeError(f"mask shape {mask.shape} does not cover ({t_q}, {t_k})")
-
-    def split_heads(x: Tensor, t: int) -> Tensor:
-        return permute(reshape(x, (t, h, dh)), (1, 0, 2))  # [h x t x dh]
-
-    q = split_heads(add(matmul(q_in, p.w_q), p.b_q), t_q)
-    k = split_heads(add(matmul(k_in, p.w_k), p.b_k), t_k)
-    v = split_heads(add(matmul(v_in, p.w_v), p.b_v), t_k)
-
-    logits = scale(matmul(q, permute(k, (0, 2, 1))), 1.0 / math.sqrt(dh))  # [h x tq x tk]
-    if mask is not None:
-        bias = np.where(mask, 0.0, MASK_OFF)
-        logits = add(logits, constant(bias))
-    weights = softmax_last(logits)
+    weights = attention_probs(p, q_in, k_in, mask)
+    v = _split_heads(add(matmul(v_in, p.w_v), p.b_v), p.n_heads)
     ctx = matmul(weights, v)  # [h x tq x dh]
-    merged = reshape(permute(ctx, (1, 0, 2)), (t_q, d))
+    merged = reshape(permute(ctx, (1, 0, 2)), (q_in.shape[0], d))
     return add(matmul(merged, p.w_o), p.b_o)
-
-
-def attention_weights(
-    p: AttentionParams,
-    q_in: Tensor,
-    k_in: Tensor,
-    mask: np.ndarray | None = None,
-) -> np.ndarray:
-    """Attention probabilities [h x t_q x t_k]; inspection helper for tests."""
-    t_q, t_k = q_in.shape[0], k_in.shape[0]
-    d, h = p.d_model, p.n_heads
-    dh = d // h
-
-    def split(x: Tensor, t: int) -> Tensor:
-        return permute(reshape(x, (t, h, dh)), (1, 0, 2))
-
-    q = split(add(matmul(q_in, p.w_q), p.b_q), t_q)
-    k = split(add(matmul(k_in, p.w_k), p.b_k), t_k)
-    logits = scale(matmul(q, permute(k, (0, 2, 1))), 1.0 / math.sqrt(dh))
-    if mask is not None:
-        logits = add(logits, constant(np.where(mask, 0.0, MASK_OFF)))
-    return softmax_last(logits).data
 
 
 def causal_mask(t: int) -> np.ndarray:
@@ -266,9 +249,6 @@ class LayerNormParams:
 
     def tensors(self) -> list[tuple[str, Tensor]]:
         return [("gain", self.gain), ("bias", self.bias)]
-
-    def param_count(self) -> int:
-        return 2 * self.gain.shape[0]
 
     @staticmethod
     def init(d_model: int) -> "LayerNormParams":

@@ -39,7 +39,6 @@ class Language(Enum):
 
 LANGUAGE_TOKEN = {Language.EN: GuidingToken.LANG_EN, Language.KO: GuidingToken.LANG_KO}
 TASK_TOKEN = {Task.ASR: GuidingToken.TRANSCRIBE, Task.ST: GuidingToken.TRANSLATE}
-TOKEN_TASK = {v: k for k, v in TASK_TOKEN.items()}
 # transcripts stay in the source language, translations are to the target
 TASK_LANGUAGE = {Task.ASR: Language.KO, Task.ST: Language.EN}
 
@@ -96,7 +95,10 @@ class Vocabulary:
 
     @staticmethod
     def load(path: str | Path) -> "Vocabulary":
-        text = Path(path).read_text(encoding="ascii")
+        try:
+            text = Path(path).read_text(encoding="ascii")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"non-ASCII vocabulary file {path}") from exc
         lines = [ln for ln in text.split("\n") if ln]
         if not lines or not lines[0].startswith("smoe-vocab v1 merges="):
             raise FormatError(f"bad vocabulary header in {path}")
@@ -111,7 +113,10 @@ class Vocabulary:
             parts = ln.split("\t")
             if len(parts) != 2:
                 raise FormatError(f"bad merge line: {ln!r}")
-            merges.append((bytes.fromhex(parts[0]), bytes.fromhex(parts[1])))
+            try:
+                merges.append((bytes.fromhex(parts[0]), bytes.fromhex(parts[1])))
+            except ValueError as exc:
+                raise FormatError(f"non-hex merge line: {ln!r}") from exc
         return Vocabulary(merges)
 
 
@@ -208,25 +213,6 @@ def build_target_sequence(
         int(GuidingToken.EOS),
     ]
     return TargetSequence(task=task, language=language, ids=ids)
-
-
-def task_of(seq: TargetSequence) -> Task:
-    """Read the routing task from a sequence's leading task tag."""
-    first = seq.ids[0]
-    try:
-        return TOKEN_TASK[GuidingToken(first)]
-    except (ValueError, KeyError) as exc:
-        raise SequenceError(f"leading id {first} is not a task tag") from exc
-
-
-def task_of_ids(ids: list[int]) -> Task:
-    """task_of for a raw id list (decode-time prefixes)."""
-    if not ids:
-        raise SequenceError("empty id list has no task tag")
-    try:
-        return TOKEN_TASK[GuidingToken(ids[0])]
-    except (ValueError, KeyError) as exc:
-        raise SequenceError(f"leading id {ids[0]} is not a task tag") from exc
 
 
 def strip_guides(ids: list[int]) -> list[int]:

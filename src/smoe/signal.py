@@ -238,5 +238,7 @@ def read_wav(path: str | Path) -> Waveform:
     payload = raw[44 : 44 + n_bytes]
     if len(payload) < n_bytes:
         raise FormatError(f"truncated WAV data: {path}")
+    if n_bytes % 2:
+        raise FormatError(f"odd data byte count {n_bytes} for 16-bit PCM: {path}")
     pcm = np.frombuffer(payload, dtype="<i2")
     return Waveform(samples=pcm.astype(np.float64) / 32767.0, sample_rate=rate)

@@ -19,7 +19,7 @@ import numpy as np
 from .data import SyntheticTaskSpec, Utterance, make_paired_dataset
 from .errors import ConfigError, NumericError
 from .metrics import corpus_token_accuracy
-from .model import Model, ModelConfig, count_params, expand_experts, load_checkpoint
+from .model import Model, ModelConfig, count_params, expand_experts
 from .moe import Bandwidth, Task
 from .numerics import Tape, Tensor, add, backward, constant, scale, softmax_cross_entropy
 from .seqio import BYTE_BASE, GuidingToken, Vocabulary
@@ -87,7 +87,6 @@ class TrainConfig:
     optimizer: str = "adam"  # "sgd" keeps zero-grad parameters bitwise frozen
     momentum: float = 0.0
     accum_steps: int = 1
-    interleave: str = "strict"
     nbwb_mix_fraction: float = 0.15
 
     def __post_init__(self):
@@ -97,8 +96,6 @@ class TrainConfig:
             raise ConfigError(f"nbwb_mix_fraction must be in [0, 1]")
         if self.optimizer not in ("sgd", "adam"):
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
-        if self.interleave not in ("strict",):
-            raise ConfigError(f"unknown interleave mode {self.interleave!r}")
         if self.accum_steps < 1:
             raise ConfigError("accum_steps must be >= 1")
 
@@ -256,22 +253,34 @@ def batch_loss(model: Model, batch: Batch) -> Tensor:
     return scale(total, 1.0 / len(batch))
 
 
-def train_step(model: Model, batch: Batch, optimizer, lr: float) -> float:
-    """One optimization step: forward with routing per batch labels,
-    teacher-forced cross entropy, backward, parameter update."""
+def train_step(
+    model: Model, batch: Batch, optimizer, lr: float, step: int = 0, accum_steps: int = 1
+) -> float:
+    """One training step: forward with routing per batch labels,
+    teacher-forced cross entropy, backward, parameter update.
+
+    With accum_steps > 1, gradients accumulate over accum_steps
+    consecutive steps: they are zeroed when step % accum_steps == 0, each
+    loss is scaled by 1 / accum_steps, and the parameters update when
+    (step + 1) % accum_steps == 0. Returns the unscaled batch loss.
+    """
     model.train()
-    optimizer.zero_grad()
+    if step % accum_steps == 0:
+        optimizer.zero_grad()
     tape = Tape()
     with tape:
         loss = batch_loss(model, batch)
-    value = float(loss.data)
+        if accum_steps > 1:
+            loss = scale(loss, 1.0 / accum_steps)
+    value = float(loss.data) * accum_steps
     if not np.isfinite(value):
         raise NumericError(
             f"non-finite loss {value} (task={batch.task.value}, lr={lr:g}, "
             f"batch_size={len(batch)})"
         )
     backward(loss, tape)
-    optimizer.step(lr)
+    if (step + 1) % accum_steps == 0:
+        optimizer.step(lr)
     return value
 
 
@@ -298,10 +307,7 @@ def run_training(
             if step >= tc.steps:
                 break
             lr = cosine_lr(step, tc.steps, tc.lr_peak, tc.lr_floor)
-            if tc.accum_steps == 1:
-                loss = train_step(model, batch, optimizer, lr)
-            else:
-                loss = _accumulating_step(model, batch, optimizer, lr, tc, step)
+            loss = train_step(model, batch, optimizer, lr, step, tc.accum_steps)
             losses.append(loss)
             if log_lines is not None:
                 task_letter = "A" if batch.task is Task.ASR else "S"
@@ -311,24 +317,6 @@ def run_training(
             step += 1
         epoch += 1
     return losses
-
-
-def _accumulating_step(
-    model: Model, batch: Batch, optimizer, lr: float, tc: TrainConfig, step: int
-) -> float:
-    model.train()
-    if step % tc.accum_steps == 0:
-        optimizer.zero_grad()
-    tape = Tape()
-    with tape:
-        loss = scale(batch_loss(model, batch), 1.0 / tc.accum_steps)
-    value = float(loss.data) * tc.accum_steps
-    if not np.isfinite(value):
-        raise NumericError(f"non-finite loss at step {step}")
-    backward(loss, tape)
-    if (step + 1) % tc.accum_steps == 0:
-        optimizer.step(lr)
-    return value
 
 
 # -- evaluation ---------------------------------------------------------------
@@ -346,24 +334,30 @@ def decode_payload_symbols(ids: list[int], vocab: Vocabulary) -> list[str]:
     return list(vocab.decode(kept).decode("ascii", errors="replace"))
 
 
+def decode_pairs(
+    model: Model, items: Sequence[Utterance], vocab: Vocabulary, max_len: int
+) -> dict[Task, list[tuple[list[str], list[str]]]]:
+    """Greedy-decode each item on its own task in eval mode; per task, the
+    (reference, hypothesis) symbol lists in item order."""
+    model.eval()
+    pairs: dict[Task, list[tuple[list[str], list[str]]]] = {Task.ASR: [], Task.ST: []}
+    for it in items:
+        result = model.infer_single(it.features, it.bandwidth, it.task, max_len=max_len)
+        hyp = decode_payload_symbols(result.ids, vocab)
+        pairs[it.task].append((list(it.text.decode("utf-8")), hyp))
+    return pairs
+
+
 def evaluate_token_accuracy(
     model: Model,
     items: Sequence[Utterance],
     vocab: Vocabulary,
     max_len: int = 16,
 ) -> dict[Task, float]:
-    """Greedy-decode each item on its own task; pooled per-task accuracy
-    (1 - corpus token error rate)."""
-    model.eval()
-    pairs: dict[Task, list[tuple[list[str], list[str]]]] = {Task.ASR: [], Task.ST: []}
-    for it in items:
-        result = model.infer_single(it.features, it.bandwidth, it.task, max_len=max_len)
-        hyp = decode_payload_symbols(result.ids, vocab)
-        ref = list(it.text.decode("ascii"))
-        pairs[it.task].append((ref, hyp))
+    """Pooled per-task greedy-decode accuracy (1 - corpus token error rate)."""
     return {
         task: corpus_token_accuracy(task_pairs)
-        for task, task_pairs in pairs.items()
+        for task, task_pairs in decode_pairs(model, items, vocab, max_len).items()
         if task_pairs
     }
 
@@ -525,7 +519,7 @@ def _check_shared_dims(configs: dict[str, ModelConfig]) -> None:
 
 
 def finetune_nbwb(
-    donor: Model | str,
+    donor: Model,
     items: Sequence[Utterance],
     tc: TrainConfig,
     log_lines: list[str] | None = None,
@@ -533,11 +527,9 @@ def finetune_nbwb(
     """Expand the donor's encoder FFNs into expert banks, then train on a
     mixed narrowband/wideband stream with encoder routing active.
 
-    The donor may be a Model or a checkpoint path. Immediately after the
-    expansion the returned model computes exactly what the donor does.
+    The donor is left untouched. Immediately after the expansion the
+    returned model computes exactly what the donor does.
     """
-    if isinstance(donor, str) or hasattr(donor, "__fspath__"):
-        donor, _ = load_checkpoint(donor)
     if not any(it.bandwidth is Bandwidth.NB for it in items):
         raise ConfigError("fine-tuning set carries no narrowband samples")
     model = expand_experts(donor, encoder=True)

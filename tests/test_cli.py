@@ -2,8 +2,10 @@ import pytest
 
 from smoe.cli import main
 from smoe.data import read_manifest
-from smoe.model import load_checkpoint
+from smoe.model import Model, ModelConfig, load_checkpoint, save_checkpoint
 from smoe.moe import Bandwidth
+from smoe.seqio import Vocabulary
+from smoe.signal import SAMPLE_RATE_WB, Waveform, write_wav
 
 
 @pytest.fixture(scope="module")
@@ -166,3 +168,74 @@ def test_benchmark_cli_tiny(tmp_path, capsys):
     assert report[0] == "model\ttrainable\tactive\tacc_asr\tacc_st"
     assert {ln.split("\t")[0] for ln in report[1:4]} == {"base", "dec_ffn_x2", "dec_smoe"}
     assert (tmp_path / "bench" / "benchmark.log").exists()
+
+
+def _tiny_checkpoint(root, edit=None):
+    """A tiny model checkpoint plus vocab.txt in root; edit rewrites its bytes."""
+    cfg = ModelConfig(n_enc_layers=1, n_dec_layers=1, d_model=16, d_ff=16, n_heads=2,
+                      dropout=0.0, vocab_size=Vocabulary().size)
+    ckpt = root / "model.ckpt"
+    save_checkpoint(Model(cfg, seed=0), ckpt)
+    Vocabulary().save(root / "vocab.txt")
+    if edit is not None:
+        raw = ckpt.read_bytes()
+        edited = edit(raw)
+        assert len(edited) == len(raw) and edited != raw
+        ckpt.write_bytes(edited)
+    return ckpt
+
+
+def _wav(root, odd_data=False):
+    path = root / "in.wav"
+    write_wav(path, Waveform(samples=[0.1] * 800, sample_rate=SAMPLE_RATE_WB))
+    if odd_data:  # declare and carry one byte more than the 16-bit samples
+        raw = bytearray(path.read_bytes())
+        raw[40:44] = (int.from_bytes(raw[40:44], "little") + 1).to_bytes(4, "little")
+        path.write_bytes(bytes(raw) + b"\x00")
+    return path
+
+
+def _infer_with_checkpoint(edit):
+    def argv(root):
+        return ["infer", "--ckpt", str(_tiny_checkpoint(root, edit)), str(_wav(root))]
+    return argv
+
+
+def _train_with_vocab(vocab_bytes):
+    def argv(root):
+        data = root / "data"
+        data.mkdir()
+        if vocab_bytes is not None:
+            (data / "vocab.txt").write_bytes(vocab_bytes)
+        return ["train", "--data", str(data), "--out", str(root / "run")]
+    return argv
+
+
+def _inspect_with_config(root):
+    cfg = root / "bad.cfg"
+    cfg.write_bytes(b"d_model = 32\n# \xff\xfe\n")
+    return ["inspect", "--config", str(cfg)]
+
+
+def _infer_odd_wav(root):
+    return ["infer", "--ckpt", str(_tiny_checkpoint(root)), str(_wav(root, odd_data=True))]
+
+
+@pytest.mark.parametrize("make_argv, code", [
+    pytest.param(_infer_with_checkpoint(lambda b: b.replace(b"d_model = 16", b"d_model = XX")),
+                 2, id="ckpt-config-bad-value"),
+    pytest.param(_infer_with_checkpoint(lambda b: b.replace(b"activation", b"\xffctivation")),
+                 2, id="ckpt-config-not-utf8"),
+    pytest.param(_infer_with_checkpoint(lambda b: b.replace(b"input_proj.w", b"\xffnput_proj.w")),
+                 2, id="ckpt-name-not-utf8"),
+    pytest.param(_train_with_vocab(None), 3, id="train-data-without-vocab"),
+    pytest.param(_train_with_vocab(b"smoe-vocab v1 merges=1\nzz\t61\n"), 3, id="vocab-non-hex"),
+    pytest.param(_train_with_vocab(b"smoe-vocab v1 merges=0\n\xe9\n"), 3, id="vocab-non-ascii"),
+    pytest.param(_inspect_with_config, 1, id="config-not-utf8"),
+    pytest.param(_infer_odd_wav, 3, id="wav-odd-data-bytes"),
+])
+def test_malformed_input_exit_code(make_argv, code, tmp_path, capsys):
+    assert main(make_argv(tmp_path)) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error" in captured.err and "Traceback" not in captured.err

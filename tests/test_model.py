@@ -11,7 +11,8 @@ from smoe.model import (
     load_checkpoint,
     save_checkpoint,
 )
-from smoe.moe import Bandwidth, Task
+from smoe.moe import Bandwidth, GateVector, Task, smoe_forward
+from smoe.nn import ffn_forward
 from smoe.numerics import constant
 from smoe.seqio import Language, Vocabulary, build_target_sequence
 from smoe.signal import FbankFeatures
@@ -98,6 +99,36 @@ def test_cloned_experts_match_baseline_bitwise():
             a = donor.forward(feats, bw, target)
             b = routed.forward(feats, bw, target)
             assert np.array_equal(a.data, b.data)
+
+
+def test_expand_experts_bank_matches_donor_under_both_gates():
+    donor = Model(tiny_config(), seed=9)
+    routed = expand_experts(donor, decoder=True)
+    bank = routed.dec_layers[0].ffn
+    assert bank.call_counts == [0, 0]
+    x = constant(np.random.default_rng(5).normal(size=(3, 16)))
+    base = ffn_forward(donor.dec_layers[0].ffn, x).data
+    for gate in (GateVector((1.0, 0.0)), GateVector((0.0, 1.0))):
+        assert np.array_equal(smoe_forward(bank, gate, x).data, base)
+
+
+def test_expand_experts_is_deep():
+    donor = Model(tiny_config(), seed=11)
+    routed = expand_experts(donor, encoder=True)
+    donor_w_in = donor.enc_layers[0].ffn.w_in.data.copy()
+    experts = routed.enc_layers[0].ffn.experts
+    experts[0].w_in.data[:] = 123.0
+    assert np.array_equal(experts[1].w_in.data, donor_w_in)
+    assert np.array_equal(donor.enc_layers[0].ffn.w_in.data, donor_w_in)
+    routed.embed.data[:] = 0.0
+    assert not np.array_equal(donor.embed.data, routed.embed.data)
+
+
+def test_expand_experts_rejects_bad_expert_count():
+    with pytest.raises(ConfigError):
+        tiny_config(n_experts=0)
+    one = expand_experts(Model(tiny_config(n_experts=1), seed=2), decoder=True)
+    assert one.dec_layers[0].ffn.n_experts == 1
 
 
 def test_expand_rejects_already_routed():

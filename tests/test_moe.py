@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from smoe.errors import ConfigError, RoutingError
+from smoe.errors import RoutingError
 from smoe.moe import (
     Bandwidth,
     GateVector,
     SMoELayer,
     Task,
-    clone_expert_bank,
     gate_decoder,
     gate_encoder,
     smoe_forward,
@@ -96,29 +95,6 @@ def test_gradient_isolation_exact():
     grads = [t.grad for _, t in layer.experts[1].tensors()]
     assert all(g is not None for g in grads)
     assert any(np.any(g != 0.0) for g in grads)
-
-
-def test_clone_bank_matches_donor_under_both_gates():
-    shared = make_ffn(9)
-    layer = clone_expert_bank(shared, 2)
-    assert layer.call_counts == [0, 0]
-    x = constant(np.random.default_rng(5).normal(size=(3, 6)))
-    base = ffn_forward(shared, x).data
-    for gate in (GateVector((1.0, 0.0)), GateVector((0.0, 1.0))):
-        assert np.array_equal(smoe_forward(layer, gate, x).data, base)
-
-
-def test_clone_is_deep():
-    shared = make_ffn(11)
-    layer = clone_expert_bank(shared, 2)
-    layer.experts[0].w_in.data[:] = 123.0
-    assert not np.array_equal(layer.experts[0].w_in.data, layer.experts[1].w_in.data)
-    assert np.array_equal(layer.experts[1].w_in.data, shared.w_in.data)
-
-
-def test_clone_rejects_bad_count():
-    with pytest.raises(ConfigError):
-        clone_expert_bank(make_ffn(0), 0)
 
 
 def test_reset_counts():

@@ -15,8 +15,6 @@ from smoe.seqio import (
     Vocabulary,
     build_target_sequence,
     strip_guides,
-    task_of,
-    task_of_ids,
     train_bpe,
 )
 
@@ -158,20 +156,21 @@ def test_build_target_sequence_language_convention():
         build_target_sequence(Task.ST, "english", b"x", v)
 
 
-def test_task_of_round_trip():
+def test_target_sequence_task_round_trip():
     v = Vocabulary()
     asr = build_target_sequence(Task.ASR, Language.KO, b"abc", v)
     st_seq = build_target_sequence(Task.ST, Language.EN, b"abc", v)
-    assert task_of(asr) is Task.ASR
-    assert task_of(st_seq) is Task.ST
-    assert task_of_ids(st_seq.ids) is Task.ST
+    assert asr.task is Task.ASR and asr.ids[0] == GuidingToken.TRANSCRIBE
+    assert st_seq.task is Task.ST and st_seq.ids[0] == GuidingToken.TRANSLATE
+    assert TargetSequence(Task.ST, Language.EN, list(st_seq.ids)).task is Task.ST
 
 
-def test_task_of_rejects_malformed():
+def test_target_sequence_rejects_bad_task_tag():
+    lang_ko, bos, eos = int(GuidingToken.LANG_KO), int(GuidingToken.BOS), int(GuidingToken.EOS)
     with pytest.raises(SequenceError):
-        task_of_ids([GuidingToken.BOS, 1, 2])
+        TargetSequence(Task.ASR, Language.KO, [bos, lang_ko, bos, 20, eos])
     with pytest.raises(SequenceError):
-        task_of_ids([])
+        TargetSequence(Task.ASR, Language.KO, [])
 
 
 def test_target_sequence_invariants_enforced():
@@ -200,5 +199,5 @@ def test_sequence_round_trip_property(payload):
     assert v.decode(strip_guides(seq.ids)) == payload
     from smoe.moe import gate_decoder
 
-    gate = gate_decoder(task_of(seq))
+    gate = gate_decoder(seq.task)
     assert sum(gate.weights) == 1.0

@@ -215,6 +215,22 @@ def test_gradient_accumulation_runs():
     assert all(math.isfinite(v) for v in losses)
 
 
+def test_train_step_accumulates_before_update():
+    model = tiny_model()
+    batch = Batch.build([it for it in small_items(4) if it.task is Task.ASR])
+    opt = SGD(model.named_parameters())
+    before = {n: t.data.copy() for n, t in model.named_parameters()}
+    first = train_step(model, batch, opt, lr=0.05, step=0, accum_steps=2)
+    assert all(np.array_equal(before[n], t.data) for n, t in model.named_parameters())
+    grad_once = {n: t.grad.copy() for n, t in model.named_parameters() if t.grad is not None}
+    second = train_step(model, batch, opt, lr=0.05, step=1, accum_steps=2)
+    assert first == second  # parameters untouched, so the same batch gives the same loss
+    for n, t in model.named_parameters():
+        if n in grad_once:  # two halves of the same batch: grad equals the full-batch grad
+            np.testing.assert_allclose(t.grad, 2 * grad_once[n], rtol=1e-12)
+            assert not np.array_equal(before[n], t.data), n
+
+
 def test_train_config_validation():
     with pytest.raises(ConfigError):
         TrainConfig(lr_peak=1e-4, lr_floor=1e-3)
