@@ -235,7 +235,10 @@ def write_manifest(path: str | Path, records: list[ManifestRecord]) -> None:
 
 
 def read_manifest(path: str | Path) -> list[ManifestRecord]:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"non-UTF-8 manifest {path}") from exc
     if not lines or lines[0] != MANIFEST_HEADER:
         raise FormatError(f"bad manifest header in {path}")
     records = []

@@ -4,14 +4,18 @@ The encoder consumes log-Mel frames and routes its feedforward blocks by
 audio bandwidth; the decoder consumes guiding-token-prefixed target ids and
 routes its feedforward blocks by task. Everything else is shared. Forward
 passes are per-sample (2-D activations, heads batched 3-D), which keeps the
-routed subgraph and the tape trivially aligned.
+routed subgraph and the tape trivially aligned. Greedy decoding runs apart
+from the tape, with cached keys/values and all rows of a request batched;
+the teacher-forced `decode` is its reference.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import re
 import struct
+import sys
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -20,6 +24,7 @@ import numpy as np
 from .errors import ConfigError, FormatError, LimitError
 from .moe import Bandwidth, GateVector, SMoELayer, Task, gate_decoder, gate_encoder, smoe_forward
 from .nn import (
+    MASK_OFF,
     AttentionParams,
     FFNParams,
     LayerNormParams,
@@ -267,6 +272,14 @@ class SingleDecode:
     truncated: bool
 
 
+def _layer_norm(p: LayerNormParams, x: np.ndarray) -> np.ndarray:
+    """`layer_norm_params` on a plain array: the same arithmetic, no tape."""
+    d = x.shape[-1]
+    centered = x - x.sum(axis=-1, keepdims=True) / d
+    var = (centered * centered).sum(axis=-1, keepdims=True) / d
+    return centered * (1.0 / np.sqrt(var + p.epsilon)) * p.gain.data + p.bias.data
+
+
 class Model:
     """Encoder-decoder transformer with label-routed feedforward banks."""
 
@@ -423,20 +436,112 @@ class Model:
 
     # -- greedy decoding ----------------------------------------------------
 
-    def _greedy_row(
-        self, enc_out: Tensor, task: Task, language: Language, max_len: int
-    ) -> SingleDecode:
-        prefix = [int(TASK_TOKEN[task]), int(LANGUAGE_TOKEN[language]), int(GuidingToken.BOS)]
-        ids = list(prefix)
-        generated: list[int] = []
+    def _last_logits(self, last: np.ndarray) -> np.ndarray:
+        """Vocabulary logits [rows x vocab] of decoder states [rows x d]: the
+        final norm and output projection of `decode`, without a tape."""
+        out_proj = self.embed.data.T if self.out_proj is None else self.out_proj.data
+        return _layer_norm(self.ln_dec_final, last) @ out_proj
+
+    def _greedy_rows(
+        self, enc_out: Tensor, rows: list[tuple[Task, Language]], max_len: int
+    ) -> list[SingleDecode]:
+        """Greedy decode of one `(task, language)` row per entry over one
+        encoder output, with cached keys/values and no tape.
+
+        Each step computes what `decode` computes at its new positions, for
+        every live row at once: the guiding prefix is the first step, then
+        one position per step. Cross-attention keys/values are projected once
+        per layer and shared by all rows; self-attention keys/values grow by
+        the step's positions. Each row's feedforward blocks route to its
+        task's expert, only each row's last position is projected onto the
+        vocabulary, and a row leaves the batch at its EOS. Dropout is never
+        applied: this is the eval-mode computation.
+        """
+        cfg = self.config
+        results = [SingleDecode(ids=[], truncated=True) for _ in rows]
+        if max_len <= 0:
+            return results
+        d, n_heads = cfg.d_model, cfg.n_heads
+        dh = d // n_heads
+        inv_sqrt_dh = 1.0 / math.sqrt(dh)
+
+        def heads(x: np.ndarray, n_rows: int) -> np.ndarray:
+            """[rows*t x d] -> [rows x h x t x dh]."""
+            return x.reshape(n_rows, -1, n_heads, dh).transpose(0, 2, 1, 3)
+
+        def project(w: Tensor, b: Tensor, x: np.ndarray) -> np.ndarray:
+            return x @ w.data + b.data
+
+        def attend(p: AttentionParams, q_in, n_rows, keys, values, mask) -> np.ndarray:
+            """Attention of q_in [n_rows*t x d] over per-head keys/values
+            [n_rows or 1 x h x t_k x dh]."""
+            q = heads(project(p.w_q, p.b_q, q_in), n_rows)
+            scores = (q @ keys.swapaxes(-1, -2)) * inv_sqrt_dh
+            if mask is not None:
+                scores = scores + mask
+            probs = np.exp(scores - scores.max(axis=-1, keepdims=True))
+            probs = probs / probs.sum(axis=-1, keepdims=True)
+            ctx = (probs @ values).transpose(0, 2, 1, 3).reshape(q_in.shape[0], d)
+            return project(p.w_o, p.b_o, ctx)
+
+        enc = enc_out.data
+        cross_kv = [
+            (heads(project(a.w_k, a.b_k, enc), 1), heads(project(a.w_v, a.b_v, enc), 1))
+            for a in (layer.cross_attn for layer in self.dec_layers)
+        ]
+        self_kv = [(np.empty((len(rows), n_heads, 0, dh)),) * 2 for _ in self.dec_layers]
+        live = list(range(len(rows)))
+        gates = [gate_decoder(task) for task, _ in rows]
+        step_ids = np.array(
+            [[int(TASK_TOKEN[task]), int(LANGUAGE_TOKEN[lang]), int(GuidingToken.BOS)]
+             for task, lang in rows]
+        )
+        # the last step's input sits at position prefix + max_len - 2
+        positions = sinusoidal_positions(
+            min(step_ids.shape[1] + max_len - 1, cfg.max_tgt_tokens), d
+        ).data
+        done = 0  # positions already in the self-attention caches
         for _ in range(max_len):
-            logits = self.decode(enc_out, ids, task)
-            next_id = int(np.argmax(logits.data[-1]))
-            generated.append(next_id)
-            ids.append(next_id)
-            if next_id == GuidingToken.EOS:
-                return SingleDecode(ids=generated, truncated=False)
-        return SingleDecode(ids=generated, truncated=True)
+            n_rows, n_new = step_ids.shape
+            if done + n_new > cfg.max_tgt_tokens:
+                raise LimitError(
+                    f"{done + n_new} target tokens exceeds max_tgt_tokens {cfg.max_tgt_tokens}"
+                )
+            x = self.embed.data[step_ids] * math.sqrt(d) + positions[done : done + n_new]
+            x = x.reshape(n_rows * n_new, d)
+            mask = np.where(causal_mask(n_new), 0.0, MASK_OFF) if n_new > 1 else None
+            for i, layer in enumerate(self.dec_layers):
+                a, h = layer.self_attn, _layer_norm(layer.ln_self, x)
+                keys, values = self_kv[i]
+                self_kv[i] = (
+                    np.concatenate([keys, heads(project(a.w_k, a.b_k, h), n_rows)], axis=2),
+                    np.concatenate([values, heads(project(a.w_v, a.b_v, h), n_rows)], axis=2),
+                )
+                x = x + attend(a, h, n_rows, *self_kv[i], mask)
+                h = _layer_norm(layer.ln_cross, x)
+                x = x + attend(layer.cross_attn, h, n_rows, *cross_kv[i], None)
+                h = _layer_norm(layer.ln_ffn, x).reshape(n_rows, n_new, d)
+                x = x + np.concatenate([
+                    self._sublayer_ffn(layer.ffn, gates[r], constant(h[j])).data
+                    for j, r in enumerate(live)
+                ])
+            done += n_new
+            last = x.reshape(n_rows, n_new, d)[:, -1]
+            next_ids = np.argmax(self._last_logits(last), axis=-1)
+            keep = []
+            for j, r in enumerate(live):
+                results[r].ids.append(int(next_ids[j]))
+                if next_ids[j] == GuidingToken.EOS:
+                    results[r].truncated = False
+                else:
+                    keep.append(j)
+            if not keep:
+                break
+            if len(keep) < n_rows:
+                live = [live[j] for j in keep]
+                self_kv = [(k[keep], v[keep]) for k, v in self_kv]
+            step_ids = next_ids[keep, None]
+        return results
 
     def infer_single(
         self,
@@ -449,18 +554,19 @@ class Model:
         if language is None:
             language = TASK_LANGUAGE[task]
         enc_out = self.encode(features, bw)
-        return self._greedy_row(enc_out, task, language, max_len)
+        return self._greedy_rows(enc_out, [(task, language)], max_len)[0]
 
     def infer_dual(
         self, features: FbankFeatures, bw: Bandwidth, max_len: int = 64
     ) -> DualDecode:
-        """One encoder pass shared by two greedy decodes: the transcription
+        """One encoder pass feeding a two-row greedy decode: the transcription
         row routes to the ASR expert, the translation row to the ST expert.
-        The rows never interact, so each is exactly the single-task decode
-        of its task."""
+        The rows share only the encoder output, so each decodes the ids of
+        the single-task decode of its task."""
         enc_out = self.encode(features, bw)
-        asr = self._greedy_row(enc_out, Task.ASR, TASK_LANGUAGE[Task.ASR], max_len)
-        st = self._greedy_row(enc_out, Task.ST, TASK_LANGUAGE[Task.ST], max_len)
+        asr, st = self._greedy_rows(
+            enc_out, [(task, TASK_LANGUAGE[task]) for task in (Task.ASR, Task.ST)], max_len
+        )
         return DualDecode(
             asr_ids=asr.ids,
             st_ids=st.ids,
@@ -511,85 +617,100 @@ def expand_experts(donor: Model, encoder: bool = False, decoder: bool = False) -
 
 
 def save_checkpoint(model: Model, path: str | Path, step: int = 0) -> None:
+    """Stream the checkpoint to `path`: each header and each parameter's
+    payload goes straight to the file, with no full-size copy in memory."""
     params = model.named_parameters()
-    blob = bytearray()
-    blob += CHECKPOINT_MAGIC
-    blob += struct.pack("<I", CHECKPOINT_VERSION)
-    blob += struct.pack("<Q", step)
     cfg_bytes = model.config.to_text().encode("utf-8")
-    blob += struct.pack("<I", len(cfg_bytes))
-    blob += cfg_bytes
-    blob += struct.pack("<I", len(params))
-    for name, tensor in params:
-        name_b = name.encode("utf-8")
-        blob += struct.pack("<I", len(name_b))
-        blob += name_b
-        shape = tensor.data.shape
-        blob += struct.pack("<I", len(shape))
-        for dim in shape:
-            blob += struct.pack("<Q", dim)
-        blob += np.ascontiguousarray(tensor.data, dtype="<f8").tobytes()
-    Path(path).write_bytes(bytes(blob))
+    with open(path, "wb") as fh:
+        fh.write(CHECKPOINT_MAGIC)
+        fh.write(struct.pack("<IQI", CHECKPOINT_VERSION, step, len(cfg_bytes)))
+        fh.write(cfg_bytes)
+        fh.write(struct.pack("<I", len(params)))
+        for name, tensor in params:
+            name_b = name.encode("utf-8")
+            shape = tensor.data.shape
+            fh.write(struct.pack(f"<I{len(name_b)}sI{len(shape)}Q",
+                                 len(name_b), name_b, len(shape), *shape))
+            fh.write(np.ascontiguousarray(tensor.data, dtype="<f8"))
 
 
 def load_checkpoint(path: str | Path) -> tuple[Model, int]:
-    """Rebuild a model from a checkpoint; fails closed on any corruption."""
-    raw = Path(path).read_bytes()
-    view = memoryview(raw)
-    off = 0
+    """Rebuild a model from a checkpoint; fails closed on any corruption.
 
-    def take(n: int) -> memoryview:
-        nonlocal off
-        if off + n > len(raw):
-            raise FormatError(f"truncated checkpoint {path} at byte {off}")
-        chunk = view[off : off + n]
-        off += n
-        return chunk
+    The file is read in place. A file too short for the payload its config
+    implies is rejected before the model is allocated, and each payload is
+    read straight into its parameter's array.
+    """
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        off = 0
 
-    def take_text(n: int) -> str:
+        def check_room(n: int) -> None:
+            if off + n > size:
+                raise FormatError(f"truncated checkpoint {path} at byte {off}")
+
+        def take(n: int) -> bytes:
+            nonlocal off
+            check_room(n)
+            chunk = fh.read(n)
+            if len(chunk) != n:
+                raise FormatError(f"truncated checkpoint {path} at byte {off}")
+            off += n
+            return chunk
+
+        def take_text(n: int) -> str:
+            try:
+                return take(n).decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"non-UTF-8 text at byte {off - n} of {path}") from exc
+
+        if take(4) != CHECKPOINT_MAGIC:
+            raise FormatError(f"bad magic in {path}")
+        (version,) = struct.unpack("<I", take(4))
+        if version != CHECKPOINT_VERSION:
+            raise FormatError(f"unsupported checkpoint version {version} in {path}")
+        (step,) = struct.unpack("<Q", take(8))
+        (cfg_len,) = struct.unpack("<I", take(4))
         try:
-            return bytes(take(n)).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"non-UTF-8 text at byte {off - n} of {path}") from exc
-
-    if bytes(take(4)) != CHECKPOINT_MAGIC:
-        raise FormatError(f"bad magic in {path}")
-    (version,) = struct.unpack("<I", take(4))
-    if version != CHECKPOINT_VERSION:
-        raise FormatError(f"unsupported checkpoint version {version} in {path}")
-    (step,) = struct.unpack("<Q", take(8))
-    (cfg_len,) = struct.unpack("<I", take(4))
-    try:
-        config = ModelConfig.from_text(take_text(cfg_len))
-    except ConfigError as exc:
-        raise FormatError(f"bad config block in {path}: {exc}") from exc
-    (n_entries,) = struct.unpack("<I", take(4))
-
-    model = Model(config, seed=0)
-    expected = dict(model.named_parameters())
-    if n_entries != len(expected):
-        raise FormatError(
-            f"checkpoint has {n_entries} entries, config implies {len(expected)}"
-        )
-    seen = set()
-    for _ in range(n_entries):
-        (name_len,) = struct.unpack("<I", take(4))
-        name = take_text(name_len)
-        if name not in expected:
-            raise FormatError(f"unknown parameter entry {name!r}")
-        if name in seen:
-            raise FormatError(f"duplicate parameter entry {name!r}")
-        seen.add(name)
-        (rank,) = struct.unpack("<I", take(4))
-        dims = tuple(struct.unpack("<Q", take(8))[0] for _ in range(rank))
-        tensor = expected[name]
-        if dims != tensor.data.shape:
+            config = ModelConfig.from_text(take_text(cfg_len))
+        except ConfigError as exc:
+            raise FormatError(f"bad config block in {path}: {exc}") from exc
+        (n_entries,) = struct.unpack("<I", take(4))
+        payload = 8 * count_params(config).trainable
+        if size - off < payload:
             raise FormatError(
-                f"entry {name!r} has shape {dims}, config implies {tensor.data.shape}"
+                f"checkpoint {path} has {size - off} bytes after its header, "
+                f"config implies at least {payload}"
             )
-        count = int(np.prod(dims)) if dims else 1
-        data = np.frombuffer(take(8 * count), dtype="<f8").reshape(dims)
-        tensor.data = data.astype(np.float64).copy()
-    if off != len(raw):
-        raise FormatError(f"{len(raw) - off} trailing bytes in {path}")
+
+        model = Model(config, seed=0)
+        expected = dict(model.named_parameters())
+        if n_entries != len(expected):
+            raise FormatError(
+                f"checkpoint has {n_entries} entries, config implies {len(expected)}"
+            )
+        seen = set()
+        for _ in range(n_entries):
+            (name_len,) = struct.unpack("<I", take(4))
+            name = take_text(name_len)
+            if name not in expected:
+                raise FormatError(f"unknown parameter entry {name!r}")
+            if name in seen:
+                raise FormatError(f"duplicate parameter entry {name!r}")
+            seen.add(name)
+            (rank,) = struct.unpack("<I", take(4))
+            dims = struct.unpack(f"<{rank}Q", take(8 * rank))
+            data = expected[name].data  # freshly initialised, C-contiguous float64
+            if dims != data.shape:
+                raise FormatError(
+                    f"entry {name!r} has shape {dims}, config implies {data.shape}"
+                )
+            check_room(data.nbytes)
+            if fh.readinto(data) != data.nbytes:
+                raise FormatError(f"truncated checkpoint {path} at byte {off}")
+            off += data.nbytes
+            if sys.byteorder == "big":  # the payload on disk is little-endian
+                data.byteswap(inplace=True)
+    if off != size:
+        raise FormatError(f"{size - off} trailing bytes in {path}")
     return model, step

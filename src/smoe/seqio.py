@@ -117,7 +117,10 @@ class Vocabulary:
                 merges.append((bytes.fromhex(parts[0]), bytes.fromhex(parts[1])))
             except ValueError as exc:
                 raise FormatError(f"non-hex merge line: {ln!r}") from exc
-        return Vocabulary(merges)
+        try:
+            return Vocabulary(merges)
+        except ConfigError as exc:
+            raise FormatError(f"bad vocabulary {path}: {exc}") from exc
 
 
 def _apply_merge(tokens: list[bytes], left: bytes, right: bytes) -> list[bytes]:

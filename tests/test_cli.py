@@ -201,12 +201,14 @@ def _infer_with_checkpoint(edit):
     return argv
 
 
-def _train_with_vocab(vocab_bytes):
+def _train_with_vocab(vocab_bytes, manifest_bytes=None):
     def argv(root):
         data = root / "data"
         data.mkdir()
         if vocab_bytes is not None:
             (data / "vocab.txt").write_bytes(vocab_bytes)
+        if manifest_bytes is not None:
+            (data / "manifest.tsv").write_bytes(manifest_bytes)
         return ["train", "--data", str(data), "--out", str(root / "run")]
     return argv
 
@@ -231,6 +233,10 @@ def _infer_odd_wav(root):
     pytest.param(_train_with_vocab(None), 3, id="train-data-without-vocab"),
     pytest.param(_train_with_vocab(b"smoe-vocab v1 merges=1\nzz\t61\n"), 3, id="vocab-non-hex"),
     pytest.param(_train_with_vocab(b"smoe-vocab v1 merges=0\n\xe9\n"), 3, id="vocab-non-ascii"),
+    pytest.param(_train_with_vocab(b"smoe-vocab v1 merges=2\n61\t62\n61\t62\n"), 3,
+                 id="vocab-duplicate-merge"),
+    pytest.param(_train_with_vocab(b"smoe-vocab v1 merges=0\n", b"smoe-manifest v1\n\xff\n"), 3,
+                 id="manifest-not-utf8"),
     pytest.param(_inspect_with_config, 1, id="config-not-utf8"),
     pytest.param(_infer_odd_wav, 3, id="wav-odd-data-bytes"),
 ])

@@ -1,6 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
 
+import smoe.model
 from smoe.errors import ConfigError, FormatError, LimitError
 from smoe.model import (
     Model,
@@ -14,7 +17,15 @@ from smoe.model import (
 from smoe.moe import Bandwidth, GateVector, Task, smoe_forward
 from smoe.nn import ffn_forward
 from smoe.numerics import constant
-from smoe.seqio import Language, Vocabulary, build_target_sequence
+from smoe.seqio import (
+    LANGUAGE_TOKEN,
+    TASK_LANGUAGE,
+    TASK_TOKEN,
+    GuidingToken,
+    Language,
+    Vocabulary,
+    build_target_sequence,
+)
 from smoe.signal import FbankFeatures
 
 VOCAB = Vocabulary()
@@ -185,15 +196,23 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
 
 
 def test_checkpoint_truncated_fails_closed(tmp_path):
-    model = Model(tiny_config(), seed=9)
+    model = Model(tiny_config(dec_smoe=True), seed=9)
     path = tmp_path / "m.ckpt"
     save_checkpoint(model, path)
     raw = path.read_bytes()
-    for cut in (3, 10, len(raw) // 2, len(raw) - 5):
+    sections = v1_sections(model)
+    assert sections[-1][2] == len(raw)
+    cuts = {3, 10, len(raw) // 2, len(raw) - 5}
+    for _, start, end in sections:  # inside each header field and entry field
+        cuts |= {start, (start + end) // 2, end - 1}
+    for cut in sorted(cuts):
         bad = tmp_path / f"cut{cut}.ckpt"
         bad.write_bytes(raw[:cut])
         with pytest.raises(FormatError):
             load_checkpoint(bad)
+    bad.write_bytes(raw + b"\x00")
+    with pytest.raises(FormatError, match="trailing"):
+        load_checkpoint(bad)
 
 
 def test_checkpoint_bad_magic(tmp_path):
@@ -295,3 +314,221 @@ def test_encoder_output_bitwise_task_independent():
     a = model.encode(feats, Bandwidth.WB)
     b = model.encode(feats, Bandwidth.WB)
     assert np.array_equal(a.data, b.data)
+
+
+# -- cached greedy decode against a full-recompute oracle -----------------------
+
+
+def reference_greedy(model, enc, task, max_len):
+    """Greedy decode that re-runs Model.decode over the whole prefix at every
+    step: (ids, truncated, last-position logits per step)."""
+    ids = [int(TASK_TOKEN[task]), int(LANGUAGE_TOKEN[TASK_LANGUAGE[task]]), int(GuidingToken.BOS)]
+    out, logits = [], []
+    for _ in range(max_len):
+        last = model.decode(enc, ids, task).data[-1]
+        logits.append(last)
+        out.append(int(np.argmax(last)))
+        ids.append(out[-1])
+        if out[-1] == GuidingToken.EOS:
+            return out, False, logits
+    return out, True, logits
+
+
+@pytest.fixture
+def fast_logits(monkeypatch):
+    """Every [rows x vocab] logit block the cached decode computes, in order."""
+    seen = []
+    original = Model._last_logits
+
+    def recording(self, last):
+        seen.append(original(self, last))
+        return seen[-1]
+
+    monkeypatch.setattr(Model, "_last_logits", recording)
+    return seen
+
+
+def assert_logits_close(got, want):
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+GREEDY_CONFIGS = [
+    dict(),
+    dict(enc_smoe=True),
+    dict(dec_smoe=True),
+    dict(enc_smoe=True, dec_smoe=True, tied_embed=False),
+    dict(dec_smoe=True, activation="relu", glu=False),
+    dict(n_dec_layers=2, dec_smoe=True),
+    dict(n_dec_layers=2, enc_smoe=True, tied_embed=False, activation="relu", glu=False),
+]
+
+
+@pytest.mark.parametrize("overrides", GREEDY_CONFIGS, ids=lambda kw: ",".join(kw) or "shared")
+def test_cached_greedy_matches_full_recompute(overrides, fast_logits):
+    model = Model(tiny_config(**overrides), seed=31).eval()
+    feats = random_features(32)
+    max_len = 7
+    for bw in (Bandwidth.WB, Bandwidth.NB):
+        enc = model.encode(feats, bw)
+        refs = {task: reference_greedy(model, enc, task, max_len) for task in (Task.ASR, Task.ST)}
+        for task, (ids, truncated, logits) in refs.items():
+            fast_logits.clear()
+            single = model.infer_single(feats, bw, task, max_len=max_len)
+            assert (single.ids, single.truncated) == (ids, truncated)
+            assert len(fast_logits) == len(logits)
+            for got, want in zip(fast_logits, logits):
+                assert_logits_close(got[0], want)
+        fast_logits.clear()
+        dual = model.infer_dual(feats, bw, max_len=max_len)
+        assert (dual.asr_ids, dual.asr_truncated) == refs[Task.ASR][:2]
+        assert (dual.st_ids, dual.st_truncated) == refs[Task.ST][:2]
+        assert len(fast_logits) == max_len  # neither row stops early here
+        for step, got in enumerate(fast_logits):
+            assert_logits_close(got[0], refs[Task.ASR][2][step])
+            assert_logits_close(got[1], refs[Task.ST][2][step])
+
+
+def test_dual_row_leaves_the_batch_at_eos():
+    # relabel one token of the ASR row's greedy output as EOS by swapping
+    # their output columns: the ASR row then stops there, while the ST row,
+    # which never emits either token, decodes to max_len unchanged
+    model = Model(tiny_config(dec_smoe=True, tied_embed=False), seed=1).eval()
+    feats = random_features(1)
+    max_len = 8
+    enc = model.encode(feats, Bandwidth.WB)
+    asr, _, _ = reference_greedy(model, enc, Task.ASR, max_len)
+    st, _, _ = reference_greedy(model, enc, Task.ST, max_len)
+    eos = int(GuidingToken.EOS)
+    stop = next(k for k in range(2, max_len - 1)
+                if asr[k] not in asr[:k] + st and eos not in asr + st)
+    w = model.out_proj.data
+    w[:, [eos, asr[stop]]] = w[:, [asr[stop], eos]]
+    model.reset_expert_counts()
+    dual = model.infer_dual(feats, Bandwidth.WB, max_len=max_len)
+    counts = model.smoe_layers()[0][1].call_counts
+    assert (dual.asr_ids, dual.asr_truncated) == (asr[:stop] + [eos], False)
+    assert (dual.st_ids, dual.st_truncated) == (st, True)
+    assert counts == [max_len, stop + 1]  # [ST expert, ASR expert]
+    for task, ids in ((Task.ASR, dual.asr_ids), (Task.ST, dual.st_ids)):
+        assert model.infer_single(feats, Bandwidth.WB, task, max_len=max_len).ids == ids
+        assert reference_greedy(model, enc, task, max_len)[0] == ids
+
+
+@pytest.mark.parametrize("max_tgt_tokens", [2, 3, 6])
+def test_cached_greedy_hits_token_limit_at_reference_step(max_tgt_tokens, monkeypatch):
+    model = Model(tiny_config(dec_smoe=True, max_tgt_tokens=max_tgt_tokens), seed=33).eval()
+    feats = random_features(34)
+    enc = model.encode(feats, Bandwidth.WB)
+    model.reset_expert_counts()
+    with pytest.raises(LimitError) as want:
+        reference_greedy(model, enc, Task.ST, max_len=10)
+    want_counts = list(model.smoe_layers()[0][1].call_counts)
+    sizes = []
+    original = smoe.model.sinusoidal_positions
+
+    def recording(t, d_model):
+        sizes.append(t)
+        return original(t, d_model)
+
+    monkeypatch.setattr(smoe.model, "sinusoidal_positions", recording)
+    model.reset_expert_counts()
+    with pytest.raises(LimitError) as got:
+        model.infer_single(feats, Bandwidth.WB, Task.ST, max_len=10**6)
+    assert str(got.value) == str(want.value)
+    assert model.smoe_layers()[0][1].call_counts == want_counts
+    # the encoder's table covers its 9 frames; no decoder table is sized by max_len
+    assert sizes[0] == 9 and len(sizes) > 1 and max(sizes[1:]) <= max_tgt_tokens
+
+
+# -- checkpoint bytes ---------------------------------------------------------------
+
+
+def v1_checkpoint_bytes(model, step):
+    """The v1 checkpoint layout, written out field by field."""
+    params = model.named_parameters()
+    cfg = model.config.to_text().encode("utf-8")
+    out = b"SMOE" + struct.pack("<I", 1) + struct.pack("<Q", step)
+    out += struct.pack("<I", len(cfg)) + cfg + struct.pack("<I", len(params))
+    for name, tensor in params:
+        name_b = name.encode("utf-8")
+        out += struct.pack("<I", len(name_b)) + name_b + struct.pack("<I", tensor.data.ndim)
+        out += b"".join(struct.pack("<Q", dim) for dim in tensor.data.shape)
+        out += tensor.data.astype("<f8").tobytes()
+    return out
+
+
+def v1_sections(model):
+    """(name, start, end) byte ranges of a v1 file's header fields and of the
+    first and last parameter entries' fields."""
+    params = model.named_parameters()
+    cfg_len = len(model.config.to_text().encode("utf-8"))
+    spans = [("magic", 4), ("version", 4), ("step", 8), ("config length", 4),
+             ("config", cfg_len), ("entry count", 4)]
+    for name, tensor in params:
+        spans += [("name length", 4), ("name", len(name.encode("utf-8"))), ("rank", 4),
+                  ("dims", 8 * tensor.data.ndim), ("payload", tensor.data.nbytes)]
+    out, off = [], 0
+    for i, (label, n) in enumerate(spans):
+        if i < 6 + 5 or i >= len(spans) - 5:  # the header, the first entry, the last entry
+            out.append((label, off, off + n))
+        off += n
+    return out
+
+
+def test_checkpoint_bytes_match_v1_layout(tmp_path):
+    for cfg in (tiny_config(), tiny_config(enc_smoe=True, dec_smoe=True, tied_embed=False, glu=False)):
+        model = Model(cfg, seed=35)
+        save_checkpoint(model, tmp_path / "m.ckpt", step=41)
+        assert (tmp_path / "m.ckpt").read_bytes() == v1_checkpoint_bytes(model, 41)
+
+
+def test_checkpoint_shorter_than_config_fails_before_model_is_built(tmp_path, monkeypatch):
+    model = Model(tiny_config(), seed=37)
+    raw = v1_checkpoint_bytes(model, 0)
+    # the header through the entry count, then one byte less than the payloads
+    header = 24 + len(model.config.to_text().encode("utf-8"))
+    path = tmp_path / "short.ckpt"
+    path.write_bytes(raw[: header + 8 * model.parameter_count() - 1])
+
+    def no_model(*args, **kwargs):
+        raise AssertionError("Model built for a file too short for its config")
+
+    monkeypatch.setattr(smoe.model, "Model", no_model)
+    with pytest.raises(FormatError, match="config implies"):
+        load_checkpoint(path)
+
+
+def _rename_entry(old: bytes, new: bytes):
+    def edit(raw):
+        return raw.replace(struct.pack("<I", len(old)) + old, struct.pack("<I", len(new)) + new, 1)
+    return edit
+
+
+@pytest.mark.parametrize("edit, match", [
+    (lambda raw: raw[:4] + struct.pack("<I", 2) + raw[8:], "version"),
+    (_rename_entry(b"input_proj.w", b"input_proj.x"), "unknown"),
+    (_rename_entry(b"input_proj.b", b"input_proj.w"), "duplicate"),
+    (lambda raw: raw.replace(struct.pack("<QQ", VOCAB.size, 16), struct.pack("<QQ", 16, VOCAB.size), 1),
+     "shape"),
+])
+def test_checkpoint_edited_entries_fail_closed(edit, match, tmp_path):
+    model = Model(tiny_config(), seed=38)
+    raw = v1_checkpoint_bytes(model, 0)
+    edited = edit(raw)
+    assert len(edited) == len(raw) and edited != raw
+    path = tmp_path / "edited.ckpt"
+    path.write_bytes(edited)
+    with pytest.raises(FormatError, match=match):
+        load_checkpoint(path)
+
+
+def test_checkpoint_entry_count_mismatch_fails_closed(tmp_path):
+    model = Model(tiny_config(), seed=39)
+    raw = v1_checkpoint_bytes(model, 0)
+    at = 20 + len(model.config.to_text().encode("utf-8"))
+    (count,) = struct.unpack("<I", raw[at : at + 4])
+    path = tmp_path / "count.ckpt"
+    path.write_bytes(raw[:at] + struct.pack("<I", count + 1) + raw[at + 4 :])
+    with pytest.raises(FormatError, match="entries"):
+        load_checkpoint(path)
