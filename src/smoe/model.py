@@ -2,11 +2,13 @@
 
 The encoder consumes log-Mel frames and routes its feedforward blocks by
 audio bandwidth; the decoder consumes guiding-token-prefixed target ids and
-routes its feedforward blocks by task. Everything else is shared. Forward
-passes are per-sample (2-D activations, heads batched 3-D), which keeps the
-routed subgraph and the tape trivially aligned. Greedy decoding runs apart
-from the tape, with cached keys/values and all rows of a request batched;
-the teacher-forced `decode` is its reference.
+routes its feedforward blocks by task. Everything else is shared. A forward
+pass runs a whole zero-padded batch at once: activations are [B*T x d] row
+stacks, attention heads run as [B*h x T x dh] with key-padding masks, and
+each encoder expert runs once on the real rows of its bandwidth, gathered
+and scattered back. `encode` and `decode` are its one-sample calls. Greedy
+decoding runs apart from the tape, with cached keys/values and all rows of
+a request batched; the teacher-forced `decode` is its reference.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import struct
 import sys
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -37,7 +40,9 @@ from .nn import (
     pre_norm_residual,
     sinusoidal_positions,
 )
-from .numerics import Tensor, add, constant, dropout, embedding, matmul, scale, transpose2d
+from .numerics import (
+    Tensor, add, constant, dropout, embedding, matmul, scale, scatter_rows, transpose2d,
+)
 from .seqio import LANGUAGE_TOKEN, TASK_LANGUAGE, TASK_TOKEN, GuidingToken, Language, TargetSequence
 from .signal import N_MELS, FbankFeatures
 
@@ -272,6 +277,15 @@ class SingleDecode:
     truncated: bool
 
 
+def key_padding_mask(lengths: Sequence[int], t_max: int) -> np.ndarray | None:
+    """Attention mask [B x 1 x t_max], True on each sample's first
+    lengths[i] keys; None when no sample is padded."""
+    lengths = np.asarray(lengths)
+    if np.all(lengths == t_max):
+        return None
+    return (np.arange(t_max) < lengths[:, None])[:, None, :]
+
+
 def _layer_norm(p: LayerNormParams, x: np.ndarray) -> np.ndarray:
     """`layer_norm_params` on a plain array: the same arithmetic, no tape."""
     d = x.shape[-1]
@@ -365,57 +379,112 @@ class Model:
 
     # -- forward pieces ----------------------------------------------------
 
-    def _sublayer_ffn(self, layer_ffn, gate: GateVector, x: Tensor) -> Tensor:
+    def _sublayer_ffn(self, layer_ffn, gate: GateVector | None, x: Tensor) -> Tensor:
+        """The layer's feedforward block on x; `gate` picks the expert of a
+        routed layer and is not read for a shared block."""
         if isinstance(layer_ffn, SMoELayer):
             return smoe_forward(layer_ffn, gate, x, activation=self.config.activation)
         return ffn_forward(layer_ffn, x, activation=self.config.activation)
 
+    def _dispatch_ffn(self, layer_ffn, groups: list[tuple[GateVector | None, np.ndarray | None]],
+                      x: Tensor) -> Tensor:
+        """Feedforward block of row groups `(gate, rows)`: each group's rows
+        of x are gathered, sent through its expert once and scattered back,
+        and rows in no group get 0. rows None is every row of x."""
+        if groups[0][1] is None:
+            return self._sublayer_ffn(layer_ffn, groups[0][0], x)
+        parts = [(self._sublayer_ffn(layer_ffn, gate, embedding(x, rows)), rows)
+                 for gate, rows in groups]
+        return scatter_rows(parts, x.shape[0])
+
     def encode(self, features: FbankFeatures, bw: Bandwidth) -> Tensor:
-        cfg = self.config
+        """Encoder states [n_frames x d] of one utterance."""
         frames = features.frames.data
-        if frames.shape[0] > cfg.max_src_frames:
-            raise LimitError(
-                f"{frames.shape[0]} frames exceeds max_src_frames {cfg.max_src_frames}"
-            )
-        if frames.shape[1] != cfg.n_mels:
-            raise ConfigError(f"features have {frames.shape[1]} mels, config wants {cfg.n_mels}")
+        return self.encode_batch(frames[None], [frames.shape[0]], [bw])
+
+    def encode_batch(
+        self, frames: np.ndarray, lengths: Sequence[int], bandwidths: Sequence[Bandwidth]
+    ) -> Tensor:
+        """Encoder states [B*T x d] of zero-padded frame stacks [B x T x n_mels].
+
+        Sample i owns rows i*T .. i*T + lengths[i] - 1; the rows after them
+        are padding, which no attention reads as a key and no feedforward
+        block computes. Each bandwidth's real rows go through its expert in
+        one call, so an expert no sample routes to is never invoked.
+        """
+        cfg = self.config
+        n, t_max, n_mels = frames.shape
+        if t_max > cfg.max_src_frames:
+            raise LimitError(f"{t_max} frames exceeds max_src_frames {cfg.max_src_frames}")
+        if n_mels != cfg.n_mels:
+            raise ConfigError(f"features have {n_mels} mels, config wants {cfg.n_mels}")
         # per-utterance global normalization keeps log-mel magnitudes sane
         # without erasing the relative band structure
-        mean = frames.mean()
-        std = max(frames.std(), 1e-8)
-        x = constant((frames - mean) / std)
+        normed = np.zeros_like(frames)
+        for i, length in enumerate(lengths):
+            real = frames[i, :length]
+            normed[i, :length] = (real - real.mean()) / max(real.std(), 1e-8)
+        x = constant(normed.reshape(n * t_max, n_mels))
         x = add(matmul(x, self.input_proj_w), self.input_proj_b)
-        x = add(x, sinusoidal_positions(frames.shape[0], cfg.d_model))
+        x = add(x, constant(np.tile(sinusoidal_positions(t_max, cfg.d_model).data, (n, 1))))
         x = dropout(x, cfg.dropout, self._dropout_rng, self.training)
-        gate = gate_encoder(bw)
+        mask = key_padding_mask(lengths, t_max)
+        rows: dict[GateVector | None, list[np.ndarray]] = {}
+        for i, (length, bw) in enumerate(zip(lengths, bandwidths)):
+            gate = gate_encoder(bw) if cfg.enc_smoe else None
+            rows.setdefault(gate, []).append(np.arange(i * t_max, i * t_max + length))
+        groups = [(gate, np.concatenate(r)) for gate, r in rows.items()]
+        if len(groups) == 1 and mask is None:
+            groups = [(groups[0][0], None)]
         for layer in self.enc_layers:
             x = pre_norm_residual(
-                lambda h: attention_forward(layer.attn, h, h, h, None),
+                lambda h: attention_forward(layer.attn, h, h, h, mask, n),
                 layer.ln_attn, x, cfg.dropout, self._dropout_rng, self.training,
             )
             x = pre_norm_residual(
-                lambda h: self._sublayer_ffn(layer.ffn, gate, h),
+                lambda h: self._dispatch_ffn(layer.ffn, groups, h),
                 layer.ln_ffn, x, cfg.dropout, self._dropout_rng, self.training,
             )
         return layer_norm_params(self.ln_enc_final, x)
 
     def decode(self, enc_out: Tensor, ids: list[int], task: Task) -> Tensor:
+        """Teacher-forced logits [len(ids) x vocab] over one encoder output."""
+        return self.decode_batch(enc_out, np.asarray([ids]), task)
+
+    def decode_batch(
+        self,
+        enc_out: Tensor,
+        ids: np.ndarray,
+        task: Task,
+        enc_lengths: Sequence[int] | None = None,
+    ) -> Tensor:
+        """Teacher-forced logits [B*L x vocab] of id rows [B x L] over
+        encoder states [B*T x d], every row routed to `task`'s expert.
+
+        enc_lengths are the real frames of each sample (None: all T); the
+        padded encoder rows are masked out of cross-attention. The causal
+        mask keeps each position from reading the ones after it, so trailing
+        padding in `ids` never reaches a real position.
+        """
         cfg = self.config
-        t = len(ids)
+        n, t = ids.shape
         if t > cfg.max_tgt_tokens:
             raise LimitError(f"{t} target tokens exceeds max_tgt_tokens {cfg.max_tgt_tokens}")
-        x = scale(embedding(self.embed, ids), math.sqrt(cfg.d_model))
-        x = add(x, sinusoidal_positions(t, cfg.d_model))
+        x = scale(embedding(self.embed, ids.reshape(-1)), math.sqrt(cfg.d_model))
+        x = add(x, constant(np.tile(sinusoidal_positions(t, cfg.d_model).data, (n, 1))))
         x = dropout(x, cfg.dropout, self._dropout_rng, self.training)
         gate = gate_decoder(task)
         mask = causal_mask(t)
+        cross_mask = None
+        if enc_lengths is not None:
+            cross_mask = key_padding_mask(enc_lengths, enc_out.shape[0] // n)
         for layer in self.dec_layers:
             x = pre_norm_residual(
-                lambda h: attention_forward(layer.self_attn, h, h, h, mask),
+                lambda h: attention_forward(layer.self_attn, h, h, h, mask, n),
                 layer.ln_self, x, cfg.dropout, self._dropout_rng, self.training,
             )
             x = pre_norm_residual(
-                lambda h: attention_forward(layer.cross_attn, h, enc_out, enc_out, None),
+                lambda h: attention_forward(layer.cross_attn, h, enc_out, enc_out, cross_mask, n),
                 layer.ln_cross, x, cfg.dropout, self._dropout_rng, self.training,
             )
             x = pre_norm_residual(
@@ -618,20 +687,32 @@ def expand_experts(donor: Model, encoder: bool = False, decoder: bool = False) -
 
 def save_checkpoint(model: Model, path: str | Path, step: int = 0) -> None:
     """Stream the checkpoint to `path`: each header and each parameter's
-    payload goes straight to the file, with no full-size copy in memory."""
+    payload goes straight to the file, with no full-size copy in memory.
+
+    The bytes go to a temporary file beside `path`, which then replaces
+    `path` in one rename, so a save that fails midway leaves the previous
+    file whole and no temporary file behind.
+    """
+    path = Path(path)
     params = model.named_parameters()
     cfg_bytes = model.config.to_text().encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<IQI", CHECKPOINT_VERSION, step, len(cfg_bytes)))
-        fh.write(cfg_bytes)
-        fh.write(struct.pack("<I", len(params)))
-        for name, tensor in params:
-            name_b = name.encode("utf-8")
-            shape = tensor.data.shape
-            fh.write(struct.pack(f"<I{len(name_b)}sI{len(shape)}Q",
-                                 len(name_b), name_b, len(shape), *shape))
-            fh.write(np.ascontiguousarray(tensor.data, dtype="<f8"))
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(struct.pack("<IQI", CHECKPOINT_VERSION, step, len(cfg_bytes)))
+            fh.write(cfg_bytes)
+            fh.write(struct.pack("<I", len(params)))
+            for name, tensor in params:
+                name_b = name.encode("utf-8")
+                shape = tensor.data.shape
+                fh.write(struct.pack(f"<I{len(name_b)}sI{len(shape)}Q",
+                                     len(name_b), name_b, len(shape), *shape))
+                fh.write(np.ascontiguousarray(tensor.data, dtype="<f8"))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path: str | Path) -> tuple[Model, int]:

@@ -165,10 +165,11 @@ def attention_param_count(d_model: int) -> int:
     return 4 * (d_model * d_model + d_model)
 
 
-def _split_heads(x: Tensor, n_heads: int) -> Tensor:
-    """[t x d] -> [h x t x d/h]."""
-    t, d = x.shape
-    return permute(reshape(x, (t, n_heads, d // n_heads)), (1, 0, 2))
+def _split_heads(x: Tensor, batch: int, n_heads: int) -> Tensor:
+    """[batch*t x d] -> [batch*h x t x d/h]."""
+    rows, d = x.shape
+    heads = reshape(x, (batch, rows // batch, n_heads, d // n_heads))
+    return reshape(permute(heads, (0, 2, 1, 3)), (batch * n_heads, rows // batch, d // n_heads))
 
 
 def attention_probs(
@@ -176,22 +177,31 @@ def attention_probs(
     q_in: Tensor,
     k_in: Tensor,
     mask: np.ndarray | None = None,
+    batch: int = 1,
 ) -> Tensor:
-    """Per-head attention probabilities [h x t_q x t_k].
+    """Per-head attention probabilities [batch*h x t_q x t_k].
 
-    mask is a boolean [t_q x t_k] array, True where attention is allowed.
-    Disallowed logits are pushed to MASK_OFF so their softmax weight is an
-    exact 0.0 and each row remains a distribution over allowed keys only.
+    q_in and k_in hold `batch` samples of t_q and t_k rows each, sample by
+    sample. mask is a boolean array, True where attention is allowed:
+    [t_q x t_k] for every sample, or [batch x t_q x t_k] / [batch x 1 x t_k]
+    per sample. Disallowed logits are pushed to MASK_OFF so their softmax
+    weight is an exact 0.0 and each row remains a distribution over allowed
+    keys only.
     """
-    t_q, t_k = q_in.shape[0], k_in.shape[0]
-    if mask is not None and mask.shape != (t_q, t_k):
-        raise ShapeError(f"mask shape {mask.shape} does not cover ({t_q}, {t_k})")
-    q = _split_heads(add(matmul(q_in, p.w_q), p.b_q), p.n_heads)
-    k = _split_heads(add(matmul(k_in, p.w_k), p.b_k), p.n_heads)
+    t_q, t_k = q_in.shape[0] // batch, k_in.shape[0] // batch
+    if batch * t_q != q_in.shape[0] or batch * t_k != k_in.shape[0]:
+        raise ShapeError(f"inputs {q_in.shape}/{k_in.shape} do not split into {batch} samples")
+    if mask is not None and mask.shape not in ((t_q, t_k), (batch, t_q, t_k), (batch, 1, t_k)):
+        raise ShapeError(f"mask shape {mask.shape} does not cover ({batch}, {t_q}, {t_k})")
+    q = _split_heads(add(matmul(q_in, p.w_q), p.b_q), batch, p.n_heads)
+    k = _split_heads(add(matmul(k_in, p.w_k), p.b_k), batch, p.n_heads)
     dh = p.d_model // p.n_heads
     logits = scale(matmul(q, permute(k, (0, 2, 1))), 1.0 / math.sqrt(dh))
     if mask is not None:
-        logits = add(logits, constant(np.where(mask, 0.0, MASK_OFF)))
+        bias = np.where(mask, 0.0, MASK_OFF)
+        if bias.ndim == 3:  # per sample: one copy per head, in _split_heads order
+            bias = np.repeat(np.broadcast_to(bias, (batch, t_q, t_k)), p.n_heads, axis=0)
+        logits = add(logits, constant(bias))
     return softmax_last(logits)
 
 
@@ -201,19 +211,22 @@ def attention_forward(
     k_in: Tensor,
     v_in: Tensor,
     mask: np.ndarray | None = None,
+    batch: int = 1,
 ) -> Tensor:
     """Scaled dot-product multi-head attention: attention_probs weighting
-    the projected values, heads merged and projected out."""
+    the projected values, heads merged and projected out. Inputs are
+    [batch*t x d] row stacks; see attention_probs for the mask."""
     d = p.d_model
     if q_in.shape[-1] != d or k_in.shape[-1] != d or v_in.shape[-1] != d:
         raise ShapeError("attention inputs must have width d_model")
     if v_in.shape[0] != k_in.shape[0]:
         raise ShapeError(f"key/value lengths differ: {k_in.shape} vs {v_in.shape}")
-    weights = attention_probs(p, q_in, k_in, mask)
-    v = _split_heads(add(matmul(v_in, p.w_v), p.b_v), p.n_heads)
-    ctx = matmul(weights, v)  # [h x tq x dh]
-    merged = reshape(permute(ctx, (1, 0, 2)), (q_in.shape[0], d))
-    return add(matmul(merged, p.w_o), p.b_o)
+    weights = attention_probs(p, q_in, k_in, mask, batch)
+    v = _split_heads(add(matmul(v_in, p.w_v), p.b_v), batch, p.n_heads)
+    ctx = matmul(weights, v)  # [batch*h x t_q x dh]
+    t_q = q_in.shape[0] // batch
+    merged = permute(reshape(ctx, (batch, p.n_heads, t_q, d // p.n_heads)), (0, 2, 1, 3))
+    return add(matmul(reshape(merged, (q_in.shape[0], d)), p.w_o), p.b_o)
 
 
 def causal_mask(t: int) -> np.ndarray:

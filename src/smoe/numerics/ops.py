@@ -206,7 +206,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, epsilon: float) -> Tensor:
 
 def embedding(table: Tensor, ids: Sequence[int]) -> Tensor:
     """Row gather: out[i] = table[ids[i]]. Backward scatter-adds."""
-    idx = np.asarray(list(ids), dtype=np.intp)
+    idx = np.asarray(ids, dtype=np.intp)
     if idx.ndim != 1:
         raise ShapeError("embedding ids must be a flat id list")
     if idx.size and (idx.min() < 0 or idx.max() >= table.data.shape[0]):
@@ -224,6 +224,28 @@ def embedding(table: Tensor, ids: Sequence[int]) -> Tensor:
     return record_op(out, grad_fn)
 
 
+def scatter_rows(parts: Sequence[tuple[Tensor, np.ndarray]], n_rows: int) -> Tensor:
+    """Rows placed into a zero matrix: out[rows] = part for each (part,
+    rows). Row sets must be disjoint; rows in none of them stay 0.
+    Backward gathers each part's rows of the gradient."""
+    width = parts[0][0].data.shape[1]
+    data = np.zeros((n_rows, width))
+    seen = np.zeros(n_rows, dtype=bool)
+    for part, rows in parts:
+        if part.data.shape != (len(rows), width):
+            raise ShapeError(f"part {part.data.shape} does not fit {len(rows)} rows of width {width}")
+        if seen[rows].any():
+            raise ShapeError("scatter_rows row sets overlap")
+        seen[rows] = True
+        data[rows] = part.data
+    out = Tensor(data, requires_grad=_needs_grad(*(part for part, _ in parts)))
+
+    def grad_fn(g: np.ndarray):
+        return [(part, g[rows]) for part, rows in parts]
+
+    return record_op(out, grad_fn)
+
+
 def dropout(x: Tensor, rate: float, rng: np.random.Generator, training: bool) -> Tensor:
     """Inverted dropout; identity when not training or rate == 0."""
     if not training or rate <= 0.0:
@@ -237,17 +259,24 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator, training: bool) ->
     return record_op(out, grad_fn)
 
 
-def softmax_cross_entropy(logits: Tensor, targets: Sequence[int], ignore_id: int) -> Tensor:
-    """Mean negative log-softmax over positions whose target != ignore_id.
+def softmax_cross_entropy(
+    logits: Tensor,
+    targets: Sequence[int],
+    ignore_id: int,
+    weights: np.ndarray | None = None,
+) -> Tensor:
+    """Weighted negative log-softmax summed over positions whose target !=
+    ignore_id; by default each such position weighs 1/K, the mean over the
+    K kept positions.
 
-    loss = (1/K) * sum_kept [ logsumexp(z_t) - z_t[target_t] ],
-    dz_t = (softmax(z_t) - onehot_t) / K on kept rows, 0 elsewhere.
+    loss = sum_kept w_t * [ logsumexp(z_t) - z_t[target_t] ],
+    dz_t = w_t * (softmax(z_t) - onehot_t) on kept rows, 0 elsewhere.
     Returns exact 0 when every position is ignored.
     """
     z = logits.data
     if z.ndim != 2:
         raise ShapeError(f"cross entropy expects [t x V] logits, got {z.shape}")
-    tgt = np.asarray(list(targets), dtype=np.intp)
+    tgt = np.asarray(targets, dtype=np.intp)
     if tgt.shape != (z.shape[0],):
         raise ShapeError(f"target length {tgt.shape} does not match {z.shape[0]} positions")
     kept = tgt != ignore_id
@@ -257,20 +286,22 @@ def softmax_cross_entropy(logits: Tensor, targets: Sequence[int], ignore_id: int
             raise IndexError(
                 f"target id out of range [0, {z.shape[1]}): min={bad.min()}, max={bad.max()}"
             )
-    n_kept = int(kept.sum())
-    if n_kept == 0:
+    if weights is not None and np.shape(weights) != tgt.shape:
+        raise ShapeError(f"weights shape {np.shape(weights)} does not match {tgt.shape}")
+    if not kept.any():
         out = Tensor(0.0, requires_grad=logits.requires_grad)
 
         def zero_fn(g: np.ndarray):
             return [(logits, np.zeros_like(z))]
 
         return record_op(out, zero_fn)
+    weights = kept / kept.sum() if weights is None else np.where(kept, weights, 0.0)
 
     shifted = z - z.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=-1)) + z.max(axis=-1)
     rows = np.arange(z.shape[0])
     nll = lse - z[rows, tgt.clip(0, z.shape[1] - 1)]
-    loss_val = float(nll[kept].sum() / n_kept)
+    loss_val = float(nll[kept] @ weights[kept])
     out = Tensor(loss_val, requires_grad=logits.requires_grad)
 
     def grad_fn(g: np.ndarray):
@@ -278,7 +309,7 @@ def softmax_cross_entropy(logits: Tensor, targets: Sequence[int], ignore_id: int
         probs /= probs.sum(axis=-1, keepdims=True)
         gz = probs
         gz[rows[kept], tgt[kept]] -= 1.0
-        gz[~kept] = 0.0
-        return [(logits, gz * (float(g) / n_kept))]
+        gz *= (weights * float(g))[:, None]
+        return [(logits, gz)]
 
     return record_op(out, grad_fn)

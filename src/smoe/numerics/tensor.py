@@ -5,7 +5,7 @@ nodes on the currently active Tape; the tape is rebuilt on every forward
 pass, so the recorded graph is exactly the subgraph that was computed.
 backward() replays the node list in reverse; because nodes are appended in
 execution order the list is already topologically sorted and each node is
-visited exactly once.
+visited exactly once. Gradients are stored only on leaves.
 """
 
 from __future__ import annotations
@@ -22,9 +22,10 @@ GradFn = Callable[[np.ndarray], "list[tuple[Tensor, np.ndarray]]"]
 class Tensor:
     """Float64 array with optional gradient storage.
 
-    `grad` stays None until backward() reaches this tensor; tensors off the
-    loss path therefore end up with grad None, which the gradient-isolation
-    tests rely on.
+    backward() writes `grad` only on leaves, tensors that no tape node
+    produced (parameters and inputs); it stays None on intermediate tensors
+    and on tensors off the loss path, which the gradient-isolation tests
+    rely on.
     """
 
     __slots__ = ("data", "requires_grad", "grad")
@@ -104,12 +105,14 @@ def record_op(out: Tensor, grad_fn: GradFn) -> Tensor:
 
 
 def backward(loss: Tensor, tape: Tape) -> None:
-    """Populate .grad on every requires_grad tensor reachable from `loss`.
+    """Accumulate d(loss)/d(leaf) into .grad of every requires_grad leaf
+    reachable from `loss`; a leaf is a tensor no tape node produced.
 
     Seeds d(loss)/d(loss) = 1 and walks the tape in reverse. A node output
     has all its consumers later in the tape, so by the time the node is
-    visited its gradient is complete. Nodes whose output never received a
-    gradient are skipped, leaving off-path tensors with grad None.
+    visited its gradient is complete: it is consumed there and dropped, and
+    intermediate tensors keep grad None. Nodes whose output never received
+    a gradient are skipped, leaving off-path tensors with grad None.
     Gradients accumulate into pre-existing .grad buffers, which is what
     gradient accumulation across batches relies on.
     """
@@ -118,9 +121,11 @@ def backward(loss: Tensor, tape: Tape) -> None:
     grads: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=np.float64)}
     holders: dict[int, Tensor] = {id(loss): loss}
     for node in reversed(tape.nodes):
-        out_grad = grads.get(id(node.output))
+        key = id(node.output)
+        out_grad = grads.pop(key, None)
         if out_grad is None:
             continue
+        del holders[key]
         for tensor, grad in node.grad_fn(out_grad):
             if not tensor.requires_grad:
                 continue
@@ -130,7 +135,7 @@ def backward(loss: Tensor, tape: Tape) -> None:
             else:
                 grads[key] = grad
                 holders[key] = tensor
-    for key, grad in grads.items():
+    for key, grad in grads.items():  # only leaves are left
         tensor = holders[key]
         if tensor.grad is None:
             tensor.grad = np.array(grad, dtype=np.float64, copy=True)

@@ -222,23 +222,38 @@ def write_wav(path: str | Path, w: Waveform) -> None:
 
 
 def read_wav(path: str | Path) -> Waveform:
+    """Read 16-bit mono PCM from a RIFF/WAVE file.
+
+    The chunks after the RIFF header are walked in order: `fmt ` must come
+    before `data`, any other chunk (LIST, fact, ...) is skipped, and a
+    chunk of odd size is followed by one pad byte.
+    """
     raw = Path(path).read_bytes()
-    if len(raw) < 44 or raw[:4] != b"RIFF" or raw[8:12] != b"WAVE":
+    if len(raw) < 12 or raw[:4] != b"RIFF" or raw[8:12] != b"WAVE":
         raise FormatError(f"not a RIFF/WAVE file: {path}")
-    if raw[12:16] != b"fmt " or int.from_bytes(raw[20:22], "little") != 1:
-        raise FormatError(f"only canonical PCM WAV supported: {path}")
-    channels = int.from_bytes(raw[22:24], "little")
-    rate = int.from_bytes(raw[24:28], "little")
-    bits = int.from_bytes(raw[34:36], "little")
-    if channels != 1 or bits != 16:
-        raise FormatError(f"need 16-bit mono, got {channels} ch / {bits} bit: {path}")
-    if raw[36:40] != b"data":
-        raise FormatError(f"missing data chunk: {path}")
-    n_bytes = int.from_bytes(raw[40:44], "little")
-    payload = raw[44 : 44 + n_bytes]
-    if len(payload) < n_bytes:
-        raise FormatError(f"truncated WAV data: {path}")
-    if n_bytes % 2:
-        raise FormatError(f"odd data byte count {n_bytes} for 16-bit PCM: {path}")
-    pcm = np.frombuffer(payload, dtype="<i2")
-    return Waveform(samples=pcm.astype(np.float64) / 32767.0, sample_rate=rate)
+    rate = None
+    pos = 12
+    while pos + 8 <= len(raw):
+        chunk_id = raw[pos : pos + 4]
+        size = int.from_bytes(raw[pos + 4 : pos + 8], "little")
+        end = pos + 8 + size
+        if end > len(raw):
+            raise FormatError(f"truncated WAV {chunk_id!r} chunk: {path}")
+        body = raw[pos + 8 : end] if chunk_id in (b"fmt ", b"data") else b""
+        if chunk_id == b"fmt ":
+            if size < 16 or int.from_bytes(body[0:2], "little") != 1:
+                raise FormatError(f"only PCM WAV supported: {path}")
+            channels = int.from_bytes(body[2:4], "little")
+            bits = int.from_bytes(body[14:16], "little")
+            if channels != 1 or bits != 16:
+                raise FormatError(f"need 16-bit mono, got {channels} ch / {bits} bit: {path}")
+            rate = int.from_bytes(body[4:8], "little")
+        elif chunk_id == b"data":
+            if rate is None:
+                raise FormatError(f"no fmt chunk before the data chunk: {path}")
+            if size % 2:
+                raise FormatError(f"odd data byte count {size} for 16-bit PCM: {path}")
+            pcm = np.frombuffer(body, dtype="<i2")
+            return Waveform(samples=pcm.astype(np.float64) / 32767.0, sample_rate=rate)
+        pos = end + size % 2
+    raise FormatError(f"missing data chunk: {path}")

@@ -3,9 +3,12 @@ the task-interference benchmark, and the narrowband fine-tuning workflow.
 
 Batches are homogeneous in task by construction (the decoder gate is a
 per-batch decision); bandwidth may vary inside a batch because the encoder
-gate is per sample. The loss is teacher-forced cross entropy over payload
-and EOS positions only: the model conditions on the guiding prefix but is
-never trained to predict it.
+gate is per sample. A batch runs as one padded forward pass, each encoder
+expert on the rows of its bandwidth. The loss is teacher-forced cross
+entropy over payload and EOS positions only: the model conditions on the
+guiding prefix but is never trained to predict it. backward() stores
+gradients on leaves only, so after a step `.grad` is set on the parameters
+the batch reached and on nothing else.
 """
 
 from __future__ import annotations
@@ -21,9 +24,8 @@ from .errors import ConfigError, NumericError
 from .metrics import corpus_token_accuracy
 from .model import Model, ModelConfig, count_params, expand_experts
 from .moe import Bandwidth, Task
-from .numerics import Tape, Tensor, add, backward, constant, scale, softmax_cross_entropy
+from .numerics import Tape, Tensor, backward, scale, softmax_cross_entropy
 from .seqio import BYTE_BASE, GuidingToken, Vocabulary
-from .signal import FbankFeatures
 
 
 @dataclass
@@ -31,7 +33,11 @@ class Batch:
     """Padded task-homogeneous training unit.
 
     targets are PAD-padded id rows, features zero-padded frame stacks; the
-    explicit length vectors recover the unpadded views.
+    explicit length vectors recover the unpadded views. loss_targets and
+    loss_weights lay out the loss over the [B*L] decoder rows: each row's
+    next-token target (PAD where nothing is learned) and its weight,
+    1 / (B * K_i) on the K_i kept rows of sample i, so the loss is the mean
+    over samples of each sample's token mean.
     """
 
     features: np.ndarray  # [B x T_max x n_mels]
@@ -40,6 +46,20 @@ class Batch:
     targets: np.ndarray  # [B x L_max], PAD-padded
     target_lengths: list[int]
     task: Task
+    loss_targets: np.ndarray = field(init=False)  # [B*L_max]
+    loss_weights: np.ndarray = field(init=False)  # [B*L_max]
+
+    def __post_init__(self):
+        pad = int(GuidingToken.PAD)
+        shifted = np.full_like(self.targets, pad)
+        for i, n in enumerate(self.target_lengths):
+            shifted[i, :n] = shifted_targets(self.targets[i, :n].tolist())
+        kept = shifted != pad
+        per_sample = kept.sum(axis=1, keepdims=True)
+        self.loss_targets = shifted.reshape(-1)
+        self.loss_weights = np.where(
+            kept, 1.0 / (len(self) * np.maximum(per_sample, 1)), 0.0
+        ).reshape(-1)
 
     @staticmethod
     def build(items: Sequence[Utterance]) -> "Batch":
@@ -67,14 +87,6 @@ class Batch:
 
     def __len__(self) -> int:
         return len(self.feature_lengths)
-
-    def sample(self, i: int) -> tuple[FbankFeatures, Bandwidth, list[int]]:
-        feats = FbankFeatures(
-            frames=constant(self.features[i, : self.feature_lengths[i]]),
-            bandwidth=self.bandwidths[i],
-        )
-        ids = [int(x) for x in self.targets[i, : self.target_lengths[i]]]
-        return feats, self.bandwidths[i], ids
 
 
 @dataclass
@@ -242,22 +254,21 @@ def shifted_targets(ids: list[int]) -> list[int]:
 
 
 def batch_loss(model: Model, batch: Batch) -> Tensor:
-    total = None
-    for i in range(len(batch)):
-        feats, bw, ids = batch.sample(i)
-        logits = model.decode(model.encode(feats, bw), ids, batch.task)
-        sample_loss = softmax_cross_entropy(
-            logits, shifted_targets(ids), ignore_id=int(GuidingToken.PAD)
-        )
-        total = sample_loss if total is None else add(total, sample_loss)
-    return scale(total, 1.0 / len(batch))
+    """Teacher-forced loss of the whole padded batch in one forward pass:
+    the mean over samples of each sample's mean cross entropy."""
+    enc_out = model.encode_batch(batch.features, batch.feature_lengths, batch.bandwidths)
+    logits = model.decode_batch(enc_out, batch.targets, batch.task, batch.feature_lengths)
+    return softmax_cross_entropy(
+        logits, batch.loss_targets, int(GuidingToken.PAD), batch.loss_weights
+    )
 
 
 def train_step(
     model: Model, batch: Batch, optimizer, lr: float, step: int = 0, accum_steps: int = 1
 ) -> float:
     """One training step: forward with routing per batch labels,
-    teacher-forced cross entropy, backward, parameter update.
+    teacher-forced cross entropy, backward, parameter update. A non-finite
+    loss or gradient raises NumericError before any parameter moves.
 
     With accum_steps > 1, gradients accumulate over accum_steps
     consecutive steps: they are zeroed when step % accum_steps == 0, each
@@ -273,15 +284,27 @@ def train_step(
         if accum_steps > 1:
             loss = scale(loss, 1.0 / accum_steps)
     value = float(loss.data) * accum_steps
+    context = f"task={batch.task.value}, lr={lr:g}, batch_size={len(batch)}"
     if not np.isfinite(value):
-        raise NumericError(
-            f"non-finite loss {value} (task={batch.task.value}, lr={lr:g}, "
-            f"batch_size={len(batch)})"
-        )
+        raise NumericError(f"non-finite loss {value} ({context})")
     backward(loss, tape)
+    check_gradients(model, context)
     if (step + 1) % accum_steps == 0:
         optimizer.step(lr)
     return value
+
+
+def check_gradients(model: Model, context: str) -> None:
+    """Raise NumericError naming the first parameter, in named_parameters()
+    order, whose gradient holds a non-finite value. One sum over all
+    gradients is the check; the parameters are searched only when it is
+    not finite."""
+    params = model.named_parameters()
+    if math.isfinite(sum(float(t.grad.sum()) for _, t in params if t.grad is not None)):
+        return
+    for name, t in params:
+        if t.grad is not None and not np.isfinite(t.grad).all():
+            raise NumericError(f"non-finite gradient in {name} ({context})")
 
 
 def run_training(

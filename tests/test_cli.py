@@ -185,13 +185,16 @@ def _tiny_checkpoint(root, edit=None):
     return ckpt
 
 
-def _wav(root, odd_data=False):
+def _wav(root, odd_data=False, no_data=False):
     path = root / "in.wav"
     write_wav(path, Waveform(samples=[0.1] * 800, sample_rate=SAMPLE_RATE_WB))
+    raw = bytearray(path.read_bytes())
     if odd_data:  # declare and carry one byte more than the 16-bit samples
-        raw = bytearray(path.read_bytes())
         raw[40:44] = (int.from_bytes(raw[40:44], "little") + 1).to_bytes(4, "little")
-        path.write_bytes(bytes(raw) + b"\x00")
+        raw += b"\x00"
+    if no_data:  # the samples sit in a chunk of another name
+        raw[36:40] = b"dat_"
+    path.write_bytes(bytes(raw))
     return path
 
 
@@ -223,6 +226,10 @@ def _infer_odd_wav(root):
     return ["infer", "--ckpt", str(_tiny_checkpoint(root)), str(_wav(root, odd_data=True))]
 
 
+def _infer_wav_without_data(root):
+    return ["infer", "--ckpt", str(_tiny_checkpoint(root)), str(_wav(root, no_data=True))]
+
+
 @pytest.mark.parametrize("make_argv, code", [
     pytest.param(_infer_with_checkpoint(lambda b: b.replace(b"d_model = 16", b"d_model = XX")),
                  2, id="ckpt-config-bad-value"),
@@ -239,6 +246,7 @@ def _infer_odd_wav(root):
                  id="manifest-not-utf8"),
     pytest.param(_inspect_with_config, 1, id="config-not-utf8"),
     pytest.param(_infer_odd_wav, 3, id="wav-odd-data-bytes"),
+    pytest.param(_infer_wav_without_data, 3, id="wav-no-data-chunk"),
 ])
 def test_malformed_input_exit_code(make_argv, code, tmp_path, capsys):
     assert main(make_argv(tmp_path)) == code

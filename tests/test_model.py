@@ -532,3 +532,16 @@ def test_checkpoint_entry_count_mismatch_fails_closed(tmp_path):
     path.write_bytes(raw[:at] + struct.pack("<I", count + 1) + raw[at + 4 :])
     with pytest.raises(FormatError, match="entries"):
         load_checkpoint(path)
+
+
+def test_failed_save_keeps_previous_checkpoint_and_leaves_no_temp_file(tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(Model(tiny_config(), seed=40), path, step=1)
+    before = path.read_bytes()
+    broken = Model(tiny_config(), seed=41)
+    last = broken.named_parameters()[-1][1]
+    last.data = np.full(last.data.shape, "x", dtype=object)  # fails at the last payload
+    with pytest.raises(ValueError):
+        save_checkpoint(broken, path, step=2)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]

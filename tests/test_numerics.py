@@ -17,6 +17,7 @@ from smoe.numerics import (
     permute,
     reshape,
     scale,
+    scatter_rows,
     silu,
     softmax_cross_entropy,
     softmax_last,
@@ -295,3 +296,94 @@ def test_grad_check_trivial_and_scale():
     w2 = parameter(np.random.default_rng(1).normal(size=(6,)))
     report2 = grad_check(lambda: sum_all(scale(w2, 2.5)), [("w2", w2)], tolerance=1e-9)
     assert report2.passed
+
+
+def test_row_gather_scatter_grad_check():
+    """The encoder's expert dispatch: rows gathered per group, each group
+    through its own weights, scattered back; rows in no group stay 0."""
+    rng = np.random.default_rng(12)
+    x = parameter(rng.normal(size=(7, 4)))
+    weights = [parameter(rng.normal(size=(4, 4))) for _ in range(2)]
+    groups = [np.array([0, 3, 4]), np.array([6, 1])]  # rows 2 and 5 are padding
+    probe = constant(rng.normal(size=(7, 4)))
+
+    def dispatched():
+        parts = [(matmul(embedding(x, rows), w), rows) for rows, w in zip(groups, weights)]
+        return scatter_rows(parts, 7)
+
+    out = dispatched().data
+    for rows, w in zip(groups, weights):
+        np.testing.assert_array_equal(out[rows], x.data[rows] @ w.data)
+    assert np.all(out[[2, 5]] == 0.0)
+    params = [("x", x), ("w0", weights[0]), ("w1", weights[1])]
+    report = grad_check(lambda: sum_all(mul(dispatched(), probe)), params, step=1e-6)
+    assert report.passed and report.max_rel_err < 1e-6, report.summary()
+    assert np.all(x.grad[[2, 5]] == 0.0)
+
+
+def test_scatter_rows_rejects_overlap_and_misfit():
+    part = constant(np.ones((2, 3)))
+    with pytest.raises(ShapeError, match="overlap"):
+        scatter_rows([(part, np.array([0, 1])), (part, np.array([1, 2]))], 4)
+    with pytest.raises(ShapeError, match="does not fit"):
+        scatter_rows([(part, np.array([0, 1, 2]))], 4)
+
+
+def _backward_storing_every_grad(loss, tape):
+    """The rule before leaf-only storage: every tensor that received a
+    gradient gets .grad, intermediate tensors included."""
+    grads = {id(loss): np.ones((), dtype=np.float64)}
+    holders = {id(loss): loss}
+    for node in reversed(tape.nodes):
+        out_grad = grads.get(id(node.output))
+        if out_grad is None:
+            continue
+        for tensor, grad in node.grad_fn(out_grad):
+            if not tensor.requires_grad:
+                continue
+            key = id(tensor)
+            if key in grads:
+                grads[key] = grads[key] + grad
+            else:
+                grads[key] = grad
+                holders[key] = tensor
+    for key, grad in grads.items():
+        tensor = holders[key]
+        if tensor.grad is None:
+            tensor.grad = np.array(grad, dtype=np.float64, copy=True)
+        else:
+            tensor.grad = tensor.grad + grad
+
+
+def test_backward_stores_grad_on_leaves_only():
+    from smoe.data import SyntheticTaskSpec, make_paired_dataset
+    from smoe.model import Model, ModelConfig
+    from smoe.moe import Task
+    from smoe.seqio import Vocabulary
+    from smoe.train import Batch, batch_loss
+
+    vocab = Vocabulary()
+    items = make_paired_dataset(4, seed=1, task_spec=SyntheticTaskSpec.default(), vocab=vocab,
+                                nb_fraction=0.5)
+    model = Model(ModelConfig(n_enc_layers=1, n_dec_layers=1, d_model=16, d_ff=16, n_heads=2,
+                              vocab_size=vocab.size, dropout=0.0, enc_smoe=True, dec_smoe=True))
+    batch = Batch.build([it for it in items if it.task is Task.ASR])
+    params = model.named_parameters()
+    tape = Tape()
+    with tape:
+        loss = batch_loss(model, batch)
+    inner = [node.output for node in tape.nodes]
+
+    _backward_storing_every_grad(loss, tape)
+    assert all(t.grad is not None for t in inner)  # the old rule wrote them all
+    want = {n: None if t.grad is None else t.grad.copy() for n, t in params}
+    for t in inner + [t for _, t in params]:
+        t.grad = None
+
+    backward(loss, tape)
+    assert all(t.grad is None for t in inner)
+    for n, t in params:
+        assert (t.grad is None) == (want[n] is None), n
+        if t.grad is not None:
+            assert np.array_equal(t.grad, want[n]), n
+    assert any(t.grad is None for _, t in params)  # the unrouted expert

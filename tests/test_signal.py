@@ -156,6 +156,21 @@ def test_wav_round_trip(tmp_path):
     np.testing.assert_allclose(back.samples, w.samples, atol=1.0 / 32767.0)
 
 
+def test_wav_skips_unknown_chunks_and_pad_bytes(tmp_path):
+    w = synth_wave(MixtureSpec(tones=((500.0, 0.5),)), seed=2, duration_s=0.1)
+    canonical = tmp_path / "canonical.wav"
+    write_wav(canonical, w)
+    raw = canonical.read_bytes()
+    # an odd-size LIST chunk (5 bytes plus a pad byte) between fmt and data
+    extra = b"LIST" + (5).to_bytes(4, "little") + b"INFOx" + b"\x00"
+    body = raw[12:36] + extra + raw[36:]
+    edited = tmp_path / "list.wav"
+    edited.write_bytes(b"RIFF" + (4 + len(body)).to_bytes(4, "little") + b"WAVE" + body)
+    back, want = read_wav(edited), read_wav(canonical)
+    assert back.sample_rate == want.sample_rate
+    np.testing.assert_array_equal(back.samples, want.samples)
+
+
 def test_wav_rejects_garbage(tmp_path):
     path = tmp_path / "bad.wav"
     path.write_bytes(b"RIFFxxxxJUNK")

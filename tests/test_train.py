@@ -4,15 +4,17 @@ import numpy as np
 import pytest
 
 from smoe.data import SyntheticTaskSpec, make_paired_dataset
-from smoe.errors import ConfigError
+from smoe.errors import ConfigError, NumericError
 from smoe.model import Model, ModelConfig
 from smoe.moe import Bandwidth, Task
+from smoe.numerics import Tape, add, backward, scale, softmax_cross_entropy
 from smoe.seqio import GuidingToken, Vocabulary
 from smoe.train import (
     SGD,
     Adam,
     Batch,
     TrainConfig,
+    batch_loss,
     cosine_lr,
     make_interleaved_stream,
     make_single_task_stream,
@@ -62,9 +64,6 @@ def test_batch_padding_and_lengths():
         assert np.all(batch.targets[i, n:] == int(GuidingToken.PAD))
         t = batch.feature_lengths[i]
         assert np.all(batch.features[i, t:] == 0.0)
-        feats, bw, ids = batch.sample(i)
-        assert ids == it.target.ids
-        assert feats.n_frames == it.features.n_frames
 
 
 def test_shifted_targets_mask_prefix_and_tail():
@@ -249,9 +248,9 @@ def test_finetune_encoder_counts_match_stream_mix():
     items = small_items(8, seed=11, nb_fraction=0.5)
     tc = TrainConfig(steps=100, batch_size=2, lr_peak=1e-3, lr_floor=1e-4, seed=2)
     stream = list(make_interleaved_stream(items, tc.batch_size, tc.seed))
-    expected = [  # [WB, NB] sample-forwards
-        sum(1 for b in stream for bw in b.bandwidths if bw is Bandwidth.WB),
-        sum(1 for b in stream for bw in b.bandwidths if bw is Bandwidth.NB),
+    expected = [  # [WB, NB]: one expert call per batch that holds that bandwidth
+        sum(1 for b in stream if Bandwidth.WB in b.bandwidths),
+        sum(1 for b in stream if Bandwidth.NB in b.bandwidths),
     ]
     model.reset_expert_counts()
     opt = make_optimizer(model, tc)
@@ -261,3 +260,144 @@ def test_finetune_encoder_counts_match_stream_mix():
         if name.startswith("enc."):
             assert bank.call_counts == expected, name
     assert expected[1] > 0  # the mixed stream really carried NB samples
+    assert any(len(set(b.bandwidths)) == 2 for b in stream)  # and mixed batches
+
+
+def _per_sample_loss(model, items):
+    """The loss batch_loss must equal: each sample encoded and decoded on
+    its own, the mean of the per-sample token means."""
+    total = None
+    for it in items:
+        logits = model.decode(model.encode(it.features, it.bandwidth), it.target.ids, it.task)
+        loss = softmax_cross_entropy(
+            logits, shifted_targets(it.target.ids), ignore_id=int(GuidingToken.PAD)
+        )
+        total = loss if total is None else add(total, loss)
+    return scale(total, 1.0 / len(items))
+
+
+def _loss_and_grads(model, loss_fn):
+    for _, t in model.named_parameters():
+        t.zero_grad()
+    tape = Tape()
+    with tape:
+        loss = loss_fn()
+    backward(loss, tape)
+    return float(loss.data), {n: t.grad for n, t in model.named_parameters()}
+
+
+def _assert_grads_close(got, want, rtol=1e-12):
+    """Per parameter, max |got - want| within rtol of max |want|; a gradient
+    that is analytically zero (its magnitude rounding noise, as for the
+    attention b_k) is held to rtol of the largest gradient instead."""
+    floor = max(np.abs(g).max() for g in want.values() if g is not None)
+    for name, w in want.items():
+        g = got[name]
+        assert (g is None) == (w is None), name
+        if w is None:
+            continue
+        ref = np.abs(w).max()
+        bound = rtol * (ref if ref > 1e-9 * floor else floor)
+        assert np.abs(g - w).max() <= bound, (name, np.abs(g - w).max(), bound)
+
+
+ORACLE_CONFIGS = {
+    "enc-dec-routed-tied-glu-silu": dict(enc_smoe=True, dec_smoe=True),
+    "dec-routed-untied-relu": dict(dec_smoe=True, tied_embed=False, glu=False, activation="relu"),
+    "enc-routed-untied-glu-relu": dict(enc_smoe=True, tied_embed=False, activation="relu"),
+    "unrouted": dict(),
+}
+
+
+def _oracle_batches():
+    items = small_items(12, seed=4, min_len=2, max_len=7, nb_fraction=0.5)
+    asr = [it for it in items if it.task is Task.ASR]
+    st = [it for it in items if it.task is Task.ST]
+    return {
+        "mixed-bandwidth": asr[:6],
+        "mixed-bandwidth-st": st[:5],
+        "mixed-bandwidth-unpadded": [asr[0], asr[4]],
+        "wideband-only": [it for it in asr if it.bandwidth is Bandwidth.WB][:3],
+        "narrowband-only": [it for it in st if it.bandwidth is Bandwidth.NB][:3],
+        "one": st[:1],
+    }
+
+
+@pytest.mark.parametrize("config", list(ORACLE_CONFIGS))
+def test_batched_loss_matches_per_sample_oracle(config):
+    batches = _oracle_batches()
+    for name, items in batches.items():
+        ragged = len({it.features.n_frames for it in items}) > 1
+        assert ragged == (len({len(it.target.ids) for it in items}) > 1)
+        assert ragged or name in ("mixed-bandwidth-unpadded", "one"), name
+        model = tiny_model(n_enc_layers=2, n_dec_layers=2, d_ff=24, **ORACLE_CONFIGS[config])
+        model.train()
+        batch = Batch.build(items)
+        got_loss, got = _loss_and_grads(model, lambda: batch_loss(model, batch))
+        want_loss, want = _loss_and_grads(model, lambda: _per_sample_loss(model, items))
+        assert got_loss == pytest.approx(want_loss, rel=1e-12, abs=0.0), name
+        _assert_grads_close(got, want)
+    assert {len(set(it.bandwidth for it in b)) for b in batches.values()} == {1, 2}
+
+
+def test_loss_weights_average_sample_means_with_an_empty_sample():
+    pad = int(GuidingToken.PAD)
+    items = [it for it in small_items(3, seed=2) if it.task is Task.ASR]
+    rows = [items[0].target.ids, [3, 6, 1, 2], [3, 6, 1]]  # 3rd: no position is learned
+    width = max(map(len, rows))
+    batch = Batch(
+        features=Batch.build(items).features,
+        feature_lengths=[it.features.n_frames for it in items],
+        bandwidths=[it.bandwidth for it in items],
+        targets=np.array([r + [pad] * (width - len(r)) for r in rows]),
+        target_lengths=[len(r) for r in rows],
+        task=Task.ASR,
+    )
+    kept = [len(r) - 3 for r in rows[:2]] + [0]
+    weights = batch.loss_weights.reshape(3, width)
+    for i, k in enumerate(kept):
+        want = np.zeros(width)
+        want[2 : 2 + k] = 1.0 / (3 * k) if k else 0.0
+        np.testing.assert_array_equal(weights[i], want)
+        assert batch.loss_targets.reshape(3, width)[i, : len(rows[i])].tolist() == (
+            shifted_targets(rows[i])
+        )
+
+    model = tiny_model(dec_smoe=True)
+    got_loss, got = _loss_and_grads(model, lambda: batch_loss(model, batch))
+
+    def oracle():
+        total = None
+        for it, ids in zip(items, rows):
+            enc = model.encode(it.features, it.bandwidth)
+            loss = softmax_cross_entropy(
+                model.decode(enc, ids, Task.ASR), shifted_targets(ids), ignore_id=pad
+            )
+            total = loss if total is None else add(total, loss)
+        return scale(total, 1.0 / 3)
+
+    want_loss, want = _loss_and_grads(model, oracle)
+    assert got_loss == pytest.approx(want_loss, rel=1e-12, abs=0.0)
+    _assert_grads_close(got, want)
+
+
+def test_non_finite_gradient_names_first_parameter(monkeypatch):
+    import smoe.train
+
+    model = tiny_model(dec_smoe=True)
+    batch = Batch.build([it for it in small_items(4) if it.task is Task.ASR])
+    real_backward = smoe.train.backward
+
+    def poisoned(loss, tape):
+        real_backward(loss, tape)
+        params = dict(model.named_parameters())
+        params["enc.0.ln_ffn.gain"].grad[0] = np.inf
+        params["input_proj.b"].grad[1] = np.nan
+
+    monkeypatch.setattr(smoe.train, "backward", poisoned)
+    opt = Adam(model.named_parameters())
+    before = {n: t.data.copy() for n, t in model.named_parameters()}
+    with pytest.raises(NumericError, match=r"non-finite gradient in input_proj\.b \(task=ASR"):
+        train_step(model, batch, opt, lr=1e-3)
+    for n, t in model.named_parameters():
+        assert np.array_equal(before[n], t.data), n
