@@ -153,7 +153,7 @@ def _load_checkpoint(path: str) -> tuple[Model, int]:
         raise CliError(EXIT_CHECKPOINT, f"checkpoint not found: {path}")
     try:
         return load_checkpoint(p)
-    except FormatError as exc:
+    except (FormatError, OSError) as exc:
         raise CliError(EXIT_CHECKPOINT, f"bad checkpoint: {exc}") from exc
 
 
@@ -166,7 +166,10 @@ def _load_vocab(vocab_arg: str | None, ckpt_path: str | None) -> Vocabulary:
         return Vocabulary()
     if not path.exists():
         raise CliError(EXIT_INPUT, f"vocabulary not found at {path}")
-    return Vocabulary.load(path)
+    try:
+        return Vocabulary.load(path)
+    except OSError as exc:
+        raise CliError(EXIT_INPUT, f"cannot read vocabulary {path}: {exc}") from exc
 
 
 def _load_audio(path: str):
@@ -176,7 +179,7 @@ def _load_audio(path: str):
     try:
         wave = read_wav(p)
         return fbank(wave)
-    except (FormatError, AudioError, LimitError) as exc:
+    except (FormatError, AudioError, LimitError, OSError) as exc:
         raise CliError(EXIT_INPUT, f"bad audio {path}: {exc}") from exc
 
 
@@ -186,7 +189,7 @@ def _load_items(data_dir: str, vocab: Vocabulary):
         raise CliError(EXIT_INPUT, f"manifest not found: {manifest}")
     try:
         return load_dataset(manifest, vocab)
-    except (FormatError, AudioError) as exc:
+    except (FormatError, AudioError, OSError) as exc:
         raise CliError(EXIT_INPUT, f"bad dataset: {exc}") from exc
 
 

@@ -9,6 +9,14 @@ each encoder expert runs once on the real rows of its bandwidth, gathered
 and scattered back. `encode` and `decode` are its one-sample calls. Greedy
 decoding runs apart from the tape, with cached keys/values and all rows of
 a request batched; the teacher-forced `decode` is its reference.
+
+A model's parameters live in one arena: a contiguous float64 buffer laid
+out by `parameter_shapes(config)` in `named_parameters()` order, each
+parameter's data a view of its slice, so each expert is one contiguous run.
+`Model(config, seed)` allocates the arena and fills it by random init.
+`load_checkpoint` and `expand_experts` allocate it with `Model.allocate`
+and write every parameter from the file or the donor; they draw no random
+values.
 """
 
 from __future__ import annotations
@@ -33,15 +41,20 @@ from .nn import (
     LayerNormParams,
     attention_forward,
     attention_param_count,
+    attention_shapes,
     causal_mask,
     ffn_forward,
     ffn_param_count,
+    ffn_shapes,
+    fill_normal,
     layer_norm_params,
+    layer_norm_shapes,
     pre_norm_residual,
     sinusoidal_positions,
 )
 from .numerics import (
-    Tensor, add, constant, dropout, embedding, matmul, scale, scatter_rows, transpose2d,
+    Tensor, add, constant, dropout, embedding, matmul, parameter_arena, scale, scatter_rows,
+    transpose2d,
 )
 from .seqio import LANGUAGE_TOKEN, TASK_LANGUAGE, TASK_TOKEN, GuidingToken, Language, TargetSequence
 from .signal import N_MELS, FbankFeatures
@@ -231,36 +244,76 @@ def count_params(config: ModelConfig) -> ParamCount:
     return ParamCount(trainable=total, active=total - enc.inactive - dec.inactive, parts=parts)
 
 
+def parameter_shapes(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
+    """Every parameter's name and shape, in named_parameters() order: the
+    layout of a model's arena. Each expert's tensors form one run."""
+    d = config.d_model
+    attn, norm = attention_shapes(d), layer_norm_shapes(d)
+
+    def ffn(d_ff: int, routed: bool) -> list[tuple[str, tuple[int, ...]]]:
+        shapes = ffn_shapes(d, d_ff, config.glu)
+        if not routed:
+            return shapes
+        return [(f"expert{k}.{n}", s) for k in range(config.n_experts) for n, s in shapes]
+
+    blocks = [("", [("embed", (config.vocab_size, d))])]
+    if not config.tied_embed:
+        blocks.append(("", [("out_proj", (d, config.vocab_size))]))
+    blocks.append(("input_proj.", [("w", (config.n_mels, d)), ("b", (d,))]))
+    for i in range(config.n_enc_layers):
+        p = f"enc.{i}."
+        blocks += [(p + "attn.", attn), (p + "ln_attn.", norm), (p + "ln_ffn.", norm),
+                   (p + "ffn.", ffn(config.d_ff, config.enc_smoe))]
+    for i in range(config.n_dec_layers):
+        p = f"dec.{i}."
+        blocks += [(p + "self_attn.", attn), (p + "cross_attn.", attn), (p + "ln_self.", norm),
+                   (p + "ln_cross.", norm), (p + "ln_ffn.", norm),
+                   (p + "ffn.", ffn(config.dec_ff, config.dec_smoe))]
+    blocks += [("ln_enc_final.", norm), ("ln_dec_final.", norm)]
+    return [(prefix + name, shape) for prefix, shapes in blocks for name, shape in shapes]
+
+
+Params = list[tuple[str, Tensor]]
+
+
+def _block(params: Params, prefix: str) -> dict[str, Tensor]:
+    """The parameters under `prefix`, keyed by the rest of their names."""
+    return {name[len(prefix):]: t for name, t in params if name.startswith(prefix)}
+
+
+def _ffn(config: ModelConfig, params: Params, prefix: str, routed: bool) -> FFNParams | SMoELayer:
+    if not routed:
+        return FFNParams(**_block(params, prefix))
+    return SMoELayer(experts=[FFNParams(**_block(params, f"{prefix}expert{k}."))
+                              for k in range(config.n_experts)])
+
+
 class EncoderLayer:
-    def __init__(self, config: ModelConfig, rng: np.random.Generator):
-        d = config.d_model
-        self.attn = AttentionParams.init(d, config.n_heads, rng)
-        self.ln_attn = LayerNormParams.init(d)
-        self.ln_ffn = LayerNormParams.init(d)
-        if config.enc_smoe:
-            self.ffn: FFNParams | SMoELayer = SMoELayer(
-                experts=[FFNParams.init(d, config.d_ff, config.glu, rng)
-                         for _ in range(config.n_experts)]
-            )
-        else:
-            self.ffn = FFNParams.init(d, config.d_ff, config.glu, rng)
+    def __init__(self, config: ModelConfig, params: Params, prefix: str):
+        self.attn = AttentionParams(**_block(params, prefix + "attn."), n_heads=config.n_heads)
+        self.ln_attn = LayerNormParams(**_block(params, prefix + "ln_attn."))
+        self.ln_ffn = LayerNormParams(**_block(params, prefix + "ln_ffn."))
+        self.ffn = _ffn(config, params, prefix + "ffn.", config.enc_smoe)
+
+    def fill(self, rng: np.random.Generator) -> None:
+        for block in (self.attn, self.ln_attn, self.ln_ffn, self.ffn):
+            block.fill(rng)
 
 
 class DecoderLayer:
-    def __init__(self, config: ModelConfig, rng: np.random.Generator):
-        d = config.d_model
-        self.self_attn = AttentionParams.init(d, config.n_heads, rng)
-        self.cross_attn = AttentionParams.init(d, config.n_heads, rng)
-        self.ln_self = LayerNormParams.init(d)
-        self.ln_cross = LayerNormParams.init(d)
-        self.ln_ffn = LayerNormParams.init(d)
-        if config.dec_smoe:
-            self.ffn: FFNParams | SMoELayer = SMoELayer(
-                experts=[FFNParams.init(d, config.dec_ff, config.glu, rng)
-                         for _ in range(config.n_experts)]
-            )
-        else:
-            self.ffn = FFNParams.init(d, config.dec_ff, config.glu, rng)
+    def __init__(self, config: ModelConfig, params: Params, prefix: str):
+        heads = config.n_heads
+        self.self_attn = AttentionParams(**_block(params, prefix + "self_attn."), n_heads=heads)
+        self.cross_attn = AttentionParams(**_block(params, prefix + "cross_attn."), n_heads=heads)
+        self.ln_self = LayerNormParams(**_block(params, prefix + "ln_self."))
+        self.ln_cross = LayerNormParams(**_block(params, prefix + "ln_cross."))
+        self.ln_ffn = LayerNormParams(**_block(params, prefix + "ln_ffn."))
+        self.ffn = _ffn(config, params, prefix + "ffn.", config.dec_smoe)
+
+    def fill(self, rng: np.random.Generator) -> None:
+        for block in (self.self_attn, self.cross_attn, self.ln_self, self.ln_cross, self.ln_ffn,
+                      self.ffn):
+            block.fill(rng)
 
 
 @dataclass
@@ -298,30 +351,48 @@ class Model:
     """Encoder-decoder transformer with label-routed feedforward banks."""
 
     def __init__(self, config: ModelConfig, seed: int = 0):
+        self._allocate(config, seed)
+        self._fill(np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,))))
+
+    @classmethod
+    def allocate(cls, config: ModelConfig) -> "Model":
+        """A model of `config` whose arena is allocated but not filled, with
+        the dropout stream of Model(config, seed=0). It draws no random
+        value; the caller must write every parameter before using it."""
+        model = cls.__new__(cls)
+        model._allocate(config, seed=0)
+        return model
+
+    def _allocate(self, config: ModelConfig, seed: int) -> None:
+        """The structure: every parameter a view of one arena, laid out by
+        parameter_shapes."""
         self.config = config
-        init_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
-        d = config.d_model
-        self.embed = Tensor(
-            init_rng.normal(0.0, 1.0 / math.sqrt(d), size=(config.vocab_size, d)),
-            requires_grad=True,
-        )
-        self.out_proj = None
-        if not config.tied_embed:
-            self.out_proj = Tensor(
-                init_rng.normal(0.0, 1.0 / math.sqrt(d), size=(d, config.vocab_size)),
-                requires_grad=True,
-            )
-        self.input_proj_w = Tensor(
-            init_rng.normal(0.0, 1.0 / math.sqrt(config.n_mels), size=(config.n_mels, d)),
-            requires_grad=True,
-        )
-        self.input_proj_b = Tensor(np.zeros(d), requires_grad=True)
-        self.enc_layers = [EncoderLayer(config, init_rng) for _ in range(config.n_enc_layers)]
-        self.dec_layers = [DecoderLayer(config, init_rng) for _ in range(config.n_dec_layers)]
-        self.ln_enc_final = LayerNormParams.init(d)
-        self.ln_dec_final = LayerNormParams.init(d)
+        self.arena, self._params = parameter_arena(parameter_shapes(config))
+        views = dict(self._params)
+        self.embed = views["embed"]
+        self.out_proj = views.get("out_proj")
+        self.input_proj_w = views["input_proj.w"]
+        self.input_proj_b = views["input_proj.b"]
+        self.enc_layers = [EncoderLayer(config, self._params, f"enc.{i}.")
+                           for i in range(config.n_enc_layers)]
+        self.dec_layers = [DecoderLayer(config, self._params, f"dec.{i}.")
+                           for i in range(config.n_dec_layers)]
+        self.ln_enc_final = LayerNormParams(**_block(self._params, "ln_enc_final."))
+        self.ln_dec_final = LayerNormParams(**_block(self._params, "ln_dec_final."))
         self.training = False
-        self._dropout_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(2,)))
+        self.reseed_dropout(seed)
+
+    def _fill(self, rng: np.random.Generator) -> None:
+        """Random init of every parameter in place, in the draw order the
+        weights are pinned to."""
+        cfg = self.config
+        fill_normal(self.embed, 1.0 / math.sqrt(cfg.d_model), rng)
+        if self.out_proj is not None:
+            fill_normal(self.out_proj, 1.0 / math.sqrt(cfg.d_model), rng)
+        fill_normal(self.input_proj_w, 1.0 / math.sqrt(cfg.n_mels), rng)
+        self.input_proj_b.data.fill(0.0)
+        for block in (*self.enc_layers, *self.dec_layers, self.ln_enc_final, self.ln_dec_final):
+            block.fill(rng)
 
     # -- mode & bookkeeping ------------------------------------------------
 
@@ -350,32 +421,12 @@ class Model:
         for _, bank in self.smoe_layers():
             bank.reset_counts()
 
-    def named_parameters(self) -> list[tuple[str, Tensor]]:
-        out: list[tuple[str, Tensor]] = [("embed", self.embed)]
-        if self.out_proj is not None:
-            out.append(("out_proj", self.out_proj))
-        out.append(("input_proj.w", self.input_proj_w))
-        out.append(("input_proj.b", self.input_proj_b))
-        for i, layer in enumerate(self.enc_layers):
-            p = f"enc.{i}."
-            out.extend((p + "attn." + n, t) for n, t in layer.attn.tensors())
-            out.extend((p + "ln_attn." + n, t) for n, t in layer.ln_attn.tensors())
-            out.extend((p + "ln_ffn." + n, t) for n, t in layer.ln_ffn.tensors())
-            out.extend((p + "ffn." + n, t) for n, t in layer.ffn.tensors())
-        for i, layer in enumerate(self.dec_layers):
-            p = f"dec.{i}."
-            out.extend((p + "self_attn." + n, t) for n, t in layer.self_attn.tensors())
-            out.extend((p + "cross_attn." + n, t) for n, t in layer.cross_attn.tensors())
-            out.extend((p + "ln_self." + n, t) for n, t in layer.ln_self.tensors())
-            out.extend((p + "ln_cross." + n, t) for n, t in layer.ln_cross.tensors())
-            out.extend((p + "ln_ffn." + n, t) for n, t in layer.ln_ffn.tensors())
-            out.extend((p + "ffn." + n, t) for n, t in layer.ffn.tensors())
-        out.extend([("ln_enc_final." + n, t) for n, t in self.ln_enc_final.tensors()])
-        out.extend([("ln_dec_final." + n, t) for n, t in self.ln_dec_final.tensors()])
-        return out
+    def named_parameters(self) -> Params:
+        """Every parameter with its name, in arena order."""
+        return list(self._params)
 
     def parameter_count(self) -> int:
-        return sum(t.size for _, t in self.named_parameters())
+        return self.arena.size
 
     # -- forward pieces ----------------------------------------------------
 
@@ -653,8 +704,9 @@ def expand_experts(donor: Model, encoder: bool = False, decoder: bool = False) -
     what the donor does, under every gate, until training moves the experts
     apart.
 
-    Every tensor is a deep copy of the donor tensor of the same name; a
-    newly routed `...ffn.expertK.x` copies the donor's shared `...ffn.x`.
+    Every parameter is copied into the new model's arena from the donor
+    parameter of the same name; a newly routed `...ffn.expertK.x` copies the
+    donor's shared `...ffn.x`. No random value is drawn.
     """
     cfg = donor.config
     if encoder and cfg.enc_smoe:
@@ -666,12 +718,12 @@ def expand_experts(donor: Model, encoder: bool = False, decoder: bool = False) -
         enc_smoe=cfg.enc_smoe or encoder,
         dec_smoe=cfg.dec_smoe or decoder,
     )
-    out = Model(new_cfg, seed=0)
+    out = Model.allocate(new_cfg)
     source = dict(donor.named_parameters())
     for name, tensor in out.named_parameters():
         if name not in source:
             name = re.sub(r"\.ffn\.expert\d+\.", ".ffn.", name)
-        tensor.data = source[name].data.copy()
+        tensor.data[...] = source[name].data
     return out
 
 
@@ -719,8 +771,10 @@ def load_checkpoint(path: str | Path) -> tuple[Model, int]:
     """Rebuild a model from a checkpoint; fails closed on any corruption.
 
     The file is read in place. A file too short for the payload its config
-    implies is rejected before the model is allocated, and each payload is
-    read straight into its parameter's array.
+    implies is rejected before the model's arena is allocated, and each
+    payload is read straight into its parameter's slice of the arena. No
+    random value is drawn: the entry checks see to it that every parameter
+    is written exactly once.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -764,7 +818,7 @@ def load_checkpoint(path: str | Path) -> tuple[Model, int]:
                 f"config implies at least {payload}"
             )
 
-        model = Model(config, seed=0)
+        model = Model.allocate(config)
         expected = dict(model.named_parameters())
         if n_entries != len(expected):
             raise FormatError(
@@ -781,7 +835,7 @@ def load_checkpoint(path: str | Path) -> tuple[Model, int]:
             seen.add(name)
             (rank,) = struct.unpack("<I", take(4))
             dims = struct.unpack(f"<{rank}Q", take(8 * rank))
-            data = expected[name].data  # freshly initialised, C-contiguous float64
+            data = expected[name].data  # its unfilled, C-contiguous slice of the arena
             if dims != data.shape:
                 raise FormatError(
                     f"entry {name!r} has shape {dims}, config implies {data.shape}"

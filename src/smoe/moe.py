@@ -99,6 +99,11 @@ class SMoELayer:
             out.extend((f"expert{i}.{name}", t) for name, t in e.tensors())
         return out
 
+    def fill(self, rng) -> None:
+        """Random init of every expert in place, expert by expert."""
+        for e in self.experts:
+            e.fill(rng)
+
 
 def smoe_forward(
     layer: SMoELayer, gate: GateVector, x: Tensor, activation: str = "silu"

@@ -21,7 +21,7 @@ from .numerics import (
     layer_norm,
     matmul,
     mul,
-    parameter,
+    parameter_arena,
     permute,
     relu,
     reshape,
@@ -33,6 +33,14 @@ from .numerics import (
 ACTIVATIONS = {"silu": silu, "relu": relu}
 
 MASK_OFF = -1e30  # large enough that exp() underflows to exact 0.0
+
+
+def fill_normal(t: Tensor, std: float, rng: np.random.Generator) -> None:
+    """Draw t's values in place; bitwise what rng.normal(0.0, std, t.shape)
+    returns, which computes 0.0 + std * z (so a -0.0 comes out as 0.0)."""
+    rng.standard_normal(out=t.data)
+    t.data *= std
+    t.data += 0.0
 
 
 @dataclass
@@ -77,24 +85,33 @@ class FFNParams:
         return self.w_in.shape[1]
 
     def tensors(self) -> list[tuple[str, Tensor]]:
-        out = [("w_in", self.w_in), ("b_in", self.b_in)]
+        shapes = ffn_shapes(self.d_model, self.d_ff, self.glu)
+        return [(name, getattr(self, name)) for name, _ in shapes]
+
+    def fill(self, rng: np.random.Generator) -> None:
+        """Random init in place. The draws go w_in, w_out, then w_gate: the
+        order the weights are pinned to, not the tensors() order."""
+        fill_normal(self.w_in, 1.0 / math.sqrt(self.d_model), rng)
+        fill_normal(self.w_out, 1.0 / math.sqrt(self.d_ff), rng)
+        self.b_in.data.fill(0.0)
+        self.b_out.data.fill(0.0)
         if self.glu:
-            out += [("w_gate", self.w_gate), ("b_gate", self.b_gate)]
-        out += [("w_out", self.w_out), ("b_out", self.b_out)]
-        return out
+            fill_normal(self.w_gate, 1.0 / math.sqrt(self.d_model), rng)
+            self.b_gate.data.fill(0.0)
 
     @staticmethod
     def init(d_model: int, d_ff: int, glu: bool, rng: np.random.Generator) -> "FFNParams":
-        std_in = 1.0 / math.sqrt(d_model)
-        std_out = 1.0 / math.sqrt(d_ff)
-        return FFNParams(
-            w_in=parameter(rng.normal(0.0, std_in, size=(d_model, d_ff))),
-            b_in=parameter(np.zeros(d_ff)),
-            w_out=parameter(rng.normal(0.0, std_out, size=(d_ff, d_model))),
-            b_out=parameter(np.zeros(d_model)),
-            w_gate=parameter(rng.normal(0.0, std_in, size=(d_model, d_ff))) if glu else None,
-            b_gate=parameter(np.zeros(d_ff)) if glu else None,
-        )
+        _, params = parameter_arena(ffn_shapes(d_model, d_ff, glu))
+        p = FFNParams(**dict(params))
+        p.fill(rng)
+        return p
+
+
+def ffn_shapes(d_model: int, d_ff: int, glu: bool) -> list[tuple[str, tuple[int, ...]]]:
+    """Names and shapes of one FFN block's tensors, in tensors() order."""
+    gate = [("w_gate", (d_model, d_ff)), ("b_gate", (d_ff,))] if glu else []
+    return [("w_in", (d_model, d_ff)), ("b_in", (d_ff,)), *gate,
+            ("w_out", (d_ff, d_model)), ("b_out", (d_model,))]
 
 
 def ffn_param_count(d_model: int, d_ff: int, glu: bool) -> int:
@@ -141,24 +158,28 @@ class AttentionParams:
         return self.w_q.shape[0]
 
     def tensors(self) -> list[tuple[str, Tensor]]:
-        return [
-            ("w_q", self.w_q), ("b_q", self.b_q),
-            ("w_k", self.w_k), ("b_k", self.b_k),
-            ("w_v", self.w_v), ("b_v", self.b_v),
-            ("w_o", self.w_o), ("b_o", self.b_o),
-        ]
+        return [(name, getattr(self, name)) for name, _ in attention_shapes(self.d_model)]
+
+    def fill(self, rng: np.random.Generator) -> None:
+        """Random init in place: w_q, w_k, w_v, w_o drawn in that order, biases 0."""
+        for name, shape in attention_shapes(self.d_model):
+            if len(shape) == 2:
+                fill_normal(getattr(self, name), 1.0 / math.sqrt(self.d_model), rng)
+            else:
+                getattr(self, name).data.fill(0.0)
 
     @staticmethod
     def init(d_model: int, n_heads: int, rng: np.random.Generator) -> "AttentionParams":
-        std = 1.0 / math.sqrt(d_model)
+        _, params = parameter_arena(attention_shapes(d_model))
+        p = AttentionParams(**dict(params), n_heads=n_heads)
+        p.fill(rng)
+        return p
 
-        def w():
-            return parameter(rng.normal(0.0, std, size=(d_model, d_model)))
 
-        def b():
-            return parameter(np.zeros(d_model))
-
-        return AttentionParams(w(), b(), w(), b(), w(), b(), w(), b(), n_heads=n_heads)
+def attention_shapes(d_model: int) -> list[tuple[str, tuple[int, ...]]]:
+    """Names and shapes of one attention block's tensors, in tensors() order."""
+    return [(f"{kind}_{proj}", (d_model, d_model) if kind == "w" else (d_model,))
+            for proj in "qkvo" for kind in "wb"]
 
 
 def attention_param_count(d_model: int) -> int:
@@ -263,9 +284,21 @@ class LayerNormParams:
     def tensors(self) -> list[tuple[str, Tensor]]:
         return [("gain", self.gain), ("bias", self.bias)]
 
+    def fill(self, rng: np.random.Generator | None = None) -> None:
+        """Identity init in place: gain 1, bias 0. Draws nothing."""
+        self.gain.data.fill(1.0)
+        self.bias.data.fill(0.0)
+
     @staticmethod
     def init(d_model: int) -> "LayerNormParams":
-        return LayerNormParams(gain=parameter(np.ones(d_model)), bias=parameter(np.zeros(d_model)))
+        _, params = parameter_arena(layer_norm_shapes(d_model))
+        p = LayerNormParams(**dict(params))
+        p.fill()
+        return p
+
+
+def layer_norm_shapes(d_model: int) -> list[tuple[str, tuple[int, ...]]]:
+    return [("gain", (d_model,)), ("bias", (d_model,))]
 
 
 def layer_norm_params(p: LayerNormParams, x: Tensor) -> Tensor:

@@ -6,10 +6,14 @@ pass, so the recorded graph is exactly the subgraph that was computed.
 backward() replays the node list in reverse; because nodes are appended in
 execution order the list is already topologically sorted and each node is
 visited exactly once. Gradients are stored only on leaves.
+
+A parameter arena is one contiguous float64 buffer that a table of named
+parameters tiles in order; each parameter's data is a view of its slice.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -146,3 +150,36 @@ def backward(loss: Tensor, tape: Tape) -> None:
 def parameters_zero_grad(params: Sequence[Tensor]) -> None:
     for p in params:
         p.zero_grad()
+
+
+def parameter_arena(
+    shapes: Sequence[tuple[str, tuple[int, ...]]],
+) -> tuple[np.ndarray, list[tuple[str, Tensor]]]:
+    """One float64 buffer for a table of (name, shape) entries and a
+    trainable Tensor viewing each entry's slice of it, in table order.
+
+    The buffer is uninitialised: the caller must write every view.
+    """
+    sizes = [math.prod(shape) for _, shape in shapes]
+    arena = np.empty(sum(sizes))
+    params, off = [], 0
+    for (name, shape), n in zip(shapes, sizes):
+        params.append((name, Tensor(arena[off : off + n].reshape(shape), requires_grad=True)))
+        off += n
+    return arena, params
+
+
+def arena_bounds(params: Sequence[tuple[str, Tensor]]) -> tuple[np.ndarray, list[int]]:
+    """The arena that `params` tile in order, as parameter_arena lays them
+    out, and the offsets bounds[i]:bounds[i + 1] of the i-th one's slice.
+    Raises ContractError unless the params are exactly such a tiling."""
+    arena = params[0][1].data.base if params else None
+    bounds = [0]
+    for name, p in params:
+        if (arena is None or p.data.base is not arena or not p.data.flags.c_contiguous
+                or p.data.ctypes.data != arena.ctypes.data + 8 * bounds[-1]):
+            raise ContractError(f"parameter {name} is not the next slice of one arena")
+        bounds.append(bounds[-1] + p.size)
+    if arena is None or arena.ndim != 1 or arena.size != bounds[-1]:
+        raise ContractError("parameters do not tile their whole arena")
+    return arena, bounds

@@ -216,13 +216,3 @@ def build_target_sequence(
         int(GuidingToken.EOS),
     ]
     return TargetSequence(task=task, language=language, ids=ids)
-
-
-def strip_guides(ids: list[int]) -> list[int]:
-    """Drop the 3-token guiding prefix, trailing EOS, and any padding."""
-    core = [i for i in ids if i != GuidingToken.PAD]
-    if len(core) >= 3 and core[0] in (GuidingToken.TRANSCRIBE, GuidingToken.TRANSLATE):
-        core = core[3:]
-    if core and core[-1] == GuidingToken.EOS:
-        core = core[:-1]
-    return core

@@ -196,12 +196,6 @@ def fbank(w: Waveform) -> FbankFeatures:
     return FbankFeatures(frames=constant(logmel), bandwidth=bandwidth)
 
 
-def expected_frame_count(n_samples: int, sample_rate: int = SAMPLE_RATE_WB) -> int:
-    window = int(sample_rate * FRAME_LENGTH_MS / 1000)
-    hop = int(sample_rate * FRAME_SHIFT_MS / 1000)
-    return 1 + (n_samples - window) // hop
-
-
 def write_wav(path: str | Path, w: Waveform) -> None:
     """Write 16-bit PCM mono WAV, canonical little-endian RIFF layout."""
     pcm = np.clip(np.round(w.samples * 32767.0), -32768, 32767).astype("<i2")

@@ -24,7 +24,7 @@ from .errors import ConfigError, NumericError
 from .metrics import corpus_token_accuracy
 from .model import Model, ModelConfig, count_params, expand_experts
 from .moe import Bandwidth, Task
-from .numerics import Tape, Tensor, backward, scale, softmax_cross_entropy
+from .numerics import Tape, Tensor, arena_bounds, backward, scale, softmax_cross_entropy
 from .seqio import BYTE_BASE, GuidingToken, Vocabulary
 
 
@@ -121,38 +121,66 @@ def cosine_lr(step: int, total_steps: int, peak: float, floor: float) -> float:
     return floor + 0.5 * (peak - floor) * (1.0 + math.cos(math.pi * step / total_steps))
 
 
-class SGD:
-    """Plain SGD with optional momentum.
+class _ArenaOptimizer:
+    """In-place updates of a parameter arena, one contiguous segment at a time.
 
-    Parameters whose grad is None are untouched, so an expert that saw no
-    batch keeps bitwise-identical weights and momentum state.
+    The params must tile one arena in order, as Model.named_parameters()
+    does. Each parameter keeps its own step count, which advances only on
+    steps where its grad is set; a parameter whose grad is None is left
+    bitwise untouched, state included. A segment is a run of neighbouring
+    parameters that have a grad and share a step count, so per-step
+    corrections stay per parameter.
     """
 
-    def __init__(self, params: list[tuple[str, Tensor]], momentum: float = 0.0):
+    def __init__(self, params: list[tuple[str, Tensor]]):
         self.params = params
-        self.momentum = momentum
-        self.velocity: dict[int, np.ndarray] = {}
+        self.flat, self.bounds = arena_bounds(params)
+        self.t = [0] * len(params)
 
     def zero_grad(self) -> None:
         for _, p in self.params:
             p.zero_grad()
 
-    def step(self, lr: float) -> None:
-        for _, p in self.params:
+    def _segments(self) -> Iterator[tuple[int, slice, np.ndarray]]:
+        """Advance the step count of every parameter with a grad, then yield
+        (step count, arena slice, flattened grads) per segment."""
+        runs: list[list[int]] = []
+        for i, (_, p) in enumerate(self.params):
             if p.grad is None:
                 continue
-            if self.momentum > 0.0:
-                v = self.velocity.get(id(p))
-                v = p.grad if v is None else self.momentum * v + p.grad
-                self.velocity[id(p)] = v
+            self.t[i] += 1
+            if runs and runs[-1][1] == i and self.t[runs[-1][0]] == self.t[i]:
+                runs[-1][1] = i + 1
             else:
-                v = p.grad
-            p.data = p.data - lr * v
+                runs.append([i, i + 1])
+        for i, j in runs:
+            grad = np.concatenate([p.grad.ravel() for _, p in self.params[i:j]])
+            yield self.t[i], slice(self.bounds[i], self.bounds[j]), grad
 
 
-class Adam:
-    """Adam with per-parameter step counts; None-grad parameters are
-    skipped entirely (no moment decay, no update)."""
+class SGD(_ArenaOptimizer):
+    """Plain SGD with optional momentum."""
+
+    def __init__(self, params: list[tuple[str, Tensor]], momentum: float = 0.0):
+        super().__init__(params)
+        self.momentum = momentum
+        self.velocity = np.zeros_like(self.flat) if momentum > 0.0 else None
+
+    def step(self, lr: float) -> None:
+        for t, seg, grad in self._segments():
+            if self.velocity is not None:
+                v = self.velocity[seg]
+                if t == 1:
+                    v[...] = grad
+                else:
+                    v *= self.momentum
+                    v += grad
+                grad = v
+            self.flat[seg] -= lr * grad
+
+
+class Adam(_ArenaOptimizer):
+    """Adam with per-parameter step counts over flat moment buffers."""
 
     def __init__(
         self,
@@ -161,31 +189,21 @@ class Adam:
         beta2: float = 0.999,
         eps: float = 1e-8,
     ):
-        self.params = params
+        super().__init__(params)
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.m: dict[int, np.ndarray] = {}
-        self.v: dict[int, np.ndarray] = {}
-        self.t: dict[int, int] = {}
-
-    def zero_grad(self) -> None:
-        for _, p in self.params:
-            p.zero_grad()
+        self.m = np.zeros_like(self.flat)
+        self.v = np.zeros_like(self.flat)
 
     def step(self, lr: float) -> None:
-        for _, p in self.params:
-            if p.grad is None:
-                continue
-            k = id(p)
-            t = self.t.get(k, 0) + 1
-            self.t[k] = t
-            m = self.beta1 * self.m.get(k, np.zeros_like(p.data)) + (1 - self.beta1) * p.grad
-            v = self.beta2 * self.v.get(k, np.zeros_like(p.data)) + (1 - self.beta2) * (
-                p.grad * p.grad
-            )
-            self.m[k], self.v[k] = m, v
-            m_hat = m / (1 - self.beta1**t)
-            v_hat = v / (1 - self.beta2**t)
-            p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        for t, seg, grad in self._segments():
+            m, v = self.m[seg], self.v[seg]
+            m *= self.beta1
+            m += (1 - self.beta1) * grad
+            v *= self.beta2
+            v += (1 - self.beta2) * (grad * grad)
+            update = lr * (m / (1 - self.beta1**t))
+            update /= np.sqrt(v / (1 - self.beta2**t)) + self.eps
+            self.flat[seg] -= update
 
 
 def make_optimizer(model: Model, tc: TrainConfig):

@@ -230,6 +230,29 @@ def _infer_wav_without_data(root):
     return ["infer", "--ckpt", str(_tiny_checkpoint(root)), str(_wav(root, no_data=True))]
 
 
+def _inspect_directory_checkpoint(root):
+    (root / "model.ckpt").mkdir()
+    return ["inspect", "--ckpt", str(root / "model.ckpt")]
+
+
+def _infer_directory_vocab(root):
+    ckpt = _tiny_checkpoint(root)
+    (root / "vocab.txt").unlink()
+    (root / "vocab.txt").mkdir()
+    return ["infer", "--ckpt", str(ckpt), str(_wav(root))]
+
+
+def _infer_directory_audio(root):
+    (root / "in.wav").mkdir()
+    return ["infer", "--ckpt", str(_tiny_checkpoint(root)), str(root / "in.wav")]
+
+
+def _train_directory_manifest(root):
+    argv = _train_with_vocab(b"smoe-vocab v1 merges=0\n")(root)
+    (root / "data" / "manifest.tsv").mkdir()
+    return argv
+
+
 @pytest.mark.parametrize("make_argv, code", [
     pytest.param(_infer_with_checkpoint(lambda b: b.replace(b"d_model = 16", b"d_model = XX")),
                  2, id="ckpt-config-bad-value"),
@@ -247,6 +270,10 @@ def _infer_wav_without_data(root):
     pytest.param(_inspect_with_config, 1, id="config-not-utf8"),
     pytest.param(_infer_odd_wav, 3, id="wav-odd-data-bytes"),
     pytest.param(_infer_wav_without_data, 3, id="wav-no-data-chunk"),
+    pytest.param(_inspect_directory_checkpoint, 2, id="ckpt-is-directory"),
+    pytest.param(_infer_directory_vocab, 3, id="vocab-is-directory"),
+    pytest.param(_infer_directory_audio, 3, id="audio-is-directory"),
+    pytest.param(_train_directory_manifest, 3, id="manifest-is-directory"),
 ])
 def test_malformed_input_exit_code(make_argv, code, tmp_path, capsys):
     assert main(make_argv(tmp_path)) == code

@@ -1,7 +1,12 @@
+import hashlib
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import smoe.model
 from smoe.errors import ConfigError, FormatError, LimitError
@@ -16,7 +21,7 @@ from smoe.model import (
 )
 from smoe.moe import Bandwidth, GateVector, Task, smoe_forward
 from smoe.nn import ffn_forward
-from smoe.numerics import constant
+from smoe.numerics import arena_bounds, constant
 from smoe.seqio import (
     LANGUAGE_TOKEN,
     TASK_LANGUAGE,
@@ -495,6 +500,7 @@ def test_checkpoint_shorter_than_config_fails_before_model_is_built(tmp_path, mo
         raise AssertionError("Model built for a file too short for its config")
 
     monkeypatch.setattr(smoe.model, "Model", no_model)
+    monkeypatch.setattr(smoe.model, "parameter_arena", no_model)
     with pytest.raises(FormatError, match="config implies"):
         load_checkpoint(path)
 
@@ -545,3 +551,130 @@ def test_failed_save_keeps_previous_checkpoint_and_leaves_no_temp_file(tmp_path)
         save_checkpoint(broken, path, step=2)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+
+
+# -- parameter arena ----------------------------------------------------------------
+
+
+PINNED_INIT = [
+    (dict(n_dec_layers=2, enc_smoe=True, dec_smoe=True), 3,
+     "c0038ecb8d42e831fdee2ed8326921d0646c8ba2b5f95c70c5b05021689c6afa"),
+    (dict(n_dec_layers=2, tied_embed=False, glu=False, activation="relu"), 4,
+     "c27a1c54ad18df9199a226b018ec88b8279df88a5cc8e901422515a235ceb921"),
+    (dict(n_dec_layers=2, d_ff_dec=48, dec_smoe=True), 5,
+     "2a31a764e38d6beb2d32c3b8621de0569031ee7862f812169a142a0b8c9cb011"),
+]
+
+
+@pytest.mark.parametrize("overrides, seed, digest", PINNED_INIT,
+                         ids=["tied-glu-enc-dec-routed", "untied-relu", "d_ff_dec"])
+def test_init_weights_match_pinned_digest(overrides, seed, digest):
+    """Random init draws in one fixed order; these digests pin the weights
+    of Model(cfg, seed) over the <f8 bytes of named_parameters()."""
+    h = hashlib.sha256()
+    for _, t in Model(tiny_config(**overrides), seed).named_parameters():
+        h.update(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
+    assert h.hexdigest() == digest
+
+
+def assert_in_arena(model):
+    arena, bounds = arena_bounds(model.named_parameters())
+    assert arena is model.arena and bounds[-1] == model.parameter_count()
+    for name, t in model.named_parameters():
+        assert np.shares_memory(t.data, model.arena), name
+
+
+def test_expand_and_load_keep_parameters_in_the_arena(tmp_path):
+    donor = Model(tiny_config(), seed=42)
+    assert_in_arena(donor)
+    routed = expand_experts(donor, encoder=True, decoder=True)
+    assert_in_arena(routed)
+    save_checkpoint(routed, tmp_path / "m.ckpt")
+    loaded, _ = load_checkpoint(tmp_path / "m.ckpt")
+    assert_in_arena(loaded)
+    assert np.array_equal(loaded.arena.view(np.uint64), routed.arena.view(np.uint64))
+
+
+def test_expand_and_load_draw_no_random_values(tmp_path, monkeypatch):
+    donor = Model(tiny_config(), seed=43)
+    save_checkpoint(donor, tmp_path / "m.ckpt")
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("random init ran")
+
+    monkeypatch.setattr(Model, "__init__", no_draw)
+    monkeypatch.setattr(Model, "_fill", no_draw)
+    load_checkpoint(tmp_path / "m.ckpt")
+    expand_experts(donor, decoder=True)
+
+
+SENTINEL = np.uint64(0x7FF4_DEAD_BEEF_0001)  # a NaN bit pattern
+
+
+def _fuzz_base():
+    cfg = ModelConfig(n_enc_layers=1, n_dec_layers=1, d_model=4, d_ff=4, n_heads=2,
+                      vocab_size=8, n_mels=4, dropout=0.0, enc_smoe=True)
+    with tempfile.TemporaryDirectory() as d:
+        save_checkpoint(Model(cfg, seed=44), Path(d) / "m.ckpt", step=3)
+        return (Path(d) / "m.ckpt").read_bytes()
+
+
+FUZZ_BASE = _fuzz_base()
+
+
+@st.composite
+def mutated_checkpoints(draw):
+    raw = bytearray(FUZZ_BASE)
+    kind = draw(st.sampled_from(["flip", "truncate", "splice"]))
+    if kind == "flip":
+        for bit in draw(st.lists(st.integers(0, 8 * len(raw) - 1), min_size=1, max_size=3)):
+            raw[bit // 8] ^= 1 << (bit % 8)
+    elif kind == "truncate":
+        del raw[draw(st.integers(0, len(raw) - 1)):]
+    else:  # move a run of bytes elsewhere, or drop it, or repeat it
+        start = draw(st.integers(0, len(raw) - 1))
+        chunk = raw[start : start + draw(st.integers(1, 48))]
+        if draw(st.booleans()):
+            del raw[start : start + len(chunk)]
+        at = draw(st.integers(0, len(raw)))
+        raw[at:at] = chunk
+    return bytes(raw)
+
+
+def entry_bytes(raw: bytes) -> bytes:
+    """A checkpoint's bytes from its entry count on: every name, shape and payload."""
+    (cfg_len,) = struct.unpack_from("<I", raw, 16)
+    return raw[20 + cfg_len :]
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=mutated_checkpoints())
+def test_load_checkpoint_fuzzed_fails_closed_or_fills_every_view(raw, monkeypatch_arena):
+    """Every load either raises FormatError or returns a model that holds
+    exactly the file's payloads: saved again, it writes the same entries."""
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "m.ckpt"
+        path.write_bytes(raw)
+        try:
+            model, step = load_checkpoint(path)
+        except FormatError:
+            return
+        assert_in_arena(model)
+        save_checkpoint(model, path, step)
+        assert entry_bytes(path.read_bytes()) == entry_bytes(raw)
+
+
+@pytest.fixture(scope="module")
+def monkeypatch_arena():
+    """Arenas start out holding SENTINEL in every slot, not the zeros of
+    fresh memory, so a view that a load leaves unwritten shows."""
+    real = smoe.model.parameter_arena
+
+    def marked(shapes):
+        arena, params = real(shapes)
+        arena.view(np.uint64)[:] = SENTINEL
+        return arena, params
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(smoe.model, "parameter_arena", marked)
+        yield

@@ -14,7 +14,6 @@ from smoe.seqio import (
     TargetSequence,
     Vocabulary,
     build_target_sequence,
-    strip_guides,
     train_bpe,
 )
 
@@ -187,8 +186,9 @@ def test_target_sequence_invariants_enforced():
 def test_strip_guides_round_trip():
     v = Vocabulary()
     seq = build_target_sequence(Task.ST, Language.EN, b"hello", v)
-    padded = seq.ids + [int(GuidingToken.PAD)] * 3
-    assert v.decode(strip_guides(padded)) == b"hello"
+    assert seq.ids[:3] == [int(GuidingToken.TRANSLATE), int(GuidingToken.LANG_EN), int(GuidingToken.BOS)]
+    assert seq.ids[-1] == GuidingToken.EOS
+    assert v.decode(seq.payload_ids) == b"hello"
 
 
 @settings(max_examples=100, deadline=None)
@@ -196,7 +196,7 @@ def test_strip_guides_round_trip():
 def test_sequence_round_trip_property(payload):
     v = _TRAINED
     seq = build_target_sequence(Task.ST, Language.EN, payload, v)
-    assert v.decode(strip_guides(seq.ids)) == payload
+    assert v.decode(seq.payload_ids) == payload
     from smoe.moe import gate_decoder
 
     gate = gate_decoder(seq.task)

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from smoe.data import SyntheticTaskSpec, make_paired_dataset
-from smoe.errors import ConfigError, NumericError
+from smoe.errors import ConfigError, ContractError, NumericError
 from smoe.model import Model, ModelConfig
 from smoe.moe import Bandwidth, Task
-from smoe.numerics import Tape, add, backward, scale, softmax_cross_entropy
+from smoe.numerics import Tape, Tensor, add, backward, scale, softmax_cross_entropy
 from smoe.seqio import GuidingToken, Vocabulary
 from smoe.train import (
     SGD,
@@ -401,3 +401,116 @@ def test_non_finite_gradient_names_first_parameter(monkeypatch):
         train_step(model, batch, opt, lr=1e-3)
     for n, t in model.named_parameters():
         assert np.array_equal(before[n], t.data), n
+
+
+# -- arena optimizers against the per-tensor rules ------------------------------------
+
+
+class OracleSGD:
+    """The per-tensor SGD that the arena SGD replaced, kept as its oracle."""
+
+    def __init__(self, params, momentum=0.0):
+        self.params, self.momentum, self.velocity = params, momentum, {}
+
+    def zero_grad(self):
+        for _, p in self.params:
+            p.zero_grad()
+
+    def step(self, lr):
+        for _, p in self.params:
+            if p.grad is None:
+                continue
+            if self.momentum > 0.0:
+                v = self.velocity.get(id(p))
+                v = p.grad if v is None else self.momentum * v + p.grad
+                self.velocity[id(p)] = v
+            else:
+                v = p.grad
+            p.data = p.data - lr * v
+
+
+class OracleAdam:
+    """The per-tensor Adam that the arena Adam replaced, kept as its oracle."""
+
+    def __init__(self, params, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params = params
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.m, self.v, self.t = {}, {}, {}
+
+    def zero_grad(self):
+        for _, p in self.params:
+            p.zero_grad()
+
+    def step(self, lr):
+        for _, p in self.params:
+            if p.grad is None:
+                continue
+            k = id(p)
+            t = self.t.get(k, 0) + 1
+            self.t[k] = t
+            m = self.beta1 * self.m.get(k, np.zeros_like(p.data)) + (1 - self.beta1) * p.grad
+            v = self.beta2 * self.v.get(k, np.zeros_like(p.data)) + (1 - self.beta2) * (
+                p.grad * p.grad
+            )
+            self.m[k], self.v[k] = m, v
+            m_hat = m / (1 - self.beta1**t)
+            v_hat = v / (1 - self.beta2**t)
+            p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+def routed_stream():
+    """Interleaved task-homogeneous batches that leave the narrowband encoder
+    expert without rows for the first five steps, then mix bandwidths."""
+    items = small_items(24, seed=3, nb_fraction=0.5)
+    pools = {(task, bw): [it for it in items if it.task is task and it.bandwidth is bw]
+             for task in Task for bw in Bandwidth}
+    plan = [(Task.ASR, [Bandwidth.WB]), (Task.ST, [Bandwidth.WB]), (Task.ASR, [Bandwidth.WB]),
+            (Task.ST, [Bandwidth.WB]), (Task.ASR, [Bandwidth.WB]),
+            (Task.ST, [Bandwidth.WB, Bandwidth.NB]), (Task.ASR, [Bandwidth.NB]),
+            (Task.ST, [Bandwidth.NB, Bandwidth.WB]), (Task.ASR, [Bandwidth.WB, Bandwidth.NB])]
+    batches = []
+    for task, bws in plan:
+        batches.append(Batch.build([pools[task, bw].pop() for bw in bws]))
+    return batches
+
+
+@pytest.mark.parametrize("accum_steps", [1, 2])
+@pytest.mark.parametrize("name, make, oracle", [
+    ("adam", Adam, OracleAdam),
+    ("sgd-momentum", lambda params: SGD(params, momentum=0.9),
+     lambda params: OracleSGD(params, momentum=0.9)),
+])
+def test_arena_optimizer_matches_per_tensor_oracle(name, make, oracle, accum_steps):
+    cfg = dict(enc_smoe=True, dec_smoe=True, dropout=0.1)
+    model, reference = tiny_model(**cfg), tiny_model(**cfg)
+    opt, ref_opt = make(model.named_parameters()), oracle(reference.named_parameters())
+    nb_expert = [t for n, t in model.named_parameters() if ".ffn.expert1." in n and n.startswith("enc.")]
+    idle_updates = 0
+    for step, batch in enumerate(routed_stream()):
+        lr = 0.05 * (1 + step % 3)
+        assert train_step(model, batch, opt, lr, step, accum_steps) == train_step(
+            reference, batch, ref_opt, lr, step, accum_steps)
+        if (step + 1) % accum_steps == 0 and all(t.grad is None for t in nb_expert):
+            idle_updates += 1
+        for (n, got), (_, want) in zip(model.named_parameters(), reference.named_parameters()):
+            assert np.array_equal(got.data.view(np.uint64), want.data.view(np.uint64)), (step, n)
+    assert idle_updates >= 2  # the NB expert sat out several updates
+    for _, t in model.named_parameters():
+        assert np.shares_memory(t.data, model.arena)
+
+
+def test_training_keeps_parameters_in_the_arena():
+    model = tiny_model(dec_smoe=True)
+    run_training(model, small_items(8), TrainConfig(steps=3, batch_size=2))
+    for name, t in model.named_parameters():
+        assert np.shares_memory(t.data, model.arena), name
+
+
+def test_optimizers_reject_parameters_that_do_not_tile_one_arena():
+    model = tiny_model()
+    params = model.named_parameters()
+    for bad in (params[1:], params[:-1], params[::-1], [("w", Tensor(np.zeros(3), True))],
+                params + tiny_model().named_parameters()[:1]):
+        for make in (Adam, SGD):
+            with pytest.raises(ContractError):
+                make(bad)
