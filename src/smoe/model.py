@@ -3,12 +3,12 @@
 The encoder consumes log-Mel frames and routes its feedforward blocks by
 audio bandwidth; the decoder consumes guiding-token-prefixed target ids and
 routes its feedforward blocks by task. Everything else is shared. A forward
-pass runs a whole zero-padded batch at once: activations are [B*T x d] row
-stacks, attention heads run as [B*h x T x dh] with key-padding masks, and
-each encoder expert runs once on the real rows of its bandwidth, gathered
-and scattered back. `encode` and `decode` are its one-sample calls. Greedy
-decoding runs apart from the tape, with cached keys/values and all rows of
-a request batched; the teacher-forced `decode` is its reference.
+pass runs a whole batch at once: the encoder on packed real-frame rows
+[sum(T_i) x d], where dropout draws at that shape, the decoder on padded
+target rows [B*L x d]; attention reads each sample's own rows, and each
+encoder expert runs once on its bandwidth's rows. `encode` and `decode` are
+its one-sample calls. Greedy decoding runs off the tape with cached keys/
+values, through the same `numerics.attend` core; `decode` is its reference.
 
 A model's parameters live in one arena: a contiguous float64 buffer laid
 out by `parameter_shapes(config)` in `named_parameters()` order, each
@@ -35,14 +35,12 @@ import numpy as np
 from .errors import ConfigError, FormatError, LimitError
 from .moe import Bandwidth, GateVector, SMoELayer, Task, gate_decoder, gate_encoder, smoe_forward
 from .nn import (
-    MASK_OFF,
     AttentionParams,
     FFNParams,
     LayerNormParams,
     attention_forward,
     attention_param_count,
     attention_shapes,
-    causal_mask,
     ffn_forward,
     ffn_param_count,
     ffn_shapes,
@@ -53,8 +51,8 @@ from .nn import (
     sinusoidal_positions,
 )
 from .numerics import (
-    Tensor, add, constant, dropout, embedding, matmul, parameter_arena, scale, scatter_rows,
-    transpose2d,
+    Tensor, add, attend, constant, dropout, embedding, linear, matmul, parameter_arena, scale,
+    scatter_rows, transpose2d,
 )
 from .seqio import LANGUAGE_TOKEN, TASK_LANGUAGE, TASK_TOKEN, GuidingToken, Language, TargetSequence
 from .signal import N_MELS, FbankFeatures
@@ -330,15 +328,6 @@ class SingleDecode:
     truncated: bool
 
 
-def key_padding_mask(lengths: Sequence[int], t_max: int) -> np.ndarray | None:
-    """Attention mask [B x 1 x t_max], True on each sample's first
-    lengths[i] keys; None when no sample is padded."""
-    lengths = np.asarray(lengths)
-    if np.all(lengths == t_max):
-        return None
-    return (np.arange(t_max) < lengths[:, None])[:, None, :]
-
-
 def _layer_norm(p: LayerNormParams, x: np.ndarray) -> np.ndarray:
     """`layer_norm_params` on a plain array: the same arithmetic, no tape."""
     d = x.shape[-1]
@@ -456,12 +445,13 @@ class Model:
     def encode_batch(
         self, frames: np.ndarray, lengths: Sequence[int], bandwidths: Sequence[Bandwidth]
     ) -> Tensor:
-        """Encoder states [B*T x d] of zero-padded frame stacks [B x T x n_mels].
+        """Packed encoder states [sum(lengths) x d] of zero-padded frame
+        stacks [B x T x n_mels]: each sample's real frames, in order.
 
-        Sample i owns rows i*T .. i*T + lengths[i] - 1; the rows after them
-        are padding, which no attention reads as a key and no feedforward
-        block computes. Each bandwidth's real rows go through its expert in
-        one call, so an expert no sample routes to is never invoked.
+        Every layer runs on these rows alone; attention reads each sample's
+        own rows. A batch that mixes bandwidths sends each bandwidth's rows
+        through its expert in one call, gathered and scattered back, so an
+        expert no sample routes to is never invoked.
         """
         cfg = self.config
         n, t_max, n_mels = frames.shape
@@ -471,25 +461,22 @@ class Model:
             raise ConfigError(f"features have {n_mels} mels, config wants {cfg.n_mels}")
         # per-utterance global normalization keeps log-mel magnitudes sane
         # without erasing the relative band structure
-        normed = np.zeros_like(frames)
-        for i, length in enumerate(lengths):
-            real = frames[i, :length]
-            normed[i, :length] = (real - real.mean()) / max(real.std(), 1e-8)
-        x = constant(normed.reshape(n * t_max, n_mels))
-        x = add(matmul(x, self.input_proj_w), self.input_proj_b)
-        x = add(x, constant(np.tile(sinusoidal_positions(t_max, cfg.d_model).data, (n, 1))))
+        real = [frames[i, :length] for i, length in enumerate(lengths)]
+        packed = np.concatenate([(r - r.mean()) / max(r.std(), 1e-8) for r in real])
+        positions = sinusoidal_positions(t_max, cfg.d_model).data
+        x = linear(constant(packed), self.input_proj_w, self.input_proj_b)
+        x = add(x, constant(np.concatenate([positions[:length] for length in lengths])))
         x = dropout(x, cfg.dropout, self._dropout_rng, self.training)
-        mask = key_padding_mask(lengths, t_max)
-        rows: dict[GateVector | None, list[np.ndarray]] = {}
-        for i, (length, bw) in enumerate(zip(lengths, bandwidths)):
-            gate = gate_encoder(bw) if cfg.enc_smoe else None
-            rows.setdefault(gate, []).append(np.arange(i * t_max, i * t_max + length))
-        groups = [(gate, np.concatenate(r)) for gate, r in rows.items()]
-        if len(groups) == 1 and mask is None:
-            groups = [(groups[0][0], None)]
+        gates = [gate_encoder(bw) if cfg.enc_smoe else None for bw in bandwidths]
+        groups: list[tuple[GateVector | None, np.ndarray | None]] = [(gates[0], None)]
+        if len(set(gates)) > 1:
+            rows: dict[GateVector | None, list[np.ndarray]] = {}
+            for gate, start, length in zip(gates, np.cumsum([0, *lengths]), lengths):
+                rows.setdefault(gate, []).append(np.arange(start, start + length))
+            groups = [(gate, np.concatenate(r)) for gate, r in rows.items()]
         for layer in self.enc_layers:
             x = pre_norm_residual(
-                lambda h: attention_forward(layer.attn, h, h, h, mask, n),
+                lambda h: attention_forward(layer.attn, h, h, h, lengths, lengths),
                 layer.ln_attn, x, cfg.dropout, self._dropout_rng, self.training,
             )
             x = pre_norm_residual(
@@ -509,13 +496,14 @@ class Model:
         task: Task,
         enc_lengths: Sequence[int] | None = None,
     ) -> Tensor:
-        """Teacher-forced logits [B*L x vocab] of id rows [B x L] over
-        encoder states [B*T x d], every row routed to `task`'s expert.
+        """Teacher-forced logits [B*L x vocab] of id rows [B x L] over packed
+        encoder states [sum(enc_lengths) x d], every row routed to `task`'s
+        expert.
 
-        enc_lengths are the real frames of each sample (None: all T); the
-        padded encoder rows are masked out of cross-attention. The causal
-        mask keeps each position from reading the ones after it, so trailing
-        padding in `ids` never reaches a real position.
+        enc_lengths are each sample's encoder rows (None: one sample owns
+        all); cross-attention reads each sample's own rows only. Causal
+        self-attention keeps each position from reading the ones after it,
+        so trailing padding in `ids` never reaches a real position.
         """
         cfg = self.config
         n, t = ids.shape
@@ -525,17 +513,15 @@ class Model:
         x = add(x, constant(np.tile(sinusoidal_positions(t, cfg.d_model).data, (n, 1))))
         x = dropout(x, cfg.dropout, self._dropout_rng, self.training)
         gate = gate_decoder(task)
-        mask = causal_mask(t)
-        cross_mask = None
-        if enc_lengths is not None:
-            cross_mask = key_padding_mask(enc_lengths, enc_out.shape[0] // n)
+        lens = [t] * n  # each id row is one sample of t positions
         for layer in self.dec_layers:
             x = pre_norm_residual(
-                lambda h: attention_forward(layer.self_attn, h, h, h, mask, n),
+                lambda h: attention_forward(layer.self_attn, h, h, h, lens, lens, causal=True),
                 layer.ln_self, x, cfg.dropout, self._dropout_rng, self.training,
             )
             x = pre_norm_residual(
-                lambda h: attention_forward(layer.cross_attn, h, enc_out, enc_out, cross_mask, n),
+                lambda h: attention_forward(
+                    layer.cross_attn, h, enc_out, enc_out, lens, enc_lengths),
                 layer.ln_cross, x, cfg.dropout, self._dropout_rng, self.training,
             )
             x = pre_norm_residual(
@@ -581,35 +567,20 @@ class Model:
         results = [SingleDecode(ids=[], truncated=True) for _ in rows]
         if max_len <= 0:
             return results
-        d, n_heads = cfg.d_model, cfg.n_heads
-        dh = d // n_heads
-        inv_sqrt_dh = 1.0 / math.sqrt(dh)
+        d = cfg.d_model
 
-        def heads(x: np.ndarray, n_rows: int) -> np.ndarray:
-            """[rows*t x d] -> [rows x h x t x dh]."""
-            return x.reshape(n_rows, -1, n_heads, dh).transpose(0, 2, 1, 3)
+        def project(w: Tensor, b: Tensor, x: np.ndarray, n_rows: int = 1) -> np.ndarray:
+            return (x @ w.data + b.data).reshape(n_rows, -1, d)
 
-        def project(w: Tensor, b: Tensor, x: np.ndarray) -> np.ndarray:
-            return x @ w.data + b.data
-
-        def attend(p: AttentionParams, q_in, n_rows, keys, values, mask) -> np.ndarray:
-            """Attention of q_in [n_rows*t x d] over per-head keys/values
-            [n_rows or 1 x h x t_k x dh]."""
-            q = heads(project(p.w_q, p.b_q, q_in), n_rows)
-            scores = (q @ keys.swapaxes(-1, -2)) * inv_sqrt_dh
-            if mask is not None:
-                scores = scores + mask
-            probs = np.exp(scores - scores.max(axis=-1, keepdims=True))
-            probs = probs / probs.sum(axis=-1, keepdims=True)
-            ctx = (probs @ values).transpose(0, 2, 1, 3).reshape(q_in.shape[0], d)
-            return project(p.w_o, p.b_o, ctx)
+        def attend_rows(p: AttentionParams, h, n_rows, keys, values, causal=False) -> np.ndarray:
+            """p's attention of rows h over projected keys/values [n_rows or 1 x t_k x d]."""
+            ctx, _ = attend(project(p.w_q, p.b_q, h, n_rows), keys, values, cfg.n_heads, causal)
+            return ctx @ p.w_o.data + p.b_o.data
 
         enc = enc_out.data
-        cross_kv = [
-            (heads(project(a.w_k, a.b_k, enc), 1), heads(project(a.w_v, a.b_v, enc), 1))
-            for a in (layer.cross_attn for layer in self.dec_layers)
-        ]
-        self_kv = [(np.empty((len(rows), n_heads, 0, dh)),) * 2 for _ in self.dec_layers]
+        cross_kv = [(project(a.w_k, a.b_k, enc), project(a.w_v, a.b_v, enc))
+                    for a in (layer.cross_attn for layer in self.dec_layers)]
+        self_kv = [(np.empty((len(rows), 0, d)),) * 2 for _ in self.dec_layers]
         live = list(range(len(rows)))
         gates = [gate_decoder(task) for task, _ in rows]
         step_ids = np.array(
@@ -629,17 +600,16 @@ class Model:
                 )
             x = self.embed.data[step_ids] * math.sqrt(d) + positions[done : done + n_new]
             x = x.reshape(n_rows * n_new, d)
-            mask = np.where(causal_mask(n_new), 0.0, MASK_OFF) if n_new > 1 else None
             for i, layer in enumerate(self.dec_layers):
                 a, h = layer.self_attn, _layer_norm(layer.ln_self, x)
                 keys, values = self_kv[i]
                 self_kv[i] = (
-                    np.concatenate([keys, heads(project(a.w_k, a.b_k, h), n_rows)], axis=2),
-                    np.concatenate([values, heads(project(a.w_v, a.b_v, h), n_rows)], axis=2),
+                    np.concatenate([keys, project(a.w_k, a.b_k, h, n_rows)], axis=1),
+                    np.concatenate([values, project(a.w_v, a.b_v, h, n_rows)], axis=1),
                 )
-                x = x + attend(a, h, n_rows, *self_kv[i], mask)
+                x = x + attend_rows(a, h, n_rows, *self_kv[i], causal=True)
                 h = _layer_norm(layer.ln_cross, x)
-                x = x + attend(layer.cross_attn, h, n_rows, *cross_kv[i], None)
+                x = x + attend_rows(layer.cross_attn, h, n_rows, *cross_kv[i])
                 h = _layer_norm(layer.ln_ffn, x).reshape(n_rows, n_new, d)
                 x = x + np.concatenate([
                     self._sublayer_ffn(layer.ffn, gates[r], constant(h[j])).data

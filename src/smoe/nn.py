@@ -1,14 +1,15 @@
 """Transformer building blocks: feedforward, attention, norms, positions.
 
-All blocks are pure functions over parameter dataclasses; state (dropout
-RNG, train/eval mode) is passed in explicitly so the same parameters can be
-shared across callers without hidden coupling.
+All blocks are pure functions over parameter dataclasses and [rows x d]
+stacks; state (dropout RNG, train/eval mode) is passed in explicitly so the
+same parameters can be shared across callers without hidden coupling.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -16,23 +17,18 @@ from .errors import ConfigError, ShapeError
 from .numerics import (
     Tensor,
     add,
+    attention,
     constant,
     dropout,
     layer_norm,
-    matmul,
+    linear,
     mul,
     parameter_arena,
-    permute,
     relu,
-    reshape,
-    scale,
     silu,
-    softmax_last,
 )
 
 ACTIVATIONS = {"silu": silu, "relu": relu}
-
-MASK_OFF = -1e30  # large enough that exp() underflows to exact 0.0
 
 
 def fill_normal(t: Tensor, std: float, rng: np.random.Generator) -> None:
@@ -125,12 +121,10 @@ def ffn_forward(p: FFNParams, x: Tensor, activation: str = "silu") -> Tensor:
     """Apply one feedforward block to x [t x d_model]."""
     if x.shape[-1] != p.d_model:
         raise ShapeError(f"input dim {x.shape} does not match d_model {p.d_model}")
-    act = ACTIVATIONS[activation]
-    h = act(add(matmul(x, p.w_in), p.b_in))
+    h = ACTIVATIONS[activation](linear(x, p.w_in, p.b_in))
     if p.glu:
-        g = add(matmul(x, p.w_gate), p.b_gate)
-        h = mul(h, g)
-    return add(matmul(h, p.w_out), p.b_out)
+        h = mul(h, linear(x, p.w_gate, p.b_gate))
+    return linear(h, p.w_out, p.b_out)
 
 
 @dataclass
@@ -186,73 +180,29 @@ def attention_param_count(d_model: int) -> int:
     return 4 * (d_model * d_model + d_model)
 
 
-def _split_heads(x: Tensor, batch: int, n_heads: int) -> Tensor:
-    """[batch*t x d] -> [batch*h x t x d/h]."""
-    rows, d = x.shape
-    heads = reshape(x, (batch, rows // batch, n_heads, d // n_heads))
-    return reshape(permute(heads, (0, 2, 1, 3)), (batch * n_heads, rows // batch, d // n_heads))
-
-
-def attention_probs(
-    p: AttentionParams,
-    q_in: Tensor,
-    k_in: Tensor,
-    mask: np.ndarray | None = None,
-    batch: int = 1,
-) -> Tensor:
-    """Per-head attention probabilities [batch*h x t_q x t_k].
-
-    q_in and k_in hold `batch` samples of t_q and t_k rows each, sample by
-    sample. mask is a boolean array, True where attention is allowed:
-    [t_q x t_k] for every sample, or [batch x t_q x t_k] / [batch x 1 x t_k]
-    per sample. Disallowed logits are pushed to MASK_OFF so their softmax
-    weight is an exact 0.0 and each row remains a distribution over allowed
-    keys only.
-    """
-    t_q, t_k = q_in.shape[0] // batch, k_in.shape[0] // batch
-    if batch * t_q != q_in.shape[0] or batch * t_k != k_in.shape[0]:
-        raise ShapeError(f"inputs {q_in.shape}/{k_in.shape} do not split into {batch} samples")
-    if mask is not None and mask.shape not in ((t_q, t_k), (batch, t_q, t_k), (batch, 1, t_k)):
-        raise ShapeError(f"mask shape {mask.shape} does not cover ({batch}, {t_q}, {t_k})")
-    q = _split_heads(add(matmul(q_in, p.w_q), p.b_q), batch, p.n_heads)
-    k = _split_heads(add(matmul(k_in, p.w_k), p.b_k), batch, p.n_heads)
-    dh = p.d_model // p.n_heads
-    logits = scale(matmul(q, permute(k, (0, 2, 1))), 1.0 / math.sqrt(dh))
-    if mask is not None:
-        bias = np.where(mask, 0.0, MASK_OFF)
-        if bias.ndim == 3:  # per sample: one copy per head, in _split_heads order
-            bias = np.repeat(np.broadcast_to(bias, (batch, t_q, t_k)), p.n_heads, axis=0)
-        logits = add(logits, constant(bias))
-    return softmax_last(logits)
-
-
 def attention_forward(
     p: AttentionParams,
     q_in: Tensor,
     k_in: Tensor,
     v_in: Tensor,
-    mask: np.ndarray | None = None,
-    batch: int = 1,
+    q_lengths: Sequence[int] | None = None,
+    k_lengths: Sequence[int] | None = None,
+    causal: bool = False,
 ) -> Tensor:
-    """Scaled dot-product multi-head attention: attention_probs weighting
-    the projected values, heads merged and projected out. Inputs are
-    [batch*t x d] row stacks; see attention_probs for the mask."""
-    d = p.d_model
-    if q_in.shape[-1] != d or k_in.shape[-1] != d or v_in.shape[-1] != d:
-        raise ShapeError("attention inputs must have width d_model")
-    if v_in.shape[0] != k_in.shape[0]:
-        raise ShapeError(f"key/value lengths differ: {k_in.shape} vs {v_in.shape}")
-    weights = attention_probs(p, q_in, k_in, mask, batch)
-    v = _split_heads(add(matmul(v_in, p.w_v), p.b_v), batch, p.n_heads)
-    ctx = matmul(weights, v)  # [batch*h x t_q x dh]
-    t_q = q_in.shape[0] // batch
-    merged = permute(reshape(ctx, (batch, p.n_heads, t_q, d // p.n_heads)), (0, 2, 1, 3))
-    return add(matmul(reshape(merged, (q_in.shape[0], d)), p.w_o), p.b_o)
+    """Scaled dot-product multi-head attention: the q/k/v projections, one
+    fused attention node and the output projection.
 
-
-def causal_mask(t: int) -> np.ndarray:
-    """Lower-triangular allowance: position i attends to keys 0..i."""
-    return np.tril(np.ones((t, t), dtype=bool))
+    Inputs are packed row stacks: sample i's q_lengths[i] query rows read
+    only its own k_lengths[i] key/value rows, and None lengths mean one
+    sample of all rows. causal keeps query j of a sample from keys after
+    t_k - t_q + j (see numerics.attend). Mismatched widths or row counts
+    raise ShapeError.
+    """
+    ctx = attention(
+        linear(q_in, p.w_q, p.b_q), linear(k_in, p.w_k, p.b_k), linear(v_in, p.w_v, p.b_v),
+        p.n_heads, q_lengths, k_lengths, causal,
+    )
+    return linear(ctx, p.w_o, p.b_o)
 
 
 def sinusoidal_positions(t: int, d_model: int) -> Tensor:

@@ -4,16 +4,19 @@ Every op computes its value with numpy, then registers a backward rule on
 the active tape when any input requires grad. Broadcasting is restricted to
 trailing-shape alignment (bias adds) and matched leading-batch matmul; the
 narrow surface keeps every backward rule short enough to audit by hand.
+`linear` and `attention` are fused: each is one tape node with a
+hand-written backward in place of a chain of the elementary ops.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
 
 from ..errors import ShapeError
-from .tensor import Tensor, record_op
+from .tensor import Tensor, active_tape, record_op
 
 
 def constant(data) -> Tensor:
@@ -53,6 +56,120 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         ]
 
     return record_op(out, grad_fn)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """y = x @ w + b for x [rows x d_in], w [d_in x d_out], b [d_out].
+    Backward: dw = x^T @ g, db = g summed over rows, dx = g @ w^T if needed."""
+    xd, wd = x.data, w.data
+    if xd.ndim != 2 or wd.ndim != 2 or xd.shape[1] != wd.shape[0] or b.data.shape != wd.shape[1:]:
+        raise ShapeError(f"linear shapes disagree: {xd.shape} x {wd.shape} + {b.data.shape}")
+    out = Tensor(xd @ wd + b.data, requires_grad=_needs_grad(x, w, b))
+
+    def grad_fn(g: np.ndarray):
+        grads = [(w, xd.T @ g), (b, g.sum(axis=0))]
+        return grads + [(x, g @ wd.T)] if x.requires_grad else grads
+
+    return record_op(out, grad_fn)
+
+
+def _heads(a: np.ndarray, n_heads: int) -> np.ndarray:
+    """[n x t x d] -> [n x h x t x d/h], a view."""
+    n, t, d = a.shape
+    return a.reshape(n, t, n_heads, d // n_heads).transpose(0, 2, 1, 3)
+
+
+def _merge_heads(a: np.ndarray) -> np.ndarray:
+    """[n x h x t x dh] -> [n*t x h*dh]."""
+    n, h, t, dh = a.shape
+    return a.transpose(0, 2, 1, 3).reshape(n * t, h * dh)
+
+
+def attend(
+    q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int, causal: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """Multi-head softmax attention on plain arrays, no tape, of queries
+    q [n x t_q x d] over keys and values k, v [n or 1 x t_k x d]: the
+    heads-merged context [n*t_q x d] and the probabilities [n x h x t_q x t_k].
+    Scores are scaled by 1/sqrt(d/h). causal keeps query i on keys
+    0 .. t_k - t_q + i (bottom-right aligned), so queries appended after
+    cached keys read no later position; masked probabilities are exact 0.0.
+    """
+    t_q, t_k = q.shape[1], k.shape[1]
+    scores = (_heads(q, n_heads) @ _heads(k, n_heads).swapaxes(-1, -2)) * (
+        1.0 / math.sqrt(q.shape[2] // n_heads))
+    if causal and t_q > 1:
+        scores = np.where(np.tri(t_q, t_k, t_k - t_q, dtype=bool), scores, -np.inf)
+    probs = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    probs /= probs.sum(axis=-1, keepdims=True)
+    return _merge_heads(probs @ _heads(v, n_heads)), probs
+
+
+def attention(
+    q: Tensor,
+    k: Tensor,
+    v: Tensor,
+    n_heads: int,
+    q_lengths: Sequence[int] | None = None,
+    k_lengths: Sequence[int] | None = None,
+    causal: bool = False,
+) -> Tensor:
+    """Multi-head attention of packed samples as one tape node: the context
+    [sum(q_lengths) x d] of q [sum(q_lengths) x d] over k, v
+    [sum(k_lengths) x d], each stacking the samples' rows in order.
+
+    Sample i's q_lengths[i] queries read only its own k_lengths[i] keys (see
+    `attend`); None lengths mean one sample of all rows. Samples of equal
+    (t_q, t_k) run as one group: no row is padding, no key is masked but
+    by `causal`. Backward, per group, with C the context: dV = P^T dC,
+    dS = P * (dP - rowsum(P * dP)) / sqrt(dh) for dP = dC V^T, dQ = dS K,
+    dK = dS^T Q. What it needs is kept only while a tape records.
+    """
+    (n_q, d), n_k = q.data.shape, k.data.shape[0]
+    q_lengths = [n_q] if q_lengths is None else [int(t) for t in q_lengths]
+    k_lengths = [n_k] if k_lengths is None else [int(t) for t in k_lengths]
+    if (len(q_lengths) != len(k_lengths) or min(q_lengths + k_lengths) <= 0
+            or sum(q_lengths) != n_q or sum(k_lengths) != n_k):
+        raise ShapeError(f"lengths {q_lengths}/{k_lengths} do not split {n_q}/{n_k} rows "
+                         "into samples of positive length")
+    if v.data.shape != k.data.shape or k.data.shape[1] != d or d % n_heads:
+        raise ShapeError(f"q/k/v shapes {q.data.shape}/{k.data.shape}/{v.data.shape} "
+                         f"do not fit {n_heads} heads")
+    if causal and any(t_q > t_k for t_q, t_k in zip(q_lengths, k_lengths)):
+        raise ShapeError("causal attention needs t_q <= t_k in every sample")
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, lengths in enumerate(zip(q_lengths, k_lengths)):
+        groups.setdefault(lengths, []).append(i)
+    q_off, k_off = np.cumsum([0] + q_lengths), np.cumsum([0] + k_lengths)
+    keep = active_tape() is not None and _needs_grad(q, k, v)
+    single = len(groups) == 1  # then the group is every row, in order
+    out, saved = None if single else np.empty((n_q, d)), []
+    for (t_q, t_k), group in groups.items():
+        qr = kr = slice(None)
+        if not single:
+            qr = (q_off[group][:, None] + np.arange(t_q)).ravel()
+            kr = (k_off[group][:, None] + np.arange(t_k)).ravel()
+        qg, kg, vg = (a.data[r].reshape(len(group), -1, d) for a, r in ((q, qr), (k, kr), (v, kr)))
+        ctx, probs = attend(qg, kg, vg, n_heads, causal)
+        if single:
+            out = ctx
+        else:
+            out[qr] = ctx
+        if keep:
+            saved.append((qr, kr, qg, kg, vg, probs))
+
+    def grad_fn(g: np.ndarray):
+        dq, dk, dv = np.empty((n_q, d)), np.empty((n_k, d)), np.empty((n_k, d))
+        for qr, kr, qg, kg, vg, probs in saved:
+            gh = _heads(g[qr].reshape(qg.shape), n_heads)
+            dp = gh @ _heads(vg, n_heads).swapaxes(-1, -2)
+            ds = probs * (dp - (dp * probs).sum(axis=-1, keepdims=True)) / math.sqrt(d // n_heads)
+            dq[qr] = _merge_heads(ds @ _heads(kg, n_heads))
+            dk[kr] = _merge_heads(ds.swapaxes(-1, -2) @ _heads(qg, n_heads))
+            dv[kr] = _merge_heads(probs.swapaxes(-1, -2) @ gh)
+        return [(q, dq), (k, dk), (v, dv)]
+
+    return record_op(Tensor(out, requires_grad=_needs_grad(q, k, v)), grad_fn)
 
 
 def _broadcast_ok(target: tuple[int, ...], small: tuple[int, ...]) -> bool:
@@ -152,11 +269,7 @@ def relu(a: Tensor) -> Tensor:
 
 
 def softmax_last(a: Tensor) -> Tensor:
-    """Stable softmax over the last axis.
-
-    Masked logits pushed to -1e30 underflow to exactly 0.0 after the shift,
-    so masked attention weights are exact zeros, not tiny residues.
-    """
+    """Stable softmax over the last axis."""
     shifted = a.data - a.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     y = e / e.sum(axis=-1, keepdims=True)

@@ -31,7 +31,6 @@ from smoe.nn import (
     FFNParams,
     LayerNormParams,
     attention_forward,
-    causal_mask,
     ffn_forward,
     layer_norm_params,
     pre_norm_residual,
@@ -257,7 +256,7 @@ def _block_reports():
 
     attn = AttentionParams.init(8, 2, rng)
     results["attention"] = grad_check(
-        lambda: sum_all(mul(attention_forward(attn, x, x, x, causal_mask(3)), probe)),
+        lambda: sum_all(mul(attention_forward(attn, x, x, x, causal=True), probe)),
         attn.tensors(), step=1e-5, tolerance=1e-4,
     )
 

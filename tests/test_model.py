@@ -446,6 +446,43 @@ def test_cached_greedy_hits_token_limit_at_reference_step(max_tgt_tokens, monkey
     assert sizes[0] == 9 and len(sizes) > 1 and max(sizes[1:]) <= max_tgt_tokens
 
 
+# -- one-sample forward pinned across the packed-encoder change ------------------------
+
+
+PINNED_B1 = [
+    (dict(n_enc_layers=1, n_dec_layers=1, d_model=16, d_ff=24, n_heads=2, enc_smoe=True,
+          dec_smoe=True),
+     "a8c086267ebfa454c522a8f3cd5cacdfcbe98b445bc57608bcbdc50c26c80377"),
+    (dict(n_enc_layers=2, n_dec_layers=2, d_model=32, d_ff=48, n_heads=4, dec_smoe=True,
+          tied_embed=False),
+     "1bcaf8a08d58dd2e695ae11618619111c64cb5d6204e5f68a12755ea992f4e59"),
+    (dict(n_enc_layers=2, n_dec_layers=1, d_model=64, d_ff=96, n_heads=8, enc_smoe=True,
+          glu=False, activation="relu"),
+     "e45b9dd80c2d092505a6adaec9589261a33c1cf9e5ac627b87ec08a02b1a4059"),
+]
+
+
+@pytest.mark.parametrize("overrides, digest", PINNED_B1, ids=["d16", "d32-untied", "d64-relu"])
+def test_one_sample_forward_and_greedy_match_pinned_digest(overrides, digest):
+    # SHA-256 over the <f8 bytes of Model.encode and Model.decode outputs and
+    # the infer_single/infer_dual ids at 1, 13 and 37 frames, pinned with the
+    # padded, masked attention; the packed path must reproduce them bitwise.
+    # The digests hold for one BLAS build: another may round differently.
+    model = Model(ModelConfig(vocab_size=VOCAB.size, dropout=0.0, **overrides), seed=7).eval()
+    h = hashlib.sha256()
+    for frames, bw in ((1, Bandwidth.WB), (13, Bandwidth.NB), (37, Bandwidth.WB)):
+        rng = np.random.default_rng(frames)
+        feats = FbankFeatures(frames=constant(rng.normal(size=(frames, 80)) - 10.0), bandwidth=bw)
+        enc = model.encode(feats, bw)
+        h.update(enc.data.astype("<f8").tobytes())
+        h.update(model.decode(enc, [3, 6, 1, 9, 12], Task.ST).data.astype("<f8").tobytes())
+        single = model.infer_single(feats, bw, Task.ST, max_len=9)
+        dual = model.infer_dual(feats, bw, max_len=9)
+        h.update(repr((single.ids, single.truncated, dual.asr_ids, dual.asr_truncated,
+                       dual.st_ids, dual.st_truncated)).encode())
+    assert h.hexdigest() == digest
+
+
 # -- checkpoint bytes ---------------------------------------------------------------
 
 

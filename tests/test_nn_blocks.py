@@ -9,8 +9,6 @@ from smoe.nn import (
     FFNParams,
     LayerNormParams,
     attention_forward,
-    attention_probs,
-    causal_mask,
     ffn_forward,
     ffn_param_count,
     layer_norm_params,
@@ -75,38 +73,65 @@ def test_ffn_param_count_matches_enumeration(glu):
     assert total == ffn_param_count(6, 10, glu)
 
 
+def projected_values(p, x):
+    """Each row of x as the attention block outputs it when that row is
+    the only key it reads: its value projection, projected out."""
+    return (x @ p.w_v.data + p.b_v.data) @ p.w_o.data + p.b_o.data
+
+
 def test_attention_zero_qk_uniform_weights():
+    # equal scores: every query reads the mean of the projected values
     rng = np.random.default_rng(5)
     p = AttentionParams.init(8, 1, rng)
     p.w_q.data[:] = 0.0
     p.b_q.data[:] = 0.0
     p.w_k.data[:] = 0.0
     p.b_k.data[:] = 0.0
-    x = constant(rng.normal(size=(5, 8)))
-    w = attention_probs(p, x, x).data
-    np.testing.assert_allclose(w, np.full((1, 5, 5), 1.0 / 5.0), atol=1e-12)
+    x = rng.normal(size=(5, 8))
+    out = attention_forward(p, constant(x), constant(x), constant(x)).data
+    mean_value = projected_values(p, x).mean(axis=0)
+    np.testing.assert_allclose(out, np.tile(mean_value, (5, 1)), atol=1e-12)
 
 
 def test_attention_causal_first_position_self_only():
     rng = np.random.default_rng(6)
     p = AttentionParams.init(8, 2, rng)
-    x = constant(rng.normal(size=(3, 8)))
-    w = attention_probs(p, x, x, mask=causal_mask(3)).data
-    np.testing.assert_allclose(w[:, 0, 0], np.ones(2), atol=1e-15)
-    assert np.all(w[:, 0, 1:] == 0.0)
+    x = rng.normal(size=(4, 8))
+    out = attention_forward(p, constant(x), constant(x), constant(x), causal=True).data
+    np.testing.assert_allclose(out[0], projected_values(p, x[:1])[0], atol=1e-12)
+    for t in range(1, 4):  # changing positions t.. leaves the outputs before t unchanged
+        changed = x.copy()
+        changed[t:] = rng.normal(size=(4 - t, 8))
+        got = attention_forward(
+            p, constant(changed), constant(changed), constant(changed), causal=True
+        ).data
+        assert np.array_equal(got[:t], out[:t]), t
+        assert not np.allclose(got[t:], out[t:])
 
 
-def test_attention_rows_are_distributions():
+def test_attention_reads_only_its_own_sample():
+    # three packed samples, the first and last of equal lengths: each
+    # sample's output is its own attention, untouched by rows of the others
     rng = np.random.default_rng(7)
     p = AttentionParams.init(12, 3, rng)
-    q = constant(rng.normal(size=(4, 12)))
-    kv = constant(rng.normal(size=(6, 12)))
-    mask = rng.random((4, 6)) > 0.3
-    mask[:, 0] = True  # keep every row satisfiable
-    w = attention_probs(p, q, kv, mask=mask).data
-    np.testing.assert_allclose(w.sum(axis=-1), np.ones((3, 4)), atol=1e-10)
-    assert np.all(w >= 0.0)
-    assert np.all(w[:, ~mask] == 0.0)
+    q_lengths, k_lengths = [2, 3, 2], [4, 1, 4]
+    q = rng.normal(size=(7, 12))
+    kv = rng.normal(size=(9, 12))
+    q_off, k_off = np.cumsum([0] + q_lengths), np.cumsum([0] + k_lengths)
+    out = attention_forward(p, constant(q), constant(kv), constant(kv), q_lengths, k_lengths).data
+    for i in range(3):
+        qs, ks = slice(q_off[i], q_off[i + 1]), slice(k_off[i], k_off[i + 1])
+        alone = attention_forward(p, constant(q[qs]), constant(kv[ks]), constant(kv[ks])).data
+        np.testing.assert_allclose(out[qs], alone, rtol=1e-12, atol=1e-14)
+        others = kv.copy()
+        others[: k_off[i]] += 1.0  # keys before sample i's,
+        others[k_off[i + 1] :] -= 1.0  # and past its k_lengths[i]
+        got = attention_forward(p, constant(q), constant(others), constant(others),
+                                q_lengths, k_lengths).data
+        assert np.array_equal(got[qs], out[qs]), i
+        assert not np.allclose(np.delete(got, np.s_[qs], axis=0), np.delete(out, np.s_[qs], axis=0))
+    one_key = projected_values(p, kv[4:5])  # sample 1 has one key: every query reads its value
+    np.testing.assert_allclose(out[q_off[1] : q_off[2]], np.tile(one_key, (3, 1)), atol=1e-12)
 
 
 def test_attention_grad_check():
@@ -118,7 +143,7 @@ def test_attention_grad_check():
     def f():
         from smoe.numerics import mul
 
-        return sum_all(mul(attention_forward(p, x, x, x, mask=causal_mask(4)), probe))
+        return sum_all(mul(attention_forward(p, x, x, x, causal=True), probe))
 
     report = grad_check(f, [(n, t) for n, t in p.tensors()], tolerance=1e-4)
     assert report.passed, report.summary()

@@ -5,12 +5,14 @@ from smoe.errors import ContractError, ShapeError
 from smoe.numerics import (
     Tape,
     add,
+    attention,
     backward,
     constant,
     dropout,
     embedding,
     grad_check,
     layer_norm,
+    linear,
     matmul,
     mul,
     parameter,
@@ -274,6 +276,68 @@ def test_batched_matmul_matches_loop():
         lambda: sum_all(matmul(ap, bp)), [("a", ap), ("b", bp)], tolerance=1e-7
     )
     assert report.passed
+
+
+def test_linear_matches_matmul_add_and_grad_check():
+    rng = np.random.default_rng(14)
+    x, w, b = (parameter(rng.normal(size=shape)) for shape in ((5, 3), (3, 4), (4,)))
+    assert np.array_equal(linear(x, w, b).data, add(matmul(x, w), b).data)
+    probe = constant(rng.normal(size=(5, 4)))
+    report = grad_check(lambda: sum_all(mul(linear(x, w, b), probe)),
+                        [("x", x), ("w", w), ("b", b)], step=1e-6)
+    assert report.passed, report.summary()
+    with pytest.raises(ShapeError):
+        linear(x, w, parameter(np.zeros(3)))
+
+
+ATTENTION_CASES = {  # (q_lengths, k_lengths, causal, self-attention)
+    "ragged-self": ([3, 1, 3, 2], [3, 1, 3, 2], False, True),
+    "causal": ([2, 1, 3], [3, 1, 3], True, False),  # bottom-right aligned where t_q < t_k
+    "cross": ([2, 2, 1], [4, 1, 4], False, False),
+    "single": (None, None, False, False),
+}
+
+
+@pytest.mark.parametrize("case", list(ATTENTION_CASES))
+def test_attention_grad_check(case):
+    q_lengths, k_lengths, causal, self_attention = ATTENTION_CASES[case]
+    rng = np.random.default_rng(15)
+    n_q = 3 if q_lengths is None else sum(q_lengths)
+    n_k = 5 if k_lengths is None else sum(k_lengths)
+    q = parameter(rng.normal(size=(n_q, 4)))
+    k = q if self_attention else parameter(rng.normal(size=(n_k, 4)))
+    v = parameter(rng.normal(size=(n_k, 4)))
+    probe = constant(rng.normal(size=(n_q, 4)))
+    report = grad_check(
+        lambda: sum_all(mul(attention(q, k, v, 2, q_lengths, k_lengths, causal), probe)),
+        [("q", q), ("k", k), ("v", v)] if k is not q else [("q", q), ("v", v)], step=1e-6,
+    )
+    assert report.passed, report.summary()
+
+
+def test_causal_attention_is_bottom_right_aligned():
+    # the last t_q queries over all t_k keys read what they read in the
+    # full causal self-attention: queries appended after cached keys
+    rng = np.random.default_rng(16)
+    x = constant(rng.normal(size=(5, 4)))
+    full = attention(x, x, x, 2, causal=True).data
+    for t_q in (1, 2, 4):
+        tail = attention(constant(x.data[-t_q:]), x, x, 2, causal=True).data
+        np.testing.assert_allclose(tail, full[-t_q:], rtol=1e-13, atol=1e-15)
+
+
+@pytest.mark.parametrize("q_lengths, k_lengths, causal", [
+    ([2, 2], [3, 3], False),  # query lengths sum to 4 of 5 rows
+    ([2, 3], [3, 2], False),  # key lengths sum to 5 of 6 rows
+    ([5, 0], [3, 3], False),  # an empty sample
+    ([6, -1], [3, 3], False),  # a negative length
+    ([5], [3, 3], False),  # counts differ
+    ([2, 3], [4, 2], True),  # causal with t_q > t_k
+])
+def test_attention_rejects_malformed_lengths(q_lengths, k_lengths, causal):
+    q, kv = constant(np.zeros((5, 4))), constant(np.zeros((6, 4)))
+    with pytest.raises(ShapeError):
+        attention(q, kv, kv, 2, q_lengths, k_lengths, causal)
 
 
 def test_dropout_train_eval_behavior():

@@ -6,8 +6,12 @@ import pytest
 from smoe.data import SyntheticTaskSpec, make_paired_dataset
 from smoe.errors import ConfigError, ContractError, NumericError
 from smoe.model import Model, ModelConfig
-from smoe.moe import Bandwidth, Task
-from smoe.numerics import Tape, Tensor, add, backward, scale, softmax_cross_entropy
+from smoe.moe import Bandwidth, Task, gate_decoder, gate_encoder
+from smoe.nn import layer_norm_params, pre_norm_residual, sinusoidal_positions
+from smoe.numerics import (
+    Tape, Tensor, add, backward, constant, embedding, matmul, permute, reshape, scale,
+    softmax_cross_entropy, softmax_last, transpose2d,
+)
 from smoe.seqio import GuidingToken, Vocabulary
 from smoe.train import (
     SGD,
@@ -338,6 +342,102 @@ def test_batched_loss_matches_per_sample_oracle(config):
         assert got_loss == pytest.approx(want_loss, rel=1e-12, abs=0.0), name
         _assert_grads_close(got, want)
     assert {len(set(it.bandwidth for it in b)) for b in batches.values()} == {1, 2}
+
+
+MASK_OFF = -1e30
+
+
+def _padded_heads(x, batch, n_heads):
+    """[batch*t x d] -> [batch*h x t x d/h] as reshape/permute tape nodes."""
+    rows, d = x.shape
+    heads = reshape(x, (batch, rows // batch, n_heads, d // n_heads))
+    return reshape(permute(heads, (0, 2, 1, 3)), (batch * n_heads, rows // batch, d // n_heads))
+
+
+def _padded_attention(p, q_in, k_in, v_in, mask, batch):
+    """Attention of `batch` equal-length padded samples as a chain of
+    elementary tape ops, with disallowed keys pushed to a -1e30 score; mask
+    is [t_q x t_k] for every sample or [batch x 1 x t_k] per sample."""
+    t_q, t_k = q_in.shape[0] // batch, k_in.shape[0] // batch
+    q = _padded_heads(add(matmul(q_in, p.w_q), p.b_q), batch, p.n_heads)
+    k = _padded_heads(add(matmul(k_in, p.w_k), p.b_k), batch, p.n_heads)
+    v = _padded_heads(add(matmul(v_in, p.w_v), p.b_v), batch, p.n_heads)
+    logits = scale(matmul(q, permute(k, (0, 2, 1))), 1.0 / math.sqrt(p.d_model // p.n_heads))
+    if mask is not None:
+        bias = np.where(mask, 0.0, MASK_OFF)
+        if bias.ndim == 3:
+            bias = np.repeat(np.broadcast_to(bias, (batch, t_q, t_k)), p.n_heads, axis=0)
+        logits = add(logits, constant(bias))
+    ctx = matmul(softmax_last(logits), v)
+    merged = permute(reshape(ctx, (batch, p.n_heads, t_q, p.d_model // p.n_heads)), (0, 2, 1, 3))
+    return add(matmul(reshape(merged, (q_in.shape[0], p.d_model)), p.w_o), p.b_o)
+
+
+def _key_padding_mask(lengths, t_max):
+    lengths = np.asarray(lengths)
+    if np.all(lengths == t_max):
+        return None
+    return (np.arange(t_max) < lengths[:, None])[:, None, :]
+
+
+def _padded_batch_loss(model, batch):
+    """batch_loss as the padded composition computes it: every sample padded
+    to the batch's longest in encoder and decoder, padded keys masked out of
+    attention, each bandwidth's real rows gathered for its expert."""
+    cfg = model.config
+    frames, lengths = batch.features, batch.feature_lengths
+    n, t_max, n_mels = frames.shape
+    normed = np.zeros_like(frames)
+    for i, length in enumerate(lengths):
+        real = frames[i, :length]
+        normed[i, :length] = (real - real.mean()) / max(real.std(), 1e-8)
+    x = add(matmul(constant(normed.reshape(n * t_max, n_mels)), model.input_proj_w),
+            model.input_proj_b)
+    x = add(x, constant(np.tile(sinusoidal_positions(t_max, cfg.d_model).data, (n, 1))))
+    mask = _key_padding_mask(lengths, t_max)
+    rows = {}
+    for i, (length, bw) in enumerate(zip(lengths, batch.bandwidths)):
+        gate = gate_encoder(bw) if cfg.enc_smoe else None
+        rows.setdefault(gate, []).append(np.arange(i * t_max, i * t_max + length))
+    groups = [(gate, np.concatenate(r)) for gate, r in rows.items()]
+    if len(groups) == 1 and mask is None:
+        groups = [(groups[0][0], None)]
+    for layer in model.enc_layers:
+        x = pre_norm_residual(lambda h: _padded_attention(layer.attn, h, h, h, mask, n),
+                              layer.ln_attn, x)
+        x = pre_norm_residual(lambda h: model._dispatch_ffn(layer.ffn, groups, h),
+                              layer.ln_ffn, x)
+    enc = layer_norm_params(model.ln_enc_final, x)
+    t = batch.targets.shape[1]
+    y = scale(embedding(model.embed, batch.targets.reshape(-1)), math.sqrt(cfg.d_model))
+    y = add(y, constant(np.tile(sinusoidal_positions(t, cfg.d_model).data, (n, 1))))
+    causal = np.tril(np.ones((t, t), dtype=bool))
+    gate = gate_decoder(batch.task)
+    for layer in model.dec_layers:
+        y = pre_norm_residual(lambda h: _padded_attention(layer.self_attn, h, h, h, causal, n),
+                              layer.ln_self, y)
+        y = pre_norm_residual(lambda h: _padded_attention(layer.cross_attn, h, enc, enc, mask, n),
+                              layer.ln_cross, y)
+        y = pre_norm_residual(lambda h: model._sublayer_ffn(layer.ffn, gate, h), layer.ln_ffn, y)
+    y = layer_norm_params(model.ln_dec_final, y)
+    logits = matmul(y, model.out_proj if model.out_proj is not None else transpose2d(model.embed))
+    return softmax_cross_entropy(
+        logits, batch.loss_targets, int(GuidingToken.PAD), batch.loss_weights
+    )
+
+
+@pytest.mark.parametrize("config", list(ORACLE_CONFIGS))
+def test_packed_batch_matches_padded_masked_oracle(config):
+    # the packed encoder and fused attention against the padded, masked
+    # composition: same loss and every gradient within 1e-12 relative
+    for name, items in _oracle_batches().items():
+        model = tiny_model(n_enc_layers=2, n_dec_layers=2, d_ff=24, **ORACLE_CONFIGS[config])
+        model.train()
+        batch = Batch.build(items)
+        got_loss, got = _loss_and_grads(model, lambda: batch_loss(model, batch))
+        want_loss, want = _loss_and_grads(model, lambda: _padded_batch_loss(model, batch))
+        assert got_loss == pytest.approx(want_loss, rel=1e-12, abs=0.0), name
+        _assert_grads_close(got, want)
 
 
 def test_loss_weights_average_sample_means_with_an_empty_sample():
