@@ -81,22 +81,38 @@ class SyntheticTaskSpec:
         mapping = self.map_a if task is Task.ASR else self.map_b
         return "".join(mapping[s] for s in symbols)
 
-    def measured_disagreement(self, seed: int = 0, n_samples: int = 1000) -> float:
-        """Fraction of sampled symbols where the two rules emit different
-        outputs."""
-        rng = np.random.default_rng(seed)
-        draws = rng.integers(0, len(self.alphabet), size=n_samples)
-        hits = sum(
-            self.map_a[self.alphabet[i]] != self.map_b[self.alphabet[i]] for i in draws
-        )
-        return hits / n_samples
-
 
 def symbol_tones(symbol: str) -> tuple[tuple[float, float], tuple[float, float]]:
     i = ALPHABET.index(symbol)
     low = (LOW_TONE_BASE_HZ + i * LOW_TONE_STEP_HZ, LOW_TONE_AMP)
     high = (HIGH_TONE_BASE_HZ + i * HIGH_TONE_STEP_HZ, HIGH_TONE_AMP)
     return low, high
+
+
+def _segment_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-symbol chords [16 x n_seg], per-slot pilots [8 x n_seg] and the
+    segment envelope, each row computed by the same expression a single
+    segment would use, so a render from the tables is bitwise the same."""
+    n_seg = int(SYMBOL_SECONDS * SAMPLE_RATE_WB)
+    t = np.arange(n_seg) / SAMPLE_RATE_WB
+    chords = np.empty((len(ALPHABET), n_seg))
+    for i, s in enumerate(ALPHABET):
+        (f_lo, a_lo), (f_hi, a_hi) = symbol_tones(s)
+        chords[i] = a_lo * np.sin(2 * np.pi * f_lo * t) + a_hi * np.sin(2 * np.pi * f_hi * t)
+    pilots = np.empty((PILOT_SLOTS, n_seg))
+    for slot in range(PILOT_SLOTS):
+        f_pilot = PILOT_BASE_HZ + PILOT_STEP_HZ * slot
+        pilots[slot] = PILOT_AMP * np.sin(2 * np.pi * f_pilot * t)
+    ramp = max(1, n_seg // 16)
+    envelope = np.ones(n_seg)
+    fade = 0.5 * (1.0 - np.cos(np.pi * np.arange(ramp) / ramp))
+    envelope[:ramp] = fade
+    envelope[-ramp:] = fade[::-1]
+    return chords, pilots, envelope
+
+
+_CHORDS, _PILOTS, _ENVELOPE = _segment_tables()
+_GAP_SAMPLES = int(GAP_SECONDS * SAMPLE_RATE_WB)
 
 
 def render_symbols(symbols: str, seed: int) -> Waveform:
@@ -107,27 +123,11 @@ def render_symbols(symbols: str, seed: int) -> Waveform:
     visible in the features and repeated symbols stay alignable."""
     if not symbols:
         raise ConfigError("cannot render an empty symbol string")
-    n_seg = int(SYMBOL_SECONDS * SAMPLE_RATE_WB)
-    n_gap = int(GAP_SECONDS * SAMPLE_RATE_WB)
-    t = np.arange(n_seg) / SAMPLE_RATE_WB
-    ramp = max(1, n_seg // 16)
-    envelope = np.ones(n_seg)
-    fade = 0.5 * (1.0 - np.cos(np.pi * np.arange(ramp) / ramp))
-    envelope[:ramp] = fade
-    envelope[-ramp:] = fade[::-1]
-    gap = np.zeros(n_gap)
-    segments = []
-    for slot, s in enumerate(symbols):
-        (f_lo, a_lo), (f_hi, a_hi) = symbol_tones(s)
-        f_pilot = PILOT_BASE_HZ + PILOT_STEP_HZ * (slot % PILOT_SLOTS)
-        seg = (
-            a_lo * np.sin(2 * np.pi * f_lo * t)
-            + a_hi * np.sin(2 * np.pi * f_hi * t)
-            + PILOT_AMP * np.sin(2 * np.pi * f_pilot * t)
-        )
-        segments.append(seg * envelope)
-        segments.append(gap)
-    samples = np.concatenate(segments[:-1])  # no trailing gap
+    ids = [ALPHABET.index(s) for s in symbols]
+    n, n_seg = len(ids), _CHORDS.shape[1]
+    rows = np.zeros((n, n_seg + _GAP_SAMPLES))
+    rows[:, :n_seg] = (_CHORDS[ids] + _PILOTS[np.arange(n) % PILOT_SLOTS]) * _ENVELOPE
+    samples = rows.ravel()[:-_GAP_SAMPLES]  # no trailing gap
     rng = np.random.default_rng(seed)
     samples = samples + NOISE_AMP * rng.standard_normal(len(samples))
     peak = np.abs(samples).max()
@@ -153,6 +153,27 @@ class Utterance:
     text: bytes
 
 
+def _labelled(
+    symbols: str,
+    task: Task,
+    task_spec: SyntheticTaskSpec,
+    vocab: Vocabulary,
+    features: FbankFeatures,
+) -> Utterance:
+    """An utterance of `features` with its task's text and target. The
+    features are shared, not copied: nothing writes to them in place."""
+    text = task_spec.apply(task, symbols).encode("ascii")
+    target = build_target_sequence(task, TASK_LANGUAGE[task], text, vocab)
+    return Utterance(
+        symbols=symbols,
+        task=task,
+        bandwidth=features.bandwidth,
+        features=features,
+        target=target,
+        text=text,
+    )
+
+
 def make_utterance(
     symbols: str,
     task: Task,
@@ -164,17 +185,7 @@ def make_utterance(
     wave = render_symbols(symbols, seed)
     if narrowband:
         wave = to_narrowband(wave)
-    feats = fbank(wave)
-    text = task_spec.apply(task, symbols).encode("ascii")
-    target = build_target_sequence(task, TASK_LANGUAGE[task], text, vocab)
-    return Utterance(
-        symbols=symbols,
-        task=task,
-        bandwidth=feats.bandwidth,
-        features=feats,
-        target=target,
-        text=text,
-    )
+    return _labelled(symbols, task, task_spec, vocab, fbank(wave))
 
 
 def make_paired_dataset(
@@ -204,13 +215,16 @@ def make_paired_dataset(
     nb_indices = set(rng.permutation(n_inputs)[:n_nb].tolist())
     items: list[Utterance] = []
     for idx, symbols in enumerate(inputs):
+        # each input is rendered once and featurized once per bandwidth;
+        # its utterances for every task share those features
         item_seed = seed * 1_000_003 + idx
+        wave = render_symbols(symbols, item_seed)
+        wb = fbank(wave)
+        nb = fbank(to_narrowband(wave)) if idx in nb_indices else None
         for task in tasks:
-            items.append(make_utterance(symbols, task, task_spec, vocab, item_seed))
-            if idx in nb_indices:
-                items.append(
-                    make_utterance(symbols, task, task_spec, vocab, item_seed, narrowband=True)
-                )
+            items.append(_labelled(symbols, task, task_spec, vocab, wb))
+            if nb is not None:
+                items.append(_labelled(symbols, task, task_spec, vocab, nb))
     return items
 
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import AudioError, ConfigError, ContractError, FormatError, LimitError
 from .moe import Bandwidth
@@ -102,28 +103,44 @@ def _lowpass_kernel(cutoff_normalized: float, taps: int) -> np.ndarray:
     return kernel / kernel.sum()
 
 
+# cutoff ~3.8 kHz = 0.475 * 8 kHz, expressed as a fraction of 16 kHz. The
+# filter runs polyphase (Crochiere & Rabiner 1983): at the 2:1 rate change
+# each output sample meets only the even or only the odd taps, so neither
+# direction multiplies a discarded output or an inserted zero.
+_KERNEL = _lowpass_kernel(CUTOFF_FRACTION * SAMPLE_RATE_NB / SAMPLE_RATE_WB, FILTER_TAPS)
+_KERNEL_EVEN = _KERNEL[0::2]
+_KERNEL_ODD = _KERNEL[1::2]
+_DELAY = (FILTER_TAPS - 1) // 4  # group delay of 31 samples at 16 kHz, in whole 8 kHz samples
+
+
 def to_narrowband(w: Waveform) -> Waveform:
     """Downsample 16 kHz audio to 8 kHz: anti-alias lowpass then keep every
     second sample. Output length is floor(n / 2)."""
     if w.sample_rate != SAMPLE_RATE_WB:
         raise ContractError(f"to_narrowband needs 16 kHz input, got {w.sample_rate}")
-    # cutoff ~3.8 kHz = 0.475 * 8 kHz, expressed as a fraction of 16 kHz
-    kernel = _lowpass_kernel(CUTOFF_FRACTION * SAMPLE_RATE_NB / SAMPLE_RATE_WB, FILTER_TAPS)
-    filtered = np.convolve(w.samples, kernel, mode="same")
-    n_out = len(w.samples) // 2
-    return Waveform(samples=filtered[: 2 * n_out : 2].copy(), sample_rate=SAMPLE_RATE_NB)
+    x = w.samples
+    n = len(x) // 2
+    if n == 0:
+        return Waveform(samples=np.zeros(0), sample_rate=SAMPLE_RATE_NB)
+    lo, hi = _DELAY, _DELAY + n
+    y = np.convolve(x[0::2], _KERNEL_ODD)[lo:hi] + np.convolve(x[1::2], _KERNEL_EVEN)[lo:hi]
+    return Waveform(samples=y, sample_rate=SAMPLE_RATE_NB)
 
 
 def upsample_to_wideband(w: Waveform) -> Waveform:
     """Zero-insert 8 kHz audio to 16 kHz and lowpass to remove images; the
-    band above ~3.8 kHz stays empty, which is the narrowband signature."""
+    band above ~3.8 kHz stays empty, which is the narrowband signature.
+    Output length is 2 * n."""
     if w.sample_rate != SAMPLE_RATE_NB:
         raise ContractError(f"upsample needs 8 kHz input, got {w.sample_rate}")
-    up = np.zeros(2 * len(w.samples))
-    up[0::2] = w.samples
-    kernel = _lowpass_kernel(CUTOFF_FRACTION * SAMPLE_RATE_NB / SAMPLE_RATE_WB, FILTER_TAPS)
-    filtered = 2.0 * np.convolve(up, kernel, mode="same")  # restore amplitude
-    return Waveform(samples=filtered, sample_rate=SAMPLE_RATE_WB)
+    x = w.samples
+    n = len(x)
+    out = np.zeros(2 * n)
+    if n:
+        out[0::2] = np.convolve(x, _KERNEL_ODD)[_DELAY : _DELAY + n]
+        out[1::2] = np.convolve(x, _KERNEL_EVEN)[_DELAY + 1 : _DELAY + 1 + n]
+        out *= 2.0  # restore the amplitude the zero insertion halved
+    return Waveform(samples=out, sample_rate=SAMPLE_RATE_WB)
 
 
 def _hz_to_mel(f):
@@ -174,25 +191,26 @@ def fbank(w: Waveform) -> FbankFeatures:
     mel filters over 0-8 kHz, natural log floored at 1e-10. Narrowband
     input is upsampled to 16 kHz first and keeps its NB label.
     """
-    bandwidth = w.bandwidth
-    if w.sample_rate == SAMPLE_RATE_NB:
-        w = upsample_to_wideband(w)
     if w.duration_s > MAX_SECONDS:
         raise LimitError(f"audio of {w.duration_s:.2f}s exceeds the {MAX_SECONDS}s cap")
     window_len = len(_WINDOW)
     hop = int(SAMPLE_RATE_WB * FRAME_SHIFT_MS / 1000)
-    n = len(w.samples)
+    n = len(w.samples) * (SAMPLE_RATE_WB // w.sample_rate)  # length at 16 kHz
     if n < window_len:
         raise AudioError(f"audio too short: {n} samples < one {window_len}-sample window")
     n_frames = 1 + (n - window_len) // hop
     if n_frames > MAX_FRAMES:
         raise LimitError(f"{n_frames} frames exceeds the {MAX_FRAMES}-frame cap")
-    idx = np.arange(window_len)[None, :] + hop * np.arange(n_frames)[:, None]
-    frames = w.samples[idx] * _WINDOW
+    bandwidth = w.bandwidth
+    if w.sample_rate == SAMPLE_RATE_NB:
+        w = upsample_to_wideband(w)
+    # a strided view over the samples: the frames are read once, by the window product
+    frames = sliding_window_view(w.samples, window_len)[::hop] * _WINDOW
     spectrum = np.fft.rfft(frames, n=N_FFT, axis=1)
     power = spectrum.real**2 + spectrum.imag**2
     mel = power @ _MEL_BANK.T
     logmel = np.log(np.maximum(mel, LOG_FLOOR))
+    logmel.flags.writeable = False  # utterances of several tasks share one array
     return FbankFeatures(frames=constant(logmel), bandwidth=bandwidth)
 
 

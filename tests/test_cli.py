@@ -5,7 +5,7 @@ from smoe.data import read_manifest
 from smoe.model import Model, ModelConfig, load_checkpoint, save_checkpoint
 from smoe.moe import Bandwidth
 from smoe.seqio import Vocabulary
-from smoe.signal import SAMPLE_RATE_WB, Waveform, write_wav
+from smoe.signal import SAMPLE_RATE_NB, SAMPLE_RATE_WB, Waveform, write_wav
 
 
 @pytest.fixture(scope="module")
@@ -230,6 +230,12 @@ def _infer_wav_without_data(root):
     return ["infer", "--ckpt", str(_tiny_checkpoint(root)), str(_wav(root, no_data=True))]
 
 
+def _infer_empty_nb_wav(root):
+    path = root / "empty_nb.wav"
+    write_wav(path, Waveform(samples=[], sample_rate=SAMPLE_RATE_NB))
+    return ["infer", "--ckpt", str(_tiny_checkpoint(root)), str(path)]
+
+
 def _inspect_directory_checkpoint(root):
     (root / "model.ckpt").mkdir()
     return ["inspect", "--ckpt", str(root / "model.ckpt")]
@@ -270,6 +276,7 @@ def _train_directory_manifest(root):
     pytest.param(_inspect_with_config, 1, id="config-not-utf8"),
     pytest.param(_infer_odd_wav, 3, id="wav-odd-data-bytes"),
     pytest.param(_infer_wav_without_data, 3, id="wav-no-data-chunk"),
+    pytest.param(_infer_empty_nb_wav, 3, id="wav-empty-narrowband"),
     pytest.param(_inspect_directory_checkpoint, 2, id="ckpt-is-directory"),
     pytest.param(_infer_directory_vocab, 3, id="vocab-is-directory"),
     pytest.param(_infer_directory_audio, 3, id="audio-is-directory"),

@@ -1,8 +1,14 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+from smoe import errors
 from smoe.data import (
     ALPHABET,
+    MANIFEST_HEADER,
     ManifestRecord,
     SyntheticTaskSpec,
     generate_dataset_files,
@@ -11,6 +17,7 @@ from smoe.data import (
     make_utterance,
     read_manifest,
     render_symbols,
+    symbol_tones,
     write_manifest,
 )
 from smoe.errors import ConfigError, FormatError
@@ -20,7 +27,7 @@ from smoe.seqio import Vocabulary
 
 def test_default_task_spec_is_a_derangement():
     spec = SyntheticTaskSpec.default()
-    assert spec.measured_disagreement() == 1.0
+    assert all(spec.map_a[s] != spec.map_b[s] for s in ALPHABET)
     assert sorted(spec.map_b.values()) == sorted(ALPHABET)
     assert all(spec.map_b[s] != s for s in ALPHABET)
 
@@ -121,3 +128,117 @@ def test_manifest_rejects_bad_header(tmp_path):
     path.write_text("wrong header\n")
     with pytest.raises(FormatError):
         read_manifest(path)
+
+
+# -- oracles for the table-driven render and the shared features --------------
+
+
+def _oracle_render(symbols, seed):
+    """The per-segment render: three sines per symbol, then the envelope."""
+    n_seg, n_gap = 1280, 320
+    t = np.arange(n_seg) / 16000
+    ramp = n_seg // 16
+    envelope = np.ones(n_seg)
+    fade = 0.5 * (1.0 - np.cos(np.pi * np.arange(ramp) / ramp))
+    envelope[:ramp] = fade
+    envelope[-ramp:] = fade[::-1]
+    segments = []
+    for slot, s in enumerate(symbols):
+        (f_lo, a_lo), (f_hi, a_hi) = symbol_tones(s)
+        f_pilot = 120.0 + 60.0 * (slot % 8)
+        seg = (
+            a_lo * np.sin(2 * np.pi * f_lo * t)
+            + a_hi * np.sin(2 * np.pi * f_hi * t)
+            + 0.25 * np.sin(2 * np.pi * f_pilot * t)
+        )
+        segments.append(seg * envelope)
+        segments.append(np.zeros(n_gap))
+    samples = np.concatenate(segments[:-1])
+    samples = samples + 0.004 * np.random.default_rng(seed).standard_normal(len(samples))
+    peak = np.abs(samples).max()
+    if peak > 0.95:
+        samples *= 0.95 / peak
+    return samples
+
+
+@pytest.mark.parametrize("n", [1, 4, 8, 9, 30])
+@pytest.mark.parametrize("seed", [0, 1_000_003 * 7 + 5])
+def test_render_symbols_matches_per_segment_oracle(n, seed):
+    rng = np.random.default_rng(seed + n)
+    symbols = "".join(ALPHABET[i] for i in rng.integers(0, len(ALPHABET), size=n))
+    got = render_symbols(symbols, seed).samples
+    np.testing.assert_array_equal(got, _oracle_render(symbols, seed))
+
+
+def test_paired_dataset_wideband_features_match_pinned_digest():
+    """SHA-256 of the wideband features, pinned before the table-driven
+    render, the polyphase resampler and the strided framing."""
+    items = make_paired_dataset(6, seed=3, nb_fraction=0.5)
+    digest = hashlib.sha256()
+    for it in items:
+        if it.bandwidth is Bandwidth.WB:
+            digest.update(np.ascontiguousarray(it.features.frames.data).tobytes())
+    assert digest.hexdigest() == "97dcf16cb410601775356e7662ad7ac26350c76ca38bcfcdc6e4e08f6a249615"
+
+
+def test_paired_dataset_featurizes_each_input_once_per_bandwidth():
+    spec, vocab = SyntheticTaskSpec.default(), Vocabulary()
+    items = make_paired_dataset(4, seed=2, task_spec=spec, vocab=vocab, nb_fraction=0.5)
+    by_input = {}
+    for it in items:
+        by_input.setdefault((it.symbols, it.bandwidth), []).append(it)
+    assert all(len(group) == 2 for group in by_input.values())  # one per task
+    for group in by_input.values():
+        assert group[0].features is group[1].features
+    # each item equals the one make_utterance builds alone
+    seeds = {}
+    for it in items:
+        seeds.setdefault(it.symbols, 2 * 1_000_003 + len(seeds))
+    for it in items:
+        alone = make_utterance(
+            it.symbols, it.task, spec, vocab, seeds[it.symbols],
+            narrowband=it.bandwidth is Bandwidth.NB,
+        )
+        np.testing.assert_array_equal(it.features.frames.data, alone.features.frames.data)
+        assert it.target.ids == alone.target.ids and it.text == alone.text
+
+
+# -- fuzzed manifests -----------------------------------------------------------
+
+
+_FUZZ = settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+_MANIFEST = f"{MANIFEST_HEADER}\nwavs/a.wav\tWB\tASR\tabcd\nwavs/b.wav\tNB\tST\tfghi\n".encode()
+
+
+def _read_fails_closed(path):
+    try:
+        read_manifest(path)
+    except Exception as exc:
+        assert type(exc).__module__ == errors.__name__, repr(exc)
+
+
+@_FUZZ
+@given(raw=st.binary(max_size=512))
+@example(raw=b"")
+@example(raw=_MANIFEST.replace(b"\tASR", b"\tasr"))
+def test_read_manifest_arbitrary_bytes_fail_closed(tmp_path, raw):
+    path = tmp_path / "fuzz.tsv"
+    path.write_bytes(raw)
+    _read_fails_closed(path)
+
+
+@_FUZZ
+@given(
+    edits=st.lists(st.tuples(st.integers(0, len(_MANIFEST)), st.integers(0, 255)), max_size=6),
+    cut=st.one_of(st.none(), st.integers(0, len(_MANIFEST))),
+)
+def test_read_manifest_mutated_bytes_fail_closed(tmp_path, edits, cut):
+    raw = bytearray(_MANIFEST)
+    for pos, value in edits:
+        if pos < len(raw):
+            raw[pos] = value
+    path = tmp_path / "fuzz.tsv"
+    path.write_bytes(bytes(raw[:cut]))
+    _read_fails_closed(path)

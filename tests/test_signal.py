@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from smoe.errors import AudioError, ConfigError, ContractError, FormatError
+from smoe import errors
+from smoe.errors import AudioError, ConfigError, ContractError, FormatError, LimitError
 from smoe.moe import Bandwidth
 from smoe.signal import (
     LOG_FLOOR,
     MixtureSpec,
     Waveform,
     fbank,
+    mel_filterbank,
     read_wav,
     synth_wave,
     to_narrowband,
@@ -112,6 +116,9 @@ def test_fbank_all_zero_audio_hits_log_floor():
 def test_fbank_too_short_rejected():
     with pytest.raises(AudioError):
         fbank(Waveform(samples=np.zeros(399), sample_rate=16000))
+    for n in (0, 1, 31, 199):  # checked before narrowband input is resampled
+        with pytest.raises(AudioError):
+            fbank(Waveform(samples=np.zeros(n), sample_rate=8000))
 
 
 def test_fbank_values_finite():
@@ -180,3 +187,130 @@ def test_wav_rejects_garbage(tmp_path):
 def test_waveform_validates_rate():
     with pytest.raises(AudioError):
         Waveform(samples=np.zeros(10), sample_rate=44100)
+
+
+# -- oracles for the fast paths -----------------------------------------------
+
+
+def _oracle_kernel():
+    """The 63-tap Hamming-windowed sinc at 3.8 kHz of 16 kHz, unit DC gain."""
+    cutoff = 0.475 * 8000 / 16000
+    m = np.arange(63) - 31.0
+    kernel = 2.0 * cutoff * np.sinc(2.0 * cutoff * m) * np.hamming(63)
+    return kernel / kernel.sum()
+
+
+def _oracle_narrowband(x):
+    """Full-rate filter, then every second output."""
+    return np.convolve(x, _oracle_kernel(), mode="same")[: 2 * (len(x) // 2) : 2]
+
+
+def _oracle_wideband(x):
+    """Zero insertion, then the full-rate filter at twice the gain."""
+    up = np.zeros(2 * len(x))
+    up[0::2] = x
+    return 2.0 * np.convolve(up, _oracle_kernel(), mode="same")
+
+
+def _oracle_fbank_frames(samples):
+    """Log-mel features framed by a fancy-index gather of every window."""
+    n_frames = 1 + (len(samples) - 400) // 160
+    idx = np.arange(400)[None, :] + 160 * np.arange(n_frames)[:, None]
+    spectrum = np.fft.rfft(samples[idx] * np.hanning(400), n=512, axis=1)
+    power = spectrum.real**2 + spectrum.imag**2
+    return np.log(np.maximum(power @ mel_filterbank().T, LOG_FLOOR))
+
+
+@pytest.mark.parametrize("n", [63, 64, 101, 1000, 1001, 4801])
+def test_polyphase_resampling_matches_full_rate_oracle(n):
+    x = np.random.default_rng(n).uniform(-1.0, 1.0, size=n)
+    nb = to_narrowband(Waveform(samples=x, sample_rate=16000)).samples
+    want = _oracle_narrowband(x)
+    assert len(nb) == n // 2
+    assert np.max(np.abs(nb - want)) <= 1e-13 * np.max(np.abs(want))
+    wb = upsample_to_wideband(Waveform(samples=x, sample_rate=8000)).samples
+    want = _oracle_wideband(x)
+    assert len(wb) == 2 * n
+    assert np.max(np.abs(wb - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 31, 32, 33])
+def test_resampling_lengths_hold_for_short_inputs(n):
+    x = np.ones(n)
+    assert len(upsample_to_wideband(Waveform(samples=x, sample_rate=8000)).samples) == 2 * n
+    assert len(to_narrowband(Waveform(samples=x, sample_rate=16000)).samples) == n // 2
+
+
+@pytest.mark.parametrize("n", [400, 401, 559, 560, 561, 7000, 16001])
+def test_wideband_fbank_matches_fancy_index_oracle(n):
+    x = np.random.default_rng(n).uniform(-0.9, 0.9, size=n)
+    got = fbank(Waveform(samples=x, sample_rate=16000)).frames.data
+    np.testing.assert_array_equal(got, _oracle_fbank_frames(x))
+
+
+def test_fbank_narrowband_limits_at_the_boundary():
+    assert fbank(Waveform(samples=np.zeros(200), sample_rate=8000)).n_frames == 1
+    with pytest.raises(LimitError):
+        fbank(Waveform(samples=np.zeros(30 * 8000 + 1), sample_rate=8000))
+
+
+def test_fbank_features_are_read_only():
+    feats = fbank(tone(440.0, seconds=0.1))
+    with pytest.raises(ValueError):
+        feats.frames.data[0, 0] = 0.0
+
+
+# -- fuzzed WAV bytes -----------------------------------------------------------
+
+
+def _wav_bytes(tmp_path, n_samples, sample_rate):
+    path = tmp_path / "seed.wav"
+    samples = np.sin(np.arange(n_samples) / 3.0) * 0.5
+    write_wav(path, Waveform(samples=samples, sample_rate=sample_rate))
+    return path.read_bytes()
+
+
+def _read_and_featurize(path):
+    """read_wav then fbank; only package errors may escape."""
+    try:
+        fbank(read_wav(path))
+    except Exception as exc:
+        assert type(exc).__module__ == errors.__name__, repr(exc)
+
+
+_FUZZ = settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+_EMPTY_NB_WAV = (
+    b"RIFF" + (36).to_bytes(4, "little") + b"WAVEfmt " + (16).to_bytes(4, "little")
+    + (1).to_bytes(2, "little") + (1).to_bytes(2, "little") + (8000).to_bytes(4, "little")
+    + (16000).to_bytes(4, "little") + (2).to_bytes(2, "little") + (16).to_bytes(2, "little")
+    + b"data" + (0).to_bytes(4, "little")
+)
+
+
+@_FUZZ
+@given(raw=st.binary(max_size=2048))
+@example(raw=_EMPTY_NB_WAV)
+@example(raw=_EMPTY_NB_WAV[:-4] + (2).to_bytes(4, "little") + b"\x01\x00")
+def test_read_wav_fbank_arbitrary_bytes_fail_closed(tmp_path, raw):
+    path = tmp_path / "fuzz.wav"
+    path.write_bytes(raw)
+    _read_and_featurize(path)
+
+
+@_FUZZ
+@given(
+    sample_rate=st.sampled_from([8000, 16000]),
+    n_samples=st.sampled_from([0, 1, 199, 200, 399, 400, 1000]),
+    edits=st.lists(st.tuples(st.integers(0, 2100), st.integers(0, 255)), max_size=6),
+    cut=st.one_of(st.none(), st.integers(0, 2100)),
+)
+def test_read_wav_fbank_mutated_bytes_fail_closed(tmp_path, sample_rate, n_samples, edits, cut):
+    raw = bytearray(_wav_bytes(tmp_path, n_samples, sample_rate))
+    for pos, value in edits:
+        if pos < len(raw):
+            raw[pos] = value
+    path = tmp_path / "fuzz.wav"
+    path.write_bytes(bytes(raw[:cut]))
+    _read_and_featurize(path)
