@@ -13,10 +13,10 @@ values, through the same `numerics.attend` core; `decode` is its reference.
 A model's parameters live in one arena: a contiguous float64 buffer laid
 out by `parameter_shapes(config)` in `named_parameters()` order, each
 parameter's data a view of its slice, so each expert is one contiguous run.
-`Model(config, seed)` allocates the arena and fills it by random init.
-`load_checkpoint` and `expand_experts` allocate it with `Model.allocate`
-and write every parameter from the file or the donor; they draw no random
-values.
+`count_params` sums the same table. `Model(config, seed)` allocates the
+arena and fills it by random init. `load_checkpoint` and `expand_experts`
+allocate it with `Model.allocate` and write every parameter from the file
+or the donor; they draw no random values.
 """
 
 from __future__ import annotations
@@ -39,10 +39,8 @@ from .nn import (
     FFNParams,
     LayerNormParams,
     attention_forward,
-    attention_param_count,
     attention_shapes,
     ffn_forward,
-    ffn_param_count,
     ffn_shapes,
     fill_normal,
     layer_norm_params,
@@ -51,8 +49,8 @@ from .nn import (
     sinusoidal_positions,
 )
 from .numerics import (
-    Tensor, add, attend, constant, dropout, embedding, linear, matmul, parameter_arena, scale,
-    scatter_rows, transpose2d,
+    Tensor, add, attend, constant, dropout, embedding, linear, matmul, normalize, parameter_arena,
+    scale, scatter_rows, transpose2d,
 )
 from .seqio import LANGUAGE_TOKEN, TASK_LANGUAGE, TASK_TOKEN, GuidingToken, Language, TargetSequence
 from .signal import N_MELS, FbankFeatures
@@ -181,65 +179,40 @@ def format_value(value) -> str:
     return str(value)
 
 
-@dataclass(frozen=True)
-class StackCount:
-    """Parameters of one layer stack: per layer, attention, layer norms and
-    `experts` copies of one FFN."""
-
-    n_layers: int
-    attn: int
-    norms: int
-    experts: int
-    ffn: int
-
-    @property
-    def total(self) -> int:
-        return self.n_layers * (self.attn + self.norms + self.experts * self.ffn)
-
-    @property
-    def inactive(self) -> int:
-        """Expert copies one forward pass never touches under one-hot routing."""
-        return self.n_layers * (self.experts - 1) * self.ffn
-
-
 @dataclass
 class ParamCount:
     trainable: int
     active: int
-    parts: dict[str, int | StackCount] = field(default_factory=dict)  # component -> count
+    parts: dict[str, int] = field(default_factory=dict)  # component -> count
 
     def __post_init__(self):
         if self.active > self.trainable:
             raise ConfigError("active parameters cannot exceed trainable")
 
 
-def count_params(config: ModelConfig) -> ParamCount:
-    """Closed-form trainable/active parameter counts for a config, with the
-    per-component breakdown they sum.
+PARTS = {"embed": "embedding", "out_proj": "output projection", "input_proj": "input projection",
+         "enc": "encoder layers", "dec": "decoder layers", "ln_enc_final": "final norms",
+         "ln_dec_final": "final norms"}  # top-level name -> count_params part
+INACTIVE_EXPERT = re.compile(r"\.ffn\.expert[1-9]\d*\.")
 
-    Active counts what one forward pass touches under one-hot routing:
-    trainable minus (n_experts - 1) expert copies per routed layer.
+
+def count_params(config: ModelConfig) -> ParamCount:
+    """Trainable/active parameter counts of a config, summed over its
+    parameter_shapes table, with the per-component breakdown they sum.
+
+    Active counts what one forward pass touches under one-hot routing: every
+    entry but the `...ffn.expertK...` copies with K >= 1.
     """
-    d, glu = config.d_model, config.glu
-    attn = attention_param_count(d)
-    ln = 2 * d
-    enc = StackCount(
-        config.n_enc_layers, attn, 2 * ln,
-        config.n_experts if config.enc_smoe else 1, ffn_param_count(d, config.d_ff, glu),
-    )
-    dec = StackCount(
-        config.n_dec_layers, 2 * attn, 3 * ln,
-        config.n_experts if config.dec_smoe else 1, ffn_param_count(d, config.dec_ff, glu),
-    )
-    parts: dict[str, int | StackCount] = {"embedding": config.vocab_size * d}
-    if not config.tied_embed:
-        parts["output projection"] = d * config.vocab_size
-    parts["input projection"] = config.n_mels * d + d
-    parts["encoder layers"] = enc
-    parts["decoder layers"] = dec
-    parts["final norms"] = 2 * ln
-    total = sum(p.total if isinstance(p, StackCount) else p for p in parts.values())
-    return ParamCount(trainable=total, active=total - enc.inactive - dec.inactive, parts=parts)
+    trainable = active = 0
+    parts: dict[str, int] = {}
+    for name, shape in parameter_shapes(config):
+        size = math.prod(shape)
+        trainable += size
+        if not INACTIVE_EXPERT.search(name):
+            active += size
+        part = PARTS[name.split(".", 1)[0]]
+        parts[part] = parts.get(part, 0) + size
+    return ParamCount(trainable, active, parts)
 
 
 def parameter_shapes(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
@@ -326,14 +299,6 @@ class DualDecode:
 class SingleDecode:
     ids: list[int]
     truncated: bool
-
-
-def _layer_norm(p: LayerNormParams, x: np.ndarray) -> np.ndarray:
-    """`layer_norm_params` on a plain array: the same arithmetic, no tape."""
-    d = x.shape[-1]
-    centered = x - x.sum(axis=-1, keepdims=True) / d
-    var = (centered * centered).sum(axis=-1, keepdims=True) / d
-    return centered * (1.0 / np.sqrt(var + p.epsilon)) * p.gain.data + p.bias.data
 
 
 class Model:
@@ -440,13 +405,13 @@ class Model:
     def encode(self, features: FbankFeatures, bw: Bandwidth) -> Tensor:
         """Encoder states [n_frames x d] of one utterance."""
         frames = features.frames.data
-        return self.encode_batch(frames[None], [frames.shape[0]], [bw])
+        return self.encode_batch(frames, [frames.shape[0]], [bw])
 
     def encode_batch(
         self, frames: np.ndarray, lengths: Sequence[int], bandwidths: Sequence[Bandwidth]
     ) -> Tensor:
-        """Packed encoder states [sum(lengths) x d] of zero-padded frame
-        stacks [B x T x n_mels]: each sample's real frames, in order.
+        """Packed encoder states [sum(lengths) x d] of packed frame rows
+        [sum(lengths) x n_mels]: sample i's lengths[i] frames, in order.
 
         Every layer runs on these rows alone; attention reads each sample's
         own rows. A batch that mixes bandwidths sends each bandwidth's rows
@@ -454,14 +419,15 @@ class Model:
         expert no sample routes to is never invoked.
         """
         cfg = self.config
-        n, t_max, n_mels = frames.shape
+        t_max, n_mels = max(lengths), frames.shape[1]
         if t_max > cfg.max_src_frames:
             raise LimitError(f"{t_max} frames exceeds max_src_frames {cfg.max_src_frames}")
         if n_mels != cfg.n_mels:
             raise ConfigError(f"features have {n_mels} mels, config wants {cfg.n_mels}")
         # per-utterance global normalization keeps log-mel magnitudes sane
         # without erasing the relative band structure
-        real = [frames[i, :length] for i, length in enumerate(lengths)]
+        offsets = np.cumsum([0, *lengths])
+        real = [frames[start:end] for start, end in zip(offsets[:-1], offsets[1:])]
         packed = np.concatenate([(r - r.mean()) / max(r.std(), 1e-8) for r in real])
         positions = sinusoidal_positions(t_max, cfg.d_model).data
         x = linear(constant(packed), self.input_proj_w, self.input_proj_b)
@@ -471,7 +437,7 @@ class Model:
         groups: list[tuple[GateVector | None, np.ndarray | None]] = [(gates[0], None)]
         if len(set(gates)) > 1:
             rows: dict[GateVector | None, list[np.ndarray]] = {}
-            for gate, start, length in zip(gates, np.cumsum([0, *lengths]), lengths):
+            for gate, start, length in zip(gates, offsets, lengths):
                 rows.setdefault(gate, []).append(np.arange(start, start + length))
             groups = [(gate, np.concatenate(r)) for gate, r in rows.items()]
         for layer in self.enc_layers:
@@ -546,7 +512,8 @@ class Model:
         """Vocabulary logits [rows x vocab] of decoder states [rows x d]: the
         final norm and output projection of `decode`, without a tape."""
         out_proj = self.embed.data.T if self.out_proj is None else self.out_proj.data
-        return _layer_norm(self.ln_dec_final, last) @ out_proj
+        ln = self.ln_dec_final
+        return normalize(last, ln.gain.data, ln.bias.data, ln.epsilon)[0] @ out_proj
 
     def _greedy_rows(
         self, enc_out: Tensor, rows: list[tuple[Task, Language]], max_len: int
@@ -568,6 +535,9 @@ class Model:
         if max_len <= 0:
             return results
         d = cfg.d_model
+
+        def norm(ln: LayerNormParams, x: np.ndarray) -> np.ndarray:
+            return normalize(x, ln.gain.data, ln.bias.data, ln.epsilon)[0]
 
         def project(w: Tensor, b: Tensor, x: np.ndarray, n_rows: int = 1) -> np.ndarray:
             return (x @ w.data + b.data).reshape(n_rows, -1, d)
@@ -601,16 +571,16 @@ class Model:
             x = self.embed.data[step_ids] * math.sqrt(d) + positions[done : done + n_new]
             x = x.reshape(n_rows * n_new, d)
             for i, layer in enumerate(self.dec_layers):
-                a, h = layer.self_attn, _layer_norm(layer.ln_self, x)
+                a, h = layer.self_attn, norm(layer.ln_self, x)
                 keys, values = self_kv[i]
                 self_kv[i] = (
                     np.concatenate([keys, project(a.w_k, a.b_k, h, n_rows)], axis=1),
                     np.concatenate([values, project(a.w_v, a.b_v, h, n_rows)], axis=1),
                 )
                 x = x + attend_rows(a, h, n_rows, *self_kv[i], causal=True)
-                h = _layer_norm(layer.ln_cross, x)
+                h = norm(layer.ln_cross, x)
                 x = x + attend_rows(layer.cross_attn, h, n_rows, *cross_kv[i])
-                h = _layer_norm(layer.ln_ffn, x).reshape(n_rows, n_new, d)
+                h = norm(layer.ln_ffn, x).reshape(n_rows, n_new, d)
                 x = x + np.concatenate([
                     self._sublayer_ffn(layer.ffn, gates[r], constant(h[j])).data
                     for j, r in enumerate(live)

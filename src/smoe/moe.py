@@ -86,18 +86,8 @@ class SMoELayer:
     def n_experts(self) -> int:
         return len(self.experts)
 
-    @property
-    def d_model(self) -> int:
-        return self.experts[0].d_model
-
     def reset_counts(self) -> None:
         self.call_counts = [0] * len(self.experts)
-
-    def tensors(self) -> list[tuple[str, Tensor]]:
-        out = []
-        for i, e in enumerate(self.experts):
-            out.extend((f"expert{i}.{name}", t) for name, t in e.tensors())
-        return out
 
     def fill(self, rng) -> None:
         """Random init of every expert in place, expert by expert."""

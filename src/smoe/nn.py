@@ -23,7 +23,6 @@ from .numerics import (
     layer_norm,
     linear,
     mul,
-    parameter_arena,
     relu,
     silu,
 )
@@ -80,13 +79,9 @@ class FFNParams:
     def d_ff(self) -> int:
         return self.w_in.shape[1]
 
-    def tensors(self) -> list[tuple[str, Tensor]]:
-        shapes = ffn_shapes(self.d_model, self.d_ff, self.glu)
-        return [(name, getattr(self, name)) for name, _ in shapes]
-
     def fill(self, rng: np.random.Generator) -> None:
         """Random init in place. The draws go w_in, w_out, then w_gate: the
-        order the weights are pinned to, not the tensors() order."""
+        order the weights are pinned to, not the arena order."""
         fill_normal(self.w_in, 1.0 / math.sqrt(self.d_model), rng)
         fill_normal(self.w_out, 1.0 / math.sqrt(self.d_ff), rng)
         self.b_in.data.fill(0.0)
@@ -95,26 +90,12 @@ class FFNParams:
             fill_normal(self.w_gate, 1.0 / math.sqrt(self.d_model), rng)
             self.b_gate.data.fill(0.0)
 
-    @staticmethod
-    def init(d_model: int, d_ff: int, glu: bool, rng: np.random.Generator) -> "FFNParams":
-        _, params = parameter_arena(ffn_shapes(d_model, d_ff, glu))
-        p = FFNParams(**dict(params))
-        p.fill(rng)
-        return p
-
 
 def ffn_shapes(d_model: int, d_ff: int, glu: bool) -> list[tuple[str, tuple[int, ...]]]:
-    """Names and shapes of one FFN block's tensors, in tensors() order."""
+    """Names and shapes of one FFN block's tensors, in arena order."""
     gate = [("w_gate", (d_model, d_ff)), ("b_gate", (d_ff,))] if glu else []
     return [("w_in", (d_model, d_ff)), ("b_in", (d_ff,)), *gate,
             ("w_out", (d_ff, d_model)), ("b_out", (d_model,))]
-
-
-def ffn_param_count(d_model: int, d_ff: int, glu: bool) -> int:
-    """Exact parameter count of one FFN block; the accounting module's unit."""
-    matrices = 3 if glu else 2
-    biases = (2 * d_ff if glu else d_ff) + d_model
-    return matrices * d_model * d_ff + biases
 
 
 def ffn_forward(p: FFNParams, x: Tensor, activation: str = "silu") -> Tensor:
@@ -151,9 +132,6 @@ class AttentionParams:
     def d_model(self) -> int:
         return self.w_q.shape[0]
 
-    def tensors(self) -> list[tuple[str, Tensor]]:
-        return [(name, getattr(self, name)) for name, _ in attention_shapes(self.d_model)]
-
     def fill(self, rng: np.random.Generator) -> None:
         """Random init in place: w_q, w_k, w_v, w_o drawn in that order, biases 0."""
         for name, shape in attention_shapes(self.d_model):
@@ -162,22 +140,11 @@ class AttentionParams:
             else:
                 getattr(self, name).data.fill(0.0)
 
-    @staticmethod
-    def init(d_model: int, n_heads: int, rng: np.random.Generator) -> "AttentionParams":
-        _, params = parameter_arena(attention_shapes(d_model))
-        p = AttentionParams(**dict(params), n_heads=n_heads)
-        p.fill(rng)
-        return p
-
 
 def attention_shapes(d_model: int) -> list[tuple[str, tuple[int, ...]]]:
-    """Names and shapes of one attention block's tensors, in tensors() order."""
+    """Names and shapes of one attention block's tensors, in arena order."""
     return [(f"{kind}_{proj}", (d_model, d_model) if kind == "w" else (d_model,))
             for proj in "qkvo" for kind in "wb"]
-
-
-def attention_param_count(d_model: int) -> int:
-    return 4 * (d_model * d_model + d_model)
 
 
 def attention_forward(
@@ -231,20 +198,10 @@ class LayerNormParams:
         if self.epsilon <= 0:
             raise ConfigError(f"layernorm epsilon must be positive, got {self.epsilon}")
 
-    def tensors(self) -> list[tuple[str, Tensor]]:
-        return [("gain", self.gain), ("bias", self.bias)]
-
     def fill(self, rng: np.random.Generator | None = None) -> None:
         """Identity init in place: gain 1, bias 0. Draws nothing."""
         self.gain.data.fill(1.0)
         self.bias.data.fill(0.0)
-
-    @staticmethod
-    def init(d_model: int) -> "LayerNormParams":
-        _, params = parameter_arena(layer_norm_shapes(d_model))
-        p = LayerNormParams(**dict(params))
-        p.fill()
-        return p
 
 
 def layer_norm_shapes(d_model: int) -> list[tuple[str, tuple[int, ...]]]:

@@ -282,23 +282,29 @@ def softmax_last(a: Tensor) -> Tensor:
     return record_op(out, grad_fn)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, epsilon: float) -> Tensor:
-    """Per-row normalization over the last axis, then affine gain/bias.
+def normalize(
+    x: np.ndarray, gain: np.ndarray, bias: np.ndarray, epsilon: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Layer norm of plain rows, no tape: y = gain * xhat + bias for
+    xhat = (x - mean) / sqrt(var + eps) over the last axis, with the biased
+    variance. Returns y, xhat and 1 / sqrt(var + eps)."""
+    d = x.shape[-1]
+    centered = x - x.sum(axis=-1, keepdims=True) / d
+    inv_std = 1.0 / np.sqrt((centered * centered).sum(axis=-1, keepdims=True) / d + epsilon)
+    xhat = centered * inv_std
+    return xhat * gain + bias, xhat, inv_std
 
-    y = gain * (x - mean) / sqrt(var + eps) + bias, with the biased variance.
-    """
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, epsilon: float) -> Tensor:
+    """`normalize` as a tape op: per-row normalization over the last axis,
+    then affine gain/bias."""
     if gain.data.shape != (x.data.shape[-1],) or bias.data.shape != gain.data.shape:
         raise ShapeError(
             f"layer_norm affine shapes {gain.data.shape}/{bias.data.shape} "
             f"do not match feature dim {x.data.shape[-1]}"
         )
-    mean = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mean
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + epsilon)
-    xhat = centered * inv_std
-    out = Tensor(xhat * gain.data + bias.data, requires_grad=_needs_grad(x, gain, bias))
-    d = x.data.shape[-1]
+    y, xhat, inv_std = normalize(x.data, gain.data, bias.data, epsilon)
+    out = Tensor(y, requires_grad=_needs_grad(x, gain, bias))
 
     def grad_fn(g: np.ndarray):
         sum_axes = tuple(range(g.ndim - 1))

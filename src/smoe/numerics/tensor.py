@@ -147,11 +147,6 @@ def backward(loss: Tensor, tape: Tape) -> None:
             tensor.grad = tensor.grad + grad
 
 
-def parameters_zero_grad(params: Sequence[Tensor]) -> None:
-    for p in params:
-        p.zero_grad()
-
-
 def parameter_arena(
     shapes: Sequence[tuple[str, tuple[int, ...]]],
 ) -> tuple[np.ndarray, list[tuple[str, Tensor]]]:

@@ -3,12 +3,13 @@ the task-interference benchmark, and the narrowband fine-tuning workflow.
 
 Batches are homogeneous in task by construction (the decoder gate is a
 per-batch decision); bandwidth may vary inside a batch because the encoder
-gate is per sample. A batch runs as one padded forward pass, each encoder
-expert on the rows of its bandwidth. The loss is teacher-forced cross
-entropy over payload and EOS positions only: the model conditions on the
-guiding prefix but is never trained to predict it. backward() stores
-gradients on leaves only, so after a step `.grad` is set on the parameters
-the batch reached and on nothing else.
+gate is per sample. A batch runs as one forward pass, the encoder on the
+packed frame rows of its samples, each encoder expert on the rows of its
+bandwidth, the decoder on PAD-padded target rows. The loss is
+teacher-forced cross entropy over payload and EOS positions only: the model
+conditions on the guiding prefix but is never trained to predict it.
+backward() stores gradients on leaves only, so after a step `.grad` is set
+on the parameters the batch reached and on nothing else.
 """
 
 from __future__ import annotations
@@ -30,17 +31,17 @@ from .seqio import BYTE_BASE, GuidingToken, Vocabulary
 
 @dataclass
 class Batch:
-    """Padded task-homogeneous training unit.
+    """Task-homogeneous training unit.
 
-    targets are PAD-padded id rows, features zero-padded frame stacks; the
-    explicit length vectors recover the unpadded views. loss_targets and
-    loss_weights lay out the loss over the [B*L] decoder rows: each row's
-    next-token target (PAD where nothing is learned) and its weight,
-    1 / (B * K_i) on the K_i kept rows of sample i, so the loss is the mean
-    over samples of each sample's token mean.
+    features are the samples' frame rows packed in order, with no padding;
+    targets are PAD-padded id rows. The length vectors split both into
+    samples. loss_targets and loss_weights lay out the loss over the [B*L]
+    decoder rows: each row's next-token target (PAD where nothing is
+    learned) and its weight, 1 / (B * K_i) on the K_i kept rows of sample
+    i, so the loss is the mean over samples of each sample's token mean.
     """
 
-    features: np.ndarray  # [B x T_max x n_mels]
+    features: np.ndarray  # [sum(feature_lengths) x n_mels]
     feature_lengths: list[int]
     bandwidths: list[Bandwidth]
     targets: np.ndarray  # [B x L_max], PAD-padded
@@ -68,16 +69,12 @@ class Batch:
         tasks = {it.task for it in items}
         if len(tasks) != 1:
             raise ConfigError(f"batch mixes tasks: {sorted(t.value for t in tasks)}")
-        t_max = max(it.features.n_frames for it in items)
-        n_mels = items[0].features.frames.shape[1]
         l_max = max(len(it.target.ids) for it in items)
-        feats = np.zeros((len(items), t_max, n_mels))
         targets = np.full((len(items), l_max), int(GuidingToken.PAD), dtype=np.int64)
         for i, it in enumerate(items):
-            feats[i, : it.features.n_frames] = it.features.frames.data
             targets[i, : len(it.target.ids)] = it.target.ids
         return Batch(
-            features=feats,
+            features=np.concatenate([it.features.frames.data for it in items]),
             feature_lengths=[it.features.n_frames for it in items],
             bandwidths=[it.bandwidth for it in items],
             targets=targets,
@@ -272,7 +269,7 @@ def shifted_targets(ids: list[int]) -> list[int]:
 
 
 def batch_loss(model: Model, batch: Batch) -> Tensor:
-    """Teacher-forced loss of the whole padded batch in one forward pass:
+    """Teacher-forced loss of the whole batch in one forward pass:
     the mean over samples of each sample's mean cross entropy."""
     enc_out = model.encode_batch(batch.features, batch.feature_lengths, batch.bandwidths)
     logits = model.decode_batch(enc_out, batch.targets, batch.task, batch.feature_lengths)

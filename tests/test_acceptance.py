@@ -31,11 +31,16 @@ from smoe.nn import (
     FFNParams,
     LayerNormParams,
     attention_forward,
+    attention_shapes,
     ffn_forward,
+    ffn_shapes,
     layer_norm_params,
+    layer_norm_shapes,
     pre_norm_residual,
 )
-from smoe.numerics import constant, grad_check, mul, softmax_cross_entropy, sum_all
+from smoe.numerics import (
+    constant, grad_check, mul, parameter_arena, softmax_cross_entropy, sum_all,
+)
 from smoe.seqio import Language, Vocabulary, build_target_sequence
 from smoe.signal import (
     LOG_FLOOR,
@@ -81,6 +86,15 @@ def report(n: int, name: str, ok: bool, detail: str, elapsed: float, limit: floa
     print(f"\nACCEPTANCE {n:02d} [{status}] {name}: {detail} ({elapsed:.1f}s / limit {limit:.0f}s)")
     assert ok, f"criterion {n} failed: {detail}"
     assert elapsed < limit, f"criterion {n} exceeded its runtime budget"
+
+
+def build_block(block_type, shapes, rng=None, **fields):
+    """A block built as a Model builds one (its arena, the block over the
+    arena's views, then its init), with its named tensors."""
+    _, params = parameter_arena(shapes)
+    block = block_type(**dict(params), **fields)
+    block.fill(rng)
+    return block, params
 
 
 def _run_benchmark():
@@ -143,7 +157,8 @@ def test_criterion_02_zero_compute_contract():
     t0 = time.monotonic()
     rng = np.random.default_rng(2)
     layer = SMoELayer(
-        experts=[FFNParams.init(8, 12, True, np.random.default_rng(i)) for i in range(2)]
+        experts=[build_block(FFNParams, ffn_shapes(8, 12, True), np.random.default_rng(i))[0]
+                 for i in range(2)]
     )
     violations = 0
     for _ in range(1000):
@@ -185,8 +200,9 @@ def test_criterion_03_gradient_isolation():
         opt = SGD(model.named_parameters(), momentum=0.9)
         unrouted = gate_decoder(task).selected ^ 1  # the expert the gate skips
         snapshots = []
-        for _, bank in model.smoe_layers():
-            snapshots.append([(n, t, t.data.copy()) for n, t in bank.experts[unrouted].tensors()])
+        for prefix, _ in model.smoe_layers():
+            snapshots.append([(n, t, t.data.copy()) for n, t in model.named_parameters()
+                              if n.startswith(f"{prefix}.expert{unrouted}.")])
         train_step(model, batch, opt, lr=0.05)
         for bank_snap in snapshots:
             for name, tensor, before in bank_snap:
@@ -240,41 +256,44 @@ def _block_reports():
     rng = np.random.default_rng(5)
     results = {}
 
-    ffn = FFNParams.init(8, 12, True, rng)
+    ffn, ffn_params = build_block(FFNParams, ffn_shapes(8, 12, True), rng)
     x = constant(rng.normal(size=(3, 8)))
     probe = constant(rng.normal(size=(3, 8)))
     results["ffn_glu"] = grad_check(
-        lambda: sum_all(mul(ffn_forward(ffn, x), probe)), ffn.tensors(),
+        lambda: sum_all(mul(ffn_forward(ffn, x), probe)), ffn_params,
         step=1e-5, tolerance=1e-4,
     )
 
-    ffn2 = FFNParams.init(8, 12, False, rng)
+    ffn2, ffn2_params = build_block(FFNParams, ffn_shapes(8, 12, False), rng)
     results["ffn_plain"] = grad_check(
-        lambda: sum_all(mul(ffn_forward(ffn2, x), probe)), ffn2.tensors(),
+        lambda: sum_all(mul(ffn_forward(ffn2, x), probe)), ffn2_params,
         step=1e-5, tolerance=1e-4,
     )
 
-    attn = AttentionParams.init(8, 2, rng)
+    attn, attn_params = build_block(AttentionParams, attention_shapes(8), rng, n_heads=2)
     results["attention"] = grad_check(
         lambda: sum_all(mul(attention_forward(attn, x, x, x, causal=True), probe)),
-        attn.tensors(), step=1e-5, tolerance=1e-4,
+        attn_params, step=1e-5, tolerance=1e-4,
     )
 
-    ln = LayerNormParams.init(8)
+    ln, ln_params = build_block(LayerNormParams, layer_norm_shapes(8))
     results["layer_norm"] = grad_check(
-        lambda: sum_all(mul(layer_norm_params(ln, x), probe)), ln.tensors(),
+        lambda: sum_all(mul(layer_norm_params(ln, x), probe)), ln_params,
         step=1e-5, tolerance=1e-4,
     )
 
     results["pre_norm_residual"] = grad_check(
         lambda: sum_all(mul(pre_norm_residual(lambda h: ffn_forward(ffn, h), ln, x), probe)),
-        ffn.tensors() + ln.tensors(), step=1e-5, tolerance=1e-4,
+        ffn_params + ln_params, step=1e-5, tolerance=1e-4,
     )
 
-    bank = SMoELayer(experts=[FFNParams.init(8, 12, True, np.random.default_rng(i)) for i in range(2)])
+    experts = [build_block(FFNParams, ffn_shapes(8, 12, True), np.random.default_rng(i))
+               for i in range(2)]
+    bank = SMoELayer(experts=[expert for expert, _ in experts])
     results["smoe_layer"] = grad_check(
         lambda: sum_all(mul(smoe_forward(bank, gate_decoder(Task.ST), x), probe)),
-        bank.tensors(), step=1e-5, tolerance=1e-4,
+        [(f"expert{k}.{n}", t) for k, (_, params) in enumerate(experts) for n, t in params],
+        step=1e-5, tolerance=1e-4,
     )
     return results
 

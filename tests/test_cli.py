@@ -131,6 +131,25 @@ def test_inspect_baseline_vs_smoe(capsys):
     assert smoe_active == base_trainable
 
 
+def test_inspect_output_is_pinned(capsys):
+    assert main(["inspect", "--set", "preset=toy", "--set", "dec_smoe=true"]) == 0
+    assert capsys.readouterr().out == (
+        "trainable = 273344\n"
+        "active    = 223552\n"
+        "embedding                  17408\n"
+        "input projection            5184\n"
+        "encoder layers             83584  (2 x [attn 16640 + norms 256 + 1 x ffn 24896])\n"
+        "decoder layers            166912  (2 x [attn 33280 + norms 384 + 2 x ffn 24896])\n"
+        "final norms                  256\n"
+        "expert duplication: 49792 parameters held by non-routed expert copies\n"
+    )
+    assert main(["inspect", "--set", "preset=paper", "--set", "glu=false",
+                 "--set", "tied_embed=false"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "trainable = 104056320"
+    assert out[3] == "output projection       20480000"
+
+
 def test_gradcheck_cli(capsys):
     assert main([
         "gradcheck", "--set", "d_model=16", "--set", "d_ff=16",

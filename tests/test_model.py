@@ -153,6 +153,23 @@ def test_expand_rejects_already_routed():
         expand_experts(donor, decoder=True)
 
 
+def closed_form_counts(cfg):
+    """(trainable, active) by the closed form, independent of the parameter
+    table: shared tensors, plus per routed layer n_experts FFN copies of
+    which one is active."""
+    d = cfg.d_model
+
+    def ffn(d_ff):
+        return (3 if cfg.glu else 2) * d * d_ff + (2 * d_ff if cfg.glu else d_ff) + d
+
+    attn, norm = 4 * (d * d + d), 2 * d
+    shared = (cfg.vocab_size * d * (1 if cfg.tied_embed else 2) + cfg.n_mels * d + d + 2 * norm
+              + cfg.n_enc_layers * (attn + 2 * norm) + cfg.n_dec_layers * (2 * attn + 3 * norm))
+    enc, dec = cfg.n_enc_layers * ffn(cfg.d_ff), cfg.n_dec_layers * ffn(cfg.dec_ff)
+    copies = [cfg.n_experts if routed else 1 for routed in (cfg.enc_smoe, cfg.dec_smoe)]
+    return shared + copies[0] * enc + copies[1] * dec, shared + enc + dec
+
+
 def test_count_params_matches_enumeration():
     for cfg in (
         tiny_config(),
@@ -162,9 +179,15 @@ def test_count_params_matches_enumeration():
         tiny_config(glu=False),
         tiny_config(tied_embed=False),
         tiny_config(d_ff_dec=48, dec_smoe=True),
+        tiny_config(enc_smoe=True, dec_smoe=True, n_experts=3, glu=False, tied_embed=False),
+        ModelConfig.toy(dec_smoe=True),
+        ModelConfig.toy(enc_smoe=True, dec_smoe=True, d_ff_dec=256),
+        ModelConfig.paper_scale(glu=False, tied_embed=False, dec_smoe=True),
+        ModelConfig.paper_scale(enc_smoe=True, n_experts=1),
     ):
-        model = Model(cfg, seed=0)
-        assert count_params(cfg).trainable == model.parameter_count(), cfg
+        pc = count_params(cfg)
+        assert (pc.trainable, pc.active) == closed_form_counts(cfg), cfg
+        assert sum(pc.parts.values()) == pc.trainable
 
 
 def test_active_params_exclude_expert_copies():
@@ -177,9 +200,7 @@ def test_active_params_exclude_expert_copies():
     assert pc_base.trainable == pc_base.active
     assert pc_dec.active == pc_base.trainable
     assert pc_both.active == pc_base.trainable
-    from smoe.nn import ffn_param_count
-
-    per_ffn = ffn_param_count(16, 24, True)
+    per_ffn = 3 * 16 * 24 + 2 * 24 + 16  # GLU: w_in, w_gate, w_out, b_in, b_gate, b_out
     assert pc_dec.trainable - pc_base.trainable == 1 * per_ffn  # one dec layer, one extra copy
 
 

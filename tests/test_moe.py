@@ -11,16 +11,22 @@ from smoe.moe import (
     gate_encoder,
     smoe_forward,
 )
-from smoe.nn import FFNParams, ffn_forward
-from smoe.numerics import Tape, backward, constant, sum_all
+from smoe.nn import FFNParams, ffn_forward, ffn_shapes
+from smoe.numerics import Tape, backward, constant, parameter_arena, sum_all
 
 
 def make_ffn(seed, d_model=6, d_ff=10, glu=True):
-    return FFNParams.init(d_model, d_ff, glu, np.random.default_rng(seed))
+    """An FFN block built as a Model builds one, with its named tensors."""
+    _, params = parameter_arena(ffn_shapes(d_model, d_ff, glu))
+    block = FFNParams(**dict(params))
+    block.fill(np.random.default_rng(seed))
+    return block, params
 
 
 def make_layer(n=2, d_model=6, d_ff=10):
-    return SMoELayer(experts=[make_ffn(i, d_model, d_ff) for i in range(n)])
+    """An expert bank and each expert's named tensors."""
+    experts, params = zip(*(make_ffn(i, d_model, d_ff) for i in range(n)))
+    return SMoELayer(experts=list(experts)), params
 
 
 def test_gating_truth_table():
@@ -51,7 +57,7 @@ def test_soft_or_invalid_gates_rejected(bad):
 
 
 def test_forward_selects_expert_bitwise():
-    layer = make_layer()
+    layer, _ = make_layer()
     x = constant(np.random.default_rng(42).normal(size=(4, 6)))
     out0 = smoe_forward(layer, GateVector((1.0, 0.0)), x)
     assert np.array_equal(out0.data, ffn_forward(layer.experts[0], x).data)
@@ -62,7 +68,7 @@ def test_forward_selects_expert_bitwise():
 
 
 def test_hundred_random_gates_count_tally():
-    layer = make_layer()
+    layer, _ = make_layer()
     rng = np.random.default_rng(7)
     x = constant(rng.normal(size=(2, 6)))
     tally = [0, 0]
@@ -76,29 +82,29 @@ def test_hundred_random_gates_count_tally():
 
 
 def test_gate_width_mismatch():
-    layer = make_layer(n=2)
+    layer, _ = make_layer(n=2)
     x = constant(np.zeros((1, 6)))
     with pytest.raises(RoutingError):
         smoe_forward(layer, GateVector((1.0, 0.0, 0.0)), x)
 
 
 def test_gradient_isolation_exact():
-    layer = make_layer()
+    layer, params = make_layer()
     x = constant(np.random.default_rng(3).normal(size=(4, 6)))
     tape = Tape()
     with tape:
         loss = sum_all(smoe_forward(layer, gate_decoder(Task.ASR), x))
     backward(loss, tape)
     # ASR routes to expert 1: expert 0 must have no gradients at all
-    for name, t in layer.experts[0].tensors():
+    for name, t in params[0]:
         assert t.grad is None, f"unexpected grad on inactive expert: {name}"
-    grads = [t.grad for _, t in layer.experts[1].tensors()]
+    grads = [t.grad for _, t in params[1]]
     assert all(g is not None for g in grads)
     assert any(np.any(g != 0.0) for g in grads)
 
 
 def test_reset_counts():
-    layer = make_layer()
+    layer, _ = make_layer()
     x = constant(np.zeros((1, 6)))
     smoe_forward(layer, GateVector((1.0, 0.0)), x)
     layer.reset_counts()

@@ -9,17 +9,36 @@ from smoe.nn import (
     FFNParams,
     LayerNormParams,
     attention_forward,
+    attention_shapes,
     ffn_forward,
-    ffn_param_count,
+    ffn_shapes,
     layer_norm_params,
+    layer_norm_shapes,
     pre_norm_residual,
     sinusoidal_positions,
 )
-from smoe.numerics import Tensor, constant, grad_check, parameter, sum_all
+from smoe.numerics import Tensor, constant, grad_check, parameter, parameter_arena, sum_all
+
+
+def build_block(block_type, shapes, rng=None, **fields):
+    """A block built as a Model builds one (its arena, the block over the
+    arena's views, then its init), with its named tensors."""
+    _, params = parameter_arena(shapes)
+    block = block_type(**dict(params), **fields)
+    block.fill(rng)
+    return block, params
 
 
 def make_ffn(d_model, d_ff, glu, seed=0):
-    return FFNParams.init(d_model, d_ff, glu, np.random.default_rng(seed))
+    return build_block(FFNParams, ffn_shapes(d_model, d_ff, glu), np.random.default_rng(seed))
+
+
+def make_attention(d_model, n_heads, rng):
+    return build_block(AttentionParams, attention_shapes(d_model), rng, n_heads=n_heads)[0]
+
+
+def make_norm(d_model):
+    return build_block(LayerNormParams, layer_norm_shapes(d_model))[0]
 
 
 def test_ffn_zero_weights_zero_output():
@@ -52,7 +71,7 @@ def test_ffn_scalar_chain_1x1():
 @pytest.mark.parametrize("glu", [False, True])
 def test_ffn_matches_straight_line_oracle(glu):
     rng = np.random.default_rng(3)
-    p = make_ffn(6, 10, glu, seed=1)
+    p, _ = make_ffn(6, 10, glu, seed=1)
     x = rng.normal(size=(4, 6))
 
     def np_silu(a):
@@ -68,9 +87,9 @@ def test_ffn_matches_straight_line_oracle(glu):
 
 @pytest.mark.parametrize("glu", [False, True])
 def test_ffn_param_count_matches_enumeration(glu):
-    p = make_ffn(6, 10, glu)
-    total = sum(t.size for _, t in p.tensors())
-    assert total == ffn_param_count(6, 10, glu)
+    _, params = make_ffn(6, 10, glu)
+    matrices, biases = (3, 2 * 10 + 6) if glu else (2, 10 + 6)
+    assert sum(t.size for _, t in params) == matrices * 6 * 10 + biases
 
 
 def projected_values(p, x):
@@ -82,7 +101,7 @@ def projected_values(p, x):
 def test_attention_zero_qk_uniform_weights():
     # equal scores: every query reads the mean of the projected values
     rng = np.random.default_rng(5)
-    p = AttentionParams.init(8, 1, rng)
+    p = make_attention(8, 1, rng)
     p.w_q.data[:] = 0.0
     p.b_q.data[:] = 0.0
     p.w_k.data[:] = 0.0
@@ -95,7 +114,7 @@ def test_attention_zero_qk_uniform_weights():
 
 def test_attention_causal_first_position_self_only():
     rng = np.random.default_rng(6)
-    p = AttentionParams.init(8, 2, rng)
+    p = make_attention(8, 2, rng)
     x = rng.normal(size=(4, 8))
     out = attention_forward(p, constant(x), constant(x), constant(x), causal=True).data
     np.testing.assert_allclose(out[0], projected_values(p, x[:1])[0], atol=1e-12)
@@ -113,7 +132,7 @@ def test_attention_reads_only_its_own_sample():
     # three packed samples, the first and last of equal lengths: each
     # sample's output is its own attention, untouched by rows of the others
     rng = np.random.default_rng(7)
-    p = AttentionParams.init(12, 3, rng)
+    p = make_attention(12, 3, rng)
     q_lengths, k_lengths = [2, 3, 2], [4, 1, 4]
     q = rng.normal(size=(7, 12))
     kv = rng.normal(size=(9, 12))
@@ -136,7 +155,7 @@ def test_attention_reads_only_its_own_sample():
 
 def test_attention_grad_check():
     rng = np.random.default_rng(8)
-    p = AttentionParams.init(6, 2, rng)
+    p, params = build_block(AttentionParams, attention_shapes(6), rng, n_heads=2)
     x = constant(rng.normal(size=(4, 6)))
     probe = constant(rng.normal(size=(4, 6)))
 
@@ -145,7 +164,7 @@ def test_attention_grad_check():
 
         return sum_all(mul(attention_forward(p, x, x, x, causal=True), probe))
 
-    report = grad_check(f, [(n, t) for n, t in p.tensors()], tolerance=1e-4)
+    report = grad_check(f, params, tolerance=1e-4)
     assert report.passed, report.summary()
 
 
@@ -162,7 +181,7 @@ def test_sinusoidal_positions_closed_form():
 def test_pre_norm_residual_identity_block():
     rng = np.random.default_rng(9)
     x = constant(rng.normal(size=(3, 8)))
-    ln = LayerNormParams.init(8)
+    ln = make_norm(8)
 
     def zero_block(h: Tensor) -> Tensor:
         return constant(np.zeros(h.shape))
@@ -174,7 +193,7 @@ def test_pre_norm_residual_identity_block():
 def test_pre_norm_layernorm_statistics():
     rng = np.random.default_rng(10)
     x = constant(rng.normal(size=(5, 16)) * 4 + 2)
-    ln = LayerNormParams.init(16)
+    ln = make_norm(16)
     normed = layer_norm_params(ln, x)
     np.testing.assert_allclose(normed.data.mean(axis=-1), np.zeros(5), atol=1e-12)
     np.testing.assert_allclose(normed.data.var(axis=-1), np.ones(5), rtol=1e-3)
@@ -182,8 +201,8 @@ def test_pre_norm_layernorm_statistics():
 
 def test_pre_norm_eval_mode_deterministic():
     rng = np.random.default_rng(11)
-    ffn = make_ffn(8, 16, True, seed=2)
-    ln = LayerNormParams.init(8)
+    ffn, _ = make_ffn(8, 16, True, seed=2)
+    ln = make_norm(8)
     x = constant(rng.normal(size=(3, 8)))
     a = pre_norm_residual(lambda h: ffn_forward(ffn, h), ln, x, dropout_rate=0.5, training=False)
     b = pre_norm_residual(lambda h: ffn_forward(ffn, h), ln, x, dropout_rate=0.5, training=False)
@@ -193,7 +212,7 @@ def test_pre_norm_eval_mode_deterministic():
 @pytest.mark.parametrize("glu", [False, True])
 def test_ffn_block_grad_check(glu):
     rng = np.random.default_rng(12)
-    p = make_ffn(8, 12, glu, seed=3)
+    p, params = make_ffn(8, 12, glu, seed=3)
     x = constant(rng.normal(size=(3, 8)))
     probe = constant(rng.normal(size=(3, 8)))
 
@@ -202,5 +221,5 @@ def test_ffn_block_grad_check(glu):
 
         return sum_all(mul(ffn_forward(p, x), probe))
 
-    report = grad_check(f, p.tensors(), tolerance=1e-4)
+    report = grad_check(f, params, tolerance=1e-4)
     assert report.passed, report.summary()

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from smoe import errors
 from smoe.errors import ConfigError, FormatError, SequenceError
 from smoe.moe import Task
 from smoe.seqio import (
@@ -119,6 +120,35 @@ def test_vocab_file_rejects_garbage(tmp_path):
     path.write_text("smoe-vocab v1 merges=2\n6161\t6262\n")
     with pytest.raises(FormatError):
         Vocabulary.load(path)
+
+
+_VOCAB_FILE = b"smoe-vocab v1 merges=3\n61\t6e\n616e\t61\n62\t616e61\n"
+
+
+@st.composite
+def vocab_bytes(draw):
+    """Arbitrary bytes, or a valid vocabulary file with bytes overwritten and a tail cut."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=256))
+    raw = bytearray(_VOCAB_FILE)
+    for pos, value in draw(st.lists(st.tuples(st.integers(0, len(raw) - 1),
+                                              st.integers(0, 255)), max_size=4)):
+        raw[pos] = value
+    return bytes(raw[: draw(st.integers(0, len(raw)))])
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(raw=vocab_bytes())
+@example(raw=_VOCAB_FILE)
+@example(raw=_VOCAB_FILE.replace(b"=3", b"=4") + b"61\t6e\n")  # a duplicate merge result
+def test_vocab_load_arbitrary_and_mutated_bytes_fail_closed(tmp_path, raw):
+    path = tmp_path / "vocab.txt"
+    path.write_bytes(raw)
+    try:
+        assert isinstance(Vocabulary.load(path), Vocabulary)
+    except Exception as exc:
+        assert type(exc).__module__ == errors.__name__, repr(exc)
 
 
 def test_build_target_sequence_layout():

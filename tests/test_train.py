@@ -67,8 +67,10 @@ def test_batch_padding_and_lengths():
         n = batch.target_lengths[i]
         assert batch.targets[i, :n].tolist() == it.target.ids
         assert np.all(batch.targets[i, n:] == int(GuidingToken.PAD))
-        t = batch.feature_lengths[i]
-        assert np.all(batch.features[i, t:] == 0.0)
+        assert batch.feature_lengths[i] == it.features.n_frames
+    # features are the real frame rows, packed in order: no padding row
+    np.testing.assert_array_equal(
+        batch.features, np.concatenate([it.features.frames.data for it in items]))
 
 
 def test_shifted_targets_mask_prefix_and_tail():
@@ -134,19 +136,24 @@ def test_train_step_zero_lr_keeps_parameters():
         assert np.array_equal(before[n], t.data), n
 
 
+def expert_tensors(model, k):
+    """Expert k's named tensors in the model's first routed bank."""
+    prefix, _ = model.smoe_layers()[0]
+    return [(n, t) for n, t in model.named_parameters() if n.startswith(f"{prefix}.expert{k}.")]
+
+
 def test_sgd_isolation_unrouted_expert_frozen():
     model = tiny_model(dec_smoe=True)
     items = [it for it in small_items(4) if it.task is Task.ASR]
     batch = Batch.build(items)
     opt = SGD(model.named_parameters(), momentum=0.9)
-    _, bank = model.smoe_layers()[0]
-    st_before = {n: t.data.copy() for n, t in bank.experts[0].tensors()}  # ST expert
-    asr_before = {n: t.data.copy() for n, t in bank.experts[1].tensors()}
+    st_before = {n: t.data.copy() for n, t in expert_tensors(model, 0)}  # ST expert
+    asr_before = {n: t.data.copy() for n, t in expert_tensors(model, 1)}
     train_step(model, batch, opt, lr=0.05)
-    for n, t in bank.experts[0].tensors():
+    for n, t in expert_tensors(model, 0):
         assert t.grad is None
         assert np.array_equal(st_before[n], t.data), f"ST expert moved: {n}"
-    moved = any(not np.array_equal(asr_before[n], t.data) for n, t in bank.experts[1].tensors())
+    moved = any(not np.array_equal(asr_before[n], t.data) for n, t in expert_tensors(model, 1))
     assert moved
 
 
@@ -155,10 +162,9 @@ def test_adam_skips_unrouted_expert():
     items = [it for it in small_items(4) if it.task is Task.ST]
     batch = Batch.build(items)
     opt = Adam(model.named_parameters())
-    _, bank = model.smoe_layers()[0]
-    asr_before = {n: t.data.copy() for n, t in bank.experts[1].tensors()}
+    asr_before = {n: t.data.copy() for n, t in expert_tensors(model, 1)}
     train_step(model, batch, opt, lr=1e-3)
-    for n, t in bank.experts[1].tensors():
+    for n, t in expert_tensors(model, 1):
         assert np.array_equal(asr_before[n], t.data), n
 
 
@@ -386,12 +392,11 @@ def _padded_batch_loss(model, batch):
     to the batch's longest in encoder and decoder, padded keys masked out of
     attention, each bandwidth's real rows gathered for its expert."""
     cfg = model.config
-    frames, lengths = batch.features, batch.feature_lengths
-    n, t_max, n_mels = frames.shape
-    normed = np.zeros_like(frames)
-    for i, length in enumerate(lengths):
-        real = frames[i, :length]
-        normed[i, :length] = (real - real.mean()) / max(real.std(), 1e-8)
+    lengths = batch.feature_lengths
+    n, t_max, n_mels = len(lengths), max(lengths), batch.features.shape[1]
+    normed = np.zeros((n, t_max, n_mels))
+    for i, real in enumerate(np.split(batch.features, np.cumsum(lengths)[:-1])):
+        normed[i, : lengths[i]] = (real - real.mean()) / max(real.std(), 1e-8)
     x = add(matmul(constant(normed.reshape(n * t_max, n_mels)), model.input_proj_w),
             model.input_proj_b)
     x = add(x, constant(np.tile(sinusoidal_positions(t_max, cfg.d_model).data, (n, 1))))
