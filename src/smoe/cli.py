@@ -13,7 +13,6 @@ Exit codes: 0 success, 1 config error, 2 checkpoint error, 3 input error,
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -38,7 +37,6 @@ from .model import (
     count_params,
     format_value,
     load_checkpoint,
-    parameter_shapes,
     parse_config_text,
     save_checkpoint,
 )
@@ -289,26 +287,6 @@ def cmd_infer(args, settings: dict) -> int:
     return EXIT_OK
 
 
-def _layer_bracket(cfg: ModelConfig, stack: str) -> str:
-    """`n x [attn A + norms N + E x ffn F]` of layer stack `stack`, read off
-    its parameter table entries: per layer, A attention and N layer-norm
-    parameters and E same-sized FFN copies of F each."""
-    layers, experts = set(), set()
-    sizes = {"attn": 0, "norms": 0, "ffn": 0}
-    for name, shape in parameter_shapes(cfg):
-        if not name.startswith(stack + "."):
-            continue
-        _, layer, block, *rest = name.split(".")
-        layers.add(layer)
-        if layer == "0":
-            kind = "ffn" if block == "ffn" else "norms" if block.startswith("ln_") else "attn"
-            sizes[kind] += math.prod(shape)
-            if kind == "ffn":
-                experts.add(tuple(rest[:-1]))  # () for a shared block, (expertK,) routed
-    return (f"{len(layers)} x [attn {sizes['attn']} + norms {sizes['norms']} + "
-            f"{len(experts)} x ffn {sizes['ffn'] // len(experts)}]")
-
-
 def cmd_inspect(args, settings: dict) -> int:
     if args.ckpt:
         model, _ = _load_checkpoint(args.ckpt)
@@ -319,8 +297,9 @@ def cmd_inspect(args, settings: dict) -> int:
     print(f"trainable = {pc.trainable}")
     print(f"active    = {pc.active}")
     for name, total in pc.parts.items():
-        stack = {"encoder layers": "enc", "decoder layers": "dec"}.get(name)
-        bracket = f"  ({_layer_bracket(cfg, stack)})" if stack else ""
+        s = pc.layers.get(name)
+        bracket = (f"  ({s.n_layers} x [attn {s.attn} + norms {s.norms} + "
+                   f"{s.copies} x ffn {s.ffn}])" if s else "")
         print(f"{name:<20}{total:>12d}{bracket}")
     dup = pc.trainable - pc.active
     print(f"expert duplication: {dup} parameters held by non-routed expert copies")

@@ -13,10 +13,10 @@ values, through the same `numerics.attend` core; `decode` is its reference.
 A model's parameters live in one arena: a contiguous float64 buffer laid
 out by `parameter_shapes(config)` in `named_parameters()` order, each
 parameter's data a view of its slice, so each expert is one contiguous run.
-`count_params` sums the same table. `Model(config, seed)` allocates the
-arena and fills it by random init. `load_checkpoint` and `expand_experts`
-allocate it with `Model.allocate` and write every parameter from the file
-or the donor; they draw no random values.
+`count_params` sums the same blocks, each stack's layer 0 and expert 0 once.
+`Model(config, seed)` allocates the arena and fills it by random init.
+`load_checkpoint` and `expand_experts` allocate it with `Model.allocate` and
+write every parameter from the file or the donor; they draw no random values.
 """
 
 from __future__ import annotations
@@ -180,68 +180,96 @@ def format_value(value) -> str:
 
 
 @dataclass
+class LayerSplit:
+    """One layer of a stack: attention, layer-norm and `copies` x `ffn` FFN parameters."""
+    n_layers: int
+    attn: int
+    norms: int
+    copies: int
+    ffn: int
+
+
+@dataclass
 class ParamCount:
     trainable: int
     active: int
     parts: dict[str, int] = field(default_factory=dict)  # component -> count
+    layers: dict[str, LayerSplit] = field(default_factory=dict)  # layer-stack part -> its split
 
     def __post_init__(self):
         if self.active > self.trainable:
             raise ConfigError("active parameters cannot exceed trainable")
 
 
-PARTS = {"embed": "embedding", "out_proj": "output projection", "input_proj": "input projection",
-         "enc": "encoder layers", "dec": "decoder layers", "ln_enc_final": "final norms",
-         "ln_dec_final": "final norms"}  # top-level name -> count_params part
-INACTIVE_EXPERT = re.compile(r"\.ffn\.expert[1-9]\d*\.")
+Shapes = list[tuple[str, tuple[int, ...]]]
+LayerBlock = tuple[str, str, Shapes, int]  # (kind, block, shapes, experts)
+STACKS = {"enc": "encoder layers", "dec": "decoder layers"}  # layer stack -> count_params part
+
+
+def _outer_parts(config: ModelConfig) -> list[tuple[str, Shapes]]:
+    """The table entries outside the layer stacks as (part, entries), in
+    arena order; the stacks go before the last part, the final norms."""
+    d, norm = config.d_model, layer_norm_shapes(config.d_model)
+    parts = [("embedding", [("embed", (config.vocab_size, d))])]
+    if not config.tied_embed:
+        parts.append(("output projection", [("out_proj", (d, config.vocab_size))]))
+    return parts + [
+        ("input projection", [("input_proj.w", (config.n_mels, d)), ("input_proj.b", (d,))]),
+        ("final norms", [(f"ln_{s}_final.{n}", shape) for s in STACKS for n, shape in norm]),
+    ]
+
+
+def _layer_blocks(config: ModelConfig, stack: str) -> tuple[int, list[LayerBlock]]:
+    """Stack "enc" or "dec": its layer count and one layer's (kind, block,
+    shapes, experts) in arena order, kind "attn", "norms" or "ffn". A routed
+    FFN block holds `experts` copies named `expertK.`, any other block one."""
+    d, enc = config.d_model, stack == "enc"
+    attns = ("attn",) if enc else ("self_attn", "cross_attn")
+    norms = ("ln_attn", "ln_ffn") if enc else ("ln_self", "ln_cross", "ln_ffn")
+    ffn = ffn_shapes(d, config.d_ff if enc else config.dec_ff, config.glu)
+    routed = config.enc_smoe if enc else config.dec_smoe
+    return config.n_enc_layers if enc else config.n_dec_layers, (
+        [("attn", b, attention_shapes(d), 0) for b in attns]
+        + [("norms", b, layer_norm_shapes(d), 0) for b in norms]
+        + [("ffn", "ffn", ffn, config.n_experts if routed else 0)])
 
 
 def count_params(config: ModelConfig) -> ParamCount:
     """Trainable/active parameter counts of a config, summed over its
-    parameter_shapes table, with the per-component breakdown they sum.
+    parameter_shapes table, with the per-component breakdown they sum. A
+    layer stack is summed off layer 0 and one copy of each block, scaled by
+    its layer and expert counts, so the work grows with neither. Active is
+    what one forward pass touches under one-hot routing: every entry but the
+    `...ffn.expertK...` copies with K >= 1."""
+    *head, (tail, tail_entries) = _outer_parts(config)
+    parts = {part: sum(math.prod(shape) for _, shape in entries) for part, entries in head}
+    layers: dict[str, LayerSplit] = {}
+    for stack, part in STACKS.items():
+        n_layers, blocks = _layer_blocks(config, stack)
+        size = {"attn": 0, "norms": 0, "ffn": 0}
+        for kind, _, shapes, _ in blocks:
+            size[kind] += sum(math.prod(shape) for _, shape in shapes)
+        copies = max(experts for *_, experts in blocks) or 1
+        layers[part] = s = LayerSplit(n_layers, size["attn"], size["norms"], copies, size["ffn"])
+        parts[part] = n_layers * (s.attn + s.norms + copies * s.ffn)
+    parts[tail] = sum(math.prod(shape) for _, shape in tail_entries)
+    trainable = sum(parts.values())
+    inactive = sum(s.n_layers * (s.copies - 1) * s.ffn for s in layers.values())
+    return ParamCount(trainable, trainable - inactive, parts, layers)
 
-    Active counts what one forward pass touches under one-hot routing: every
-    entry but the `...ffn.expertK...` copies with K >= 1.
-    """
-    trainable = active = 0
-    parts: dict[str, int] = {}
-    for name, shape in parameter_shapes(config):
-        size = math.prod(shape)
-        trainable += size
-        if not INACTIVE_EXPERT.search(name):
-            active += size
-        part = PARTS[name.split(".", 1)[0]]
-        parts[part] = parts.get(part, 0) + size
-    return ParamCount(trainable, active, parts)
 
-
-def parameter_shapes(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
+def parameter_shapes(config: ModelConfig) -> Shapes:
     """Every parameter's name and shape, in named_parameters() order: the
     layout of a model's arena. Each expert's tensors form one run."""
-    d = config.d_model
-    attn, norm = attention_shapes(d), layer_norm_shapes(d)
-
-    def ffn(d_ff: int, routed: bool) -> list[tuple[str, tuple[int, ...]]]:
-        shapes = ffn_shapes(d, d_ff, config.glu)
-        if not routed:
-            return shapes
-        return [(f"expert{k}.{n}", s) for k in range(config.n_experts) for n, s in shapes]
-
-    blocks = [("", [("embed", (config.vocab_size, d))])]
-    if not config.tied_embed:
-        blocks.append(("", [("out_proj", (d, config.vocab_size))]))
-    blocks.append(("input_proj.", [("w", (config.n_mels, d)), ("b", (d,))]))
-    for i in range(config.n_enc_layers):
-        p = f"enc.{i}."
-        blocks += [(p + "attn.", attn), (p + "ln_attn.", norm), (p + "ln_ffn.", norm),
-                   (p + "ffn.", ffn(config.d_ff, config.enc_smoe))]
-    for i in range(config.n_dec_layers):
-        p = f"dec.{i}."
-        blocks += [(p + "self_attn.", attn), (p + "cross_attn.", attn), (p + "ln_self.", norm),
-                   (p + "ln_cross.", norm), (p + "ln_ffn.", norm),
-                   (p + "ffn.", ffn(config.dec_ff, config.dec_smoe))]
-    blocks += [("ln_enc_final.", norm), ("ln_dec_final.", norm)]
-    return [(prefix + name, shape) for prefix, shapes in blocks for name, shape in shapes]
+    *head, (_, tail) = _outer_parts(config)
+    table = [entry for _, entries in head for entry in entries]
+    for stack in STACKS:
+        n_layers, blocks = _layer_blocks(config, stack)
+        for i in range(n_layers):
+            for _, block, shapes, experts in blocks:
+                subs = [f"expert{k}." for k in range(experts)] if experts else [""]
+                table += [(f"{stack}.{i}.{block}.{sub}{n}", s) for sub in subs for n, s in shapes]
+    return table + tail
 
 
 Params = list[tuple[str, Tensor]]
@@ -711,7 +739,7 @@ def load_checkpoint(path: str | Path) -> tuple[Model, int]:
     """Rebuild a model from a checkpoint; fails closed on any corruption.
 
     The file is read in place. A file too short for the payload its config
-    implies is rejected before the model's arena is allocated, and each
+    implies is rejected before its table or arena is built, and each
     payload is read straight into its parameter's slice of the arena. No
     random value is drawn: the entry checks see to it that every parameter
     is written exactly once.

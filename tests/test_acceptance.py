@@ -39,7 +39,7 @@ from smoe.nn import (
     pre_norm_residual,
 )
 from smoe.numerics import (
-    constant, grad_check, mul, parameter_arena, softmax_cross_entropy, sum_all,
+    constant, grad_check, mul, softmax_cross_entropy, sum_all,
 )
 from smoe.seqio import Language, Vocabulary, build_target_sequence
 from smoe.signal import (
@@ -59,6 +59,8 @@ from smoe.train import (
     run_training,
     train_step,
 )
+
+from blocks import build_block
 
 VOCAB = Vocabulary()
 TASK_SPEC = SyntheticTaskSpec.default()
@@ -86,15 +88,6 @@ def report(n: int, name: str, ok: bool, detail: str, elapsed: float, limit: floa
     print(f"\nACCEPTANCE {n:02d} [{status}] {name}: {detail} ({elapsed:.1f}s / limit {limit:.0f}s)")
     assert ok, f"criterion {n} failed: {detail}"
     assert elapsed < limit, f"criterion {n} exceeded its runtime budget"
-
-
-def build_block(block_type, shapes, rng=None, **fields):
-    """A block built as a Model builds one (its arena, the block over the
-    arena's views, then its init), with its named tensors."""
-    _, params = parameter_arena(shapes)
-    block = block_type(**dict(params), **fields)
-    block.fill(rng)
-    return block, params
 
 
 def _run_benchmark():

@@ -1,4 +1,6 @@
 import hashlib
+import math
+import re
 import struct
 import tempfile
 from pathlib import Path
@@ -17,6 +19,7 @@ from smoe.model import (
     count_params,
     expand_experts,
     load_checkpoint,
+    parameter_shapes,
     save_checkpoint,
 )
 from smoe.moe import Bandwidth, GateVector, Task, smoe_forward
@@ -188,6 +191,11 @@ def test_count_params_matches_enumeration():
         pc = count_params(cfg)
         assert (pc.trainable, pc.active) == closed_form_counts(cfg), cfg
         assert sum(pc.parts.values()) == pc.trainable
+        # the layer-0 sums scale to the whole table; active drops ...ffn.expertK... for K >= 1
+        table = parameter_shapes(cfg)
+        assert pc.trainable == sum(math.prod(shape) for _, shape in table)
+        assert pc.active == sum(math.prod(shape) for name, shape in table
+                                if not re.search(r"\.ffn\.expert[1-9]\d*\.", name))
 
 
 def test_active_params_exclude_expert_copies():
@@ -559,6 +567,25 @@ def test_checkpoint_shorter_than_config_fails_before_model_is_built(tmp_path, mo
 
     monkeypatch.setattr(smoe.model, "Model", no_model)
     monkeypatch.setattr(smoe.model, "parameter_arena", no_model)
+    with pytest.raises(FormatError, match="config implies"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("huge", [
+    dict(n_enc_layers=10**9),
+    dict(enc_smoe=True, dec_smoe=True, n_experts=10**9),
+])
+def test_checkpoint_claiming_huge_layer_or_expert_counts_fails_fast(huge, tmp_path, monkeypatch):
+    cfg_bytes = tiny_config(**huge).to_text().encode("utf-8")
+    path = tmp_path / "huge.ckpt"
+    path.write_bytes(smoe.model.CHECKPOINT_MAGIC
+                     + struct.pack("<IQI", smoe.model.CHECKPOINT_VERSION, 0, len(cfg_bytes))
+                     + cfg_bytes + struct.pack("<I", 1) + bytes(64))
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("table built for a file too short for its config")
+
+    monkeypatch.setattr(smoe.model, "parameter_shapes", no_table)
     with pytest.raises(FormatError, match="config implies"):
         load_checkpoint(path)
 

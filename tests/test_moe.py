@@ -12,15 +12,13 @@ from smoe.moe import (
     smoe_forward,
 )
 from smoe.nn import FFNParams, ffn_forward, ffn_shapes
-from smoe.numerics import Tape, backward, constant, parameter_arena, sum_all
+from smoe.numerics import Tape, backward, constant, sum_all
+
+from blocks import build_block
 
 
 def make_ffn(seed, d_model=6, d_ff=10, glu=True):
-    """An FFN block built as a Model builds one, with its named tensors."""
-    _, params = parameter_arena(ffn_shapes(d_model, d_ff, glu))
-    block = FFNParams(**dict(params))
-    block.fill(np.random.default_rng(seed))
-    return block, params
+    return build_block(FFNParams, ffn_shapes(d_model, d_ff, glu), np.random.default_rng(seed))
 
 
 def make_layer(n=2, d_model=6, d_ff=10):

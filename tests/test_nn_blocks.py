@@ -17,16 +17,9 @@ from smoe.nn import (
     pre_norm_residual,
     sinusoidal_positions,
 )
-from smoe.numerics import Tensor, constant, grad_check, parameter, parameter_arena, sum_all
+from smoe.numerics import Tensor, constant, grad_check, parameter, sum_all
 
-
-def build_block(block_type, shapes, rng=None, **fields):
-    """A block built as a Model builds one (its arena, the block over the
-    arena's views, then its init), with its named tensors."""
-    _, params = parameter_arena(shapes)
-    block = block_type(**dict(params), **fields)
-    block.fill(rng)
-    return block, params
+from blocks import build_block
 
 
 def make_ffn(d_model, d_ff, glu, seed=0):
