@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -40,7 +41,7 @@ from .model import (
     parse_config_text,
     save_checkpoint,
 )
-from .moe import Bandwidth, Task
+from .moe import N_EXPERTS, Bandwidth, Task
 from .numerics import grad_check
 from .seqio import Vocabulary
 from .signal import fbank, read_wav
@@ -68,13 +69,11 @@ class CliError(Exception):
 
 # -- flat config namespace ----------------------------------------------------
 
-TRAIN_KEYS = {
-    "steps": int, "batch_size": int, "lr_peak": float, "lr_floor": float,
-    "optimizer": str, "momentum": float, "accum_steps": int,
-    "nbwb_mix_fraction": float,
-}
+# the training keys are TrainConfig's fields but its seed, which --seed sets
+TRAIN_KEYS = {key: kind for key, kind in get_type_hints(TrainConfig).items() if key != "seed"}
 DATA_KEYS = {
-    "n_items": int, "symbols_min": int, "symbols_max": int, "n_merges": int,
+    "n_items": int, "nbwb_mix_fraction": float, "symbols_min": int, "symbols_max": int,
+    "n_merges": int,
 }
 BENCH_KEYS = {
     "budget_steps": int, "n_seeds": int, "n_train_inputs": int, "n_eval_inputs": int,
@@ -84,10 +83,8 @@ SCHEMA = {**CONFIG_TYPES, **TRAIN_KEYS, **DATA_KEYS, **BENCH_KEYS, **EXTRA_KEYS}
 
 DEFAULTS = {
     "preset": "toy",
-    "steps": 200, "batch_size": 8, "lr_peak": 3e-3, "lr_floor": 3e-4,
-    "optimizer": "adam", "momentum": 0.0, "accum_steps": 1,
-    "nbwb_mix_fraction": 0.15,
-    "n_items": 100, "symbols_min": 3, "symbols_max": 5, "n_merges": 0,
+    **{f.name: f.default for f in fields(TrainConfig) if f.name in TRAIN_KEYS},
+    "n_items": 100, "nbwb_mix_fraction": 0.15, "symbols_min": 3, "symbols_max": 5, "n_merges": 0,
     "budget_steps": 500, "n_seeds": 3, "n_train_inputs": 768, "n_eval_inputs": 32,
     "max_decode_len": 16,
 }
@@ -244,7 +241,7 @@ def cmd_finetune_nbwb(args, settings: dict) -> int:
     (out / "metrics.log").write_text("\n".join(log_lines) + "\n", encoding="utf-8")
     write_snapshot(out, settings, args.seed)
     print(f"wrote {out / 'model.ckpt'} (encoder experts: "
-          f"{model.config.n_experts}, routing on)")
+          f"{N_EXPERTS}, routing on)")
     return EXIT_OK
 
 

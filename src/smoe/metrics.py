@@ -125,12 +125,6 @@ def bleu(
     return 100.0 * bp * math.exp(sum(log_precisions) / max_n)
 
 
-def token_accuracy(reference: Sequence, hypothesis: Sequence) -> float:
-    """1 - WER, clamped to [0, 1]; the benchmark's per-item score."""
-    rate, _ = wer(reference, hypothesis)
-    return max(0.0, 1.0 - rate)
-
-
 def corpus_token_accuracy(pairs: Sequence[tuple[Sequence, Sequence]]) -> float:
     """Pooled accuracy: 1 - (total edit errors / total reference tokens)."""
     total_err = 0

@@ -33,7 +33,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, FormatError, LimitError
-from .moe import Bandwidth, GateVector, SMoELayer, Task, gate_decoder, gate_encoder, smoe_forward
+from .moe import (
+    N_EXPERTS, Bandwidth, GateVector, SMoELayer, Task, gate_decoder, gate_encoder, smoe_forward,
+)
 from .nn import (
     AttentionParams,
     FFNParams,
@@ -75,7 +77,6 @@ class ModelConfig:
     tied_embed: bool = True
     enc_smoe: bool = False
     dec_smoe: bool = False
-    n_experts: int = 2
     max_src_frames: int = 3000
     max_tgt_tokens: int = 120
 
@@ -95,8 +96,6 @@ class ModelConfig:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.activation not in ("silu", "relu"):
             raise ConfigError(f"unknown activation {self.activation!r}")
-        if self.n_experts < 1:
-            raise ConfigError(f"n_experts must be >= 1, got {self.n_experts}")
         if self.d_ff_dec is not None and self.d_ff_dec <= 0:
             raise ConfigError(f"d_ff_dec must be positive, got {self.d_ff_dec}")
 
@@ -134,8 +133,7 @@ CONFIG_TYPES = {
     "n_enc_layers": int, "n_dec_layers": int, "d_model": int, "d_ff": int,
     "d_ff_dec": "opt_int", "n_heads": int, "vocab_size": int, "n_mels": int,
     "dropout": float, "activation": str, "glu": "bool", "tied_embed": "bool",
-    "enc_smoe": "bool", "dec_smoe": "bool", "n_experts": int,
-    "max_src_frames": int, "max_tgt_tokens": int,
+    "enc_smoe": "bool", "dec_smoe": "bool", "max_src_frames": int, "max_tgt_tokens": int,
 }
 
 
@@ -231,7 +229,7 @@ def _layer_blocks(config: ModelConfig, stack: str) -> tuple[int, list[LayerBlock
     return config.n_enc_layers if enc else config.n_dec_layers, (
         [("attn", b, attention_shapes(d), 0) for b in attns]
         + [("norms", b, layer_norm_shapes(d), 0) for b in norms]
-        + [("ffn", "ffn", ffn, config.n_experts if routed else 0)])
+        + [("ffn", "ffn", ffn, N_EXPERTS if routed else 0)])
 
 
 def count_params(config: ModelConfig) -> ParamCount:
@@ -280,11 +278,11 @@ def _block(params: Params, prefix: str) -> dict[str, Tensor]:
     return {name[len(prefix):]: t for name, t in params if name.startswith(prefix)}
 
 
-def _ffn(config: ModelConfig, params: Params, prefix: str, routed: bool) -> FFNParams | SMoELayer:
+def _ffn(params: Params, prefix: str, routed: bool) -> FFNParams | SMoELayer:
     if not routed:
         return FFNParams(**_block(params, prefix))
     return SMoELayer(experts=[FFNParams(**_block(params, f"{prefix}expert{k}."))
-                              for k in range(config.n_experts)])
+                              for k in range(N_EXPERTS)])
 
 
 class EncoderLayer:
@@ -292,7 +290,7 @@ class EncoderLayer:
         self.attn = AttentionParams(**_block(params, prefix + "attn."), n_heads=config.n_heads)
         self.ln_attn = LayerNormParams(**_block(params, prefix + "ln_attn."))
         self.ln_ffn = LayerNormParams(**_block(params, prefix + "ln_ffn."))
-        self.ffn = _ffn(config, params, prefix + "ffn.", config.enc_smoe)
+        self.ffn = _ffn(params, prefix + "ffn.", config.enc_smoe)
 
     def fill(self, rng: np.random.Generator) -> None:
         for block in (self.attn, self.ln_attn, self.ln_ffn, self.ffn):
@@ -307,7 +305,7 @@ class DecoderLayer:
         self.ln_self = LayerNormParams(**_block(params, prefix + "ln_self."))
         self.ln_cross = LayerNormParams(**_block(params, prefix + "ln_cross."))
         self.ln_ffn = LayerNormParams(**_block(params, prefix + "ln_ffn."))
-        self.ffn = _ffn(config, params, prefix + "ffn.", config.dec_smoe)
+        self.ffn = _ffn(params, prefix + "ffn.", config.dec_smoe)
 
     def fill(self, rng: np.random.Generator) -> None:
         for block in (self.self_attn, self.cross_attn, self.ln_self, self.ln_cross, self.ln_ffn,

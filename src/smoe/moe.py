@@ -2,8 +2,9 @@
 
 The gate is a function of labels that are known up front (audio bandwidth
 for the encoder, task for the decoder), so there is no gating network to
-train. A zero gate weight means the expert is never invoked: the layer
-calls exactly one expert per forward and counts invocations to prove it.
+train. A routed bank holds one expert per label value, N_EXPERTS of them.
+A zero gate weight means the expert is never invoked: the layer calls
+exactly one expert per forward and counts invocations to prove it.
 """
 
 from __future__ import annotations
@@ -24,6 +25,9 @@ class Bandwidth(Enum):
 class Task(Enum):
     ASR = "ASR"
     ST = "ST"
+
+
+N_EXPERTS = 2  # experts per routed bank: one per Bandwidth, or one per Task
 
 
 @dataclass(frozen=True)

@@ -53,9 +53,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def copy(self) -> "Tensor":
-        return Tensor(self.data.copy(), requires_grad=self.requires_grad)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 

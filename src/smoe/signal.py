@@ -1,4 +1,4 @@
-"""Waveform synthesis, bandwidth conversion, and log-Mel features.
+"""Waveforms, WAV files, bandwidth conversion, and log-Mel features.
 
 Narrowband (8 kHz) and wideband (16 kHz) are the only two sample rates.
 Narrowband inputs are upsampled back to 16 kHz before feature extraction
@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import AudioError, ConfigError, ContractError, FormatError, LimitError
+from .errors import AudioError, ContractError, FormatError, LimitError
 from .moe import Bandwidth
 from .numerics import Tensor, constant
 
@@ -54,44 +54,6 @@ class Waveform:
     @property
     def duration_s(self) -> float:
         return len(self.samples) / self.sample_rate
-
-
-@dataclass(frozen=True)
-class MixtureSpec:
-    """Stationary tone/noise mixture: (frequency_hz, amplitude) pairs plus
-    white-noise amplitude."""
-
-    tones: tuple[tuple[float, float], ...] = ()
-    noise_amplitude: float = 0.0
-
-    def __post_init__(self):
-        if not self.tones and self.noise_amplitude == 0.0:
-            raise ConfigError("mixture spec is empty: no tones and no noise")
-
-
-def synth_wave(
-    spec: MixtureSpec,
-    seed: int,
-    duration_s: float,
-    sample_rate: int = SAMPLE_RATE_WB,
-) -> Waveform:
-    """Render a deterministic tone/noise mixture, peak-limited to 0.95."""
-    if duration_s <= 0:
-        raise ConfigError(f"duration must be positive, got {duration_s}")
-    if duration_s > MAX_SECONDS:
-        raise LimitError(f"duration {duration_s}s exceeds the {MAX_SECONDS}s cap")
-    n = int(round(duration_s * sample_rate))
-    t = np.arange(n) / sample_rate
-    samples = np.zeros(n)
-    for freq, amp in spec.tones:
-        samples += amp * np.sin(2.0 * np.pi * freq * t)
-    if spec.noise_amplitude > 0.0:
-        rng = np.random.default_rng(seed)
-        samples += spec.noise_amplitude * rng.standard_normal(n)
-    peak = np.abs(samples).max() if n else 0.0
-    if peak > 0.95:
-        samples *= 0.95 / peak
-    return Waveform(samples=samples, sample_rate=sample_rate)
 
 
 def _lowpass_kernel(cutoff_normalized: float, taps: int) -> np.ndarray:
@@ -171,9 +133,6 @@ def mel_filterbank(n_mels: int = N_MELS, n_fft: int = N_FFT, sample_rate: int = 
 class FbankFeatures:
     frames: Tensor  # [n_frames x n_mels]
     bandwidth: Bandwidth
-    n_mels: int = N_MELS
-    frame_shift_ms: int = FRAME_SHIFT_MS
-    frame_length_ms: int = FRAME_LENGTH_MS
 
     @property
     def n_frames(self) -> int:

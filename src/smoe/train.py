@@ -15,7 +15,7 @@ on the parameters the batch reached and on nothing else.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -96,13 +96,10 @@ class TrainConfig:
     optimizer: str = "adam"  # "sgd" keeps zero-grad parameters bitwise frozen
     momentum: float = 0.0
     accum_steps: int = 1
-    nbwb_mix_fraction: float = 0.15
 
     def __post_init__(self):
         if self.lr_peak < self.lr_floor:
             raise ConfigError(f"lr_peak {self.lr_peak} < lr_floor {self.lr_floor}")
-        if not 0.0 <= self.nbwb_mix_fraction <= 1.0:
-            raise ConfigError(f"nbwb_mix_fraction must be in [0, 1]")
         if self.optimizer not in ("sgd", "adam"):
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
         if self.accum_steps < 1:
@@ -542,13 +539,10 @@ def _check_shared_dims(configs: dict[str, ModelConfig]) -> None:
     ref = next(iter(configs.values()))
     varying = {"d_ff_dec", "dec_smoe"}
     for name, cfg in configs.items():
-        for f in (
-            "n_enc_layers", "n_dec_layers", "d_model", "d_ff", "n_heads", "vocab_size",
-            "n_mels", "dropout", "activation", "glu", "tied_embed", "enc_smoe", "n_experts",
-        ):
-            if getattr(cfg, f) != getattr(ref, f):
+        for f in fields(ModelConfig):
+            if f.name not in varying and getattr(cfg, f.name) != getattr(ref, f.name):
                 raise ConfigError(
-                    f"benchmark config {name!r} varies {f}; only the decoder "
+                    f"benchmark config {name!r} varies {f.name}; only the decoder "
                     f"FFN arrangement ({sorted(varying)}) may differ"
                 )
 

@@ -42,13 +42,7 @@ from smoe.numerics import (
     constant, grad_check, mul, softmax_cross_entropy, sum_all,
 )
 from smoe.seqio import Language, Vocabulary, build_target_sequence
-from smoe.signal import (
-    LOG_FLOOR,
-    MixtureSpec,
-    fbank,
-    synth_wave,
-    to_narrowband,
-)
+from smoe.signal import LOG_FLOOR, SAMPLE_RATE_WB, Waveform, fbank, to_narrowband
 from smoe.train import (
     SGD,
     Batch,
@@ -559,7 +553,13 @@ def test_criterion_11_metric_oracles():
 
 def test_criterion_12_signal_pipeline():
     t0 = time.monotonic()
-    one_sec = synth_wave(MixtureSpec(tones=((440.0, 0.5),)), seed=0, duration_s=1.0)
+    t = np.arange(SAMPLE_RATE_WB) / SAMPLE_RATE_WB  # one second
+
+    def tones(*pairs):
+        """Sum of (frequency_hz, amplitude) sines over t."""
+        return Waveform(sum(a * np.sin(2.0 * np.pi * f * t) for f, a in pairs), SAMPLE_RATE_WB)
+
+    one_sec = tones((440.0, 0.5))
     shape_ok = fbank(one_sec).frames.shape == (98, 80)
 
     def amplitude(w, freq):
@@ -567,13 +567,13 @@ def test_criterion_12_signal_pipeline():
         freqs = np.fft.rfftfreq(len(w.samples), d=1.0 / w.sample_rate)
         return float(spec[np.argmin(np.abs(freqs - freq))])
 
-    tone1k = synth_wave(MixtureSpec(tones=((1000.0, 0.5),)), seed=0, duration_s=1.0)
+    tone1k = tones((1000.0, 0.5))
     keep_ratio = amplitude(to_narrowband(tone1k), 1000.0) / 0.5
-    tone6k = synth_wave(MixtureSpec(tones=((6000.0, 0.5),)), seed=0, duration_s=1.0)
+    tone6k = tones((6000.0, 0.5))
     nb6 = to_narrowband(tone6k)
     energy_ratio = float(np.sum(nb6.samples**2) / np.sum(tone6k.samples**2))
 
-    dual = synth_wave(MixtureSpec(tones=((800.0, 0.4), (6000.0, 0.4))), seed=0, duration_s=1.0)
+    dual = tones((800.0, 0.4), (6000.0, 0.4))
     high = slice(61, 80)  # mel bins centered above 4 kHz
     wb_high = fbank(dual).frames.data[:, high]
     nb_high = fbank(to_narrowband(dual)).frames.data[:, high]

@@ -1,7 +1,7 @@
 import pytest
 
 from smoe.cli import main
-from smoe.data import read_manifest
+from smoe.data import generate_dataset_files, read_manifest
 from smoe.model import Model, ModelConfig, load_checkpoint, save_checkpoint
 from smoe.moe import Bandwidth
 from smoe.seqio import Vocabulary
@@ -278,6 +278,20 @@ def _train_directory_manifest(root):
     return argv
 
 
+def _train_n_experts(root):
+    generate_dataset_files(root / "data", n_items=2, nbwb_mix_fraction=0.0, seed=0)
+    return ["train", "--data", str(root / "data"), "--out", str(root / "run"),
+            "--set", "dec_smoe=true", "--set", "n_experts=3"]
+
+
+def _inspect_n_experts(root):
+    return ["inspect", "--set", "enc_smoe=true", "--set", "n_experts=3"]
+
+
+def _datagen_mix_fraction(root):
+    return ["datagen", "--out", str(root / "data"), "--set", "nbwb_mix_fraction=1.5"]
+
+
 @pytest.mark.parametrize("make_argv, code", [
     pytest.param(_infer_with_checkpoint(lambda b: b.replace(b"d_model = 16", b"d_model = XX")),
                  2, id="ckpt-config-bad-value"),
@@ -300,6 +314,13 @@ def _train_directory_manifest(root):
     pytest.param(_infer_directory_vocab, 3, id="vocab-is-directory"),
     pytest.param(_infer_directory_audio, 3, id="audio-is-directory"),
     pytest.param(_train_directory_manifest, 3, id="manifest-is-directory"),
+    # a bank holds one expert per label value: the count is no config key
+    pytest.param(_train_n_experts, 1, id="train-n-experts"),
+    pytest.param(_inspect_n_experts, 1, id="inspect-n-experts"),
+    pytest.param(
+        _infer_with_checkpoint(lambda b: b.replace(b"dropout = 0.0\n", b"n_experts = 2\n")),
+        2, id="ckpt-config-n-experts"),
+    pytest.param(_datagen_mix_fraction, 1, id="datagen-mix-fraction-out-of-range"),
 ])
 def test_malformed_input_exit_code(make_argv, code, tmp_path, capsys):
     assert main(make_argv(tmp_path)) == code

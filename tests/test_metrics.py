@@ -10,7 +10,6 @@ from smoe.metrics import (
     EmptyReferenceError,
     bleu,
     corpus_token_accuracy,
-    token_accuracy,
     wer,
 )
 
@@ -159,8 +158,6 @@ def test_bleu_identity_property(tokens):
 
 
 def test_token_accuracy_helpers():
-    assert token_accuracy(list("abcd"), list("abcd")) == 1.0
-    assert token_accuracy(list("ab"), list("xyzw")) == 0.0
     acc = corpus_token_accuracy([(list("abcd"), list("abcd")), (list("ab"), list("ax"))])
     assert acc == pytest.approx(1.0 - 1 / 6)
 

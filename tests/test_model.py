@@ -144,10 +144,13 @@ def test_expand_experts_is_deep():
 
 
 def test_expand_experts_rejects_bad_expert_count():
-    with pytest.raises(ConfigError):
-        tiny_config(n_experts=0)
-    one = expand_experts(Model(tiny_config(n_experts=1), seed=2), decoder=True)
-    assert one.dec_layers[0].ffn.n_experts == 1
+    # a bank holds one expert per label value; the count is not a config key
+    with pytest.raises(ConfigError, match="n_experts"):
+        ModelConfig.from_text(tiny_config().to_text() + "n_experts = 3\n")
+    for encoder, decoder in ((True, False), (False, True), (True, True)):
+        routed = expand_experts(Model(tiny_config(), seed=2), encoder=encoder, decoder=decoder)
+        banks = [name for name, bank in routed.smoe_layers() if len(bank.experts) == 2]
+        assert banks == ["enc.0.ffn"] * encoder + ["dec.0.ffn"] * decoder
 
 
 def test_expand_rejects_already_routed():
@@ -158,8 +161,8 @@ def test_expand_rejects_already_routed():
 
 def closed_form_counts(cfg):
     """(trainable, active) by the closed form, independent of the parameter
-    table: shared tensors, plus per routed layer n_experts FFN copies of
-    which one is active."""
+    table: shared tensors, plus per routed layer two FFN copies (one per
+    label value) of which one is active."""
     d = cfg.d_model
 
     def ffn(d_ff):
@@ -169,7 +172,7 @@ def closed_form_counts(cfg):
     shared = (cfg.vocab_size * d * (1 if cfg.tied_embed else 2) + cfg.n_mels * d + d + 2 * norm
               + cfg.n_enc_layers * (attn + 2 * norm) + cfg.n_dec_layers * (2 * attn + 3 * norm))
     enc, dec = cfg.n_enc_layers * ffn(cfg.d_ff), cfg.n_dec_layers * ffn(cfg.dec_ff)
-    copies = [cfg.n_experts if routed else 1 for routed in (cfg.enc_smoe, cfg.dec_smoe)]
+    copies = [2 if routed else 1 for routed in (cfg.enc_smoe, cfg.dec_smoe)]
     return shared + copies[0] * enc + copies[1] * dec, shared + enc + dec
 
 
@@ -182,11 +185,11 @@ def test_count_params_matches_enumeration():
         tiny_config(glu=False),
         tiny_config(tied_embed=False),
         tiny_config(d_ff_dec=48, dec_smoe=True),
-        tiny_config(enc_smoe=True, dec_smoe=True, n_experts=3, glu=False, tied_embed=False),
+        tiny_config(enc_smoe=True, dec_smoe=True, glu=False, tied_embed=False),
         ModelConfig.toy(dec_smoe=True),
         ModelConfig.toy(enc_smoe=True, dec_smoe=True, d_ff_dec=256),
         ModelConfig.paper_scale(glu=False, tied_embed=False, dec_smoe=True),
-        ModelConfig.paper_scale(enc_smoe=True, n_experts=1),
+        ModelConfig.paper_scale(enc_smoe=True),
     ):
         pc = count_params(cfg)
         assert (pc.trainable, pc.active) == closed_form_counts(cfg), cfg
@@ -573,7 +576,7 @@ def test_checkpoint_shorter_than_config_fails_before_model_is_built(tmp_path, mo
 
 @pytest.mark.parametrize("huge", [
     dict(n_enc_layers=10**9),
-    dict(enc_smoe=True, dec_smoe=True, n_experts=10**9),
+    dict(n_dec_layers=10**9),
 ])
 def test_checkpoint_claiming_huge_layer_or_expert_counts_fails_fast(huge, tmp_path, monkeypatch):
     cfg_bytes = tiny_config(**huge).to_text().encode("utf-8")
@@ -622,6 +625,20 @@ def test_checkpoint_entry_count_mismatch_fails_closed(tmp_path):
     path = tmp_path / "count.ckpt"
     path.write_bytes(raw[:at] + struct.pack("<I", count + 1) + raw[at + 4 :])
     with pytest.raises(FormatError, match="entries"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_with_n_experts_config_key_fails_closed(tmp_path):
+    # the v1 bytes a model had while n_experts was a config key: the same
+    # file with `n_experts = 2` in its config block
+    model = Model(tiny_config(dec_smoe=True), seed=42)
+    raw = v1_checkpoint_bytes(model, 0)
+    cfg = model.config.to_text().encode("utf-8")
+    old = cfg.replace(b"max_src_frames", b"n_experts = 2\nmax_src_frames")
+    path = tmp_path / "old.ckpt"
+    path.write_bytes(raw.replace(struct.pack("<I", len(cfg)) + cfg,
+                                 struct.pack("<I", len(old)) + old, 1))
+    with pytest.raises(FormatError, match="unknown key 'n_experts'"):
         load_checkpoint(path)
 
 

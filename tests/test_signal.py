@@ -4,64 +4,38 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from smoe import errors
-from smoe.errors import AudioError, ConfigError, ContractError, FormatError, LimitError
+from smoe.errors import AudioError, ContractError, FormatError, LimitError
 from smoe.moe import Bandwidth
 from smoe.signal import (
     LOG_FLOOR,
-    MixtureSpec,
+    SAMPLE_RATE_WB,
     Waveform,
     fbank,
     mel_filterbank,
     read_wav,
-    synth_wave,
     to_narrowband,
     upsample_to_wideband,
     write_wav,
 )
 
 
-def tone(freq, amp=0.5, seconds=1.0, seed=0):
-    return synth_wave(MixtureSpec(tones=((freq, amp),)), seed=seed, duration_s=seconds)
+def waveform(*tones, seconds=1.0, noise=0.0, seed=0):
+    """16 kHz sum of (frequency_hz, amplitude) sines plus seeded white noise."""
+    t = np.arange(int(round(seconds * SAMPLE_RATE_WB))) / SAMPLE_RATE_WB
+    samples = sum(a * np.sin(2.0 * np.pi * f * t) for f, a in tones)
+    if noise:
+        samples = samples + noise * np.random.default_rng(seed).standard_normal(len(t))
+    return Waveform(samples=samples, sample_rate=SAMPLE_RATE_WB)
 
 
-def fft_peak_hz(w: Waveform) -> float:
-    spectrum = np.abs(np.fft.rfft(w.samples))
-    freqs = np.fft.rfftfreq(len(w.samples), d=1.0 / w.sample_rate)
-    return float(freqs[np.argmax(spectrum)])
+def tone(freq, amp=0.5, seconds=1.0):
+    return waveform((freq, amp), seconds=seconds)
 
 
 def tone_amplitude(w: Waveform, freq: float) -> float:
     spectrum = np.abs(np.fft.rfft(w.samples)) * 2.0 / len(w.samples)
     freqs = np.fft.rfftfreq(len(w.samples), d=1.0 / w.sample_rate)
     return float(spectrum[np.argmin(np.abs(freqs - freq))])
-
-
-def test_synth_440_dominant_bin():
-    w = tone(440.0)
-    assert len(w.samples) == 16000
-    assert abs(fft_peak_hz(w) - 440.0) < 2.0
-
-
-def test_synth_zero_amp_noise_only_zero():
-    w = synth_wave(MixtureSpec(tones=((440.0, 0.0),)), seed=1, duration_s=0.5)
-    assert np.array_equal(w.samples, np.zeros(8000))
-
-
-def test_synth_deterministic():
-    spec = MixtureSpec(tones=((300.0, 0.4), (900.0, 0.3)), noise_amplitude=0.05)
-    a = synth_wave(spec, seed=9, duration_s=0.7)
-    b = synth_wave(spec, seed=9, duration_s=0.7)
-    assert np.array_equal(a.samples, b.samples)
-
-
-def test_synth_empty_spec_rejected():
-    with pytest.raises(ConfigError):
-        MixtureSpec()
-
-
-def test_synth_peak_limited():
-    w = synth_wave(MixtureSpec(tones=((100.0, 3.0),)), seed=0, duration_s=0.2)
-    assert np.abs(w.samples).max() <= 0.95 + 1e-12
 
 
 def test_narrowband_keeps_1khz_within_5pct():
@@ -122,19 +96,13 @@ def test_fbank_too_short_rejected():
 
 
 def test_fbank_values_finite():
-    w = synth_wave(
-        MixtureSpec(tones=((500.0, 0.3), (3000.0, 0.3)), noise_amplitude=0.01),
-        seed=3,
-        duration_s=0.5,
-    )
+    w = waveform((500.0, 0.3), (3000.0, 0.3), seconds=0.5, noise=0.01, seed=3)
     feats = fbank(w)
     assert np.all(np.isfinite(feats.frames.data))
 
 
 def test_nb_fbank_depresses_high_bins_keeps_low():
-    w = synth_wave(
-        MixtureSpec(tones=((800.0, 0.4), (6000.0, 0.4))), seed=0, duration_s=1.0
-    )
+    w = waveform((800.0, 0.4), (6000.0, 0.4))
     wb_feats = fbank(w).frames.data
     nb_feats_obj = fbank(to_narrowband(w))
     nb_feats = nb_feats_obj.frames.data
@@ -152,9 +120,7 @@ def test_nb_fbank_depresses_high_bins_keeps_low():
 
 
 def test_wav_round_trip(tmp_path):
-    w = synth_wave(
-        MixtureSpec(tones=((700.0, 0.5),), noise_amplitude=0.02), seed=5, duration_s=0.3
-    )
+    w = waveform((700.0, 0.5), seconds=0.3, noise=0.02, seed=5)
     path = tmp_path / "t.wav"
     write_wav(path, w)
     back = read_wav(path)
@@ -163,7 +129,7 @@ def test_wav_round_trip(tmp_path):
 
 
 def test_wav_skips_unknown_chunks_and_pad_bytes(tmp_path):
-    w = synth_wave(MixtureSpec(tones=((500.0, 0.5),)), seed=2, duration_s=0.1)
+    w = tone(500.0, seconds=0.1)
     canonical = tmp_path / "canonical.wav"
     write_wav(canonical, w)
     raw = canonical.read_bytes()

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from smoe.train import (
     cosine_lr,
     make_interleaved_stream,
     make_single_task_stream,
+    run_interference_benchmark,
     run_training,
     shifted_targets,
     train_step,
@@ -245,9 +247,18 @@ def test_train_config_validation():
     with pytest.raises(ConfigError):
         TrainConfig(lr_peak=1e-4, lr_floor=1e-3)
     with pytest.raises(ConfigError):
-        TrainConfig(nbwb_mix_fraction=1.5)
-    with pytest.raises(ConfigError):
         TrainConfig(optimizer="rmsprop")
+
+
+@pytest.mark.parametrize("varied", [dict(max_tgt_tokens=64), dict(max_src_frames=100),
+                                    dict(enc_smoe=True), dict(dropout=0.0)],
+                         ids=lambda varied: next(iter(varied)))
+def test_benchmark_configs_may_differ_only_in_decoder_ffn(varied):
+    base = ModelConfig.toy()
+    configs = {"base": base, "dec_smoe": replace(base, dec_smoe=True, d_ff_dec=12),
+               "varied": replace(base, **varied)}
+    with pytest.raises(ConfigError, match=f"'varied' varies {next(iter(varied))}"):
+        run_interference_benchmark(SPEC, configs, budget_steps=1, seeds=[0])
 
 
 def test_finetune_encoder_counts_match_stream_mix():
