@@ -35,6 +35,7 @@ from .model import (
     CONFIG_TYPES,
     Model,
     ModelConfig,
+    checkpoint_config,
     count_params,
     format_value,
     load_checkpoint,
@@ -143,12 +144,13 @@ def write_snapshot(out_dir: Path, settings: dict, seed: int) -> None:
 # -- shared loading helpers -----------------------------------------------------
 
 
-def _load_checkpoint(path: str) -> tuple[Model, int]:
+def _read_checkpoint(read, path: str):
+    """read(path), with a missing or bad checkpoint turned into exit code 2."""
     p = Path(path)
     if not p.exists():
         raise CliError(EXIT_CHECKPOINT, f"checkpoint not found: {path}")
     try:
-        return load_checkpoint(p)
+        return read(p)
     except (FormatError, OSError) as exc:
         raise CliError(EXIT_CHECKPOINT, f"bad checkpoint: {exc}") from exc
 
@@ -228,7 +230,7 @@ def cmd_train(args, settings: dict) -> int:
 
 
 def cmd_finetune_nbwb(args, settings: dict) -> int:
-    donor, _ = _load_checkpoint(args.ckpt)
+    donor, _ = _read_checkpoint(load_checkpoint, args.ckpt)
     vocab = _load_vocab(args.vocab, args.ckpt)
     items = _load_items(args.data, vocab)
     tc = build_train_config(settings, args.seed)
@@ -246,7 +248,7 @@ def cmd_finetune_nbwb(args, settings: dict) -> int:
 
 
 def cmd_eval(args, settings: dict) -> int:
-    model, _ = _load_checkpoint(args.ckpt)
+    model, _ = _read_checkpoint(load_checkpoint, args.ckpt)
     vocab = _load_vocab(args.vocab, args.ckpt)
     items = _load_items(args.data, vocab)
     per_task = decode_pairs(model, items, vocab, settings["max_decode_len"])
@@ -264,7 +266,7 @@ def cmd_eval(args, settings: dict) -> int:
 
 
 def cmd_infer(args, settings: dict) -> int:
-    model, _ = _load_checkpoint(args.ckpt)
+    model, _ = _read_checkpoint(load_checkpoint, args.ckpt)
     vocab = _load_vocab(args.vocab, args.ckpt)
     feats = _load_audio(args.audio)
     model.eval()
@@ -286,8 +288,7 @@ def cmd_infer(args, settings: dict) -> int:
 
 def cmd_inspect(args, settings: dict) -> int:
     if args.ckpt:
-        model, _ = _load_checkpoint(args.ckpt)
-        cfg = model.config
+        cfg, _ = _read_checkpoint(checkpoint_config, args.ckpt)
     else:
         cfg = build_model_config(settings)
     pc = count_params(cfg)

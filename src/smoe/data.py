@@ -298,6 +298,8 @@ def generate_dataset_files(
         raise ConfigError(f"n_items must be positive, got {n_items}")
     if not 0.0 <= nbwb_mix_fraction <= 1.0:
         raise ConfigError(f"nbwb_mix_fraction must be in [0, 1], got {nbwb_mix_fraction}")
+    if not 1 <= min_len <= max_len:
+        raise ConfigError(f"symbol counts need 1 <= min_len <= max_len, got {min_len}, {max_len}")
     if task_spec is None:
         task_spec = SyntheticTaskSpec.default()
     out = Path(out_dir)
@@ -326,7 +328,7 @@ def generate_dataset_files(
                 ManifestRecord(audio_path=nb_rel, bandwidth=Bandwidth.NB, task=task, text=text)
             )
 
-    vocab = train_bpe(texts, n_merges) if n_merges > 0 else Vocabulary()
+    vocab = train_bpe(texts, n_merges)
     vocab.save(out / "vocab.txt")
     (out / "targets.txt").write_text(
         "".join(f"{r.audio_path}\t{r.text}\n" for r in records), encoding="utf-8"

@@ -17,6 +17,8 @@ parameter's data a view of its slice, so each expert is one contiguous run.
 `Model(config, seed)` allocates the arena and fills it by random init.
 `load_checkpoint` and `expand_experts` allocate it with `Model.allocate` and
 write every parameter from the file or the donor; they draw no random values.
+A checkpoint is a header, the config block and the arena's bytes, so a load
+is one read into the arena and `checkpoint_config` reads the header alone.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import struct
 import sys
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Sequence, get_type_hints
 
 import numpy as np
 
@@ -58,7 +60,7 @@ from .seqio import LANGUAGE_TOKEN, TASK_LANGUAGE, TASK_TOKEN, GuidingToken, Lang
 from .signal import N_MELS, FbankFeatures
 
 CHECKPOINT_MAGIC = b"SMOE"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass
@@ -129,16 +131,13 @@ class ModelConfig:
         return cls(**parse_config_text(text, CONFIG_TYPES))
 
 
-CONFIG_TYPES = {
-    "n_enc_layers": int, "n_dec_layers": int, "d_model": int, "d_ff": int,
-    "d_ff_dec": "opt_int", "n_heads": int, "vocab_size": int, "n_mels": int,
-    "dropout": float, "activation": str, "glu": "bool", "tied_embed": "bool",
-    "enc_smoe": "bool", "dec_smoe": "bool", "max_src_frames": int, "max_tgt_tokens": int,
-}
+CONFIG_TYPES = get_type_hints(ModelConfig)  # config key -> its field's type
 
 
 def parse_config_text(text: str, schema: dict) -> dict:
-    """Parse flat `key = value` lines with # comments; unknown keys rejected."""
+    """Parse flat `key = value` lines with # comments; unknown keys rejected.
+    `schema` maps each key to its type: bool reads true/false, int | None
+    also reads none, and any other type is called on the value text."""
     out = {}
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -151,18 +150,14 @@ def parse_config_text(text: str, schema: dict) -> dict:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         kind = schema[key]
         try:
-            if kind is int:
-                out[key] = int(value)
-            elif kind is float:
-                out[key] = float(value)
-            elif kind == "bool":
+            if kind is bool:
                 if value not in ("true", "false"):
                     raise ValueError(value)
                 out[key] = value == "true"
-            elif kind == "opt_int":
+            elif kind == int | None:
                 out[key] = None if value == "none" else int(value)
             else:
-                out[key] = value
+                out[key] = kind(value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key}: {value!r}") from exc
     return out
@@ -697,121 +692,86 @@ def expand_experts(donor: Model, encoder: bool = False, decoder: bool = False) -
 #
 #   magic "SMOE" | u32 version | u64 step
 #   u32 config byte length | config text (key = value lines)
-#   u32 entry count
-#   per entry: u32 name length | name | u32 rank | rank * u64 dims | float64 data
+#   the arena: every parameter in parameter_shapes(config) order, float64
 #
-# all integers little-endian, parameter payloads little-endian float64.
+# all integers little-endian, the arena little-endian float64, nothing after
+# it. The config implies every name, shape and the arena's size, so the file
+# stores none of them, and a change to the order or shapes of parameter_shapes
+# must bump CHECKPOINT_VERSION. There is no checksum: a flipped arena bit loads.
+
+_HEADER = struct.Struct("<4sIQI")  # magic, version, step, config byte length
 
 
 def save_checkpoint(model: Model, path: str | Path, step: int = 0) -> None:
-    """Stream the checkpoint to `path`: each header and each parameter's
-    payload goes straight to the file, with no full-size copy in memory.
+    """Write the header and config block, then the arena in one write,
+    with no full-size copy in memory on a little-endian host.
 
     The bytes go to a temporary file beside `path`, which then replaces
     `path` in one rename, so a save that fails midway leaves the previous
     file whole and no temporary file behind.
     """
     path = Path(path)
-    params = model.named_parameters()
     cfg_bytes = model.config.to_text().encode("utf-8")
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
-            fh.write(CHECKPOINT_MAGIC)
-            fh.write(struct.pack("<IQI", CHECKPOINT_VERSION, step, len(cfg_bytes)))
+            fh.write(_HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, step, len(cfg_bytes)))
             fh.write(cfg_bytes)
-            fh.write(struct.pack("<I", len(params)))
-            for name, tensor in params:
-                name_b = name.encode("utf-8")
-                shape = tensor.data.shape
-                fh.write(struct.pack(f"<I{len(name_b)}sI{len(shape)}Q",
-                                     len(name_b), name_b, len(shape), *shape))
-                fh.write(np.ascontiguousarray(tensor.data, dtype="<f8"))
+            fh.write(model.arena.astype("<f8", copy=False))
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
 
 
-def load_checkpoint(path: str | Path) -> tuple[Model, int]:
-    """Rebuild a model from a checkpoint; fails closed on any corruption.
+def _read_header(fh, path: str | Path) -> tuple[ModelConfig, int]:
+    """The config and step of the checkpoint open as `fh`, left at its arena.
+    A file whose size is not exactly the header, the config block and the
+    arena that config implies is rejected before any table or arena is built."""
+    size = os.fstat(fh.fileno()).st_size
+    head = fh.read(_HEADER.size)
+    if len(head) != _HEADER.size:
+        raise FormatError(f"truncated checkpoint {path}: {len(head)} bytes")
+    magic, version, step, cfg_len = _HEADER.unpack(head)
+    if magic != CHECKPOINT_MAGIC:
+        raise FormatError(f"bad magic in {path}")
+    if version != CHECKPOINT_VERSION:
+        raise FormatError(f"unsupported checkpoint version {version} in {path}")
+    if cfg_len > size - _HEADER.size:
+        raise FormatError(f"truncated checkpoint {path}: config block needs {cfg_len} bytes")
+    try:
+        config = ModelConfig.from_text(fh.read(cfg_len).decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"non-UTF-8 config block in {path}") from exc
+    except ConfigError as exc:
+        raise FormatError(f"bad config block in {path}: {exc}") from exc
+    payload = size - _HEADER.size - cfg_len
+    expected = 8 * count_params(config).trainable
+    if payload != expected:
+        raise FormatError(f"checkpoint {path} has {payload} arena bytes, config implies {expected}")
+    return config, step
 
-    The file is read in place. A file too short for the payload its config
-    implies is rejected before its table or arena is built, and each
-    payload is read straight into its parameter's slice of the arena. No
-    random value is drawn: the entry checks see to it that every parameter
-    is written exactly once.
+
+def checkpoint_config(path: str | Path) -> tuple[ModelConfig, int]:
+    """A checkpoint's config and step, read from its header alone: the file
+    size is checked against the config, the arena is not read."""
+    with open(path, "rb") as fh:
+        return _read_header(fh, path)
+
+
+def load_checkpoint(path: str | Path) -> tuple[Model, int]:
+    """Rebuild a model from a checkpoint; fails closed on a bad header or
+    config block and on a file size other than the one they imply.
+
+    The header is checked before the arena is allocated, and the arena is
+    read in one call straight into the new model's arena, so every
+    parameter is written and no random value is drawn.
     """
     with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        off = 0
-
-        def check_room(n: int) -> None:
-            if off + n > size:
-                raise FormatError(f"truncated checkpoint {path} at byte {off}")
-
-        def take(n: int) -> bytes:
-            nonlocal off
-            check_room(n)
-            chunk = fh.read(n)
-            if len(chunk) != n:
-                raise FormatError(f"truncated checkpoint {path} at byte {off}")
-            off += n
-            return chunk
-
-        def take_text(n: int) -> str:
-            try:
-                return take(n).decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise FormatError(f"non-UTF-8 text at byte {off - n} of {path}") from exc
-
-        if take(4) != CHECKPOINT_MAGIC:
-            raise FormatError(f"bad magic in {path}")
-        (version,) = struct.unpack("<I", take(4))
-        if version != CHECKPOINT_VERSION:
-            raise FormatError(f"unsupported checkpoint version {version} in {path}")
-        (step,) = struct.unpack("<Q", take(8))
-        (cfg_len,) = struct.unpack("<I", take(4))
-        try:
-            config = ModelConfig.from_text(take_text(cfg_len))
-        except ConfigError as exc:
-            raise FormatError(f"bad config block in {path}: {exc}") from exc
-        (n_entries,) = struct.unpack("<I", take(4))
-        payload = 8 * count_params(config).trainable
-        if size - off < payload:
-            raise FormatError(
-                f"checkpoint {path} has {size - off} bytes after its header, "
-                f"config implies at least {payload}"
-            )
-
+        config, step = _read_header(fh, path)
         model = Model.allocate(config)
-        expected = dict(model.named_parameters())
-        if n_entries != len(expected):
-            raise FormatError(
-                f"checkpoint has {n_entries} entries, config implies {len(expected)}"
-            )
-        seen = set()
-        for _ in range(n_entries):
-            (name_len,) = struct.unpack("<I", take(4))
-            name = take_text(name_len)
-            if name not in expected:
-                raise FormatError(f"unknown parameter entry {name!r}")
-            if name in seen:
-                raise FormatError(f"duplicate parameter entry {name!r}")
-            seen.add(name)
-            (rank,) = struct.unpack("<I", take(4))
-            dims = struct.unpack(f"<{rank}Q", take(8 * rank))
-            data = expected[name].data  # its unfilled, C-contiguous slice of the arena
-            if dims != data.shape:
-                raise FormatError(
-                    f"entry {name!r} has shape {dims}, config implies {data.shape}"
-                )
-            check_room(data.nbytes)
-            if fh.readinto(data) != data.nbytes:
-                raise FormatError(f"truncated checkpoint {path} at byte {off}")
-            off += data.nbytes
-            if sys.byteorder == "big":  # the payload on disk is little-endian
-                data.byteswap(inplace=True)
-    if off != size:
-        raise FormatError(f"{size - off} trailing bytes in {path}")
+        if fh.readinto(model.arena) != model.arena.nbytes:
+            raise FormatError(f"truncated checkpoint {path}")
+    if sys.byteorder == "big":  # the arena on disk is little-endian
+        model.arena.byteswap(inplace=True)
     return model, step

@@ -98,6 +98,11 @@ class TrainConfig:
     accum_steps: int = 1
 
     def __post_init__(self):
+        if self.steps < 1:
+            raise ConfigError(f"steps must be >= 1, got {self.steps}")
+        if self.lr_floor < 0 or self.momentum < 0:
+            raise ConfigError(f"lr_floor {self.lr_floor} and momentum {self.momentum} "
+                              "must be >= 0")
         if self.lr_peak < self.lr_floor:
             raise ConfigError(f"lr_peak {self.lr_peak} < lr_floor {self.lr_floor}")
         if self.optimizer not in ("sgd", "adam"):

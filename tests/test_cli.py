@@ -1,5 +1,6 @@
 import pytest
 
+import smoe.model
 from smoe.cli import main
 from smoe.data import generate_dataset_files, read_manifest
 from smoe.model import Model, ModelConfig, load_checkpoint, save_checkpoint
@@ -278,18 +279,37 @@ def _train_directory_manifest(root):
     return argv
 
 
-def _train_n_experts(root):
-    generate_dataset_files(root / "data", n_items=2, nbwb_mix_fraction=0.0, seed=0)
-    return ["train", "--data", str(root / "data"), "--out", str(root / "run"),
-            "--set", "dec_smoe=true", "--set", "n_experts=3"]
-
-
 def _inspect_n_experts(root):
     return ["inspect", "--set", "enc_smoe=true", "--set", "n_experts=3"]
 
 
-def _datagen_mix_fraction(root):
-    return ["datagen", "--out", str(root / "data"), "--set", "nbwb_mix_fraction=1.5"]
+def _sets(settings):
+    return [arg for setting in settings for arg in ("--set", setting)]
+
+
+def _datagen_with(*settings):
+    def argv(root):
+        return ["datagen", "--out", str(root / "data"), "--set", "n_items=2", *_sets(settings)]
+    return argv
+
+
+def _train_with(*settings):
+    def argv(root):
+        generate_dataset_files(root / "data", n_items=2, nbwb_mix_fraction=0.0, seed=0)
+        return ["train", "--data", str(root / "data"), "--out", str(root / "run"),
+                "--set", "steps=2", *_sets(settings)]
+    return argv
+
+
+def _resized_checkpoint(command, resize):
+    """infer or inspect on the tiny checkpoint with its bytes resized."""
+    def argv(root):
+        ckpt = _tiny_checkpoint(root)
+        ckpt.write_bytes(resize(ckpt.read_bytes()))
+        if command == "inspect":
+            return ["inspect", "--ckpt", str(ckpt)]
+        return ["infer", "--ckpt", str(ckpt), str(_wav(root))]
+    return argv
 
 
 @pytest.mark.parametrize("make_argv, code", [
@@ -297,8 +317,6 @@ def _datagen_mix_fraction(root):
                  2, id="ckpt-config-bad-value"),
     pytest.param(_infer_with_checkpoint(lambda b: b.replace(b"activation", b"\xffctivation")),
                  2, id="ckpt-config-not-utf8"),
-    pytest.param(_infer_with_checkpoint(lambda b: b.replace(b"input_proj.w", b"\xffnput_proj.w")),
-                 2, id="ckpt-name-not-utf8"),
     pytest.param(_train_with_vocab(None), 3, id="train-data-without-vocab"),
     pytest.param(_train_with_vocab(b"smoe-vocab v1 merges=1\nzz\t61\n"), 3, id="vocab-non-hex"),
     pytest.param(_train_with_vocab(b"smoe-vocab v1 merges=0\n\xe9\n"), 3, id="vocab-non-ascii"),
@@ -315,15 +333,51 @@ def _datagen_mix_fraction(root):
     pytest.param(_infer_directory_audio, 3, id="audio-is-directory"),
     pytest.param(_train_directory_manifest, 3, id="manifest-is-directory"),
     # a bank holds one expert per label value: the count is no config key
-    pytest.param(_train_n_experts, 1, id="train-n-experts"),
+    pytest.param(_train_with("dec_smoe=true", "n_experts=3"), 1, id="train-n-experts"),
     pytest.param(_inspect_n_experts, 1, id="inspect-n-experts"),
     pytest.param(
         _infer_with_checkpoint(lambda b: b.replace(b"dropout = 0.0\n", b"n_experts = 2\n")),
         2, id="ckpt-config-n-experts"),
-    pytest.param(_datagen_mix_fraction, 1, id="datagen-mix-fraction-out-of-range"),
+    pytest.param(_datagen_with("nbwb_mix_fraction=1.5"), 1, id="datagen-mix-fraction-out-of-range"),
+    pytest.param(_datagen_with("symbols_min=0", "symbols_max=40"), 1,
+                 id="datagen-symbols-min-zero"),
+    pytest.param(_datagen_with("symbols_min=5", "symbols_max=3"), 1,
+                 id="datagen-symbols-min-above-max"),
+    pytest.param(_datagen_with("n_merges=-1"), 1, id="datagen-n-merges-negative"),
+    pytest.param(_train_with("steps=0"), 1, id="train-steps-zero"),
+    pytest.param(_train_with("lr_floor=-0.001"), 1, id="train-lr-floor-negative"),
+    pytest.param(_train_with("momentum=-0.5"), 1, id="train-momentum-negative"),
+    # the file size must be exactly what the header and config imply
+    pytest.param(_resized_checkpoint("infer", lambda b: b[:-1]), 2, id="ckpt-one-byte-short"),
+    pytest.param(_resized_checkpoint("infer", lambda b: b + b"\x00"), 2, id="ckpt-one-byte-extra"),
+    pytest.param(_resized_checkpoint("inspect", lambda b: b[:-1]), 2,
+                 id="inspect-ckpt-one-byte-short"),
+    pytest.param(_resized_checkpoint("inspect", lambda b: b[:30]), 2,
+                 id="inspect-ckpt-cut-in-config"),
+    pytest.param(_resized_checkpoint("inspect", lambda b: b + b"\x00"), 2,
+                 id="inspect-ckpt-one-byte-extra"),
 ])
 def test_malformed_input_exit_code(make_argv, code, tmp_path, capsys):
     assert main(make_argv(tmp_path)) == code
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error" in captured.err and "Traceback" not in captured.err
+
+
+def test_inspect_ckpt_reads_the_header_alone(tmp_path, capsys, monkeypatch):
+    """inspect --ckpt builds no arena, and prints what inspect --set prints
+    for the checkpoint's config."""
+    ckpt = _tiny_checkpoint(tmp_path)
+    cfg = load_checkpoint(ckpt)[0].config
+
+    def no_arena(*args, **kwargs):
+        raise AssertionError("inspect --ckpt built a model")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(Model, "allocate", no_arena)
+        mp.setattr(smoe.model, "parameter_arena", no_arena)
+        assert main(["inspect", "--ckpt", str(ckpt)]) == 0
+    from_ckpt = capsys.readouterr().out
+    sets = _sets(line.replace(" = ", "=") for line in cfg.to_text().splitlines())
+    assert main(["inspect", *sets]) == 0
+    assert capsys.readouterr().out == from_ckpt

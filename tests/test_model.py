@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import smoe.model
+from smoe.cli import main
 from smoe.errors import ConfigError, FormatError, LimitError
 from smoe.model import (
     Model,
@@ -237,10 +238,10 @@ def test_checkpoint_truncated_fails_closed(tmp_path):
     path = tmp_path / "m.ckpt"
     save_checkpoint(model, path)
     raw = path.read_bytes()
-    sections = v1_sections(model)
+    sections = checkpoint_sections(model)
     assert sections[-1][2] == len(raw)
-    cuts = {3, 10, len(raw) // 2, len(raw) - 5}
-    for _, start, end in sections:  # inside each header field and entry field
+    cuts = {3, 10, len(raw) // 2, len(raw) - 1}
+    for _, start, end in sections:  # inside each header field, the config, a parameter
         cuts |= {start, (start + end) // 2, end - 1}
     for cut in sorted(cuts):
         bad = tmp_path / f"cut{cut}.ckpt"
@@ -248,7 +249,7 @@ def test_checkpoint_truncated_fails_closed(tmp_path):
         with pytest.raises(FormatError):
             load_checkpoint(bad)
     bad.write_bytes(raw + b"\x00")
-    with pytest.raises(FormatError, match="trailing"):
+    with pytest.raises(FormatError, match="config implies"):
         load_checkpoint(bad)
 
 
@@ -518,8 +519,16 @@ def test_one_sample_forward_and_greedy_match_pinned_digest(overrides, digest):
 # -- checkpoint bytes ---------------------------------------------------------------
 
 
+def checkpoint_bytes(model, step):
+    """The checkpoint layout, written out field by field."""
+    cfg = model.config.to_text().encode("utf-8")
+    return (b"SMOE" + struct.pack("<IQI", 2, step, len(cfg)) + cfg
+            + model.arena.astype("<f8").tobytes())
+
+
 def v1_checkpoint_bytes(model, step):
-    """The v1 checkpoint layout, written out field by field."""
+    """The version-1 checkpoint layout, which named and shaped each
+    parameter, written out field by field."""
     params = model.named_parameters()
     cfg = model.config.to_text().encode("utf-8")
     out = b"SMOE" + struct.pack("<I", 1) + struct.pack("<Q", step)
@@ -532,38 +541,42 @@ def v1_checkpoint_bytes(model, step):
     return out
 
 
-def v1_sections(model):
-    """(name, start, end) byte ranges of a v1 file's header fields and of the
-    first and last parameter entries' fields."""
-    params = model.named_parameters()
+def checkpoint_sections(model):
+    """(name, start, end) byte ranges of a file's header fields, its config
+    block and its first and last parameters' bytes."""
     cfg_len = len(model.config.to_text().encode("utf-8"))
     spans = [("magic", 4), ("version", 4), ("step", 8), ("config length", 4),
-             ("config", cfg_len), ("entry count", 4)]
-    for name, tensor in params:
-        spans += [("name length", 4), ("name", len(name.encode("utf-8"))), ("rank", 4),
-                  ("dims", 8 * tensor.data.ndim), ("payload", tensor.data.nbytes)]
+             ("config", cfg_len)]
+    spans += [(name, tensor.data.nbytes) for name, tensor in model.named_parameters()]
     out, off = [], 0
     for i, (label, n) in enumerate(spans):
-        if i < 6 + 5 or i >= len(spans) - 5:  # the header, the first entry, the last entry
+        if i <= 5 or i == len(spans) - 1:  # the header, the first and the last parameter
             out.append((label, off, off + n))
         off += n
     return out
 
 
-def test_checkpoint_bytes_match_v1_layout(tmp_path):
+def test_checkpoint_bytes_match_v2_layout(tmp_path):
     for cfg in (tiny_config(), tiny_config(enc_smoe=True, dec_smoe=True, tied_embed=False, glu=False)):
         model = Model(cfg, seed=35)
         save_checkpoint(model, tmp_path / "m.ckpt", step=41)
-        assert (tmp_path / "m.ckpt").read_bytes() == v1_checkpoint_bytes(model, 41)
+        assert (tmp_path / "m.ckpt").read_bytes() == checkpoint_bytes(model, 41)
+
+
+def test_v1_checkpoint_fails_closed_naming_its_version(tmp_path, capsys):
+    path = tmp_path / "v1.ckpt"
+    path.write_bytes(v1_checkpoint_bytes(Model(tiny_config(), seed=36), 5))
+    with pytest.raises(FormatError, match="version 1"):
+        load_checkpoint(path)
+    assert main(["infer", "--ckpt", str(path), str(tmp_path / "in.wav")]) == 2
+    assert main(["inspect", "--ckpt", str(path)]) == 2
+    assert "version 1" in capsys.readouterr().err
 
 
 def test_checkpoint_shorter_than_config_fails_before_model_is_built(tmp_path, monkeypatch):
     model = Model(tiny_config(), seed=37)
-    raw = v1_checkpoint_bytes(model, 0)
-    # the header through the entry count, then one byte less than the payloads
-    header = 24 + len(model.config.to_text().encode("utf-8"))
     path = tmp_path / "short.ckpt"
-    path.write_bytes(raw[: header + 8 * model.parameter_count() - 1])
+    path.write_bytes(checkpoint_bytes(model, 0)[:-1])  # one byte short of the arena
 
     def no_model(*args, **kwargs):
         raise AssertionError("Model built for a file too short for its config")
@@ -583,7 +596,7 @@ def test_checkpoint_claiming_huge_layer_or_expert_counts_fails_fast(huge, tmp_pa
     path = tmp_path / "huge.ckpt"
     path.write_bytes(smoe.model.CHECKPOINT_MAGIC
                      + struct.pack("<IQI", smoe.model.CHECKPOINT_VERSION, 0, len(cfg_bytes))
-                     + cfg_bytes + struct.pack("<I", 1) + bytes(64))
+                     + cfg_bytes + bytes(64))
 
     def no_table(*args, **kwargs):
         raise AssertionError("table built for a file too short for its config")
@@ -593,22 +606,14 @@ def test_checkpoint_claiming_huge_layer_or_expert_counts_fails_fast(huge, tmp_pa
         load_checkpoint(path)
 
 
-def _rename_entry(old: bytes, new: bytes):
-    def edit(raw):
-        return raw.replace(struct.pack("<I", len(old)) + old, struct.pack("<I", len(new)) + new, 1)
-    return edit
-
-
 @pytest.mark.parametrize("edit, match", [
-    (lambda raw: raw[:4] + struct.pack("<I", 2) + raw[8:], "version"),
-    (_rename_entry(b"input_proj.w", b"input_proj.x"), "unknown"),
-    (_rename_entry(b"input_proj.b", b"input_proj.w"), "duplicate"),
-    (lambda raw: raw.replace(struct.pack("<QQ", VOCAB.size, 16), struct.pack("<QQ", 16, VOCAB.size), 1),
-     "shape"),
+    (lambda raw: raw[:4] + struct.pack("<I", 3) + raw[8:], "version"),
+    # a config whose layers are wider than the arena the file holds
+    (lambda raw: raw.replace(b"d_ff = 24\n", b"d_ff = 26\n", 1), "config implies"),
 ])
 def test_checkpoint_edited_entries_fail_closed(edit, match, tmp_path):
     model = Model(tiny_config(), seed=38)
-    raw = v1_checkpoint_bytes(model, 0)
+    raw = checkpoint_bytes(model, 0)
     edited = edit(raw)
     assert len(edited) == len(raw) and edited != raw
     path = tmp_path / "edited.ckpt"
@@ -617,22 +622,11 @@ def test_checkpoint_edited_entries_fail_closed(edit, match, tmp_path):
         load_checkpoint(path)
 
 
-def test_checkpoint_entry_count_mismatch_fails_closed(tmp_path):
-    model = Model(tiny_config(), seed=39)
-    raw = v1_checkpoint_bytes(model, 0)
-    at = 20 + len(model.config.to_text().encode("utf-8"))
-    (count,) = struct.unpack("<I", raw[at : at + 4])
-    path = tmp_path / "count.ckpt"
-    path.write_bytes(raw[:at] + struct.pack("<I", count + 1) + raw[at + 4 :])
-    with pytest.raises(FormatError, match="entries"):
-        load_checkpoint(path)
-
-
 def test_checkpoint_with_n_experts_config_key_fails_closed(tmp_path):
-    # the v1 bytes a model had while n_experts was a config key: the same
+    # the bytes a model had while n_experts was a config key: the same
     # file with `n_experts = 2` in its config block
     model = Model(tiny_config(dec_smoe=True), seed=42)
-    raw = v1_checkpoint_bytes(model, 0)
+    raw = checkpoint_bytes(model, 0)
     cfg = model.config.to_text().encode("utf-8")
     old = cfg.replace(b"max_src_frames", b"n_experts = 2\nmax_src_frames")
     path = tmp_path / "old.ckpt"
@@ -647,8 +641,7 @@ def test_failed_save_keeps_previous_checkpoint_and_leaves_no_temp_file(tmp_path)
     save_checkpoint(Model(tiny_config(), seed=40), path, step=1)
     before = path.read_bytes()
     broken = Model(tiny_config(), seed=41)
-    last = broken.named_parameters()[-1][1]
-    last.data = np.full(last.data.shape, "x", dtype=object)  # fails at the last payload
+    broken.arena = np.full(broken.arena.shape, "x", dtype=object)  # fails after the header
     with pytest.raises(ValueError):
         save_checkpoint(broken, path, step=2)
     assert path.read_bytes() == before
@@ -744,7 +737,7 @@ def mutated_checkpoints(draw):
 
 
 def entry_bytes(raw: bytes) -> bytes:
-    """A checkpoint's bytes from its entry count on: every name, shape and payload."""
+    """A checkpoint's bytes after its config block: the arena."""
     (cfg_len,) = struct.unpack_from("<I", raw, 16)
     return raw[20 + cfg_len :]
 
@@ -753,7 +746,7 @@ def entry_bytes(raw: bytes) -> bytes:
 @given(raw=mutated_checkpoints())
 def test_load_checkpoint_fuzzed_fails_closed_or_fills_every_view(raw, monkeypatch_arena):
     """Every load either raises FormatError or returns a model that holds
-    exactly the file's payloads: saved again, it writes the same entries."""
+    exactly the file's arena: saved again, it writes the same arena bytes."""
     with tempfile.TemporaryDirectory() as d:
         path = Path(d) / "m.ckpt"
         path.write_bytes(raw)
