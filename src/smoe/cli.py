@@ -45,7 +45,7 @@ from .model import (
 from .moe import N_EXPERTS, Bandwidth, Task
 from .numerics import grad_check
 from .seqio import Vocabulary
-from .signal import fbank, read_wav
+from .signal import N_MELS, fbank, read_wav
 from .train import (
     TrainConfig,
     decode_pairs,
@@ -316,9 +316,7 @@ def cmd_gradcheck(args, settings: dict) -> int:
     from .train import shifted_targets
     from .numerics import softmax_cross_entropy
 
-    feats = FbankFeatures(
-        frames=constant(rng.normal(size=(6, cfg.n_mels))), bandwidth=Bandwidth.WB
-    )
+    feats = FbankFeatures(frames=constant(rng.normal(size=(6, N_MELS))), bandwidth=Bandwidth.WB)
     ids = [3, 6, 1, 20, 21, 22, 2]  # transcribe, ko, bos, payload, eos
 
     def f():

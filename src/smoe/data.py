@@ -196,7 +196,6 @@ def make_paired_dataset(
     min_len: int = 3,
     max_len: int = 5,
     nb_fraction: float = 0.0,
-    tasks: tuple[Task, ...] = (Task.ASR, Task.ST),
 ) -> list[Utterance]:
     """n_inputs random symbol strings, one utterance per (input, task).
 
@@ -221,7 +220,7 @@ def make_paired_dataset(
         wave = render_symbols(symbols, item_seed)
         wb = fbank(wave)
         nb = fbank(to_narrowband(wave)) if idx in nb_indices else None
-        for task in tasks:
+        for task in (Task.ASR, Task.ST):
             items.append(_labelled(symbols, task, task_spec, vocab, wb))
             if nb is not None:
                 items.append(_labelled(symbols, task, task_spec, vocab, nb))
@@ -292,7 +291,8 @@ def generate_dataset_files(
 
     Each item gets one task (alternating transcription/translation); a
     nbwb_mix_fraction subset of items gains a narrowband twin record with
-    the same task and target.
+    the same task and target. The vocabulary is trained on the texts before
+    any file is written, so a rejected merge count leaves no WAV behind.
     """
     if n_items <= 0:
         raise ConfigError(f"n_items must be positive, got {n_items}")
@@ -302,20 +302,19 @@ def generate_dataset_files(
         raise ConfigError(f"symbol counts need 1 <= min_len <= max_len, got {min_len}, {max_len}")
     if task_spec is None:
         task_spec = SyntheticTaskSpec.default()
-    out = Path(out_dir)
-    (out / "wavs").mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(4,)))
     n_nb = int(round(nbwb_mix_fraction * n_items))
     nb_indices = set(rng.permutation(n_items)[:n_nb].tolist())
+    symbols = [random_symbols(rng, min_len, max_len) for _ in range(n_items)]
+    tasks = [Task.ASR if idx % 2 == 0 else Task.ST for idx in range(n_items)]
+    texts = [task_spec.apply(task, s) for task, s in zip(tasks, symbols)]
+    vocab = train_bpe([text.encode("ascii") for text in texts], n_merges)
 
+    out = Path(out_dir)
+    (out / "wavs").mkdir(parents=True, exist_ok=True)
     records: list[ManifestRecord] = []
-    texts: list[bytes] = []
-    for idx in range(n_items):
-        symbols = random_symbols(rng, min_len, max_len)
-        task = Task.ASR if idx % 2 == 0 else Task.ST
-        text = task_spec.apply(task, symbols)
-        texts.append(text.encode("ascii"))
-        wave = render_symbols(symbols, seed=seed * 1_000_003 + idx)
+    for idx, (syms, task, text) in enumerate(zip(symbols, tasks, texts)):
+        wave = render_symbols(syms, seed=seed * 1_000_003 + idx)
         wb_rel = f"wavs/item_{idx:05d}_wb.wav"
         write_wav(out / wb_rel, wave)
         records.append(
@@ -327,8 +326,6 @@ def generate_dataset_files(
             records.append(
                 ManifestRecord(audio_path=nb_rel, bandwidth=Bandwidth.NB, task=task, text=text)
             )
-
-    vocab = train_bpe(texts, n_merges)
     vocab.save(out / "vocab.txt")
     (out / "targets.txt").write_text(
         "".join(f"{r.audio_path}\t{r.text}\n" for r in records), encoding="utf-8"

@@ -14,7 +14,8 @@ A model's parameters live in one arena: a contiguous float64 buffer laid
 out by `parameter_shapes(config)` in `named_parameters()` order, each
 parameter's data a view of its slice, so each expert is one contiguous run.
 `count_params` sums the same blocks, each stack's layer 0 and expert 0 once.
-`Model(config, seed)` allocates the arena and fills it by random init.
+`Model(config, seed)` allocates the arena and fills it with `init_parameters`,
+which draws every matrix in arena order by one fan-in rule.
 `load_checkpoint` and `expand_experts` allocate it with `Model.allocate` and
 write every parameter from the file or the donor; they draw no random values.
 A checkpoint is a header, the config block and the arena's bytes, so a load
@@ -39,6 +40,7 @@ from .moe import (
     N_EXPERTS, Bandwidth, GateVector, SMoELayer, Task, gate_decoder, gate_encoder, smoe_forward,
 )
 from .nn import (
+    LN_EPSILON,
     AttentionParams,
     FFNParams,
     LayerNormParams,
@@ -46,7 +48,7 @@ from .nn import (
     attention_shapes,
     ffn_forward,
     ffn_shapes,
-    fill_normal,
+    init_parameters,
     layer_norm_params,
     layer_norm_shapes,
     pre_norm_residual,
@@ -60,7 +62,7 @@ from .seqio import LANGUAGE_TOKEN, TASK_LANGUAGE, TASK_TOKEN, GuidingToken, Lang
 from .signal import N_MELS, FbankFeatures
 
 CHECKPOINT_MAGIC = b"SMOE"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 @dataclass
@@ -72,7 +74,6 @@ class ModelConfig:
     d_ff_dec: int | None = None  # decoder FFN width when it differs (FFNx2 variants)
     n_heads: int = 4
     vocab_size: int = 272
-    n_mels: int = N_MELS
     dropout: float = 0.15
     activation: str = "silu"
     glu: bool = True
@@ -87,7 +88,7 @@ class ModelConfig:
 
     def validate(self) -> None:
         for name in ("n_enc_layers", "n_dec_layers", "d_model", "d_ff", "n_heads",
-                     "vocab_size", "n_mels", "max_src_frames", "max_tgt_tokens"):
+                     "vocab_size", "max_src_frames", "max_tgt_tokens"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         if self.d_model % self.n_heads != 0:
@@ -207,7 +208,7 @@ def _outer_parts(config: ModelConfig) -> list[tuple[str, Shapes]]:
     if not config.tied_embed:
         parts.append(("output projection", [("out_proj", (d, config.vocab_size))]))
     return parts + [
-        ("input projection", [("input_proj.w", (config.n_mels, d)), ("input_proj.b", (d,))]),
+        ("input projection", [("input_proj.w", (N_MELS, d)), ("input_proj.b", (d,))]),
         ("final norms", [(f"ln_{s}_final.{n}", shape) for s in STACKS for n, shape in norm]),
     ]
 
@@ -287,10 +288,6 @@ class EncoderLayer:
         self.ln_ffn = LayerNormParams(**_block(params, prefix + "ln_ffn."))
         self.ffn = _ffn(params, prefix + "ffn.", config.enc_smoe)
 
-    def fill(self, rng: np.random.Generator) -> None:
-        for block in (self.attn, self.ln_attn, self.ln_ffn, self.ffn):
-            block.fill(rng)
-
 
 class DecoderLayer:
     def __init__(self, config: ModelConfig, params: Params, prefix: str):
@@ -301,11 +298,6 @@ class DecoderLayer:
         self.ln_cross = LayerNormParams(**_block(params, prefix + "ln_cross."))
         self.ln_ffn = LayerNormParams(**_block(params, prefix + "ln_ffn."))
         self.ffn = _ffn(params, prefix + "ffn.", config.dec_smoe)
-
-    def fill(self, rng: np.random.Generator) -> None:
-        for block in (self.self_attn, self.cross_attn, self.ln_self, self.ln_cross, self.ln_ffn,
-                      self.ffn):
-            block.fill(rng)
 
 
 @dataclass
@@ -327,7 +319,8 @@ class Model:
 
     def __init__(self, config: ModelConfig, seed: int = 0):
         self._allocate(config, seed)
-        self._fill(np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,))))
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
+        init_parameters(self._params, rng)
 
     @classmethod
     def allocate(cls, config: ModelConfig) -> "Model":
@@ -356,18 +349,6 @@ class Model:
         self.ln_dec_final = LayerNormParams(**_block(self._params, "ln_dec_final."))
         self.training = False
         self.reseed_dropout(seed)
-
-    def _fill(self, rng: np.random.Generator) -> None:
-        """Random init of every parameter in place, in the draw order the
-        weights are pinned to."""
-        cfg = self.config
-        fill_normal(self.embed, 1.0 / math.sqrt(cfg.d_model), rng)
-        if self.out_proj is not None:
-            fill_normal(self.out_proj, 1.0 / math.sqrt(cfg.d_model), rng)
-        fill_normal(self.input_proj_w, 1.0 / math.sqrt(cfg.n_mels), rng)
-        self.input_proj_b.data.fill(0.0)
-        for block in (*self.enc_layers, *self.dec_layers, self.ln_enc_final, self.ln_dec_final):
-            block.fill(rng)
 
     # -- mode & bookkeeping ------------------------------------------------
 
@@ -432,7 +413,7 @@ class Model:
         self, frames: np.ndarray, lengths: Sequence[int], bandwidths: Sequence[Bandwidth]
     ) -> Tensor:
         """Packed encoder states [sum(lengths) x d] of packed frame rows
-        [sum(lengths) x n_mels]: sample i's lengths[i] frames, in order.
+        [sum(lengths) x N_MELS]: sample i's lengths[i] frames, in order.
 
         Every layer runs on these rows alone; attention reads each sample's
         own rows. A batch that mixes bandwidths sends each bandwidth's rows
@@ -443,8 +424,8 @@ class Model:
         t_max, n_mels = max(lengths), frames.shape[1]
         if t_max > cfg.max_src_frames:
             raise LimitError(f"{t_max} frames exceeds max_src_frames {cfg.max_src_frames}")
-        if n_mels != cfg.n_mels:
-            raise ConfigError(f"features have {n_mels} mels, config wants {cfg.n_mels}")
+        if n_mels != N_MELS:
+            raise ConfigError(f"features have {n_mels} mels, the input projection wants {N_MELS}")
         # per-utterance global normalization keeps log-mel magnitudes sane
         # without erasing the relative band structure
         offsets = np.cumsum([0, *lengths])
@@ -534,7 +515,7 @@ class Model:
         final norm and output projection of `decode`, without a tape."""
         out_proj = self.embed.data.T if self.out_proj is None else self.out_proj.data
         ln = self.ln_dec_final
-        return normalize(last, ln.gain.data, ln.bias.data, ln.epsilon)[0] @ out_proj
+        return normalize(last, ln.gain.data, ln.bias.data, LN_EPSILON)[0] @ out_proj
 
     def _greedy_rows(
         self, enc_out: Tensor, rows: list[tuple[Task, Language]], max_len: int
@@ -558,7 +539,7 @@ class Model:
         d = cfg.d_model
 
         def norm(ln: LayerNormParams, x: np.ndarray) -> np.ndarray:
-            return normalize(x, ln.gain.data, ln.bias.data, ln.epsilon)[0]
+            return normalize(x, ln.gain.data, ln.bias.data, LN_EPSILON)[0]
 
         def project(w: Tensor, b: Tensor, x: np.ndarray, n_rows: int = 1) -> np.ndarray:
             return (x @ w.data + b.data).reshape(n_rows, -1, d)
@@ -697,7 +678,9 @@ def expand_experts(donor: Model, encoder: bool = False, decoder: bool = False) -
 # all integers little-endian, the arena little-endian float64, nothing after
 # it. The config implies every name, shape and the arena's size, so the file
 # stores none of them, and a change to the order or shapes of parameter_shapes
-# must bump CHECKPOINT_VERSION. There is no checksum: a flipped arena bit loads.
+# must bump CHECKPOINT_VERSION. An FFN block's entries run w_in, b_in, w_out,
+# b_out, w_gate, b_gate, so init_parameters draws its matrices in the order
+# the weights are pinned to. There is no checksum: a flipped arena bit loads.
 
 _HEADER = struct.Struct("<4sIQI")  # magic, version, step, config byte length
 

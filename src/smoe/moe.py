@@ -93,11 +93,6 @@ class SMoELayer:
     def reset_counts(self) -> None:
         self.call_counts = [0] * len(self.experts)
 
-    def fill(self, rng) -> None:
-        """Random init of every expert in place, expert by expert."""
-        for e in self.experts:
-            e.fill(rng)
-
 
 def smoe_forward(
     layer: SMoELayer, gate: GateVector, x: Tensor, activation: str = "silu"

@@ -28,14 +28,22 @@ from .numerics import (
 )
 
 ACTIVATIONS = {"silu": silu, "relu": relu}
+LN_EPSILON = 1e-6
 
 
-def fill_normal(t: Tensor, std: float, rng: np.random.Generator) -> None:
-    """Draw t's values in place; bitwise what rng.normal(0.0, std, t.shape)
-    returns, which computes 0.0 + std * z (so a -0.0 comes out as 0.0)."""
-    rng.standard_normal(out=t.data)
-    t.data *= std
-    t.data += 0.0
+def init_parameters(params: Sequence[tuple[str, Tensor]], rng: np.random.Generator) -> None:
+    """Random init in place, drawing in table order. Each matrix is drawn
+    from N(0, 1/fan_in) (LeCun et al. 1998), fan_in its first dim, or its
+    width for the `embed` table; each `...gain` vector is set to 1 and
+    every other vector to 0. A draw is bitwise what rng.normal(0.0, std,
+    shape) returns, which computes 0.0 + std * z (so -0.0 comes out 0.0)."""
+    for name, t in params:
+        if t.data.ndim == 2:
+            rng.standard_normal(out=t.data)
+            t.data *= 1.0 / math.sqrt(t.shape[1] if name == "embed" else t.shape[0])
+            t.data += 0.0
+        else:
+            t.data.fill(1.0 if name.endswith("gain") else 0.0)
 
 
 @dataclass
@@ -79,23 +87,12 @@ class FFNParams:
     def d_ff(self) -> int:
         return self.w_in.shape[1]
 
-    def fill(self, rng: np.random.Generator) -> None:
-        """Random init in place. The draws go w_in, w_out, then w_gate: the
-        order the weights are pinned to, not the arena order."""
-        fill_normal(self.w_in, 1.0 / math.sqrt(self.d_model), rng)
-        fill_normal(self.w_out, 1.0 / math.sqrt(self.d_ff), rng)
-        self.b_in.data.fill(0.0)
-        self.b_out.data.fill(0.0)
-        if self.glu:
-            fill_normal(self.w_gate, 1.0 / math.sqrt(self.d_model), rng)
-            self.b_gate.data.fill(0.0)
-
 
 def ffn_shapes(d_model: int, d_ff: int, glu: bool) -> list[tuple[str, tuple[int, ...]]]:
     """Names and shapes of one FFN block's tensors, in arena order."""
     gate = [("w_gate", (d_model, d_ff)), ("b_gate", (d_ff,))] if glu else []
-    return [("w_in", (d_model, d_ff)), ("b_in", (d_ff,)), *gate,
-            ("w_out", (d_ff, d_model)), ("b_out", (d_model,))]
+    return [("w_in", (d_model, d_ff)), ("b_in", (d_ff,)),
+            ("w_out", (d_ff, d_model)), ("b_out", (d_model,)), *gate]
 
 
 def ffn_forward(p: FFNParams, x: Tensor, activation: str = "silu") -> Tensor:
@@ -127,18 +124,6 @@ class AttentionParams:
                 raise ShapeError(f"{name} must be square [{d} x {d}]")
         if d % self.n_heads != 0:
             raise ConfigError(f"d_model {d} not divisible by n_heads {self.n_heads}")
-
-    @property
-    def d_model(self) -> int:
-        return self.w_q.shape[0]
-
-    def fill(self, rng: np.random.Generator) -> None:
-        """Random init in place: w_q, w_k, w_v, w_o drawn in that order, biases 0."""
-        for name, shape in attention_shapes(self.d_model):
-            if len(shape) == 2:
-                fill_normal(getattr(self, name), 1.0 / math.sqrt(self.d_model), rng)
-            else:
-                getattr(self, name).data.fill(0.0)
 
 
 def attention_shapes(d_model: int) -> list[tuple[str, tuple[int, ...]]]:
@@ -192,16 +177,6 @@ def sinusoidal_positions(t: int, d_model: int) -> Tensor:
 class LayerNormParams:
     gain: Tensor
     bias: Tensor
-    epsilon: float = 1e-6
-
-    def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ConfigError(f"layernorm epsilon must be positive, got {self.epsilon}")
-
-    def fill(self, rng: np.random.Generator | None = None) -> None:
-        """Identity init in place: gain 1, bias 0. Draws nothing."""
-        self.gain.data.fill(1.0)
-        self.bias.data.fill(0.0)
 
 
 def layer_norm_shapes(d_model: int) -> list[tuple[str, tuple[int, ...]]]:
@@ -209,7 +184,7 @@ def layer_norm_shapes(d_model: int) -> list[tuple[str, tuple[int, ...]]]:
 
 
 def layer_norm_params(p: LayerNormParams, x: Tensor) -> Tensor:
-    return layer_norm(x, p.gain, p.bias, p.epsilon)
+    return layer_norm(x, p.gain, p.bias, LN_EPSILON)
 
 
 def pre_norm_residual(

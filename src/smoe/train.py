@@ -179,29 +179,25 @@ class SGD(_ArenaOptimizer):
 
 
 class Adam(_ArenaOptimizer):
-    """Adam with per-parameter step counts over flat moment buffers."""
+    """Adam with per-parameter step counts over flat moment buffers, at
+    Kingma & Ba's default betas and epsilon."""
 
-    def __init__(
-        self,
-        params: list[tuple[str, Tensor]],
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: list[tuple[str, Tensor]]):
         super().__init__(params)
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = np.zeros_like(self.flat)
         self.v = np.zeros_like(self.flat)
 
     def step(self, lr: float) -> None:
         for t, seg, grad in self._segments():
             m, v = self.m[seg], self.v[seg]
-            m *= self.beta1
-            m += (1 - self.beta1) * grad
-            v *= self.beta2
-            v += (1 - self.beta2) * (grad * grad)
-            update = lr * (m / (1 - self.beta1**t))
-            update /= np.sqrt(v / (1 - self.beta2**t)) + self.eps
+            m *= self.BETA1
+            m += (1 - self.BETA1) * grad
+            v *= self.BETA2
+            v += (1 - self.BETA2) * (grad * grad)
+            update = lr * (m / (1 - self.BETA1**t))
+            update /= np.sqrt(v / (1 - self.BETA2**t)) + self.EPS
             self.flat[seg] -= update
 
 
@@ -458,11 +454,17 @@ def run_interference_benchmark(
     per-task greedy accuracy; single-task controls establish that the
     baseline capacity suffices for either task alone.
 
-    Raises ConfigError if the configs disagree anywhere except the decoder
+    Raises ConfigError, before any dataset is built, on no seeds, a count
+    of inputs below 1, or configs that disagree anywhere except the decoder
     feedforward arrangement.
     """
     if not configs:
         raise ConfigError("benchmark needs at least one config")
+    if not seeds:
+        raise ConfigError("benchmark needs at least one seed")
+    for name, count in (("n_train_inputs", n_train_inputs), ("n_eval_inputs", n_eval_inputs)):
+        if count < 1:
+            raise ConfigError(f"{name} must be >= 1, got {count}")
     _check_shared_dims(configs)
     base_tc = train_config or TrainConfig(steps=budget_steps)
     base_tc = replace(base_tc, steps=budget_steps)

@@ -1,6 +1,7 @@
 import pytest
 
 import smoe.model
+import smoe.train
 from smoe.cli import main
 from smoe.data import generate_dataset_files, read_manifest
 from smoe.model import Model, ModelConfig, load_checkpoint, save_checkpoint
@@ -279,12 +280,20 @@ def _train_directory_manifest(root):
     return argv
 
 
-def _inspect_n_experts(root):
-    return ["inspect", "--set", "enc_smoe=true", "--set", "n_experts=3"]
-
-
 def _sets(settings):
     return [arg for setting in settings for arg in ("--set", setting)]
+
+
+def _inspect_with(*settings):
+    def argv(root):
+        return ["inspect", *_sets(settings)]
+    return argv
+
+
+def _benchmark_with(*settings):
+    def argv(root):
+        return ["benchmark", "--set", "budget_steps=1", *_sets(settings)]
+    return argv
 
 
 def _datagen_with(*settings):
@@ -334,7 +343,9 @@ def _resized_checkpoint(command, resize):
     pytest.param(_train_directory_manifest, 3, id="manifest-is-directory"),
     # a bank holds one expert per label value: the count is no config key
     pytest.param(_train_with("dec_smoe=true", "n_experts=3"), 1, id="train-n-experts"),
-    pytest.param(_inspect_n_experts, 1, id="inspect-n-experts"),
+    pytest.param(_inspect_with("enc_smoe=true", "n_experts=3"), 1, id="inspect-n-experts"),
+    # fbank always emits N_MELS bins: the input width is no config key
+    pytest.param(_inspect_with("n_mels=80"), 1, id="inspect-n-mels"),
     pytest.param(
         _infer_with_checkpoint(lambda b: b.replace(b"dropout = 0.0\n", b"n_experts = 2\n")),
         2, id="ckpt-config-n-experts"),
@@ -347,6 +358,10 @@ def _resized_checkpoint(command, resize):
     pytest.param(_train_with("steps=0"), 1, id="train-steps-zero"),
     pytest.param(_train_with("lr_floor=-0.001"), 1, id="train-lr-floor-negative"),
     pytest.param(_train_with("momentum=-0.5"), 1, id="train-momentum-negative"),
+    pytest.param(_benchmark_with("n_seeds=0"), 1, id="benchmark-no-seeds"),
+    pytest.param(_benchmark_with("n_train_inputs=0"), 1, id="benchmark-no-train-inputs"),
+    pytest.param(_benchmark_with("n_eval_inputs=0", "n_seeds=1"), 1,
+                 id="benchmark-no-eval-inputs"),
     # the file size must be exactly what the header and config imply
     pytest.param(_resized_checkpoint("infer", lambda b: b[:-1]), 2, id="ckpt-one-byte-short"),
     pytest.param(_resized_checkpoint("infer", lambda b: b + b"\x00"), 2, id="ckpt-one-byte-extra"),
@@ -362,6 +377,28 @@ def test_malformed_input_exit_code(make_argv, code, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error" in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("setting, key", [
+    ("n_seeds=0", "seed"),
+    ("n_train_inputs=0", "n_train_inputs"),
+    ("n_eval_inputs=0", "n_eval_inputs"),
+])
+def test_benchmark_rejects_empty_counts_before_any_dataset(setting, key, tmp_path, capsys,
+                                                          monkeypatch):
+    def no_dataset(*args, **kwargs):
+        raise AssertionError("dataset built before the counts were checked")
+
+    monkeypatch.setattr(smoe.train, "make_paired_dataset", no_dataset)
+    assert main(_benchmark_with(setting)(tmp_path)) == 1
+    assert key in capsys.readouterr().err
+
+
+def test_datagen_rejected_merge_count_writes_no_wav(tmp_path, capsys):
+    out = tmp_path / "data"
+    assert main(["datagen", "--out", str(out), "--set", "n_items=3", "--set", "n_merges=-1"]) == 1
+    assert "merge count" in capsys.readouterr().err
+    assert not (out / "wavs").exists()
 
 
 def test_inspect_ckpt_reads_the_header_alone(tmp_path, capsys, monkeypatch):

@@ -35,7 +35,7 @@ from smoe.seqio import (
     Vocabulary,
     build_target_sequence,
 )
-from smoe.signal import FbankFeatures
+from smoe.signal import N_MELS, FbankFeatures
 
 VOCAB = Vocabulary()
 
@@ -170,7 +170,7 @@ def closed_form_counts(cfg):
         return (3 if cfg.glu else 2) * d * d_ff + (2 * d_ff if cfg.glu else d_ff) + d
 
     attn, norm = 4 * (d * d + d), 2 * d
-    shared = (cfg.vocab_size * d * (1 if cfg.tied_embed else 2) + cfg.n_mels * d + d + 2 * norm
+    shared = (cfg.vocab_size * d * (1 if cfg.tied_embed else 2) + N_MELS * d + d + 2 * norm
               + cfg.n_enc_layers * (attn + 2 * norm) + cfg.n_dec_layers * (2 * attn + 3 * norm))
     enc, dec = cfg.n_enc_layers * ffn(cfg.d_ff), cfg.n_dec_layers * ffn(cfg.dec_ff)
     copies = [2 if routed else 1 for routed in (cfg.enc_smoe, cfg.dec_smoe)]
@@ -519,10 +519,10 @@ def test_one_sample_forward_and_greedy_match_pinned_digest(overrides, digest):
 # -- checkpoint bytes ---------------------------------------------------------------
 
 
-def checkpoint_bytes(model, step):
+def checkpoint_bytes(model, step, version=3):
     """The checkpoint layout, written out field by field."""
     cfg = model.config.to_text().encode("utf-8")
-    return (b"SMOE" + struct.pack("<IQI", 2, step, len(cfg)) + cfg
+    return (b"SMOE" + struct.pack("<IQI", version, step, len(cfg)) + cfg
             + model.arena.astype("<f8").tobytes())
 
 
@@ -556,7 +556,7 @@ def checkpoint_sections(model):
     return out
 
 
-def test_checkpoint_bytes_match_v2_layout(tmp_path):
+def test_checkpoint_bytes_match_v3_layout(tmp_path):
     for cfg in (tiny_config(), tiny_config(enc_smoe=True, dec_smoe=True, tied_embed=False, glu=False)):
         model = Model(cfg, seed=35)
         save_checkpoint(model, tmp_path / "m.ckpt", step=41)
@@ -564,13 +564,20 @@ def test_checkpoint_bytes_match_v2_layout(tmp_path):
 
 
 def test_v1_checkpoint_fails_closed_naming_its_version(tmp_path, capsys):
-    path = tmp_path / "v1.ckpt"
-    path.write_bytes(v1_checkpoint_bytes(Model(tiny_config(), seed=36), 5))
-    with pytest.raises(FormatError, match="version 1"):
-        load_checkpoint(path)
-    assert main(["infer", "--ckpt", str(path), str(tmp_path / "in.wav")]) == 2
-    assert main(["inspect", "--ckpt", str(path)]) == 2
-    assert "version 1" in capsys.readouterr().err
+    # a version-2 file had this layout, but with an n_mels config key and FFN
+    # entries in the order w_in, b_in, w_gate, b_gate, w_out, b_out; the
+    # version is rejected before either is read
+    model = Model(tiny_config(), seed=36)
+    for version, raw in ((1, v1_checkpoint_bytes(model, 5)),
+                         (2, checkpoint_bytes(model, 5, version=2))):
+        path = tmp_path / f"v{version}.ckpt"
+        path.write_bytes(raw)
+        with pytest.raises(FormatError, match=f"version {version}"):
+            load_checkpoint(path)
+        assert main(["infer", "--ckpt", str(path), str(tmp_path / "in.wav")]) == 2
+        assert f"version {version}" in capsys.readouterr().err
+        assert main(["inspect", "--ckpt", str(path)]) == 2
+        assert f"version {version}" in capsys.readouterr().err
 
 
 def test_checkpoint_shorter_than_config_fails_before_model_is_built(tmp_path, monkeypatch):
@@ -607,7 +614,7 @@ def test_checkpoint_claiming_huge_layer_or_expert_counts_fails_fast(huge, tmp_pa
 
 
 @pytest.mark.parametrize("edit, match", [
-    (lambda raw: raw[:4] + struct.pack("<I", 3) + raw[8:], "version"),
+    (lambda raw: raw[:4] + struct.pack("<I", 4) + raw[8:], "version"),
     # a config whose layers are wider than the arena the file holds
     (lambda raw: raw.replace(b"d_ff = 24\n", b"d_ff = 26\n", 1), "config implies"),
 ])
@@ -653,11 +660,11 @@ def test_failed_save_keeps_previous_checkpoint_and_leaves_no_temp_file(tmp_path)
 
 PINNED_INIT = [
     (dict(n_dec_layers=2, enc_smoe=True, dec_smoe=True), 3,
-     "c0038ecb8d42e831fdee2ed8326921d0646c8ba2b5f95c70c5b05021689c6afa"),
+     "a316e5d674837285aeead67ce7e6da1348ce9930b8585788786217a57314c691"),
     (dict(n_dec_layers=2, tied_embed=False, glu=False, activation="relu"), 4,
-     "c27a1c54ad18df9199a226b018ec88b8279df88a5cc8e901422515a235ceb921"),
+     "3f941bf7019671f6a424e24cc5201a183fddee81e94da0861455471d4624009b"),
     (dict(n_dec_layers=2, d_ff_dec=48, dec_smoe=True), 5,
-     "2a31a764e38d6beb2d32c3b8621de0569031ee7862f812169a142a0b8c9cb011"),
+     "0c89a6759bc9e9fca92dd988c39df29a3a6559b5489d240aa43f389453a3d4f4"),
 ]
 
 
@@ -665,9 +672,11 @@ PINNED_INIT = [
                          ids=["tied-glu-enc-dec-routed", "untied-relu", "d_ff_dec"])
 def test_init_weights_match_pinned_digest(overrides, seed, digest):
     """Random init draws in one fixed order; these digests pin the weights
-    of Model(cfg, seed) over the <f8 bytes of named_parameters()."""
+    of Model(cfg, seed) over the <f8 bytes of named_parameters() in name
+    order, so they hold across a change of arena order that keeps every
+    parameter's values."""
     h = hashlib.sha256()
-    for _, t in Model(tiny_config(**overrides), seed).named_parameters():
+    for _, t in sorted(Model(tiny_config(**overrides), seed).named_parameters()):
         h.update(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
     assert h.hexdigest() == digest
 
@@ -698,7 +707,7 @@ def test_expand_and_load_draw_no_random_values(tmp_path, monkeypatch):
         raise AssertionError("random init ran")
 
     monkeypatch.setattr(Model, "__init__", no_draw)
-    monkeypatch.setattr(Model, "_fill", no_draw)
+    monkeypatch.setattr(smoe.model, "init_parameters", no_draw)
     load_checkpoint(tmp_path / "m.ckpt")
     expand_experts(donor, decoder=True)
 
@@ -708,7 +717,7 @@ SENTINEL = np.uint64(0x7FF4_DEAD_BEEF_0001)  # a NaN bit pattern
 
 def _fuzz_base():
     cfg = ModelConfig(n_enc_layers=1, n_dec_layers=1, d_model=4, d_ff=4, n_heads=2,
-                      vocab_size=8, n_mels=4, dropout=0.0, enc_smoe=True)
+                      vocab_size=8, dropout=0.0, enc_smoe=True)
     with tempfile.TemporaryDirectory() as d:
         save_checkpoint(Model(cfg, seed=44), Path(d) / "m.ckpt", step=3)
         return (Path(d) / "m.ckpt").read_bytes()

@@ -377,18 +377,19 @@ def _padded_attention(p, q_in, k_in, v_in, mask, batch):
     elementary tape ops, with disallowed keys pushed to a -1e30 score; mask
     is [t_q x t_k] for every sample or [batch x 1 x t_k] per sample."""
     t_q, t_k = q_in.shape[0] // batch, k_in.shape[0] // batch
+    d_model = p.w_q.shape[0]
     q = _padded_heads(add(matmul(q_in, p.w_q), p.b_q), batch, p.n_heads)
     k = _padded_heads(add(matmul(k_in, p.w_k), p.b_k), batch, p.n_heads)
     v = _padded_heads(add(matmul(v_in, p.w_v), p.b_v), batch, p.n_heads)
-    logits = scale(matmul(q, permute(k, (0, 2, 1))), 1.0 / math.sqrt(p.d_model // p.n_heads))
+    logits = scale(matmul(q, permute(k, (0, 2, 1))), 1.0 / math.sqrt(d_model // p.n_heads))
     if mask is not None:
         bias = np.where(mask, 0.0, MASK_OFF)
         if bias.ndim == 3:
             bias = np.repeat(np.broadcast_to(bias, (batch, t_q, t_k)), p.n_heads, axis=0)
         logits = add(logits, constant(bias))
     ctx = matmul(softmax_last(logits), v)
-    merged = permute(reshape(ctx, (batch, p.n_heads, t_q, p.d_model // p.n_heads)), (0, 2, 1, 3))
-    return add(matmul(reshape(merged, (q_in.shape[0], p.d_model)), p.w_o), p.b_o)
+    merged = permute(reshape(ctx, (batch, p.n_heads, t_q, d_model // p.n_heads)), (0, 2, 1, 3))
+    return add(matmul(reshape(merged, (q_in.shape[0], d_model)), p.w_o), p.b_o)
 
 
 def _key_padding_mask(lengths, t_max):
