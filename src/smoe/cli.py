@@ -43,9 +43,9 @@ from .model import (
     save_checkpoint,
 )
 from .moe import N_EXPERTS, Bandwidth, Task
-from .numerics import grad_check
-from .seqio import Vocabulary
-from .signal import N_MELS, fbank, read_wav
+from .numerics import constant, grad_check, softmax_cross_entropy
+from .seqio import GuidingToken, Vocabulary, guiding_prefix
+from .signal import N_MELS, FbankFeatures, fbank, read_wav
 from .train import (
     TrainConfig,
     decode_pairs,
@@ -53,6 +53,7 @@ from .train import (
     finetune_nbwb,
     run_interference_benchmark,
     run_training,
+    shifted_targets,
 )
 
 EXIT_OK = 0
@@ -107,6 +108,8 @@ def resolve_settings(config_path: str | None, overrides: list[str]) -> dict:
         if len(parsed) != 1:
             raise ConfigError(f"--set needs one key=value, got {item!r}")
         settings.update(parsed)
+    if settings["max_decode_len"] < 1:
+        raise ConfigError(f"max_decode_len must be >= 1, got {settings['max_decode_len']}")
     return settings
 
 
@@ -136,8 +139,10 @@ def build_train_config(settings: dict, seed: int) -> TrainConfig:
 
 
 def write_snapshot(out_dir: Path, settings: dict, seed: int) -> None:
+    """config.resolved: every setting as a config line, so the file replays
+    through --config; the seed is a comment, as --seed sets it."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    lines = [f"seed = {seed}"] + [f"{k} = {format_value(settings[k])}" for k in sorted(settings)]
+    lines = [f"# seed = {seed}"] + [f"{k} = {format_value(settings[k])}" for k in sorted(settings)]
     (out_dir / "config.resolved").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -211,11 +216,11 @@ def cmd_datagen(args, settings: dict) -> int:
 
 
 def cmd_train(args, settings: dict) -> int:
+    tc = build_train_config(settings, args.seed)
     vocab = _load_vocab(str(Path(args.data) / "vocab.txt"), None)
     items = _load_items(args.data, vocab)
     cfg = build_model_config(settings, vocab_size=vocab.size)
     model = Model(cfg, seed=args.seed)
-    tc = build_train_config(settings, args.seed)
     log_lines: list[str] = []
     losses = run_training(model, items, tc, log_lines=log_lines)
     out = Path(args.out)
@@ -230,10 +235,10 @@ def cmd_train(args, settings: dict) -> int:
 
 
 def cmd_finetune_nbwb(args, settings: dict) -> int:
+    tc = build_train_config(settings, args.seed)
     donor, _ = _read_checkpoint(load_checkpoint, args.ckpt)
     vocab = _load_vocab(args.vocab, args.ckpt)
     items = _load_items(args.data, vocab)
-    tc = build_train_config(settings, args.seed)
     log_lines: list[str] = []
     model = finetune_nbwb(donor, items, tc, log_lines=log_lines)
     out = Path(args.out)
@@ -310,14 +315,8 @@ def cmd_gradcheck(args, settings: dict) -> int:
     model = Model(cfg, seed=args.seed)
     model.train()
     rng = np.random.default_rng(args.seed)
-    from .numerics import constant
-    from .seqio import GuidingToken
-    from .signal import FbankFeatures
-    from .train import shifted_targets
-    from .numerics import softmax_cross_entropy
-
     feats = FbankFeatures(frames=constant(rng.normal(size=(6, N_MELS))), bandwidth=Bandwidth.WB)
-    ids = [3, 6, 1, 20, 21, 22, 2]  # transcribe, ko, bos, payload, eos
+    ids = [*guiding_prefix(Task.ASR), 20, 21, 22, int(GuidingToken.EOS)]
 
     def f():
         logits = model.decode(model.encode(feats, Bandwidth.WB), ids, Task.ASR)

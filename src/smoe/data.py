@@ -16,13 +16,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
 from .errors import ConfigError, FormatError
 from .moe import Bandwidth, Task
-from .seqio import TASK_LANGUAGE, TargetSequence, Vocabulary, build_target_sequence, train_bpe
+from .seqio import TargetSequence, Vocabulary, build_target_sequence, train_bpe
 from .signal import (
+    MAX_SECONDS,
     SAMPLE_RATE_WB,
     FbankFeatures,
     Waveform,
@@ -60,7 +62,7 @@ class SyntheticTaskSpec:
     conflict on most symbols to put pressure on a shared decoder.
     """
 
-    alphabet: str
+    alphabet: ClassVar[str] = ALPHABET  # the symbols `render_symbols` can render
     map_a: dict[str, str]
     map_b: dict[str, str]
 
@@ -75,7 +77,7 @@ class SyntheticTaskSpec:
         rotated = {
             s: ALPHABET[(i + ST_ROTATION) % len(ALPHABET)] for i, s in enumerate(ALPHABET)
         }
-        return SyntheticTaskSpec(alphabet=ALPHABET, map_a=identity, map_b=rotated)
+        return SyntheticTaskSpec(map_a=identity, map_b=rotated)
 
     def apply(self, task: Task, symbols: str) -> str:
         mapping = self.map_a if task is Task.ASR else self.map_b
@@ -113,6 +115,10 @@ def _segment_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 _CHORDS, _PILOTS, _ENVELOPE = _segment_tables()
 _GAP_SAMPLES = int(GAP_SECONDS * SAMPLE_RATE_WB)
+# the most symbols whose render, n segments joined by n - 1 gaps, fits fbank's cap
+MAX_SYMBOLS = (int(MAX_SECONDS * SAMPLE_RATE_WB) + _GAP_SAMPLES) // (
+    _CHORDS.shape[1] + _GAP_SAMPLES
+)
 
 
 def render_symbols(symbols: str, seed: int) -> Waveform:
@@ -163,7 +169,7 @@ def _labelled(
     """An utterance of `features` with its task's text and target. The
     features are shared, not copied: nothing writes to them in place."""
     text = task_spec.apply(task, symbols).encode("ascii")
-    target = build_target_sequence(task, TASK_LANGUAGE[task], text, vocab)
+    target = build_target_sequence(task, text, vocab)
     return Utterance(
         symbols=symbols,
         task=task,
@@ -298,8 +304,11 @@ def generate_dataset_files(
         raise ConfigError(f"n_items must be positive, got {n_items}")
     if not 0.0 <= nbwb_mix_fraction <= 1.0:
         raise ConfigError(f"nbwb_mix_fraction must be in [0, 1], got {nbwb_mix_fraction}")
-    if not 1 <= min_len <= max_len:
-        raise ConfigError(f"symbol counts need 1 <= min_len <= max_len, got {min_len}, {max_len}")
+    if not 1 <= min_len <= max_len <= MAX_SYMBOLS:
+        raise ConfigError(
+            f"symbol counts need 1 <= min_len <= max_len <= {MAX_SYMBOLS} (a longer render "
+            f"passes the {MAX_SECONDS:g} s audio cap), got {min_len}, {max_len}"
+        )
     if task_spec is None:
         task_spec = SyntheticTaskSpec.default()
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(4,)))
@@ -349,7 +358,7 @@ def load_dataset(manifest_path: str | Path, vocab: Vocabulary) -> list[Utterance
             )
         feats = fbank(wave)
         text = r.text.encode("utf-8")
-        target = build_target_sequence(r.task, TASK_LANGUAGE[r.task], text, vocab)
+        target = build_target_sequence(r.task, text, vocab)
         items.append(
             Utterance(
                 symbols="",  # unknown from disk; targets carry the payload

@@ -58,7 +58,7 @@ from .numerics import (
     Tensor, add, attend, constant, dropout, embedding, linear, matmul, normalize, parameter_arena,
     scale, scatter_rows, transpose2d,
 )
-from .seqio import LANGUAGE_TOKEN, TASK_LANGUAGE, TASK_TOKEN, GuidingToken, Language, TargetSequence
+from .seqio import GuidingToken, TargetSequence, guiding_prefix
 from .signal import N_MELS, FbankFeatures
 
 CHECKPOINT_MAGIC = b"SMOE"
@@ -517,11 +517,9 @@ class Model:
         ln = self.ln_dec_final
         return normalize(last, ln.gain.data, ln.bias.data, LN_EPSILON)[0] @ out_proj
 
-    def _greedy_rows(
-        self, enc_out: Tensor, rows: list[tuple[Task, Language]], max_len: int
-    ) -> list[SingleDecode]:
-        """Greedy decode of one `(task, language)` row per entry over one
-        encoder output, with cached keys/values and no tape.
+    def _greedy_rows(self, enc_out: Tensor, tasks: list[Task], max_len: int) -> list[SingleDecode]:
+        """Greedy decode of one row per task over one encoder output, with
+        cached keys/values and no tape.
 
         Each step computes what `decode` computes at its new positions, for
         every live row at once: the guiding prefix is the first step, then
@@ -533,7 +531,7 @@ class Model:
         applied: this is the eval-mode computation.
         """
         cfg = self.config
-        results = [SingleDecode(ids=[], truncated=True) for _ in rows]
+        results = [SingleDecode(ids=[], truncated=True) for _ in tasks]
         if max_len <= 0:
             return results
         d = cfg.d_model
@@ -552,13 +550,10 @@ class Model:
         enc = enc_out.data
         cross_kv = [(project(a.w_k, a.b_k, enc), project(a.w_v, a.b_v, enc))
                     for a in (layer.cross_attn for layer in self.dec_layers)]
-        self_kv = [(np.empty((len(rows), 0, d)),) * 2 for _ in self.dec_layers]
-        live = list(range(len(rows)))
-        gates = [gate_decoder(task) for task, _ in rows]
-        step_ids = np.array(
-            [[int(TASK_TOKEN[task]), int(LANGUAGE_TOKEN[lang]), int(GuidingToken.BOS)]
-             for task, lang in rows]
-        )
+        self_kv = [(np.empty((len(tasks), 0, d)),) * 2 for _ in self.dec_layers]
+        live = list(range(len(tasks)))
+        gates = [gate_decoder(task) for task in tasks]
+        step_ids = np.array([guiding_prefix(task) for task in tasks])
         # the last step's input sits at position prefix + max_len - 2
         positions = sinusoidal_positions(
             min(step_ids.shape[1] + max_len - 1, cfg.max_tgt_tokens), d
@@ -606,17 +601,10 @@ class Model:
         return results
 
     def infer_single(
-        self,
-        features: FbankFeatures,
-        bw: Bandwidth,
-        task: Task,
-        max_len: int = 64,
-        language: Language | None = None,
+        self, features: FbankFeatures, bw: Bandwidth, task: Task, max_len: int = 64
     ) -> SingleDecode:
-        if language is None:
-            language = TASK_LANGUAGE[task]
         enc_out = self.encode(features, bw)
-        return self._greedy_rows(enc_out, [(task, language)], max_len)[0]
+        return self._greedy_rows(enc_out, [task], max_len)[0]
 
     def infer_dual(
         self, features: FbankFeatures, bw: Bandwidth, max_len: int = 64
@@ -626,9 +614,7 @@ class Model:
         The rows share only the encoder output, so each decodes the ids of
         the single-task decode of its task."""
         enc_out = self.encode(features, bw)
-        asr, st = self._greedy_rows(
-            enc_out, [(task, TASK_LANGUAGE[task]) for task in (Task.ASR, Task.ST)], max_len
-        )
+        asr, st = self._greedy_rows(enc_out, [Task.ASR, Task.ST], max_len)
         return DualDecode(
             asr_ids=asr.ids,
             st_ids=st.ids,

@@ -73,7 +73,7 @@ class SMoELayer:
     """
 
     experts: list[FFNParams]
-    call_counts: list[int] = field(default_factory=list)
+    call_counts: list[int] = field(init=False)
 
     def __post_init__(self):
         if not self.experts:
@@ -81,10 +81,7 @@ class SMoELayer:
         shapes = {(e.d_model, e.d_ff, e.glu) for e in self.experts}
         if len(shapes) != 1:
             raise ShapeError(f"experts must share dimensions, got {shapes}")
-        if not self.call_counts:
-            self.call_counts = [0] * len(self.experts)
-        elif len(self.call_counts) != len(self.experts):
-            raise ShapeError("call_counts length must match expert count")
+        self.reset_counts()
 
     @property
     def n_experts(self) -> int:

@@ -3,7 +3,8 @@
 Every target sequence starts with three guiding tokens — task tag, target
 language tag, BOS — followed by the encoded payload text and EOS. The task
 tag does double duty: it conditions the decoder and drives expert routing.
-The language tag is carried but does not route.
+The language tag is the task's own (`TASK_LANGUAGE`) and does not route, so
+`guiding_prefix(task)` is the one place the three guiding tokens are built.
 """
 
 from __future__ import annotations
@@ -41,6 +42,11 @@ LANGUAGE_TOKEN = {Language.EN: GuidingToken.LANG_EN, Language.KO: GuidingToken.L
 TASK_TOKEN = {Task.ASR: GuidingToken.TRANSCRIBE, Task.ST: GuidingToken.TRANSLATE}
 # transcripts stay in the source language, translations are to the target
 TASK_LANGUAGE = {Task.ASR: Language.KO, Task.ST: Language.EN}
+
+
+def guiding_prefix(task: Task) -> list[int]:
+    """The ids every `task` sequence starts with: [task tag, language tag, BOS]."""
+    return [int(TASK_TOKEN[task]), int(LANGUAGE_TOKEN[TASK_LANGUAGE[task]]), int(GuidingToken.BOS)]
 
 
 class Vocabulary:
@@ -171,19 +177,15 @@ class TargetSequence:
     """Token ids laid out as [task tag, language tag, BOS, payload..., EOS]."""
 
     task: Task
-    language: Language
     ids: list[int]
 
     def __post_init__(self):
         ids = self.ids
         if len(ids) < 4:
             raise SequenceError(f"target sequence too short: {ids}")
-        if ids[0] != TASK_TOKEN[self.task]:
-            raise SequenceError(f"first id {ids[0]} is not the {self.task.value} task tag")
-        if ids[1] != LANGUAGE_TOKEN[self.language]:
-            raise SequenceError(f"second id {ids[1]} is not the {self.language.value} tag")
-        if ids[2] != GuidingToken.BOS:
-            raise SequenceError("third id must be BOS")
+        prefix = guiding_prefix(self.task)
+        if ids[:3] != prefix:
+            raise SequenceError(f"ids {ids[:3]} are not the {self.task.value} prefix {prefix}")
         if ids[-1] != GuidingToken.EOS:
             raise SequenceError("last id must be EOS")
         if any(i == GuidingToken.PAD for i in ids):
@@ -197,22 +199,7 @@ class TargetSequence:
         return self.ids[3:-1]
 
 
-def build_target_sequence(
-    task: Task, language: Language, text: bytes, vocab: Vocabulary
-) -> TargetSequence:
-    """Assemble guiding tokens plus encoded payload into a TargetSequence."""
-    if not isinstance(language, Language):
-        raise ConfigError(f"unknown language label: {language!r}")
-    if TASK_LANGUAGE[task] is not language:
-        raise ConfigError(
-            f"task {task.value} pairs with language {TASK_LANGUAGE[task].value}, "
-            f"got {language.value}"
-        )
-    ids = [
-        int(TASK_TOKEN[task]),
-        int(LANGUAGE_TOKEN[language]),
-        int(GuidingToken.BOS),
-        *vocab.encode(text),
-        int(GuidingToken.EOS),
-    ]
-    return TargetSequence(task=task, language=language, ids=ids)
+def build_target_sequence(task: Task, text: bytes, vocab: Vocabulary) -> TargetSequence:
+    """Assemble the task's guiding prefix plus encoded payload into a TargetSequence."""
+    ids = [*guiding_prefix(task), *vocab.encode(text), int(GuidingToken.EOS)]
+    return TargetSequence(task=task, ids=ids)

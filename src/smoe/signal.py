@@ -113,15 +113,15 @@ def _mel_to_hz(m):
     return 700.0 * (np.power(10.0, np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def mel_filterbank(n_mels: int = N_MELS, n_fft: int = N_FFT, sample_rate: int = SAMPLE_RATE_WB) -> np.ndarray:
-    """Triangular filters [n_mels x n_fft//2+1], equally spaced on the mel
-    scale from 0 Hz to Nyquist."""
-    n_bins = n_fft // 2 + 1
-    mel_points = np.linspace(_hz_to_mel(0.0), _hz_to_mel(sample_rate / 2.0), n_mels + 2)
+def mel_filterbank() -> np.ndarray:
+    """Triangular filters [N_MELS x N_FFT//2+1], equally spaced on the mel
+    scale from 0 Hz to the wideband Nyquist."""
+    n_bins = N_FFT // 2 + 1
+    mel_points = np.linspace(_hz_to_mel(0.0), _hz_to_mel(SAMPLE_RATE_WB / 2.0), N_MELS + 2)
     hz_points = _mel_to_hz(mel_points)
-    bin_freqs = np.arange(n_bins) * sample_rate / n_fft
-    bank = np.zeros((n_mels, n_bins))
-    for i in range(n_mels):
+    bin_freqs = np.arange(n_bins) * SAMPLE_RATE_WB / N_FFT
+    bank = np.zeros((N_MELS, n_bins))
+    for i in range(N_MELS):
         lo, center, hi = hz_points[i], hz_points[i + 1], hz_points[i + 2]
         up = (bin_freqs - lo) / (center - lo)
         down = (hi - bin_freqs) / (hi - center)

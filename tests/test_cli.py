@@ -1,9 +1,15 @@
-import pytest
+import math
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import smoe.cli
 import smoe.model
 import smoe.train
-from smoe.cli import main
+from smoe.cli import DEFAULTS, TRAIN_KEYS, build_train_config, main
 from smoe.data import generate_dataset_files, read_manifest
+from smoe.errors import ConfigError
 from smoe.model import Model, ModelConfig, load_checkpoint, save_checkpoint
 from smoe.moe import Bandwidth
 from smoe.seqio import Vocabulary
@@ -310,6 +316,17 @@ def _train_with(*settings):
     return argv
 
 
+def _decode_with(command, *settings):
+    """eval or infer of the tiny checkpoint, with settings."""
+    def argv(root):
+        ckpt = _tiny_checkpoint(root)
+        if command == "eval":
+            generate_dataset_files(root / "data", n_items=2, nbwb_mix_fraction=0.0, seed=0)
+            return ["eval", "--ckpt", str(ckpt), "--data", str(root / "data"), *_sets(settings)]
+        return ["infer", "--ckpt", str(ckpt), str(_wav(root)), *_sets(settings)]
+    return argv
+
+
 def _resized_checkpoint(command, resize):
     """infer or inspect on the tiny checkpoint with its bytes resized."""
     def argv(root):
@@ -358,6 +375,16 @@ def _resized_checkpoint(command, resize):
     pytest.param(_train_with("steps=0"), 1, id="train-steps-zero"),
     pytest.param(_train_with("lr_floor=-0.001"), 1, id="train-lr-floor-negative"),
     pytest.param(_train_with("momentum=-0.5"), 1, id="train-momentum-negative"),
+    pytest.param(_train_with("lr_peak=nan"), 1, id="train-lr-peak-nan"),
+    pytest.param(_train_with("lr_peak=inf"), 1, id="train-lr-peak-inf"),
+    pytest.param(_train_with("lr_floor=nan"), 1, id="train-lr-floor-nan"),
+    pytest.param(_train_with("optimizer=sgd", "momentum=nan"), 1, id="train-momentum-nan"),
+    pytest.param(_decode_with("eval", "max_decode_len=0"), 1, id="eval-max-decode-len-zero"),
+    pytest.param(_decode_with("infer", "max_decode_len=-3"), 1,
+                 id="infer-max-decode-len-negative"),
+    # 301 symbols render 30.08 s of audio, past fbank's 30 s cap
+    pytest.param(_datagen_with("symbols_min=301", "symbols_max=301"), 1,
+                 id="datagen-symbols-past-audio-cap"),
     pytest.param(_benchmark_with("n_seeds=0"), 1, id="benchmark-no-seeds"),
     pytest.param(_benchmark_with("n_train_inputs=0"), 1, id="benchmark-no-train-inputs"),
     pytest.param(_benchmark_with("n_eval_inputs=0", "n_seeds=1"), 1,
@@ -399,6 +426,62 @@ def test_datagen_rejected_merge_count_writes_no_wav(tmp_path, capsys):
     assert main(["datagen", "--out", str(out), "--set", "n_items=3", "--set", "n_merges=-1"]) == 1
     assert "merge count" in capsys.readouterr().err
     assert not (out / "wavs").exists()
+
+
+@pytest.mark.parametrize("setting", [
+    "batch_size=-1", "batch_size=0", "lr_peak=nan", "lr_peak=inf", "lr_floor=nan", "momentum=nan",
+])
+def test_train_rejects_bad_settings_before_any_model(setting, tmp_path, capsys, monkeypatch):
+    def no_model(*args, **kwargs):
+        raise AssertionError("model built before the training settings were checked")
+
+    monkeypatch.setattr(smoe.cli, "Model", no_model)
+    assert main(_train_with("optimizer=sgd", setting)(tmp_path)) == 1
+    assert setting.split("=")[0] in capsys.readouterr().err
+
+
+def test_datagen_rejected_symbol_count_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "data"
+    assert main(["datagen", "--out", str(out), "--set", "n_items=2",
+                 "--set", "symbols_min=300", "--set", "symbols_max=301"]) == 1
+    assert "audio cap" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_snapshot_replays_through_config(workspace, tmp_path, capsys):
+    """config.resolved fed back through --config (with the same --seed)
+    reproduces the run byte for byte."""
+    run, replay = workspace / "run", tmp_path / "replay"
+    assert (run / "config.resolved").read_text().startswith("# seed = 3\n")
+    assert main(["train", "--data", str(workspace / "data"), "--out", str(replay),
+                 "--seed", "3", "--config", str(run / "config.resolved")]) == 0
+    capsys.readouterr()
+    for name in ("config.resolved", "metrics.log", "model.ckpt"):
+        assert (replay / name).read_bytes() == (run / name).read_bytes(), name
+
+
+_VALUES = {
+    int: st.integers(), float: st.floats(), str: st.sampled_from(["sgd", "adam"]) | st.text(),
+}
+
+
+@st.composite
+def _train_overrides(draw):
+    keys = draw(st.lists(st.sampled_from(sorted(TRAIN_KEYS)), unique=True, min_size=1, max_size=3))
+    return {key: draw(_VALUES[TRAIN_KEYS[key]]) for key in keys}
+
+
+@settings(max_examples=200, deadline=None)
+@given(_train_overrides())
+def test_train_config_is_in_range_or_a_config_error(overrides):
+    try:
+        tc = build_train_config({**DEFAULTS, **overrides}, seed=0)
+    except ConfigError:
+        return
+    assert min(tc.steps, tc.batch_size, tc.accum_steps) >= 1
+    assert all(math.isfinite(v) for v in (tc.lr_peak, tc.lr_floor, tc.momentum))
+    assert 0 <= tc.lr_floor <= tc.lr_peak and tc.momentum >= 0
+    assert tc.optimizer in ("sgd", "adam")
 
 
 def test_inspect_ckpt_reads_the_header_alone(tmp_path, capsys, monkeypatch):

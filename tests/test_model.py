@@ -26,15 +26,7 @@ from smoe.model import (
 from smoe.moe import Bandwidth, GateVector, Task, smoe_forward
 from smoe.nn import ffn_forward
 from smoe.numerics import arena_bounds, constant
-from smoe.seqio import (
-    LANGUAGE_TOKEN,
-    TASK_LANGUAGE,
-    TASK_TOKEN,
-    GuidingToken,
-    Language,
-    Vocabulary,
-    build_target_sequence,
-)
+from smoe.seqio import GuidingToken, Vocabulary, build_target_sequence, guiding_prefix
 from smoe.signal import N_MELS, FbankFeatures
 
 VOCAB = Vocabulary()
@@ -55,11 +47,11 @@ def random_features(seed=0, frames=9):
 
 
 def asr_target(text=b"abc"):
-    return build_target_sequence(Task.ASR, Language.KO, text, VOCAB)
+    return build_target_sequence(Task.ASR, text, VOCAB)
 
 
 def st_target(text=b"abc"):
-    return build_target_sequence(Task.ST, Language.EN, text, VOCAB)
+    return build_target_sequence(Task.ST, text, VOCAB)
 
 
 def test_forward_logits_shape():
@@ -360,7 +352,7 @@ def test_encoder_output_bitwise_task_independent():
 def reference_greedy(model, enc, task, max_len):
     """Greedy decode that re-runs Model.decode over the whole prefix at every
     step: (ids, truncated, last-position logits per step)."""
-    ids = [int(TASK_TOKEN[task]), int(LANGUAGE_TOKEN[TASK_LANGUAGE[task]]), int(GuidingToken.BOS)]
+    ids = guiding_prefix(task)
     out, logits = [], []
     for _ in range(max_len):
         last = model.decode(enc, ids, task).data[-1]

@@ -11,10 +11,10 @@ from smoe.seqio import (
     MERGE_BASE,
     RESERVED_SLOTS,
     GuidingToken,
-    Language,
     TargetSequence,
     Vocabulary,
     build_target_sequence,
+    guiding_prefix,
     train_bpe,
 )
 
@@ -153,7 +153,7 @@ def test_vocab_load_arbitrary_and_mutated_bytes_fail_closed(tmp_path, raw):
 
 def test_build_target_sequence_layout():
     v = Vocabulary()
-    seq = build_target_sequence(Task.ST, Language.EN, b"hi", v)
+    seq = build_target_sequence(Task.ST, b"hi", v)
     assert seq.ids == [
         GuidingToken.TRANSLATE,
         GuidingToken.LANG_EN,
@@ -167,7 +167,7 @@ def test_build_target_sequence_layout():
 def test_build_target_sequence_korean_bytes():
     v = Vocabulary()
     text = "안".encode("utf-8")
-    seq = build_target_sequence(Task.ASR, Language.KO, text, v)
+    seq = build_target_sequence(Task.ASR, text, v)
     assert seq.ids[0] == GuidingToken.TRANSCRIBE
     assert seq.ids[1] == GuidingToken.LANG_KO
     assert seq.ids[2] == GuidingToken.BOS
@@ -175,47 +175,47 @@ def test_build_target_sequence_korean_bytes():
     assert v.decode(seq.payload_ids) == text
 
 
-def test_build_target_sequence_language_convention():
-    v = Vocabulary()
-    with pytest.raises(ConfigError):
-        build_target_sequence(Task.ASR, Language.EN, b"x", v)
-    with pytest.raises(ConfigError):
-        build_target_sequence(Task.ST, Language.KO, b"x", v)
-    with pytest.raises(ConfigError):
-        build_target_sequence(Task.ST, "english", b"x", v)
+def test_guiding_prefix_carries_the_tasks_language():
+    g = GuidingToken
+    assert guiding_prefix(Task.ASR) == [g.TRANSCRIBE, g.LANG_KO, g.BOS]
+    assert guiding_prefix(Task.ST) == [g.TRANSLATE, g.LANG_EN, g.BOS]
+    # a target carrying the other task's language tag is malformed
+    with pytest.raises(SequenceError):
+        TargetSequence(Task.ASR, [g.TRANSCRIBE, g.LANG_EN, g.BOS, 20, g.EOS])
+    with pytest.raises(SequenceError):
+        TargetSequence(Task.ST, [g.TRANSLATE, g.LANG_KO, g.BOS, 20, g.EOS])
 
 
 def test_target_sequence_task_round_trip():
     v = Vocabulary()
-    asr = build_target_sequence(Task.ASR, Language.KO, b"abc", v)
-    st_seq = build_target_sequence(Task.ST, Language.EN, b"abc", v)
+    asr = build_target_sequence(Task.ASR, b"abc", v)
+    st_seq = build_target_sequence(Task.ST, b"abc", v)
     assert asr.task is Task.ASR and asr.ids[0] == GuidingToken.TRANSCRIBE
     assert st_seq.task is Task.ST and st_seq.ids[0] == GuidingToken.TRANSLATE
-    assert TargetSequence(Task.ST, Language.EN, list(st_seq.ids)).task is Task.ST
+    assert TargetSequence(Task.ST, list(st_seq.ids)).task is Task.ST
 
 
 def test_target_sequence_rejects_bad_task_tag():
     lang_ko, bos, eos = int(GuidingToken.LANG_KO), int(GuidingToken.BOS), int(GuidingToken.EOS)
     with pytest.raises(SequenceError):
-        TargetSequence(Task.ASR, Language.KO, [bos, lang_ko, bos, 20, eos])
+        TargetSequence(Task.ASR, [bos, lang_ko, bos, 20, eos])
     with pytest.raises(SequenceError):
-        TargetSequence(Task.ASR, Language.KO, [])
+        TargetSequence(Task.ASR, [])
 
 
 def test_target_sequence_invariants_enforced():
     with pytest.raises(SequenceError):
-        TargetSequence(Task.ASR, Language.KO, [int(GuidingToken.TRANSLATE), 6, 1, 2])
+        TargetSequence(Task.ASR, [int(GuidingToken.TRANSLATE), 6, 1, 2])
     with pytest.raises(SequenceError):
         TargetSequence(
             Task.ASR,
-            Language.KO,
             [int(GuidingToken.TRANSCRIBE), int(GuidingToken.LANG_KO), 1, 0, 2],
         )
 
 
 def test_strip_guides_round_trip():
     v = Vocabulary()
-    seq = build_target_sequence(Task.ST, Language.EN, b"hello", v)
+    seq = build_target_sequence(Task.ST, b"hello", v)
     assert seq.ids[:3] == [int(GuidingToken.TRANSLATE), int(GuidingToken.LANG_EN), int(GuidingToken.BOS)]
     assert seq.ids[-1] == GuidingToken.EOS
     assert v.decode(seq.payload_ids) == b"hello"
@@ -225,7 +225,7 @@ def test_strip_guides_round_trip():
 @given(st.binary(min_size=0, max_size=30))
 def test_sequence_round_trip_property(payload):
     v = _TRAINED
-    seq = build_target_sequence(Task.ST, Language.EN, payload, v)
+    seq = build_target_sequence(Task.ST, payload, v)
     assert v.decode(seq.payload_ids) == payload
     from smoe.moe import gate_decoder
 
