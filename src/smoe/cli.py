@@ -6,8 +6,9 @@ training, and data settings; `--set key=value` overrides apply after the
 config file. Every command that writes outputs drops a resolved-config
 snapshot (config.resolved) beside them.
 
-Exit codes: 0 success, 1 config error, 2 checkpoint error, 3 input error,
-4 numeric failure.
+Exit codes: 0 success, and for a failure the code EXIT_CODES gives its
+exception type: 1 config error, 2 checkpoint error, 3 input error (any
+unreadable or unwritable file included), 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import numpy as np
 from .data import SyntheticTaskSpec, generate_dataset_files, load_dataset
 from .errors import (
     AudioError,
+    CheckpointError,
     ConfigError,
     ContractError,
     FormatError,
@@ -57,16 +59,14 @@ from .train import (
 )
 
 EXIT_OK = 0
-EXIT_CONFIG = 1
-EXIT_CHECKPOINT = 2
-EXIT_INPUT = 3
-EXIT_NUMERIC = 4
-
-
-class CliError(Exception):
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
+# the exit code and label of every failure, by exception type; the first
+# matching row wins, so CheckpointError (a FormatError) comes before row 3
+EXIT_CODES = (
+    (ConfigError, 1, "config error"),
+    (CheckpointError, 2, "checkpoint error"),
+    ((SequenceError, AudioError, LimitError, FormatError, OSError), 3, "input error"),
+    ((NumericError, ContractError), 4, "numeric error"),
+)
 
 
 # -- flat config namespace ----------------------------------------------------
@@ -141,7 +141,6 @@ def build_train_config(settings: dict, seed: int) -> TrainConfig:
 def write_snapshot(out_dir: Path, settings: dict, seed: int) -> None:
     """config.resolved: every setting as a config line, so the file replays
     through --config; the seed is a comment, as --seed sets it."""
-    out_dir.mkdir(parents=True, exist_ok=True)
     lines = [f"# seed = {seed}"] + [f"{k} = {format_value(settings[k])}" for k in sorted(settings)]
     (out_dir / "config.resolved").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -149,51 +148,24 @@ def write_snapshot(out_dir: Path, settings: dict, seed: int) -> None:
 # -- shared loading helpers -----------------------------------------------------
 
 
-def _read_checkpoint(read, path: str):
-    """read(path), with a missing or bad checkpoint turned into exit code 2."""
-    p = Path(path)
-    if not p.exists():
-        raise CliError(EXIT_CHECKPOINT, f"checkpoint not found: {path}")
-    try:
-        return read(p)
-    except (FormatError, OSError) as exc:
-        raise CliError(EXIT_CHECKPOINT, f"bad checkpoint: {exc}") from exc
+def _load_model(args) -> tuple[Model, Vocabulary]:
+    """The checkpoint's model and the vocabulary it decodes with: --vocab,
+    or vocab.txt beside the checkpoint. Their id counts must agree."""
+    model, _ = load_checkpoint(args.ckpt)
+    vocab = Vocabulary.load(args.vocab or Path(args.ckpt).parent / "vocab.txt")
+    if vocab.size != model.config.vocab_size:
+        raise FormatError(f"vocabulary has {vocab.size} ids, checkpoint {args.ckpt} has "
+                          f"vocab_size {model.config.vocab_size}")
+    return model, vocab
 
 
-def _load_vocab(vocab_arg: str | None, ckpt_path: str | None) -> Vocabulary:
-    if vocab_arg:
-        path = Path(vocab_arg)
-    elif ckpt_path:
-        path = Path(ckpt_path).parent / "vocab.txt"
-    else:
-        return Vocabulary()
-    if not path.exists():
-        raise CliError(EXIT_INPUT, f"vocabulary not found at {path}")
-    try:
-        return Vocabulary.load(path)
-    except OSError as exc:
-        raise CliError(EXIT_INPUT, f"cannot read vocabulary {path}: {exc}") from exc
-
-
-def _load_audio(path: str):
-    p = Path(path)
-    if not p.exists():
-        raise CliError(EXIT_INPUT, f"audio file not found: {path}")
-    try:
-        wave = read_wav(p)
-        return fbank(wave)
-    except (FormatError, AudioError, LimitError, OSError) as exc:
-        raise CliError(EXIT_INPUT, f"bad audio {path}: {exc}") from exc
-
-
-def _load_items(data_dir: str, vocab: Vocabulary):
-    manifest = Path(data_dir) / "manifest.tsv"
-    if not manifest.exists():
-        raise CliError(EXIT_INPUT, f"manifest not found: {manifest}")
-    try:
-        return load_dataset(manifest, vocab)
-    except (FormatError, AudioError, OSError) as exc:
-        raise CliError(EXIT_INPUT, f"bad dataset: {exc}") from exc
+def _decode_len(settings: dict, cfg: ModelConfig) -> int:
+    """max_decode_len, if a decode that long fits the checkpoint's
+    max_tgt_tokens: the three guiding ids and every emitted id but the last."""
+    if settings["max_decode_len"] > cfg.max_tgt_tokens - 2:
+        raise ConfigError(f"max_decode_len {settings['max_decode_len']} exceeds the "
+                          f"checkpoint's max_tgt_tokens {cfg.max_tgt_tokens} - 2")
+    return settings["max_decode_len"]
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -217,14 +189,14 @@ def cmd_datagen(args, settings: dict) -> int:
 
 def cmd_train(args, settings: dict) -> int:
     tc = build_train_config(settings, args.seed)
-    vocab = _load_vocab(str(Path(args.data) / "vocab.txt"), None)
-    items = _load_items(args.data, vocab)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    vocab = Vocabulary.load(Path(args.data) / "vocab.txt")
+    items = load_dataset(Path(args.data) / "manifest.tsv", vocab)
     cfg = build_model_config(settings, vocab_size=vocab.size)
     model = Model(cfg, seed=args.seed)
     log_lines: list[str] = []
     losses = run_training(model, items, tc, log_lines=log_lines)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(model, out / "model.ckpt", step=tc.steps)
     vocab.save(out / "vocab.txt")
     (out / "metrics.log").write_text("\n".join(log_lines) + "\n", encoding="utf-8")
@@ -236,13 +208,12 @@ def cmd_train(args, settings: dict) -> int:
 
 def cmd_finetune_nbwb(args, settings: dict) -> int:
     tc = build_train_config(settings, args.seed)
-    donor, _ = _read_checkpoint(load_checkpoint, args.ckpt)
-    vocab = _load_vocab(args.vocab, args.ckpt)
-    items = _load_items(args.data, vocab)
-    log_lines: list[str] = []
-    model = finetune_nbwb(donor, items, tc, log_lines=log_lines)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    donor, vocab = _load_model(args)
+    items = load_dataset(Path(args.data) / "manifest.tsv", vocab)
+    log_lines: list[str] = []
+    model = finetune_nbwb(donor, items, tc, log_lines=log_lines)
     save_checkpoint(model, out / "model.ckpt", step=tc.steps)
     vocab.save(out / "vocab.txt")
     (out / "metrics.log").write_text("\n".join(log_lines) + "\n", encoding="utf-8")
@@ -253,10 +224,10 @@ def cmd_finetune_nbwb(args, settings: dict) -> int:
 
 
 def cmd_eval(args, settings: dict) -> int:
-    model, _ = _read_checkpoint(load_checkpoint, args.ckpt)
-    vocab = _load_vocab(args.vocab, args.ckpt)
-    items = _load_items(args.data, vocab)
-    per_task = decode_pairs(model, items, vocab, settings["max_decode_len"])
+    model, vocab = _load_model(args)
+    max_len = _decode_len(settings, model.config)
+    items = load_dataset(Path(args.data) / "manifest.tsv", vocab)
+    per_task = decode_pairs(model, items, vocab, max_len)
     for task, pairs in per_task.items():
         if not pairs:
             continue
@@ -271,29 +242,25 @@ def cmd_eval(args, settings: dict) -> int:
 
 
 def cmd_infer(args, settings: dict) -> int:
-    model, _ = _read_checkpoint(load_checkpoint, args.ckpt)
-    vocab = _load_vocab(args.vocab, args.ckpt)
-    feats = _load_audio(args.audio)
+    model, vocab = _load_model(args)
+    max_len = _decode_len(settings, model.config)
+    feats = fbank(read_wav(args.audio))
     model.eval()
-    max_len = settings["max_decode_len"]
     bw = feats.bandwidth
     if args.single_task:
         task = Task.ASR if args.single_task == "asr" else Task.ST
-        result = model.infer_single(feats, bw, task, max_len=max_len)
-        text = "".join(decode_payload_symbols(result.ids, vocab))
-        print(f"{task.value}: {text}")
-        return EXIT_OK
-    dual = model.infer_dual(feats, bw, max_len=max_len)
-    asr_text = "".join(decode_payload_symbols(dual.asr_ids, vocab))
-    st_text = "".join(decode_payload_symbols(dual.st_ids, vocab))
-    print(f"ASR: {asr_text}")
-    print(f"ST: {st_text}")
+        decoded = {task: model.infer_single(feats, bw, task, max_len=max_len).ids}
+    else:
+        dual = model.infer_dual(feats, bw, max_len=max_len)
+        decoded = {Task.ASR: dual.asr_ids, Task.ST: dual.st_ids}
+    for task, ids in decoded.items():
+        print(f"{task.value}: {''.join(decode_payload_symbols(ids, vocab))}")
     return EXIT_OK
 
 
 def cmd_inspect(args, settings: dict) -> int:
     if args.ckpt:
-        cfg, _ = _read_checkpoint(checkpoint_config, args.ckpt)
+        cfg, _ = checkpoint_config(args.ckpt)
     else:
         cfg = build_model_config(settings)
     pc = count_params(cfg)
@@ -329,7 +296,7 @@ def cmd_gradcheck(args, settings: dict) -> int:
     print(report.summary())
     print(f"max relative error: {report.max_rel_err:.3e} (tolerance {args.tolerance:g})")
     if not report.passed:
-        raise CliError(EXIT_NUMERIC, "gradient check failed")
+        raise NumericError("gradient check failed")
     print("gradient check passed")
     return EXIT_OK
 
@@ -346,6 +313,9 @@ def cmd_benchmark(args, settings: dict) -> int:
     }
     seeds = [args.seed + i for i in range(settings["n_seeds"])]
     tc = build_train_config(settings, args.seed)
+    out = Path(args.out) if args.out else None
+    if out:
+        out.mkdir(parents=True, exist_ok=True)
     result = run_interference_benchmark(
         SyntheticTaskSpec.default(),
         configs,
@@ -356,9 +326,7 @@ def cmd_benchmark(args, settings: dict) -> int:
         train_config=tc,
     )
     print(result.report(), end="")
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+    if out:
         (out / "report.tsv").write_text(result.report(), encoding="utf-8")
         (out / "benchmark.log").write_text("\n".join(result.log_lines) + "\n", encoding="utf-8")
         write_snapshot(out, settings, args.seed)
@@ -443,18 +411,12 @@ def main(argv: list[str] | None = None) -> int:
             "benchmark": cmd_benchmark,
         }[args.command]
         return handler(args, settings)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (SequenceError, AudioError, LimitError, FormatError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (NumericError, ContractError) as exc:
-        print(f"numeric error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    except Exception as exc:
+        for kinds, code, label in EXIT_CODES:
+            if isinstance(exc, kinds):
+                print(f"{label}: {exc}", file=sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":

@@ -268,6 +268,8 @@ def read_manifest(path: str | Path) -> list[ManifestRecord]:
         if len(parts) != 4:
             raise FormatError(f"{path}:{lineno}: expected 4 tab-separated fields")
         audio, bw, task, text = parts
+        if "\0" in audio:  # no file system path holds one
+            raise FormatError(f"{path}:{lineno}: NUL byte in the audio path")
         try:
             records.append(
                 ManifestRecord(

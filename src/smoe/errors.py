@@ -1,7 +1,6 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: ConfigError -> 1, checkpoint problems
-(FormatError) -> 2, bad inputs (audio, sequences) -> 3, numeric failures -> 4.
+The CLI exit code of each, bar ShapeError and RoutingError, is in `smoe.cli.EXIT_CODES`.
 """
 
 
@@ -27,6 +26,10 @@ class SequenceError(ValueError):
 
 class FormatError(ValueError):
     """A serialized artifact (checkpoint, vocab, manifest) is malformed."""
+
+
+class CheckpointError(FormatError):
+    """A checkpoint cannot be opened, or its header, config block or size is bad."""
 
 
 class NumericError(ArithmeticError):

@@ -35,7 +35,7 @@ from typing import Sequence, get_type_hints
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, LimitError
+from .errors import CheckpointError, ConfigError, LimitError
 from .moe import (
     N_EXPERTS, Bandwidth, GateVector, SMoELayer, Task, gate_decoder, gate_encoder, smoe_forward,
 )
@@ -693,6 +693,13 @@ def save_checkpoint(model: Model, path: str | Path, step: int = 0) -> None:
         raise
 
 
+def _open_checkpoint(path: str | Path):
+    try:
+        return open(path, "rb")
+    except OSError as exc:
+        raise CheckpointError(str(exc)) from exc
+
+
 def _read_header(fh, path: str | Path) -> tuple[ModelConfig, int]:
     """The config and step of the checkpoint open as `fh`, left at its arena.
     A file whose size is not exactly the header, the config block and the
@@ -700,31 +707,31 @@ def _read_header(fh, path: str | Path) -> tuple[ModelConfig, int]:
     size = os.fstat(fh.fileno()).st_size
     head = fh.read(_HEADER.size)
     if len(head) != _HEADER.size:
-        raise FormatError(f"truncated checkpoint {path}: {len(head)} bytes")
+        raise CheckpointError(f"truncated checkpoint {path}: {len(head)} bytes")
     magic, version, step, cfg_len = _HEADER.unpack(head)
     if magic != CHECKPOINT_MAGIC:
-        raise FormatError(f"bad magic in {path}")
+        raise CheckpointError(f"bad magic in {path}")
     if version != CHECKPOINT_VERSION:
-        raise FormatError(f"unsupported checkpoint version {version} in {path}")
+        raise CheckpointError(f"unsupported checkpoint version {version} in {path}")
     if cfg_len > size - _HEADER.size:
-        raise FormatError(f"truncated checkpoint {path}: config block needs {cfg_len} bytes")
+        raise CheckpointError(f"truncated checkpoint {path}: config block needs {cfg_len} bytes")
     try:
         config = ModelConfig.from_text(fh.read(cfg_len).decode("utf-8"))
     except UnicodeDecodeError as exc:
-        raise FormatError(f"non-UTF-8 config block in {path}") from exc
+        raise CheckpointError(f"non-UTF-8 config block in {path}") from exc
     except ConfigError as exc:
-        raise FormatError(f"bad config block in {path}: {exc}") from exc
+        raise CheckpointError(f"bad config block in {path}: {exc}") from exc
     payload = size - _HEADER.size - cfg_len
     expected = 8 * count_params(config).trainable
     if payload != expected:
-        raise FormatError(f"checkpoint {path} has {payload} arena bytes, config implies {expected}")
+        raise CheckpointError(f"{path} has {payload} arena bytes, config implies {expected}")
     return config, step
 
 
 def checkpoint_config(path: str | Path) -> tuple[ModelConfig, int]:
     """A checkpoint's config and step, read from its header alone: the file
     size is checked against the config, the arena is not read."""
-    with open(path, "rb") as fh:
+    with _open_checkpoint(path) as fh:
         return _read_header(fh, path)
 
 
@@ -736,11 +743,11 @@ def load_checkpoint(path: str | Path) -> tuple[Model, int]:
     read in one call straight into the new model's arena, so every
     parameter is written and no random value is drawn.
     """
-    with open(path, "rb") as fh:
+    with _open_checkpoint(path) as fh:
         config, step = _read_header(fh, path)
         model = Model.allocate(config)
         if fh.readinto(model.arena) != model.arena.nbytes:
-            raise FormatError(f"truncated checkpoint {path}")
+            raise CheckpointError(f"truncated checkpoint {path}")
     if sys.byteorder == "big":  # the arena on disk is little-endian
         model.arena.byteswap(inplace=True)
     return model, step

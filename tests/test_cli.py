@@ -1,5 +1,11 @@
+import contextlib
+import io
 import math
+import shutil
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +18,7 @@ from smoe.data import generate_dataset_files, read_manifest
 from smoe.errors import ConfigError
 from smoe.model import Model, ModelConfig, load_checkpoint, save_checkpoint
 from smoe.moe import Bandwidth
-from smoe.seqio import Vocabulary
+from smoe.seqio import GuidingToken, Vocabulary
 from smoe.signal import SAMPLE_RATE_NB, SAMPLE_RATE_WB, Waveform, write_wav
 
 
@@ -197,13 +203,15 @@ def test_benchmark_cli_tiny(tmp_path, capsys):
     assert (tmp_path / "bench" / "benchmark.log").exists()
 
 
-def _tiny_checkpoint(root, edit=None):
-    """A tiny model checkpoint plus vocab.txt in root; edit rewrites its bytes."""
+def _tiny_checkpoint(root, edit=None, vocab=None):
+    """A tiny model checkpoint plus its vocab.txt (by default no merges) in
+    root; edit rewrites its bytes."""
+    vocab = vocab or Vocabulary()
     cfg = ModelConfig(n_enc_layers=1, n_dec_layers=1, d_model=16, d_ff=16, n_heads=2,
-                      dropout=0.0, vocab_size=Vocabulary().size)
+                      dropout=0.0, vocab_size=vocab.size)
     ckpt = root / "model.ckpt"
     save_checkpoint(Model(cfg, seed=0), ckpt)
-    Vocabulary().save(root / "vocab.txt")
+    vocab.save(root / "vocab.txt")
     if edit is not None:
         raw = ckpt.read_bytes()
         edited = edit(raw)
@@ -327,6 +335,23 @@ def _decode_with(command, *settings):
     return argv
 
 
+_MERGES = [(bytes([c]), bytes([c + 1])) for c in b"abcdefgh"]
+
+
+def _vocab_mismatch(command, ckpt_merges, vocab_merges):
+    """finetune-nbwb, eval or infer of the tiny checkpoint built for a
+    vocabulary of ckpt_merges merges, beside a vocab.txt of vocab_merges."""
+    def argv(root):
+        ckpt = _tiny_checkpoint(root, vocab=Vocabulary(_MERGES[:ckpt_merges]))
+        Vocabulary(_MERGES[:vocab_merges]).save(root / "vocab.txt")
+        if command == "infer":
+            return ["infer", "--ckpt", str(ckpt), str(_wav(root))]
+        generate_dataset_files(root / "data", n_items=2, nbwb_mix_fraction=0.5, seed=0)
+        return [command, "--ckpt", str(ckpt), "--data", str(root / "data"),
+                "--out", str(root / "run"), "--set", "steps=1"]
+    return argv
+
+
 def _resized_checkpoint(command, resize):
     """infer or inspect on the tiny checkpoint with its bytes resized."""
     def argv(root):
@@ -398,6 +423,10 @@ def _resized_checkpoint(command, resize):
                  id="inspect-ckpt-cut-in-config"),
     pytest.param(_resized_checkpoint("inspect", lambda b: b + b"\x00"), 2,
                  id="inspect-ckpt-one-byte-extra"),
+    # the vocabulary must hold exactly the checkpoint's vocab_size ids
+    pytest.param(_vocab_mismatch("finetune-nbwb", 0, 8), 3, id="finetune-vocab-larger"),
+    pytest.param(_vocab_mismatch("infer", 0, 8), 3, id="infer-vocab-larger"),
+    pytest.param(_vocab_mismatch("eval", 8, 0), 3, id="eval-vocab-smaller"),
 ])
 def test_malformed_input_exit_code(make_argv, code, tmp_path, capsys):
     assert main(make_argv(tmp_path)) == code
@@ -501,3 +530,105 @@ def test_inspect_ckpt_reads_the_header_alone(tmp_path, capsys, monkeypatch):
     sets = _sets(line.replace(" = ", "=") for line in cfg.to_text().splitlines())
     assert main(["inspect", *sets]) == 0
     assert capsys.readouterr().out == from_ckpt
+
+
+# -- fuzzed input files through main --------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def fuzz_root(tmp_path_factory):
+    """The tiny checkpoint, its vocab.txt, in.wav and a two-item dataset."""
+    root = tmp_path_factory.mktemp("fuzz")
+    _tiny_checkpoint(root)
+    _wav(root)
+    generate_dataset_files(root / "data", n_items=2, nbwb_mix_fraction=0.5, seed=0)
+    return root
+
+
+_FUZZ_ARGV = {
+    "infer": lambda root: ["infer", "--ckpt", str(root / "model.ckpt"), str(root / "in.wav")],
+    "inspect": lambda root: ["inspect", "--ckpt", str(root / "model.ckpt")],
+    "eval": lambda root: ["eval", "--ckpt", str(root / "model.ckpt"), "--data", str(root / "data")],
+}
+# overwrite values lean on the bytes that delimit config, vocabulary and manifest fields
+_FUZZ_BYTE = st.integers(0, 255) | st.sampled_from(b"0123456789#=.-\t\n/\x00")
+
+
+@pytest.mark.parametrize("command, target", [
+    ("infer", "model.ckpt"), ("infer", "in.wav"), ("infer", "vocab.txt"),
+    ("inspect", "model.ckpt"),
+    ("eval", "data/manifest.tsv"), ("eval", "data/wavs/item_00000_wb.wav"), ("eval", "vocab.txt"),
+])
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_mutated_input_file_exits_with_an_input_code(command, target, fuzz_root, data):
+    """A few bytes of one input file overwritten, and the file cut short or
+    zero-extended: the command exits 0-3 and prints no traceback. Edits
+    favour the first 256 bytes, where the headers and config blocks sit."""
+    raw = bytearray((fuzz_root / target).read_bytes())
+    where = st.integers(0, min(len(raw), 256) - 1) | st.integers(0, len(raw) - 1)
+    for pos, value in data.draw(st.lists(st.tuples(where, _FUZZ_BYTE), min_size=1, max_size=4)):
+        raw[pos] = value
+    resize = data.draw(st.integers(-8, 8))
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(shutil.copytree(fuzz_root, Path(tmp) / "root"))
+        (root / target).write_bytes(raw[:len(raw) + resize] if resize < 0 else raw + bytes(resize))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(_FUZZ_ARGV[command](root))
+    assert code in (0, 1, 2, 3) and "Traceback" not in err.getvalue(), (code, err.getvalue())
+
+
+def _no_step(*args, **kwargs):
+    raise AssertionError("a training or decode step ran before the inputs were checked")
+
+
+@pytest.mark.parametrize("command", ["datagen", "train", "finetune-nbwb", "benchmark"])
+def test_out_under_a_file_exits_3_before_any_step(command, workspace, tmp_path, capsys,
+                                                  monkeypatch):
+    monkeypatch.setattr(smoe.cli, "run_training", _no_step)
+    monkeypatch.setattr(smoe.train, "run_training", _no_step)
+    (tmp_path / "file").write_text("")
+    out = str(tmp_path / "file" / "out")
+    argv = {
+        "datagen": ["datagen", "--set", "n_items=2"],
+        "train": ["train", "--data", str(workspace / "data")],
+        "finetune-nbwb": ["finetune-nbwb", "--ckpt", str(workspace / "run" / "model.ckpt"),
+                          "--data", str(workspace / "data")],
+        "benchmark": ["benchmark", "--set", "n_seeds=1", "--set", "budget_steps=1"],
+    }[command]
+    assert main([*argv, "--out", out]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "input error" in captured.err and out in captured.err
+
+
+@pytest.mark.parametrize("command", ["finetune-nbwb", "eval", "infer"])
+def test_vocab_size_mismatch_names_both_sizes_before_any_step(command, tmp_path, capsys,
+                                                             monkeypatch):
+    monkeypatch.setattr(smoe.train, "run_training", _no_step)
+    monkeypatch.setattr(Model, "_greedy_rows", _no_step)
+    assert main(_vocab_mismatch(command, 0, 8)(tmp_path)) == 3
+    err = capsys.readouterr().err
+    assert f"has {Vocabulary().size + 8} ids" in err and f"vocab_size {Vocabulary().size}" in err
+
+
+@pytest.mark.parametrize("command", ["eval", "infer"])
+def test_max_decode_len_fits_the_checkpoint_without_eos(command, tmp_path, capsys, monkeypatch):
+    """The tiny checkpoint's max_tgt_tokens is 120: 118 decode steps fit even
+    when no row ever emits EOS, and 119 is a config error before any decode."""
+    last_logits = Model._last_logits
+
+    def never_eos(self, last):
+        logits = last_logits(self, last)
+        logits[:, GuidingToken.EOS] = -np.inf
+        return logits
+
+    monkeypatch.setattr(Model, "_last_logits", never_eos)
+    (tmp_path / "fits").mkdir()
+    assert main(_decode_with(command, "max_decode_len=118")(tmp_path / "fits")) == 0
+    assert capsys.readouterr().out
+    monkeypatch.setattr(Model, "_greedy_rows", _no_step)
+    (tmp_path / "past").mkdir()
+    assert main(_decode_with(command, "max_decode_len=119")(tmp_path / "past")) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "max_tgt_tokens 120" in captured.err
