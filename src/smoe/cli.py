@@ -162,7 +162,7 @@ def _load_model(args) -> tuple[Model, Vocabulary]:
 def _decode_len(settings: dict, cfg: ModelConfig) -> int:
     """max_decode_len, if a decode that long fits the checkpoint's
     max_tgt_tokens: the three guiding ids and every emitted id but the last."""
-    if settings["max_decode_len"] > cfg.max_tgt_tokens - 2:
+    if settings["max_decode_len"] > cfg.max_decode_len:
         raise ConfigError(f"max_decode_len {settings['max_decode_len']} exceeds the "
                           f"checkpoint's max_tgt_tokens {cfg.max_tgt_tokens} - 2")
     return settings["max_decode_len"]

@@ -8,7 +8,8 @@ pass runs a whole batch at once: the encoder on packed real-frame rows
 target rows [B*L x d]; attention reads each sample's own rows, and each
 encoder expert runs once on its bandwidth's rows. `encode` and `decode` are
 its one-sample calls. Greedy decoding runs off the tape with cached keys/
-values, through the same `numerics.attend` core; `decode` is its reference.
+values, on plain arrays through the kernels the tape ops wrap
+(`numerics.attend`, `normalize` and `ffn_rows`); `decode` is its reference.
 
 A model's parameters live in one arena: a contiguous float64 buffer laid
 out by `parameter_shapes(config)` in `named_parameters()` order, each
@@ -37,7 +38,8 @@ import numpy as np
 
 from .errors import CheckpointError, ConfigError, LimitError
 from .moe import (
-    N_EXPERTS, Bandwidth, GateVector, SMoELayer, Task, gate_decoder, gate_encoder, smoe_forward,
+    N_EXPERTS, Bandwidth, GateVector, SMoELayer, Task, gate_decoder, gate_encoder, select_expert,
+    smoe_forward,
 )
 from .nn import (
     LN_EPSILON,
@@ -55,8 +57,8 @@ from .nn import (
     sinusoidal_positions,
 )
 from .numerics import (
-    Tensor, add, attend, constant, dropout, embedding, linear, matmul, normalize, parameter_arena,
-    scale, scatter_rows, transpose2d,
+    Tensor, add, attend, constant, dropout, embedding, ffn_rows, linear, matmul, normalize,
+    parameter_arena, scale, scatter_rows, transpose2d,
 )
 from .seqio import GuidingToken, TargetSequence, guiding_prefix
 from .signal import N_MELS, FbankFeatures
@@ -105,6 +107,12 @@ class ModelConfig:
     @property
     def dec_ff(self) -> int:
         return self.d_ff if self.d_ff_dec is None else self.d_ff_dec
+
+    @property
+    def max_decode_len(self) -> int:
+        """The most greedy steps that fit max_tgt_tokens positions: the three
+        guiding ids and every emitted id but the last."""
+        return self.max_tgt_tokens - 2
 
     @classmethod
     def toy(cls, vocab_size: int = 272, **overrides) -> "ModelConfig":
@@ -528,13 +536,16 @@ class Model:
         the step's positions. Each row's feedforward blocks route to its
         task's expert, only each row's last position is projected onto the
         vocabulary, and a row leaves the batch at its EOS. Dropout is never
-        applied: this is the eval-mode computation.
+        applied: this is the eval-mode computation. A max_len past the
+        config's max_decode_len raises ConfigError before the first step.
         """
         cfg = self.config
         results = [SingleDecode(ids=[], truncated=True) for _ in tasks]
         if max_len <= 0:
             return results
-        d = cfg.d_model
+        if max_len > cfg.max_decode_len:
+            raise ConfigError(f"max_len {max_len} exceeds max_tgt_tokens {cfg.max_tgt_tokens} - 2")
+        d, eos = cfg.d_model, int(GuidingToken.EOS)
 
         def norm(ln: LayerNormParams, x: np.ndarray) -> np.ndarray:
             return normalize(x, ln.gain.data, ln.bias.data, LN_EPSILON)[0]
@@ -547,6 +558,11 @@ class Model:
             ctx, _ = attend(project(p.w_q, p.b_q, h, n_rows), keys, values, cfg.n_heads, causal)
             return ctx @ p.w_o.data + p.b_o.data
 
+        def ffn(block: FFNParams | SMoELayer, gate: GateVector, h: np.ndarray) -> np.ndarray:
+            """The block's feedforward of rows h, through gate's expert if routed."""
+            p = select_expert(block, gate) if isinstance(block, SMoELayer) else block
+            return ffn_rows(h, *p.arrays(), cfg.activation)[0]
+
         enc = enc_out.data
         cross_kv = [(project(a.w_k, a.b_k, enc), project(a.w_v, a.b_v, enc))
                     for a in (layer.cross_attn for layer in self.dec_layers)]
@@ -555,16 +571,10 @@ class Model:
         gates = [gate_decoder(task) for task in tasks]
         step_ids = np.array([guiding_prefix(task) for task in tasks])
         # the last step's input sits at position prefix + max_len - 2
-        positions = sinusoidal_positions(
-            min(step_ids.shape[1] + max_len - 1, cfg.max_tgt_tokens), d
-        ).data
+        positions = sinusoidal_positions(step_ids.shape[1] + max_len - 1, d).data
         done = 0  # positions already in the self-attention caches
         for _ in range(max_len):
             n_rows, n_new = step_ids.shape
-            if done + n_new > cfg.max_tgt_tokens:
-                raise LimitError(
-                    f"{done + n_new} target tokens exceeds max_tgt_tokens {cfg.max_tgt_tokens}"
-                )
             x = self.embed.data[step_ids] * math.sqrt(d) + positions[done : done + n_new]
             x = x.reshape(n_rows * n_new, d)
             for i, layer in enumerate(self.dec_layers):
@@ -578,17 +588,15 @@ class Model:
                 h = norm(layer.ln_cross, x)
                 x = x + attend_rows(layer.cross_attn, h, n_rows, *cross_kv[i])
                 h = norm(layer.ln_ffn, x).reshape(n_rows, n_new, d)
-                x = x + np.concatenate([
-                    self._sublayer_ffn(layer.ffn, gates[r], constant(h[j])).data
-                    for j, r in enumerate(live)
-                ])
+                x = x + np.concatenate([ffn(layer.ffn, gates[r], h[j]) for j, r in enumerate(live)])
             done += n_new
             last = x.reshape(n_rows, n_new, d)[:, -1]
             next_ids = np.argmax(self._last_logits(last), axis=-1)
             keep = []
             for j, r in enumerate(live):
-                results[r].ids.append(int(next_ids[j]))
-                if next_ids[j] == GuidingToken.EOS:
+                token = int(next_ids[j])
+                results[r].ids.append(token)
+                if token == eos:
                     results[r].truncated = False
                 else:
                     keep.append(j)

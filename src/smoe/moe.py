@@ -91,6 +91,19 @@ class SMoELayer:
         self.call_counts = [0] * len(self.experts)
 
 
+def select_expert(layer: SMoELayer, gate: GateVector) -> FFNParams:
+    """The expert `gate` selects, counted as one call of it; the other
+    experts are neither returned nor counted. A gate whose width is not the
+    expert count raises RoutingError."""
+    if len(gate) != layer.n_experts:
+        raise RoutingError(
+            f"gate width {len(gate)} does not match expert count {layer.n_experts}"
+        )
+    k = gate.selected
+    layer.call_counts[k] += 1
+    return layer.experts[k]
+
+
 def smoe_forward(
     layer: SMoELayer, gate: GateVector, x: Tensor, activation: str = "silu"
 ) -> Tensor:
@@ -101,11 +114,4 @@ def smoe_forward(
     can only flow into the selected expert's parameters because no other
     expert contributes tape nodes.
     """
-    if len(gate) != layer.n_experts:
-        raise RoutingError(
-            f"gate width {len(gate)} does not match expert count {layer.n_experts}"
-        )
-    k = gate.selected
-    layer.call_counts[k] += 1
-    return ffn_forward(layer.experts[k], x, activation=activation)
-
+    return ffn_forward(select_expert(layer, gate), x, activation=activation)

@@ -15,19 +15,9 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .numerics import (
-    Tensor,
-    add,
-    attention,
-    constant,
-    dropout,
-    layer_norm,
-    linear,
-    mul,
-    relu,
-    silu,
+    Tensor, active_tape, add, attention, constant, dropout, ffn_rows, layer_norm, linear, record_op,
 )
 
-ACTIVATIONS = {"silu": silu, "relu": relu}
 LN_EPSILON = 1e-6
 
 
@@ -87,6 +77,14 @@ class FFNParams:
     def d_ff(self) -> int:
         return self.w_in.shape[1]
 
+    def tensors(self) -> list[Tensor | None]:
+        """w_in, b_in, w_out, b_out, w_gate, b_gate: `numerics.ffn_rows` order."""
+        return [self.w_in, self.b_in, self.w_out, self.b_out, self.w_gate, self.b_gate]
+
+    def arrays(self) -> list[np.ndarray | None]:
+        """The weights' arrays in `numerics.ffn_rows` order; None for an absent gate."""
+        return [None if t is None else t.data for t in self.tensors()]
+
 
 def ffn_shapes(d_model: int, d_ff: int, glu: bool) -> list[tuple[str, tuple[int, ...]]]:
     """Names and shapes of one FFN block's tensors, in arena order."""
@@ -96,13 +94,31 @@ def ffn_shapes(d_model: int, d_ff: int, glu: bool) -> list[tuple[str, tuple[int,
 
 
 def ffn_forward(p: FFNParams, x: Tensor, activation: str = "silu") -> Tensor:
-    """Apply one feedforward block to x [t x d_model]."""
+    """Apply one feedforward block to x [t x d_model] as one tape node over
+    `numerics.ffn_rows`. Backward, for the output gradient g: dhg = g w_out^T;
+    under GLU dgate = dhg * h and dh = dhg * gate, else dh = dhg; da = dh *
+    act'(a); dx = dgate w_gate^T + da w_in^T. Each weight gets its input^T
+    times its output's gradient and each bias that gradient's column sums."""
     if x.shape[-1] != p.d_model:
         raise ShapeError(f"input dim {x.shape} does not match d_model {p.d_model}")
-    h = ACTIVATIONS[activation](linear(x, p.w_in, p.b_in))
-    if p.glu:
-        h = mul(h, linear(x, p.w_gate, p.b_gate))
-    return linear(h, p.w_out, p.b_out)
+    needs = any(t is not None and t.requires_grad for t in [x, *p.tensors()])
+    out, saved = ffn_rows(x.data, *p.arrays(), activation, needs and active_tape() is not None)
+
+    def grad_fn(g: np.ndarray):
+        a, sig, h, gate, hg = saved
+        dh = g @ p.w_out.data.T
+        grads = [(p.w_out, hg.T @ g), (p.b_out, g.sum(axis=0))]
+        if gate is not None:
+            dgate, dh = dh * h, dh * gate
+            grads += [(p.w_gate, x.data.T @ dgate), (p.b_gate, dgate.sum(axis=0))]
+        da = dh * (a > 0.0) if sig is None else dh * sig * (1.0 + a * (1.0 - sig))
+        grads += [(p.w_in, x.data.T @ da), (p.b_in, da.sum(axis=0))]
+        if x.requires_grad:
+            dx = da @ p.w_in.data.T
+            grads.append((x, dx if gate is None else dgate @ p.w_gate.data.T + dx))
+        return grads
+
+    return record_op(Tensor(out, requires_grad=needs), grad_fn)
 
 
 @dataclass

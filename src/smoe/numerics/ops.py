@@ -5,7 +5,10 @@ the active tape when any input requires grad. Broadcasting is restricted to
 trailing-shape alignment (bias adds) and matched leading-batch matmul; the
 narrow surface keeps every backward rule short enough to audit by hand.
 `linear` and `attention` are fused: each is one tape node with a
-hand-written backward in place of a chain of the elementary ops.
+hand-written backward in place of a chain of the elementary ops. The
+array kernels `attend`, `normalize` and `ffn_rows` compute on plain
+arrays with no tape; the tape ops and `nn.ffn_forward` wrap them, and
+greedy decode calls them directly.
 """
 
 from __future__ import annotations
@@ -15,16 +18,12 @@ from typing import Sequence
 
 import numpy as np
 
-from ..errors import ShapeError
+from ..errors import ConfigError, ShapeError
 from .tensor import Tensor, active_tape, record_op
 
 
 def constant(data) -> Tensor:
     return Tensor(data, requires_grad=False)
-
-
-def parameter(data) -> Tensor:
-    return Tensor(data, requires_grad=True)
 
 
 def _needs_grad(*tensors: Tensor) -> bool:
@@ -71,6 +70,32 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         return grads + [(x, g @ wd.T)] if x.requires_grad else grads
 
     return record_op(out, grad_fn)
+
+
+def ffn_rows(
+    x: np.ndarray, w_in: np.ndarray, b_in: np.ndarray, w_out: np.ndarray, b_out: np.ndarray,
+    w_gate: np.ndarray | None, b_gate: np.ndarray | None, activation: str, keep: bool = False,
+) -> tuple[np.ndarray, list | None]:
+    """Feedforward block on plain rows x [rows x d_model], no tape: a = x @
+    w_in + b_in, h = a * sig for sig = 1 / (1 + exp(-a)) ("silu") or
+    max(a, 0) ("relu"), hg = h * gate for gate = x @ w_gate + b_gate (GLU;
+    hg = h when w_gate is None), out = hg @ w_out + b_out. Returns out and,
+    if keep, [a, sig, h, gate, hg] for a backward (sig None for relu, gate
+    None without GLU); otherwise None, each intermediate dropped once the
+    next exists."""
+    if activation not in ("silu", "relu"):
+        raise ConfigError(f"unknown activation {activation!r}")
+    a = x @ w_in + b_in
+    sig = 1.0 / (1.0 + np.exp(-a)) if activation == "silu" else None
+    h = np.maximum(a, 0.0) if sig is None else a * sig
+    saved = [a, sig, h] if keep else None
+    del a, sig
+    gate = None if w_gate is None else x @ w_gate + b_gate
+    hg = h if gate is None else h * gate
+    if keep:
+        saved += [gate, hg]
+    del h, gate
+    return hg @ w_out + b_out, saved
 
 
 def _heads(a: np.ndarray, n_heads: int) -> np.ndarray:
@@ -220,64 +245,13 @@ def sum_all(a: Tensor) -> Tensor:
     return record_op(out, grad_fn)
 
 
-def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
-    shape = tuple(shape)
-    out = Tensor(a.data.reshape(shape), requires_grad=a.requires_grad)
-    orig = a.data.shape
-
-    def grad_fn(g: np.ndarray):
-        return [(a, g.reshape(orig))]
-
-    return record_op(out, grad_fn)
-
-
-def permute(a: Tensor, axes: Sequence[int]) -> Tensor:
-    axes = tuple(axes)
-    out = Tensor(a.data.transpose(axes), requires_grad=a.requires_grad)
-    inverse = tuple(np.argsort(axes))
-
-    def grad_fn(g: np.ndarray):
-        return [(a, g.transpose(inverse))]
-
-    return record_op(out, grad_fn)
-
-
 def transpose2d(a: Tensor) -> Tensor:
     if a.data.ndim != 2:
         raise ShapeError(f"transpose2d needs a matrix, got {a.data.shape}")
-    return permute(a, (1, 0))
-
-
-def silu(a: Tensor) -> Tensor:
-    """x * sigmoid(x); d/dx = s(x) * (1 + x * (1 - s(x)))."""
-    sig = 1.0 / (1.0 + np.exp(-a.data))
-    out = Tensor(a.data * sig, requires_grad=a.requires_grad)
+    out = Tensor(a.data.T, requires_grad=a.requires_grad)
 
     def grad_fn(g: np.ndarray):
-        return [(a, g * sig * (1.0 + a.data * (1.0 - sig)))]
-
-    return record_op(out, grad_fn)
-
-
-def relu(a: Tensor) -> Tensor:
-    out = Tensor(np.maximum(a.data, 0.0), requires_grad=a.requires_grad)
-
-    def grad_fn(g: np.ndarray):
-        return [(a, g * (a.data > 0.0))]
-
-    return record_op(out, grad_fn)
-
-
-def softmax_last(a: Tensor) -> Tensor:
-    """Stable softmax over the last axis."""
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
-    out = Tensor(y, requires_grad=a.requires_grad)
-
-    def grad_fn(g: np.ndarray):
-        dot = (g * y).sum(axis=-1, keepdims=True)
-        return [(a, y * (g - dot))]
+        return [(a, g.T)]
 
     return record_op(out, grad_fn)
 

@@ -77,9 +77,22 @@ BENCH_EVAL_INPUTS = 32
 BENCH_TC = TrainConfig(steps=BENCH_STEPS, batch_size=8, lr_peak=3e-3, lr_floor=1e-4)
 
 
-def report(n: int, name: str, ok: bool, detail: str, elapsed: float, limit: float):
+_CPU_START = [0.0]  # process CPU seconds when the running criterion started
+
+
+@pytest.fixture(autouse=True)
+def _cpu_clock():
+    _CPU_START[0] = time.process_time()
+
+
+def report(n: int, name: str, ok: bool, detail: str, elapsed: float, limit: float,
+           cpu: float | None = None):
+    """Print the criterion's line, then gate it on `ok` and on `elapsed`.
+    cpu is the process CPU seconds it took, by default since the test began."""
     status = "PASS" if ok else "FAIL"
-    print(f"\nACCEPTANCE {n:02d} [{status}] {name}: {detail} ({elapsed:.1f}s / limit {limit:.0f}s)")
+    cpu = time.process_time() - _CPU_START[0] if cpu is None else cpu
+    print(f"\nACCEPTANCE {n:02d} [{status}] {name}: {detail} "
+          f"({elapsed:.1f}s / limit {limit:.0f}s, cpu {cpu:.1f}s)")
     assert ok, f"criterion {n} failed: {detail}"
     assert elapsed < limit, f"criterion {n} exceeded its runtime budget"
 
@@ -98,9 +111,10 @@ def _run_benchmark():
 
 @pytest.fixture(scope="session")
 def benchmark_run():
-    t0 = time.monotonic()
+    """The benchmark result, its wall seconds and its process CPU seconds."""
+    t0, cpu0 = time.monotonic(), time.process_time()
     result = _run_benchmark()
-    return result, time.monotonic() - t0
+    return result, time.monotonic() - t0, time.process_time() - cpu0
 
 
 @pytest.fixture(scope="session")
@@ -381,7 +395,7 @@ def test_criterion_07_parameter_count_cross_check():
 
 
 def test_criterion_08_interference_benchmark(benchmark_run):
-    result, elapsed = benchmark_run
+    result, elapsed, cpu = benchmark_run
     rows = {r.name: r for r in result.rows}
     base, ffn2, dsmoe = rows["base"], rows["dec_ffn_x2"], rows["dec_smoe"]
     conds = {
@@ -400,7 +414,7 @@ def test_criterion_08_interference_benchmark(benchmark_run):
     if failed:
         detail += f" | failed: {failed}"
     # elapsed is the fixture's training time: that is what the budget covers
-    report(8, "task-interference benchmark", ok, detail, elapsed, 900.0)
+    report(8, "task-interference benchmark", ok, detail, elapsed, 900.0, cpu)
 
 
 # -- criterion 9 ---------------------------------------------------------------
@@ -599,7 +613,7 @@ def test_criterion_12_signal_pipeline():
 
 def test_criterion_13_reproducibility(benchmark_run):
     # second full benchmark run with the same seeds; logs carry no timestamps
-    first, _ = benchmark_run
+    first, *_ = benchmark_run
     t0 = time.monotonic()
     second = _run_benchmark()
     logs_equal = second.log_lines == first.log_lines

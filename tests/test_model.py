@@ -447,13 +447,18 @@ def test_dual_row_leaves_the_batch_at_eos():
 
 @pytest.mark.parametrize("max_tgt_tokens", [2, 3, 6])
 def test_cached_greedy_hits_token_limit_at_reference_step(max_tgt_tokens, monkeypatch):
+    """A max_len past max_tgt_tokens - 2 is a ConfigError before the first
+    step, with no expert called; max_len = max_tgt_tokens - 2 decodes what
+    the full-prefix reference decodes, with no position table past the limit."""
     model = Model(tiny_config(dec_smoe=True, max_tgt_tokens=max_tgt_tokens), seed=33).eval()
     feats = random_features(34)
     enc = model.encode(feats, Bandwidth.WB)
-    model.reset_expert_counts()
-    with pytest.raises(LimitError) as want:
-        reference_greedy(model, enc, Task.ST, max_len=10)
-    want_counts = list(model.smoe_layers()[0][1].call_counts)
+    bank = model.smoe_layers()[0][1]
+    for max_len in (max_tgt_tokens - 1, 10**6):
+        bank.reset_counts()
+        with pytest.raises(ConfigError, match=f"max_tgt_tokens {max_tgt_tokens} - 2"):
+            model.infer_dual(feats, Bandwidth.WB, max_len=max_len)
+        assert bank.call_counts == [0, 0]
     sizes = []
     original = smoe.model.sinusoidal_positions
 
@@ -462,13 +467,37 @@ def test_cached_greedy_hits_token_limit_at_reference_step(max_tgt_tokens, monkey
         return original(t, d_model)
 
     monkeypatch.setattr(smoe.model, "sinusoidal_positions", recording)
-    model.reset_expert_counts()
-    with pytest.raises(LimitError) as got:
-        model.infer_single(feats, Bandwidth.WB, Task.ST, max_len=10**6)
-    assert str(got.value) == str(want.value)
-    assert model.smoe_layers()[0][1].call_counts == want_counts
-    # the encoder's table covers its 9 frames; no decoder table is sized by max_len
-    assert sizes[0] == 9 and len(sizes) > 1 and max(sizes[1:]) <= max_tgt_tokens
+    max_len = max_tgt_tokens - 2
+    asr, st = model._greedy_rows(enc, [Task.ASR, Task.ST], max_len)
+    for task, got in ((Task.ASR, asr), (Task.ST, st)):
+        ids, truncated, _ = reference_greedy(model, enc, task, max_len)
+        assert (got.ids, got.truncated) == (ids, truncated)
+        assert len(ids) == max_len and truncated  # each row decodes up to the limit
+    assert max(sizes, default=0) <= max_tgt_tokens
+
+
+@pytest.mark.parametrize("routed", [True, False], ids=["routed", "shared"])
+def test_greedy_decode_stays_off_the_tape(routed, monkeypatch):
+    """The cached decode calls no tape op: with the FFN tape wrappers and
+    `constant` raising, it returns the same ids and expert counts."""
+    model = Model(tiny_config(dec_smoe=routed), seed=35).eval()
+    enc = model.encode(random_features(36), Bandwidth.NB)
+
+    def run():
+        model.reset_expert_counts()
+        rows = model._greedy_rows(enc, [Task.ASR, Task.ST], 6)
+        return ([(r.ids, r.truncated) for r in rows],
+                [list(bank.call_counts) for _, bank in model.smoe_layers()])
+
+    want = run()
+    assert (sum(want[1][0]) > 0) if routed else want[1] == []
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("greedy decode called a tape op")
+
+    for name in ("ffn_forward", "smoe_forward", "constant"):
+        monkeypatch.setattr(smoe.model, name, forbidden)
+    assert run() == want
 
 
 # -- one-sample forward pinned across the packed-encoder change ------------------------

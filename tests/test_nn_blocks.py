@@ -17,9 +17,12 @@ from smoe.nn import (
     pre_norm_residual,
     sinusoidal_positions,
 )
-from smoe.numerics import Tensor, constant, grad_check, parameter, sum_all
+from smoe.numerics import (
+    Tape, Tensor, backward, constant, grad_check, linear, mul, record_op, sum_all,
+)
 
 from blocks import build_block
+from tape_ops import parameter
 
 
 def make_ffn(d_model, d_ff, glu, seed=0):
@@ -153,8 +156,6 @@ def test_attention_grad_check():
     probe = constant(rng.normal(size=(4, 6)))
 
     def f():
-        from smoe.numerics import mul
-
         return sum_all(mul(attention_forward(p, x, x, x, causal=True), probe))
 
     report = grad_check(f, params, tolerance=1e-4)
@@ -210,9 +211,69 @@ def test_ffn_block_grad_check(glu):
     probe = constant(rng.normal(size=(3, 8)))
 
     def f():
-        from smoe.numerics import mul
-
         return sum_all(mul(ffn_forward(p, x), probe))
 
     report = grad_check(f, params, tolerance=1e-4)
+    assert report.passed, report.summary()
+
+
+# -- the fused feedforward node against the composition it replaced ---------------
+
+
+def activation_node(a: Tensor, activation: str) -> Tensor:
+    """The silu or relu tape op as it was before the fused node: silu(a) = a
+    * sig, d/da = sig * (1 + a * (1 - sig)); relu(a) = max(a, 0)."""
+    if activation == "silu":
+        sig = 1.0 / (1.0 + np.exp(-a.data))
+        out, slope = a.data * sig, lambda g: g * sig * (1.0 + a.data * (1.0 - sig))
+    else:
+        out, slope = np.maximum(a.data, 0.0), lambda g: g * (a.data > 0.0)
+    return record_op(Tensor(out, requires_grad=a.requires_grad), lambda g: [(a, slope(g))])
+
+
+def five_node_ffn(p: FFNParams, x: Tensor, activation: str) -> Tensor:
+    """The feedforward block as three `linear`, the activation and the GLU `mul`."""
+    h = activation_node(linear(x, p.w_in, p.b_in), activation)
+    if p.glu:
+        h = mul(h, linear(x, p.w_gate, p.b_gate))
+    return linear(h, p.w_out, p.b_out)
+
+
+@pytest.mark.parametrize("rows", [1, 7])
+@pytest.mark.parametrize("activation", ["silu", "relu"])
+@pytest.mark.parametrize("glu", [False, True])
+def test_fused_ffn_matches_five_node_composition(glu, activation, rows):
+    rng = np.random.default_rng(13)
+    p, params = make_ffn(6, 10, glu, seed=4)
+    x = parameter(rng.normal(size=(rows, 6)))
+    probe = constant(rng.normal(size=(rows, 6)))
+    leaves = [x, *(t for _, t in params)]
+    runs = []
+    for forward in (ffn_forward, five_node_ffn):
+        for t in leaves:
+            t.zero_grad()
+        with Tape() as tape:
+            out = forward(p, x, activation)
+            n_nodes = len(tape)
+            loss = sum_all(mul(out, probe))
+        backward(loss, tape)
+        runs.append((out.data, n_nodes, [t.grad for t in leaves]))
+    (got, got_nodes, got_grads), (want, want_nodes, want_grads) = runs
+    assert np.array_equal(got, want)
+    assert (got_nodes, want_nodes) == (1, 5 if glu else 3)
+    for g, w in zip(got_grads, want_grads):
+        np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("glu", [False, True])
+def test_fused_ffn_relu_grad_check(glu):
+    rng = np.random.default_rng(14)
+    p, params = make_ffn(8, 12, glu, seed=5)
+    x = parameter(rng.normal(size=(3, 8)))
+    probe = constant(rng.normal(size=(3, 8)))
+
+    def f():
+        return sum_all(mul(ffn_forward(p, x, "relu"), probe))
+
+    report = grad_check(f, [("x", x), *params], tolerance=1e-4)
     assert report.passed, report.summary()

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from smoe.errors import ContractError, ShapeError
+from smoe.nn import FFNParams, ffn_forward
 from smoe.numerics import (
     Tape,
     add,
@@ -15,16 +16,13 @@ from smoe.numerics import (
     linear,
     matmul,
     mul,
-    parameter,
-    permute,
-    reshape,
     scale,
     scatter_rows,
-    silu,
     softmax_cross_entropy,
-    softmax_last,
     sum_all,
 )
+
+from tape_ops import parameter, permute, reshape, softmax_last
 
 
 def test_matmul_identity():
@@ -137,17 +135,17 @@ def test_backward_needs_scalar():
 
 
 def test_backward_two_layer_net_vs_fd():
+    # a feedforward block (3 -> 5 -> 3, silu, no GLU) under cross entropy
     rng = np.random.default_rng(5)
     w1 = parameter(rng.normal(size=(3, 5)) * 0.5)
     b1 = parameter(rng.normal(size=(5,)) * 0.1)
-    w2 = parameter(rng.normal(size=(5, 2)) * 0.5)
-    b2 = parameter(rng.normal(size=(2,)) * 0.1)
+    w2 = parameter(rng.normal(size=(5, 3)) * 0.5)
+    b2 = parameter(rng.normal(size=(3,)) * 0.1)
     x = constant(rng.normal(size=(4, 3)))
+    p = FFNParams(w_in=w1, b_in=b1, w_out=w2, b_out=b2)
 
     def f():
-        h = silu(add(matmul(x, w1), b1))
-        out = add(matmul(h, w2), b2)
-        return softmax_cross_entropy(out, [0, 1, 0, 1], ignore_id=-1)
+        return softmax_cross_entropy(ffn_forward(p, x), [0, 1, 2, 1], ignore_id=-1)
 
     report = grad_check(
         f, [("w1", w1), ("b1", b1), ("w2", w2), ("b2", b2)], step=1e-5, tolerance=1e-4
@@ -181,18 +179,19 @@ def test_grad_accumulates_across_backward_calls():
 def test_determinism_same_seed_bitwise():
     def run():
         rng = np.random.default_rng(42)
-        w = parameter(rng.normal(size=(4, 4)))
+        p = FFNParams(*(parameter(rng.normal(size=shape)) for shape in
+                        ((4, 6), (6,), (6, 4), (4,), (4, 6), (6,))))
         x = constant(rng.normal(size=(2, 4)))
         tape = Tape()
         with tape:
-            loss = sum_all(silu(matmul(x, w)))
+            loss = sum_all(ffn_forward(p, x))
         backward(loss, tape)
-        return loss.data.copy(), w.grad.copy()
+        return loss.data.copy(), [t.grad.copy() for t in p.tensors()]
 
     l1, g1 = run()
     l2, g2 = run()
     assert l1 == l2
-    assert np.array_equal(g1, g2)
+    assert all(np.array_equal(a, b) for a, b in zip(g1, g2))
 
 
 def test_softmax_rows_sum_to_one_and_grad():

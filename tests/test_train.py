@@ -10,8 +10,8 @@ from smoe.model import Model, ModelConfig
 from smoe.moe import Bandwidth, Task, gate_decoder, gate_encoder
 from smoe.nn import layer_norm_params, pre_norm_residual, sinusoidal_positions
 from smoe.numerics import (
-    Tape, Tensor, add, backward, constant, embedding, matmul, permute, reshape, scale,
-    softmax_cross_entropy, softmax_last, transpose2d,
+    Tape, Tensor, add, backward, constant, embedding, matmul, scale, softmax_cross_entropy,
+    transpose2d,
 )
 from smoe.seqio import GuidingToken, Vocabulary
 from smoe.train import (
@@ -28,6 +28,8 @@ from smoe.train import (
     shifted_targets,
     train_step,
 )
+
+from tape_ops import permute, reshape, softmax_last
 
 SPEC = SyntheticTaskSpec.default()
 VOCAB = Vocabulary()
