@@ -277,13 +277,17 @@ def cmd_inspect(args, settings: dict) -> int:
 
 
 def cmd_gradcheck(args, settings: dict) -> int:
+    if args.coords < 1 or not 0 < args.tolerance < np.inf:
+        raise ConfigError("gradcheck needs --coords >= 1 and a finite --tolerance > 0")
     settings = dict(settings, dropout=0.0)  # finite differences need a deterministic loss
     cfg = build_model_config(settings)
+    ids = [*guiding_prefix(Task.ASR), 20, 21, 22, int(GuidingToken.EOS)]
+    if max(ids) >= cfg.vocab_size:
+        raise ConfigError(f"gradcheck decodes token id {max(ids)}; vocab_size must exceed it")
     model = Model(cfg, seed=args.seed)
     model.train()
     rng = np.random.default_rng(args.seed)
     feats = FbankFeatures(frames=constant(rng.normal(size=(6, N_MELS))), bandwidth=Bandwidth.WB)
-    ids = [*guiding_prefix(Task.ASR), 20, 21, 22, int(GuidingToken.EOS)]
 
     def f():
         logits = model.decode(model.encode(feats, Bandwidth.WB), ids, Task.ASR)

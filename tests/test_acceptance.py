@@ -7,6 +7,7 @@ train real (tiny) models, so the whole module takes several minutes.
 
 import itertools
 import math
+import resource
 import time
 from dataclasses import replace
 from functools import lru_cache
@@ -77,22 +78,34 @@ BENCH_EVAL_INPUTS = 32
 BENCH_TC = TrainConfig(steps=BENCH_STEPS, batch_size=8, lr_peak=3e-3, lr_floor=1e-4)
 
 
-_CPU_START = [0.0]  # process CPU seconds when the running criterion started
+def _usage() -> tuple[float, float, int]:
+    """Wall seconds, process CPU seconds and minor page faults so far."""
+    return time.monotonic(), time.process_time(), resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def _since(start: tuple[float, float, int]) -> tuple[float, float, int]:
+    return tuple(now - then for then, now in zip(start, _usage()))
+
+
+_START = [_usage()]  # the process usage when the running criterion started
 
 
 @pytest.fixture(autouse=True)
-def _cpu_clock():
-    _CPU_START[0] = time.process_time()
+def _usage_clock():
+    _START[0] = _usage()
 
 
 def report(n: int, name: str, ok: bool, detail: str, elapsed: float, limit: float,
-           cpu: float | None = None):
+           cpu: float | None = None, faults: int | None = None):
     """Print the criterion's line, then gate it on `ok` and on `elapsed`.
-    cpu is the process CPU seconds it took, by default since the test began."""
+    cpu is the process CPU seconds it took and faults its minor page faults,
+    by default since the test began."""
     status = "PASS" if ok else "FAIL"
-    cpu = time.process_time() - _CPU_START[0] if cpu is None else cpu
+    _, cpu_since, faults_since = _since(_START[0])
+    cpu = cpu_since if cpu is None else cpu
+    faults = faults_since if faults is None else faults
     print(f"\nACCEPTANCE {n:02d} [{status}] {name}: {detail} "
-          f"({elapsed:.1f}s / limit {limit:.0f}s, cpu {cpu:.1f}s)")
+          f"({elapsed:.1f}s / limit {limit:.0f}s, cpu {cpu:.1f}s, {faults} minor faults)")
     assert ok, f"criterion {n} failed: {detail}"
     assert elapsed < limit, f"criterion {n} exceeded its runtime budget"
 
@@ -111,22 +124,25 @@ def _run_benchmark():
 
 @pytest.fixture(scope="session")
 def benchmark_run():
-    """The benchmark result, its wall seconds and its process CPU seconds."""
-    t0, cpu0 = time.monotonic(), time.process_time()
+    """The benchmark result, its wall and process CPU seconds and its minor
+    page faults."""
+    start = _usage()
     result = _run_benchmark()
-    return result, time.monotonic() - t0, time.process_time() - cpu0
+    return result, *_since(start)
 
 
 @pytest.fixture(scope="session")
 def trained_toy_model():
-    """Small dual-task model trained far enough to decode its eval items."""
+    """Small dual-task model trained far enough to decode its eval items, with
+    the wall and process CPU seconds and the minor page faults it took."""
+    start = _usage()
     items = make_paired_dataset(
         256, seed=41, task_spec=TASK_SPEC, vocab=VOCAB, min_len=4, max_len=4
     )
     model = Model(replace(BENCH_BASE, dec_smoe=True), seed=5)
     tc = TrainConfig(steps=250, batch_size=8, lr_peak=3e-3, lr_floor=1e-4, seed=5)
     run_training(model, items, tc)
-    return model.eval()
+    return model.eval(), *_since(start)
 
 
 def make_random_features(rng, bandwidth=Bandwidth.WB, frames=None):
@@ -395,7 +411,7 @@ def test_criterion_07_parameter_count_cross_check():
 
 
 def test_criterion_08_interference_benchmark(benchmark_run):
-    result, elapsed, cpu = benchmark_run
+    result, elapsed, cpu, faults = benchmark_run
     rows = {r.name: r for r in result.rows}
     base, ffn2, dsmoe = rows["base"], rows["dec_ffn_x2"], rows["dec_smoe"]
     conds = {
@@ -414,7 +430,7 @@ def test_criterion_08_interference_benchmark(benchmark_run):
     if failed:
         detail += f" | failed: {failed}"
     # elapsed is the fixture's training time: that is what the budget covers
-    report(8, "task-interference benchmark", ok, detail, elapsed, 900.0, cpu)
+    report(8, "task-interference benchmark", ok, detail, elapsed, 900.0, cpu, faults)
 
 
 # -- criterion 9 ---------------------------------------------------------------
@@ -478,7 +494,7 @@ def test_criterion_09_nbwb_finetune():
 
 def test_criterion_10_dual_inference_equivalence(trained_toy_model):
     t0 = time.monotonic()
-    model = trained_toy_model
+    model, train_s, train_cpu, train_faults = trained_toy_model
     rng = np.random.default_rng(10)
     mismatches = 0
     for i in range(50):
@@ -498,7 +514,9 @@ def test_criterion_10_dual_inference_equivalence(trained_toy_model):
     ok = mismatches == 0
     report(
         10, "dual-decode equivalence", ok,
-        f"50 inputs, {mismatches} divergences from independent single-task decodes",
+        f"50 inputs, {mismatches} divergences from independent single-task decodes; "
+        f"the model's training took {train_s:.1f}s, cpu {train_cpu:.1f}s, "
+        f"{train_faults} minor faults",
         time.monotonic() - t0, 60.0,
     )
 

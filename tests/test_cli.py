@@ -316,6 +316,13 @@ def _datagen_with(*settings):
     return argv
 
 
+def _gradcheck_with(*args):
+    def argv(root):
+        return ["gradcheck", "--set", "d_model=16", "--set", "d_ff=16", "--set", "n_heads=2",
+                "--set", "n_enc_layers=1", "--set", "n_dec_layers=1", *args]
+    return argv
+
+
 def _train_with(*settings):
     def argv(root):
         generate_dataset_files(root / "data", n_items=2, nbwb_mix_fraction=0.0, seed=0)
@@ -414,6 +421,16 @@ def _resized_checkpoint(command, resize):
     pytest.param(_benchmark_with("n_train_inputs=0"), 1, id="benchmark-no-train-inputs"),
     pytest.param(_benchmark_with("n_eval_inputs=0", "n_seeds=1"), 1,
                  id="benchmark-no-eval-inputs"),
+    # a check of no coordinates, or against no finite positive tolerance, proves nothing
+    pytest.param(_gradcheck_with("--coords", "0"), 1, id="gradcheck-coords-zero"),
+    pytest.param(_gradcheck_with("--coords", "-2"), 1, id="gradcheck-coords-negative"),
+    pytest.param(_gradcheck_with("--tolerance", "-1"), 1, id="gradcheck-tolerance-negative"),
+    pytest.param(_gradcheck_with("--tolerance", "0"), 1, id="gradcheck-tolerance-zero"),
+    pytest.param(_gradcheck_with("--tolerance", "nan"), 1, id="gradcheck-tolerance-nan"),
+    pytest.param(_gradcheck_with("--tolerance", "inf"), 1, id="gradcheck-tolerance-inf"),
+    # gradcheck decodes fixed ids up to 22
+    pytest.param(_gradcheck_with("--set", "vocab_size=22"), 1, id="gradcheck-vocab-too-small"),
+    pytest.param(_gradcheck_with("--set", "vocab_size=4"), 1, id="gradcheck-vocab-tiny"),
     # the file size must be exactly what the header and config imply
     pytest.param(_resized_checkpoint("infer", lambda b: b[:-1]), 2, id="ckpt-one-byte-short"),
     pytest.param(_resized_checkpoint("infer", lambda b: b + b"\x00"), 2, id="ckpt-one-byte-extra"),
@@ -467,6 +484,23 @@ def test_train_rejects_bad_settings_before_any_model(setting, tmp_path, capsys, 
     monkeypatch.setattr(smoe.cli, "Model", no_model)
     assert main(_train_with("optimizer=sgd", setting)(tmp_path)) == 1
     assert setting.split("=")[0] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["--coords", "0"], ["--tolerance", "nan"], ["--tolerance", "-1"], ["--set", "vocab_size=22"],
+])
+def test_gradcheck_rejects_bad_arguments_before_any_model(args, tmp_path, capsys, monkeypatch):
+    def no_model(*a, **kw):
+        raise AssertionError("model built before the gradcheck arguments were checked")
+
+    monkeypatch.setattr(smoe.cli, "Model", no_model)
+    assert main(_gradcheck_with(*args)(tmp_path)) == 1
+    assert "config error" in capsys.readouterr().err
+
+
+def test_gradcheck_with_the_smallest_vocabulary_passes(capsys):
+    assert main(_gradcheck_with("--set", "vocab_size=23", "--coords", "1")(None)) == 0
+    assert "gradient check passed" in capsys.readouterr().out
 
 
 def test_datagen_rejected_symbol_count_writes_nothing(tmp_path, capsys):
