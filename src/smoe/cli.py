@@ -282,8 +282,9 @@ def cmd_gradcheck(args, settings: dict) -> int:
     settings = dict(settings, dropout=0.0)  # finite differences need a deterministic loss
     cfg = build_model_config(settings)
     ids = [*guiding_prefix(Task.ASR), 20, 21, 22, int(GuidingToken.EOS)]
-    if max(ids) >= cfg.vocab_size:
-        raise ConfigError(f"gradcheck decodes token id {max(ids)}; vocab_size must exceed it")
+    if max(ids) >= cfg.vocab_size or len(ids) > cfg.max_tgt_tokens or cfg.max_src_frames < 6:
+        raise ConfigError(f"gradcheck decodes {len(ids)} ids up to {max(ids)} over 6 frames, "
+                          "more than vocab_size, max_tgt_tokens or max_src_frames allows")
     model = Model(cfg, seed=args.seed)
     model.train()
     rng = np.random.default_rng(args.seed)

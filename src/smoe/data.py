@@ -270,6 +270,8 @@ def read_manifest(path: str | Path) -> list[ManifestRecord]:
         audio, bw, task, text = parts
         if "\0" in audio:  # no file system path holds one
             raise FormatError(f"{path}:{lineno}: NUL byte in the audio path")
+        if not text:  # WER and token accuracy are undefined against it
+            raise FormatError(f"{path}:{lineno}: empty target text")
         try:
             records.append(
                 ManifestRecord(

@@ -7,9 +7,10 @@ pass runs a whole batch at once: the encoder on packed real-frame rows
 [sum(T_i) x d], where dropout draws at that shape, the decoder on padded
 target rows [B*L x d]; attention reads each sample's own rows, and each
 encoder expert runs once on its bandwidth's rows. `encode` and `decode` are
-its one-sample calls. Greedy decoding runs off the tape with cached keys/
-values, on plain arrays through the kernels the tape ops wrap
-(`numerics.attend`, `normalize` and `ffn_rows`); `decode` is its reference.
+its one-sample calls. Greedy decoding runs off the tape on preallocated,
+head-major key/value caches and stacked arena views, through the kernels
+the tape ops wrap (`numerics.attend`, `normalize` and `ffn_rows`); `decode`
+is its reference, which it matches within 1e-12 relative, not bitwise.
 
 A model's parameters live in one arena: a contiguous float64 buffer laid
 out by `parameter_shapes(config)` in `named_parameters()` order, each
@@ -298,7 +299,7 @@ class EncoderLayer:
 
 
 class DecoderLayer:
-    def __init__(self, config: ModelConfig, params: Params, prefix: str):
+    def __init__(self, config: ModelConfig, params: Params, prefix: str, stacked):
         heads = config.n_heads
         self.self_attn = AttentionParams(**_block(params, prefix + "self_attn."), n_heads=heads)
         self.cross_attn = AttentionParams(**_block(params, prefix + "cross_attn."), n_heads=heads)
@@ -306,6 +307,11 @@ class DecoderLayer:
         self.ln_cross = LayerNormParams(**_block(params, prefix + "ln_cross."))
         self.ln_ffn = LayerNormParams(**_block(params, prefix + "ln_ffn."))
         self.ffn = _ffn(params, prefix + "ffn.", config.dec_smoe)
+        # greedy decode's arena views: w_q/w_k/w_v and their biases, and the experts
+        self.qkv = stacked(prefix + "self_attn.w_q", attention_shapes(config.d_model)[:2], 3)
+        first, copies = ("ffn.expert0.w_in", N_EXPERTS) if config.dec_smoe else ("ffn.w_in", 1)
+        shapes = ffn_shapes(config.d_model, config.dec_ff, config.glu)
+        self.experts = [*stacked(prefix + first, shapes, copies), None, None][:6]
 
 
 @dataclass
@@ -351,7 +357,17 @@ class Model:
         self.input_proj_b = views["input_proj.b"]
         self.enc_layers = [EncoderLayer(config, self._params, f"enc.{i}.")
                            for i in range(config.n_enc_layers)]
-        self.dec_layers = [DecoderLayer(config, self._params, f"dec.{i}.")
+        start = dict(zip(views, np.cumsum([0, *(t.size for t in views.values())]).tolist()))
+
+        def stacked(name: str, shapes: Shapes, copies: int) -> list[np.ndarray]:
+            """`copies` back-to-back runs of `shapes` from parameter `name` on, per
+            entry one view [copies x rows x cols], or [copies x 1 x n] for a vector."""
+            sizes = [math.prod(shape) for _, shape in shapes]
+            run = self.arena[start[name] : start[name] + copies * sum(sizes)].reshape(copies, -1)
+            return [run[:, end - n : end].reshape(copies, *(1, *shape)[-2:])
+                    for (_, shape), n, end in zip(shapes, sizes, np.cumsum(sizes))]
+
+        self.dec_layers = [DecoderLayer(config, self._params, f"dec.{i}.", stacked)
                            for i in range(config.n_dec_layers)]
         self.ln_enc_final = LayerNormParams(**_block(self._params, "ln_enc_final."))
         self.ln_dec_final = LayerNormParams(**_block(self._params, "ln_dec_final."))
@@ -531,13 +547,15 @@ class Model:
 
         Each step computes what `decode` computes at its new positions, for
         every live row at once: the guiding prefix is the first step, then
-        one position per step. Cross-attention keys/values are projected once
-        per layer and shared by all rows; self-attention keys/values grow by
-        the step's positions. Each row's feedforward blocks route to its
-        task's expert, only each row's last position is projected onto the
-        vocabulary, and a row leaves the batch at its EOS. Dropout is never
-        applied: this is the eval-mode computation. A max_len past the
-        config's max_decode_len raises ConfigError before the first step.
+        one position per step. Each layer takes Q, K and V from one matmul
+        over its `qkv` view and writes K and V in place into caches sized
+        from max_len, head-major as `attend` reads them; cross-attention
+        keys/values are projected once. Every row's feedforward runs through
+        its task's expert in one call over the `experts` view. Only last
+        positions reach the vocabulary, and a row leaves the batch and its
+        caches at its EOS. No dropout: this is the eval-mode computation, its
+        logits within 1e-12 relative of `decode`'s, not bitwise. A max_len
+        past max_decode_len raises ConfigError before the first step.
         """
         cfg = self.config
         results = [SingleDecode(ids=[], truncated=True) for _ in tasks]
@@ -545,51 +563,53 @@ class Model:
             return results
         if max_len > cfg.max_decode_len:
             raise ConfigError(f"max_len {max_len} exceeds max_tgt_tokens {cfg.max_tgt_tokens} - 2")
-        d, eos = cfg.d_model, int(GuidingToken.EOS)
+        d, n_heads, eos = cfg.d_model, cfg.n_heads, int(GuidingToken.EOS)
+        d_h, enc, live = d // n_heads, enc_out.data, list(range(len(tasks)))
+        step_ids = np.array([guiding_prefix(task) for task in tasks])
+        n_pos = step_ids.shape[1] + max_len - 1  # the last step's input sits at n_pos - 1
+        positions = sinusoidal_positions(n_pos, d).data
+
+        def heads(x: np.ndarray, n_rows: int) -> np.ndarray:
+            """Rows [n_rows*t x d] as [n_rows x heads x t x d_h], a view."""
+            return x.reshape(n_rows, -1, n_heads, d_h).transpose(0, 2, 1, 3)
 
         def norm(ln: LayerNormParams, x: np.ndarray) -> np.ndarray:
             return normalize(x, ln.gain.data, ln.bias.data, LN_EPSILON)[0]
 
-        def project(w: Tensor, b: Tensor, x: np.ndarray, n_rows: int = 1) -> np.ndarray:
-            return (x @ w.data + b.data).reshape(n_rows, -1, d)
-
-        def attend_rows(p: AttentionParams, h, n_rows, keys, values, causal=False) -> np.ndarray:
-            """p's attention of rows h over projected keys/values [n_rows or 1 x t_k x d]."""
-            ctx, _ = attend(project(p.w_q, p.b_q, h, n_rows), keys, values, cfg.n_heads, causal)
-            return ctx @ p.w_o.data + p.b_o.data
-
-        def ffn(block: FFNParams | SMoELayer, gate: GateVector, h: np.ndarray) -> np.ndarray:
-            """The block's feedforward of rows h, through gate's expert if routed."""
-            p = select_expert(block, gate) if isinstance(block, SMoELayer) else block
-            return ffn_rows(h, *p.arrays(), cfg.activation)[0]
-
-        enc = enc_out.data
-        cross_kv = [(project(a.w_k, a.b_k, enc), project(a.w_v, a.b_v, enc))
-                    for a in (layer.cross_attn for layer in self.dec_layers)]
-        self_kv = [(np.empty((len(tasks), 0, d)),) * 2 for _ in self.dec_layers]
-        live = list(range(len(tasks)))
+        cross = [(np.ascontiguousarray(heads(enc @ a.w_k.data + a.b_k.data, 1).swapaxes(2, 3)),
+                  np.ascontiguousarray(heads(enc @ a.w_v.data + a.b_v.data, 1)))
+                 for a in (layer.cross_attn for layer in self.dec_layers)]
+        caches = [(np.empty((len(live), n_heads, d_h, n_pos)),
+                   np.empty((len(live), n_heads, n_pos, d_h))) for _ in self.dec_layers]
         gates = [gate_decoder(task) for task in tasks]
-        step_ids = np.array([guiding_prefix(task) for task in tasks])
-        # the last step's input sits at position prefix + max_len - 2
-        positions = sinusoidal_positions(step_ids.shape[1] + max_len - 1, d).data
         done = 0  # positions already in the self-attention caches
         for _ in range(max_len):
             n_rows, n_new = step_ids.shape
-            x = self.embed.data[step_ids] * math.sqrt(d) + positions[done : done + n_new]
+            end = done + n_new
+            x = self.embed.data[step_ids] * math.sqrt(d) + positions[done:end]
             x = x.reshape(n_rows * n_new, d)
-            for i, layer in enumerate(self.dec_layers):
-                a, h = layer.self_attn, norm(layer.ln_self, x)
-                keys, values = self_kv[i]
-                self_kv[i] = (
-                    np.concatenate([keys, project(a.w_k, a.b_k, h, n_rows)], axis=1),
-                    np.concatenate([values, project(a.w_v, a.b_v, h, n_rows)], axis=1),
-                )
-                x = x + attend_rows(a, h, n_rows, *self_kv[i], causal=True)
-                h = norm(layer.ln_cross, x)
-                x = x + attend_rows(layer.cross_attn, h, n_rows, *cross_kv[i])
-                h = norm(layer.ln_ffn, x).reshape(n_rows, n_new, d)
-                x = x + np.concatenate([ffn(layer.ffn, gates[r], h[j]) for j, r in enumerate(live)])
-            done += n_new
+            # the live rows' experts, consecutive because the tasks are distinct
+            ks = [gates[r].selected for r in live] if cfg.dec_smoe else [0]
+            order = slice(None, None, 1 if ks[0] <= ks[-1] else -1)
+            picked = slice(min(ks), max(ks) + 1)
+            for layer, (keys, values), (cross_k, cross_v) in zip(self.dec_layers, caches, cross):
+                qkv = np.matmul(norm(layer.ln_self, x), layer.qkv[0]) + layer.qkv[1]
+                q, k, v = qkv.reshape(3, n_rows, n_new, n_heads, d_h).transpose(0, 1, 3, 2, 4)
+                keys[..., done:end] = k.swapaxes(2, 3)
+                values[:, :, done:end] = v
+                ctx, _ = attend(q, keys[..., :end], values[:, :, :end], causal=True)
+                a = layer.self_attn
+                x = x + (ctx @ a.w_o.data + a.b_o.data)
+                a = layer.cross_attn
+                ctx, _ = attend(heads(norm(layer.ln_cross, x) @ a.w_q.data + a.b_q.data, n_rows),
+                                cross_k, cross_v)
+                x = x + (ctx @ a.w_o.data + a.b_o.data)
+                for r in live if cfg.dec_smoe else ():
+                    select_expert(layer.ffn, gates[r])  # counts the call the next line makes
+                h = norm(layer.ln_ffn, x).reshape(n_rows, n_new, d)[order]
+                weights = (None if t is None else t[picked] for t in layer.experts)
+                x = x + ffn_rows(h, *weights, cfg.activation)[0][order].reshape(-1, d)
+            done = end
             last = x.reshape(n_rows, n_new, d)[:, -1]
             next_ids = np.argmax(self._last_logits(last), axis=-1)
             keep = []
@@ -604,19 +624,17 @@ class Model:
                 break
             if len(keep) < n_rows:
                 live = [live[j] for j in keep]
-                self_kv = [(k[keep], v[keep]) for k, v in self_kv]
+                caches = [(k[keep], v[keep]) for k, v in caches]
             step_ids = next_ids[keep, None]
         return results
 
     def infer_single(
-        self, features: FbankFeatures, bw: Bandwidth, task: Task, max_len: int = 64
+        self, features: FbankFeatures, bw: Bandwidth, task: Task, max_len: int
     ) -> SingleDecode:
         enc_out = self.encode(features, bw)
         return self._greedy_rows(enc_out, [task], max_len)[0]
 
-    def infer_dual(
-        self, features: FbankFeatures, bw: Bandwidth, max_len: int = 64
-    ) -> DualDecode:
+    def infer_dual(self, features: FbankFeatures, bw: Bandwidth, max_len: int) -> DualDecode:
         """One encoder pass feeding a two-row greedy decode: the transcription
         row routes to the ASR expert, the translation row to the ST expert.
         The rows share only the encoder output, so each decodes the ids of

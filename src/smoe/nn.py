@@ -81,10 +81,6 @@ class FFNParams:
         """w_in, b_in, w_out, b_out, w_gate, b_gate: `numerics.ffn_rows` order."""
         return [self.w_in, self.b_in, self.w_out, self.b_out, self.w_gate, self.b_gate]
 
-    def arrays(self) -> list[np.ndarray | None]:
-        """The weights' arrays in `numerics.ffn_rows` order; None for an absent gate."""
-        return [None if t is None else t.data for t in self.tensors()]
-
 
 def ffn_shapes(d_model: int, d_ff: int, glu: bool) -> list[tuple[str, tuple[int, ...]]]:
     """Names and shapes of one FFN block's tensors, in arena order."""
@@ -101,8 +97,10 @@ def ffn_forward(p: FFNParams, x: Tensor, activation: str = "silu") -> Tensor:
     times its output's gradient and each bias that gradient's column sums."""
     if x.shape[-1] != p.d_model:
         raise ShapeError(f"input dim {x.shape} does not match d_model {p.d_model}")
-    needs = any(t is not None and t.requires_grad for t in [x, *p.tensors()])
-    out, saved = ffn_rows(x.data, *p.arrays(), activation, needs and active_tape() is not None)
+    tensors = p.tensors()
+    needs = any(t is not None and t.requires_grad for t in [x, *tensors])
+    arrays = [None if t is None else t.data for t in tensors]
+    out, saved = ffn_rows(x.data, *arrays, activation, needs and active_tape() is not None)
 
     def grad_fn(g: np.ndarray):
         a, sig, h, gate, hg = saved
@@ -173,20 +171,24 @@ def attention_forward(
     return linear(ctx, p.w_o, p.b_o)
 
 
+_POSITIONS: dict[int, np.ndarray] = {}  # d_model -> its longest table so far
+
+
 def sinusoidal_positions(t: int, d_model: int) -> Tensor:
     """Fixed sine/cosine position codes: channel 2i uses sin(p / 10000^(2i/d)),
-    channel 2i+1 the matching cos."""
+    channel 2i+1 the matching cos. Each length reads a read-only slice of
+    one table per d_model, rebuilt only when a longer one is asked for."""
     if t <= 0 or d_model <= 0:
         raise ConfigError(f"positions need positive dims, got t={t}, d_model={d_model}")
     if d_model % 2 != 0:
         raise ConfigError(f"sinusoidal positions need even d_model, got {d_model}")
-    pos = np.arange(t, dtype=np.float64)[:, None]
-    i = np.arange(d_model // 2, dtype=np.float64)[None, :]
-    angles = pos / np.power(10000.0, 2.0 * i / d_model)
-    out = np.zeros((t, d_model))
-    out[:, 0::2] = np.sin(angles)
-    out[:, 1::2] = np.cos(angles)
-    return constant(out)
+    table = _POSITIONS.get(d_model)
+    if table is None or len(table) < t:
+        pos = np.arange(t, dtype=np.float64)[:, None]
+        angles = pos / np.power(10000.0, 2.0 * np.arange(d_model // 2, dtype=np.float64) / d_model)
+        table = _POSITIONS[d_model] = np.stack([np.sin(angles), np.cos(angles)], -1).reshape(t, -1)
+        table.flags.writeable = False
+    return constant(table[:t])
 
 
 @dataclass

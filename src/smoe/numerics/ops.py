@@ -111,23 +111,24 @@ def _merge_heads(a: np.ndarray) -> np.ndarray:
 
 
 def attend(
-    q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int, causal: bool = False
+    q: np.ndarray, k_t: np.ndarray, v: np.ndarray, causal: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Multi-head softmax attention on plain arrays, no tape, of queries
-    q [n x t_q x d] over keys and values k, v [n or 1 x t_k x d]: the
-    heads-merged context [n*t_q x d] and the probabilities [n x h x t_q x t_k].
-    Scores are scaled by 1/sqrt(d/h). causal keeps query i on keys
-    0 .. t_k - t_q + i (bottom-right aligned), so queries appended after
-    cached keys read no later position; masked probabilities are exact 0.0.
+    """Multi-head softmax attention on head-split plain arrays (strided views
+    will do), no tape, of queries q [n x h x t_q x dh] over transposed keys
+    k_t [n or 1 x h x dh x t_k] and values v [n or 1 x h x t_k x dh]: the
+    heads-merged context [n*t_q x h*dh] and the probabilities [n x h x t_q x
+    t_k]. Scores are scaled by 1/sqrt(dh). causal keeps query i on keys 0 ..
+    t_k - t_q + i (bottom-right aligned), so queries appended after cached
+    keys read no later position; masked probabilities are exact 0.0. Greedy
+    decode passes slices of its head-major key/value caches.
     """
-    t_q, t_k = q.shape[1], k.shape[1]
-    scores = (_heads(q, n_heads) @ _heads(k, n_heads).swapaxes(-1, -2)) * (
-        1.0 / math.sqrt(q.shape[2] // n_heads))
+    t_q, t_k = q.shape[2], v.shape[2]
+    scores = (q @ k_t) * (1.0 / math.sqrt(q.shape[3]))
     if causal and t_q > 1:
         scores = np.where(np.tri(t_q, t_k, t_k - t_q, dtype=bool), scores, -np.inf)
     probs = np.exp(scores - scores.max(axis=-1, keepdims=True))
     probs /= probs.sum(axis=-1, keepdims=True)
-    return _merge_heads(probs @ _heads(v, n_heads)), probs
+    return _merge_heads(probs @ v), probs
 
 
 def attention(
@@ -175,7 +176,8 @@ def attention(
             qr = (q_off[group][:, None] + np.arange(t_q)).ravel()
             kr = (k_off[group][:, None] + np.arange(t_k)).ravel()
         qg, kg, vg = (a.data[r].reshape(len(group), -1, d) for a, r in ((q, qr), (k, kr), (v, kr)))
-        ctx, probs = attend(qg, kg, vg, n_heads, causal)
+        ctx, probs = attend(_heads(qg, n_heads), _heads(kg, n_heads).swapaxes(-1, -2),
+                            _heads(vg, n_heads), causal)
         if single:
             out = ctx
         else:
@@ -262,9 +264,9 @@ def normalize(
     """Layer norm of plain rows, no tape: y = gain * xhat + bias for
     xhat = (x - mean) / sqrt(var + eps) over the last axis, with the biased
     variance. Returns y, xhat and 1 / sqrt(var + eps)."""
-    d = x.shape[-1]
-    centered = x - x.sum(axis=-1, keepdims=True) / d
-    inv_std = 1.0 / np.sqrt((centered * centered).sum(axis=-1, keepdims=True) / d + epsilon)
+    d = x.shape[-1]  # np.add.reduce is what ndarray.sum runs, without its Python wrapper
+    centered = x - np.add.reduce(x, -1, keepdims=True) / d
+    inv_std = 1.0 / np.sqrt(np.add.reduce(centered * centered, -1, keepdims=True) / d + epsilon)
     xhat = centered * inv_std
     return xhat * gain + bias, xhat, inv_std
 

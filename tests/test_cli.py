@@ -1,7 +1,10 @@
 import contextlib
 import io
 import math
+import os
 import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -323,6 +326,17 @@ def _gradcheck_with(*args):
     return argv
 
 
+def _eval_with_manifest(edit):
+    """eval of the tiny checkpoint over a two-item dataset whose manifest
+    bytes `edit` rewrites."""
+    def argv(root):
+        ckpt = _tiny_checkpoint(root)
+        manifest = generate_dataset_files(root / "data", n_items=2, nbwb_mix_fraction=0.5, seed=0)
+        manifest.write_bytes(edit(manifest.read_bytes()))
+        return ["eval", "--ckpt", str(ckpt), "--data", str(root / "data")]
+    return argv
+
+
 def _train_with(*settings):
     def argv(root):
         generate_dataset_files(root / "data", n_items=2, nbwb_mix_fraction=0.0, seed=0)
@@ -431,6 +445,14 @@ def _resized_checkpoint(command, resize):
     # gradcheck decodes fixed ids up to 22
     pytest.param(_gradcheck_with("--set", "vocab_size=22"), 1, id="gradcheck-vocab-too-small"),
     pytest.param(_gradcheck_with("--set", "vocab_size=4"), 1, id="gradcheck-vocab-tiny"),
+    # ... over 7 token positions and 6 frames
+    pytest.param(_gradcheck_with("--set", "max_tgt_tokens=5"), 1,
+                 id="gradcheck-max-tgt-tokens-too-small"),
+    pytest.param(_gradcheck_with("--set", "max_src_frames=5"), 1,
+                 id="gradcheck-max-src-frames-too-small"),
+    # WER and token accuracy are undefined against an empty reference
+    pytest.param(_eval_with_manifest(lambda b: b.rstrip(b"\n").rsplit(b"\t", 1)[0] + b"\t\n"),
+                 3, id="eval-manifest-empty-text"),
     # the file size must be exactly what the header and config imply
     pytest.param(_resized_checkpoint("infer", lambda b: b[:-1]), 2, id="ckpt-one-byte-short"),
     pytest.param(_resized_checkpoint("infer", lambda b: b + b"\x00"), 2, id="ckpt-one-byte-extra"),
@@ -488,6 +510,7 @@ def test_train_rejects_bad_settings_before_any_model(setting, tmp_path, capsys, 
 
 @pytest.mark.parametrize("args", [
     ["--coords", "0"], ["--tolerance", "nan"], ["--tolerance", "-1"], ["--set", "vocab_size=22"],
+    ["--set", "max_tgt_tokens=5"], ["--set", "max_src_frames=5"],
 ])
 def test_gradcheck_rejects_bad_arguments_before_any_model(args, tmp_path, capsys, monkeypatch):
     def no_model(*a, **kw):
@@ -666,3 +689,26 @@ def test_max_decode_len_fits_the_checkpoint_without_eos(command, tmp_path, capsy
     assert main(_decode_with(command, "max_decode_len=119")(tmp_path / "past")) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and "max_tgt_tokens 120" in captured.err
+
+
+# -- runtime dependencies ---------------------------------------------------------
+
+
+_IMPORT_EVERY_MODULE = """
+import importlib, pkgutil, sys
+before = set(sys.modules)
+import smoe
+for info in pkgutil.walk_packages(smoe.__path__, "smoe."):
+    importlib.import_module(info.name)
+added = {name.partition(".")[0] for name in set(sys.modules) - before}
+print(" ".join(sorted(added - set(sys.stdlib_module_names))))
+"""
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    """A fresh interpreter that imports every smoe module loads no top-level
+    package outside the standard library but smoe and numpy."""
+    env = dict(os.environ, PYTHONPATH=str(Path(smoe.cli.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", _IMPORT_EVERY_MODULE], env=env,
+                         capture_output=True, text=True, check=True, timeout=120).stdout
+    assert out.split() == ["numpy", "smoe"]

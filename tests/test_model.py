@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import smoe.model
@@ -498,6 +498,95 @@ def test_greedy_decode_stays_off_the_tape(routed, monkeypatch):
     for name in ("ffn_forward", "smoe_forward", "constant"):
         monkeypatch.setattr(smoe.model, name, forbidden)
     assert run() == want
+
+
+def recorded_logits(model, run):
+    """run()'s result and every [rows x vocab] logit block its cached decode
+    computed, in order."""
+    blocks, original = [], Model._last_logits
+
+    def recording(last):
+        blocks.append(original(model, last))
+        return blocks[-1]
+
+    model._last_logits = recording
+    try:
+        return run(), blocks
+    finally:
+        del model._last_logits
+
+
+@settings(max_examples=50, deadline=None)
+@given(n_heads=st.sampled_from([1, 2, 4]), n_dec_layers=st.integers(1, 2), tied=st.booleans(),
+       silu_glu=st.booleans(), routed=st.booleans(), max_len=st.integers(1, 10),
+       spare=st.integers(0, 3), frames=st.integers(1, 12), seed=st.integers(0, 2**16),
+       force_eos=st.booleans())
+@example(n_heads=2, n_dec_layers=2, tied=False, silu_glu=True, routed=True, max_len=8, spare=0,
+         frames=9, seed=1, force_eos=True)
+def test_cached_greedy_matches_reference_over_configs(
+    n_heads, n_dec_layers, tied, silu_glu, routed, max_len, spare, frames, seed, force_eos
+):
+    """infer_single and infer_dual emit reference_greedy's ids, each step's
+    logits within 1e-12 relative. force_eos relabels a token that only the
+    ASR row emits, before the ST row ends, as EOS (untied output projection),
+    so the ASR row leaves the dual batch early and the caches are compacted."""
+    cfg = tiny_config(n_heads=n_heads, n_dec_layers=n_dec_layers, tied_embed=tied and not force_eos,
+                      activation="silu" if silu_glu else "relu", glu=silu_glu, dec_smoe=routed,
+                      max_tgt_tokens=max_len + 2 + spare)
+    model = Model(cfg, seed=seed).eval()
+    feats = random_features(seed, frames)
+    enc = model.encode(feats, Bandwidth.WB)
+    refs = {task: reference_greedy(model, enc, task, max_len) for task in Task}
+    asr, st_ids = refs[Task.ASR][0], refs[Task.ST][0]
+    eos = int(GuidingToken.EOS)
+    stop = next((k for k in range(min(len(asr), len(st_ids) - 1))
+                 if asr[k] not in asr[:k] + st_ids and eos not in asr[:k + 1] + st_ids), None)
+    forced = force_eos and stop is not None
+    if forced:
+        w = model.out_proj.data
+        w[:, [eos, asr[stop]]] = w[:, [asr[stop], eos]]
+        refs = {task: reference_greedy(model, enc, task, max_len) for task in Task}
+        assert refs[Task.ASR][0] == asr[:stop] + [eos]
+    for task, (ids, truncated, logits) in refs.items():
+        single, blocks = recorded_logits(
+            model, lambda: model.infer_single(feats, Bandwidth.WB, task, max_len=max_len))
+        assert (single.ids, single.truncated) == (ids, truncated)
+        assert len(blocks) == len(logits)
+        for got, want in zip(blocks, logits):
+            assert_logits_close(got[0], want)
+    dual, blocks = recorded_logits(model, lambda: model.infer_dual(feats, Bandwidth.WB, max_len))
+    assert (dual.asr_ids, dual.asr_truncated) == refs[Task.ASR][:2]
+    assert (dual.st_ids, dual.st_truncated) == refs[Task.ST][:2]
+    live = [Task.ASR, Task.ST]
+    for step, block in enumerate(blocks):
+        assert block.shape[0] == len(live)
+        for got, task in zip(block, live):
+            assert_logits_close(got, refs[task][2][step])
+        live = [task for task in live if len(refs[task][0]) > step + 1]
+    assert not live
+    if forced:  # the ST row decoded on alone after the ASR row's EOS
+        assert [len(block) for block in blocks][stop:stop + 2] == [2, 1]
+
+
+@pytest.mark.parametrize("routed", [True, False], ids=["routed", "shared"])
+def test_greedy_views_are_the_arena(routed):
+    """Each decoder layer's `qkv` and `experts` views share the arena, copy i
+    of an entry being that entry of the i-th projection or expert."""
+    model = Model(tiny_config(n_dec_layers=2, dec_smoe=routed, glu=not routed), seed=5)
+    for layer in model.dec_layers:
+        a = layer.self_attn
+        experts = layer.ffn.experts if routed else [layer.ffn]
+        want = [[a.w_q, a.w_k, a.w_v], [a.b_q, a.b_k, a.b_v]]
+        want += [[e.tensors()[i] for e in experts] for i in range(6)]
+        got = [*layer.qkv, *layer.experts]
+        for views, tensors in zip(got, want):
+            if views is None:  # no GLU gate
+                assert tensors == [None] * len(experts)
+                continue
+            assert len(views) == len(tensors)
+            for view, t in zip(views, tensors):
+                assert np.shares_memory(view, model.arena)
+                assert np.shares_memory(view, t.data) and np.array_equal(view.reshape(t.shape), t.data)
 
 
 # -- one-sample forward pinned across the packed-encoder change ------------------------

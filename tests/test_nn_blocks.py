@@ -172,6 +172,25 @@ def test_sinusoidal_positions_closed_form():
         sinusoidal_positions(4, 7)
 
 
+def test_positions_are_read_only_slices_of_one_table():
+    def closed_form(t, d):  # the per-length table built before the memo
+        angles = np.arange(t, dtype=np.float64)[:, None] / np.power(
+            10000.0, 2.0 * np.arange(d // 2, dtype=np.float64)[None, :] / d)
+        out = np.zeros((t, d))
+        out[:, 0::2], out[:, 1::2] = np.sin(angles), np.cos(angles)
+        return out
+
+    d = 10  # no other test asks for this width
+    long, short = sinusoidal_positions(37, d).data, sinusoidal_positions(5, d).data
+    assert np.array_equal(long, closed_form(37, d)) and np.array_equal(short, closed_form(5, d))
+    assert short.base is long.base and np.shares_memory(short, long)
+    with pytest.raises(ValueError, match="read-only"):
+        short[0, 0] = 1.0
+    longer = sinusoidal_positions(64, d).data  # a longer length rebuilds the table
+    assert np.array_equal(longer, closed_form(64, d)) and not longer.flags.writeable
+    assert np.shares_memory(sinusoidal_positions(37, d).data, longer)
+
+
 def test_pre_norm_residual_identity_block():
     rng = np.random.default_rng(9)
     x = constant(rng.normal(size=(3, 8)))
