@@ -121,17 +121,14 @@ def _read_text(path: str) -> str:
 
 
 def build_model_config(settings: dict, vocab_size: int | None = None) -> ModelConfig:
+    presets = {"toy": ModelConfig, "paper": ModelConfig.paper_scale}
     preset = settings.get("preset", "toy")
-    if preset == "toy":
-        cfg = ModelConfig.toy()
-    elif preset == "paper":
-        cfg = ModelConfig.paper_scale()
-    else:
+    if preset not in presets:
         raise ConfigError(f"unknown preset {preset!r} (use toy or paper)")
     overrides = {key: settings[key] for key in CONFIG_TYPES if key in settings}
     if vocab_size is not None:
         overrides["vocab_size"] = vocab_size
-    return replace(cfg, **overrides)
+    return replace(presets[preset](), **overrides)
 
 
 def build_train_config(settings: dict, seed: int) -> TrainConfig:

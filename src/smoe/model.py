@@ -87,9 +87,6 @@ class ModelConfig:
     max_tgt_tokens: int = 120
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self) -> None:
         for name in ("n_enc_layers", "n_dec_layers", "d_model", "d_ff", "n_heads",
                      "vocab_size", "max_src_frames", "max_tgt_tokens"):
             if getattr(self, name) <= 0:
@@ -114,15 +111,6 @@ class ModelConfig:
         """The most greedy steps that fit max_tgt_tokens positions: the three
         guiding ids and every emitted id but the last."""
         return self.max_tgt_tokens - 2
-
-    @classmethod
-    def toy(cls, vocab_size: int = 272, **overrides) -> "ModelConfig":
-        base = dict(
-            n_enc_layers=2, n_dec_layers=2, d_model=64, d_ff=128, n_heads=4,
-            vocab_size=vocab_size,
-        )
-        base.update(overrides)
-        return cls(**base)
 
     @classmethod
     def paper_scale(cls, vocab_size: int = 40000, **overrides) -> "ModelConfig":

@@ -14,6 +14,7 @@ on the parameters the batch reached and on nothing else.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, fields, replace
 from typing import Iterator, Sequence
@@ -210,45 +211,28 @@ def make_optimizer(model: Model, tc: TrainConfig):
 def make_interleaved_stream(
     items: Sequence[Utterance], batch_size: int, seed: int
 ) -> Iterator[Batch]:
-    """One epoch of strictly alternating task-homogeneous batches.
+    """One epoch of task-homogeneous batches that cycle through the tasks
+    the pool holds, in Task order (transcription first).
 
-    Transcription batches come first; within-task order is shuffled by the
-    seed; when the next task in the pattern has no items left, the epoch
-    ends (so the emitted counts differ by at most one).
+    Within-task order is shuffled by the seed; when the next task in the
+    cycle has no items left, the epoch ends (so the per-task batch counts
+    differ by at most one). A one-task pool yields its shuffled items in
+    consecutive batches, as the benchmark's control runs train.
     """
-    pools = {
-        Task.ASR: [it for it in items if it.task is Task.ASR],
-        Task.ST: [it for it in items if it.task is Task.ST],
-    }
-    for task, pool in pools.items():
-        if not pool:
-            raise ConfigError(f"interleaved stream needs {task.value} samples")
+    if not items:
+        raise ConfigError("training stream needs at least one sample")
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(5,)))
-    for pool in pools.values():
-        order = rng.permutation(len(pool))
-        pool[:] = [pool[int(i)] for i in order]
-    cursors = {Task.ASR: 0, Task.ST: 0}
-    current = Task.ASR
-    while cursors[current] < len(pools[current]):
-        pool, pos = pools[current], cursors[current]
-        chunk = pool[pos : pos + batch_size]
-        cursors[current] = pos + len(chunk)
-        yield Batch.build(chunk)
-        current = Task.ST if current is Task.ASR else Task.ASR
-
-
-def make_single_task_stream(
-    items: Sequence[Utterance], batch_size: int, seed: int
-) -> Iterator[Batch]:
-    """One epoch of shuffled batches over a single-task pool (control runs)."""
-    tasks = {it.task for it in items}
-    if len(tasks) != 1:
-        raise ConfigError("single-task stream requires a homogeneous pool")
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(5,)))
-    order = rng.permutation(len(items))
-    shuffled = [items[int(i)] for i in order]
-    for pos in range(0, len(shuffled), batch_size):
-        yield Batch.build(shuffled[pos : pos + batch_size])
+    chunks = []
+    for task in Task:
+        pool = [it for it in items if it.task is task]
+        if pool:
+            shuffled = [pool[int(i)] for i in rng.permutation(len(pool))]
+            chunks.append([shuffled[p : p + batch_size] for p in range(0, len(pool), batch_size)])
+    for cycle in itertools.zip_longest(*chunks):
+        for chunk in cycle:
+            if chunk is None:
+                return
+            yield Batch.build(chunk)
 
 
 def shifted_targets(ids: list[int]) -> list[int]:
@@ -324,7 +308,6 @@ def run_training(
     items: Sequence[Utterance],
     tc: TrainConfig,
     log_lines: list[str] | None = None,
-    stream_factory=make_interleaved_stream,
 ) -> list[float]:
     """Drive train_step for tc.steps batches, cycling epochs as needed.
 
@@ -338,7 +321,7 @@ def run_training(
     step = 0
     epoch = 0
     while step < tc.steps:
-        for batch in stream_factory(items, tc.batch_size, tc.seed + epoch):
+        for batch in make_interleaved_stream(items, tc.batch_size, tc.seed + epoch):
             if step >= tc.steps:
                 break
             lr = cosine_lr(step, tc.steps, tc.lr_peak, tc.lr_floor)
@@ -355,6 +338,9 @@ def run_training(
 
 
 # -- evaluation ---------------------------------------------------------------
+
+BENCH_SYMBOLS = 4  # symbols per benchmark input
+BENCH_DECODE_LEN = 16  # greedy steps per scored utterance
 
 
 def decode_payload_symbols(ids: list[int], vocab: Vocabulary) -> list[str]:
@@ -387,7 +373,7 @@ def evaluate_token_accuracy(
     model: Model,
     items: Sequence[Utterance],
     vocab: Vocabulary,
-    max_len: int = 16,
+    max_len: int = BENCH_DECODE_LEN,
 ) -> dict[Task, float]:
     """Pooled per-task greedy-decode accuracy (1 - corpus token error rate)."""
     return {
@@ -437,9 +423,6 @@ class BenchmarkResult:
         return "\n".join(lines) + "\n"
 
 
-BENCH_SYMBOLS = 4
-
-
 def run_interference_benchmark(
     task_spec: SyntheticTaskSpec,
     configs: dict[str, ModelConfig],
@@ -452,11 +435,17 @@ def run_interference_benchmark(
     """Train every config on the identical interleaved stream and compare
     per-task greedy accuracy; single-task controls establish that the
     baseline capacity suffices for either task alone. Every input is
-    BENCH_SYMBOLS symbols long.
+    BENCH_SYMBOLS symbols long and is scored by a BENCH_DECODE_LEN-step
+    greedy decode.
+
+    Each seed walks one run list of (label, config, task): the ASR and ST
+    controls on the first config, then every config in order on both tasks
+    (task None). Every run trains Model(config, seed) on the seed's training
+    items of its task and scores it on the eval items of its task.
 
     Raises ConfigError, before any dataset is built, on no seeds, a count
-    of inputs below 1, or configs that disagree anywhere except the decoder
-    feedforward arrangement.
+    of inputs below 1, configs that disagree anywhere except the decoder
+    feedforward arrangement, or a max_tgt_tokens too small for the decode.
     """
     if not configs:
         raise ConfigError("benchmark needs at least one config")
@@ -466,15 +455,20 @@ def run_interference_benchmark(
         if count < 1:
             raise ConfigError(f"{name} must be >= 1, got {count}")
     _check_shared_dims(configs)
+    control_cfg = next(iter(configs.values()))
+    if control_cfg.max_decode_len < BENCH_DECODE_LEN:
+        raise ConfigError(
+            f"benchmark scores a {BENCH_DECODE_LEN}-step decode, which needs max_tgt_tokens "
+            f">= {BENCH_DECODE_LEN + 2}, got {control_cfg.max_tgt_tokens}"
+        )
     base_tc = train_config or TrainConfig(steps=budget_steps)
     base_tc = replace(base_tc, steps=budget_steps)
     vocab = Vocabulary()
     log_lines: list[str] = []
 
-    per_seed: dict[str, list[BenchmarkRow]] = {name: [] for name in configs}
-    controls_asr: list[float] = []
-    controls_st: list[float] = []
-    control_cfg = next(iter(configs.values()))
+    runs = [(f"control task={task.value}", control_cfg, task) for task in Task]
+    runs += [(f"model {name}", cfg, None) for name, cfg in configs.items()]
+    accs: dict[tuple[str, Task], list[float]] = {}  # per seed, in seed order
 
     for seed in seeds:
         train_items = make_paired_dataset(
@@ -485,57 +479,32 @@ def run_interference_benchmark(
             n_eval_inputs, seed=seed * 7919 + 2, task_spec=task_spec, vocab=vocab,
             min_len=BENCH_SYMBOLS, max_len=BENCH_SYMBOLS,
         )
-        # single-task controls on the baseline dims
-        for task, sink in ((Task.ASR, controls_asr), (Task.ST, controls_st)):
-            pool = [it for it in train_items if it.task is task]
-            control_model = Model(control_cfg, seed=seed)
-            tc = replace(base_tc, seed=seed)
-            log_lines.append(f"# control task={task.value} seed={seed}")
-            run_training(
-                control_model, pool, tc, log_lines=log_lines,
-                stream_factory=make_single_task_stream,
-            )
-            acc = evaluate_token_accuracy(
-                control_model, [it for it in eval_items if it.task is task], vocab
-            )[task]
-            sink.append(acc)
-            log_lines.append(f"# control task={task.value} seed={seed} acc={acc:.6f}")
-
-        for name, cfg in configs.items():
+        tc = replace(base_tc, seed=seed)
+        for label, cfg, task in runs:
             model = Model(cfg, seed=seed)
-            tc = replace(base_tc, seed=seed)
-            log_lines.append(f"# model {name} seed={seed}")
-            run_training(model, train_items, tc, log_lines=log_lines)
-            acc = evaluate_token_accuracy(model, eval_items, vocab)
-            pc = count_params(cfg)
-            row = BenchmarkRow(
-                name=name,
-                trainable=pc.trainable,
-                active=pc.active,
-                acc_asr=acc[Task.ASR],
-                acc_st=acc[Task.ST],
-            )
-            per_seed[name].append(row)
-            log_lines.append(
-                f"# model {name} seed={seed} acc_asr={row.acc_asr:.6f} acc_st={row.acc_st:.6f}"
-            )
+            log_lines.append(f"# {label} seed={seed}")
+            pool = [it for it in train_items if task is None or it.task is task]
+            run_training(model, pool, tc, log_lines=log_lines)
+            scored = [it for it in eval_items if task is None or it.task is task]
+            acc = evaluate_token_accuracy(model, scored, vocab, BENCH_DECODE_LEN)
+            for scored_task, value in acc.items():
+                accs.setdefault((label, scored_task), []).append(value)
+            if task is None:
+                score = f"acc_asr={acc[Task.ASR]:.6f} acc_st={acc[Task.ST]:.6f}"
+            else:
+                score = f"acc={acc[task]:.6f}"
+            log_lines.append(f"# {label} seed={seed} {score}")
 
+    means = {key: float(np.mean(values)) for key, values in accs.items()}
     rows = []
-    for name in configs:
-        seats = per_seed[name]
-        rows.append(
-            BenchmarkRow(
-                name=name,
-                trainable=seats[0].trainable,
-                active=seats[0].active,
-                acc_asr=float(np.mean([r.acc_asr for r in seats])),
-                acc_st=float(np.mean([r.acc_st for r in seats])),
-            )
-        )
+    for name, cfg in configs.items():
+        pc = count_params(cfg)
+        acc_asr, acc_st = (means[f"model {name}", task] for task in Task)
+        rows.append(BenchmarkRow(name, pc.trainable, pc.active, acc_asr, acc_st))
     return BenchmarkResult(
         rows=rows,
-        control_asr=float(np.mean(controls_asr)),
-        control_st=float(np.mean(controls_st)),
+        control_asr=means[f"control task={Task.ASR.value}", Task.ASR],
+        control_st=means[f"control task={Task.ST.value}", Task.ST],
         log_lines=log_lines,
     )
 

@@ -357,7 +357,7 @@ def test_criterion_06_active_parameter_parity():
     t0 = time.monotonic()
     checks = []
     for preset in ("toy", "paper"):
-        make = ModelConfig.toy if preset == "toy" else ModelConfig.paper_scale
+        make = ModelConfig if preset == "toy" else ModelConfig.paper_scale
         base = make()
         dec = make(dec_smoe=True)
         encdec = make(enc_smoe=True, dec_smoe=True)

@@ -17,10 +17,10 @@ import smoe.cli
 import smoe.model
 import smoe.train
 from smoe.cli import DEFAULTS, TRAIN_KEYS, build_train_config, main
-from smoe.data import generate_dataset_files, read_manifest
+from smoe.data import generate_dataset_files, read_manifest, write_manifest
 from smoe.errors import ConfigError
 from smoe.model import Model, ModelConfig, load_checkpoint, save_checkpoint
-from smoe.moe import Bandwidth
+from smoe.moe import Bandwidth, Task
 from smoe.seqio import GuidingToken, Vocabulary
 from smoe.signal import SAMPLE_RATE_NB, SAMPLE_RATE_WB, Waveform, write_wav
 
@@ -77,6 +77,16 @@ def test_train_outputs(workspace):
     assert log[0].startswith("step=0 task=A lr=")
     model, step = load_checkpoint(run / "model.ckpt")
     assert step == 40
+
+
+def test_train_on_a_one_task_dataset_trains_that_task(tmp_path):
+    data = tmp_path / "data"
+    manifest = generate_dataset_files(data, n_items=3, nbwb_mix_fraction=0.0, seed=0)
+    write_manifest(manifest, [r for r in read_manifest(manifest) if r.task is Task.ST])
+    assert main(["train", "--data", str(data), "--out", str(tmp_path / "run"),
+                 "--set", "steps=4", "--set", "batch_size=2"]) == 0
+    log = (tmp_path / "run" / "metrics.log").read_text().splitlines()
+    assert [line.split()[1] for line in log] == ["task=S"] * 4
 
 
 def test_infer_dual_and_single_consistent(workspace, capsys):
@@ -435,6 +445,10 @@ def _resized_checkpoint(command, resize):
     pytest.param(_benchmark_with("n_train_inputs=0"), 1, id="benchmark-no-train-inputs"),
     pytest.param(_benchmark_with("n_eval_inputs=0", "n_seeds=1"), 1,
                  id="benchmark-no-eval-inputs"),
+    # the benchmark scores a 16-step decode, which needs 18 target positions
+    pytest.param(_benchmark_with("max_tgt_tokens=12", "n_seeds=1", "n_train_inputs=8",
+                                 "n_eval_inputs=2"), 1,
+                 id="benchmark-max-tgt-tokens-below-decode"),
     # a check of no coordinates, or against no finite positive tolerance, proves nothing
     pytest.param(_gradcheck_with("--coords", "0"), 1, id="gradcheck-coords-zero"),
     pytest.param(_gradcheck_with("--coords", "-2"), 1, id="gradcheck-coords-negative"),
@@ -657,6 +671,15 @@ def test_out_under_a_file_exits_3_before_any_step(command, workspace, tmp_path, 
     assert main([*argv, "--out", out]) == 3
     captured = capsys.readouterr()
     assert captured.out == "" and "input error" in captured.err and out in captured.err
+
+
+def test_benchmark_rejects_max_tgt_tokens_below_its_decode_before_any_step(capsys, monkeypatch):
+    monkeypatch.setattr(smoe.train, "make_paired_dataset", _no_step)
+    monkeypatch.setattr(smoe.train, "run_training", _no_step)
+    argv = _benchmark_with("max_tgt_tokens=17", "n_seeds=1", "n_train_inputs=8", "n_eval_inputs=2")
+    assert main(argv(None)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "needs max_tgt_tokens >= 18, got 17" in captured.err
 
 
 @pytest.mark.parametrize("command", ["finetune-nbwb", "eval", "infer"])

@@ -179,8 +179,8 @@ def test_count_params_matches_enumeration():
         tiny_config(tied_embed=False),
         tiny_config(d_ff_dec=48, dec_smoe=True),
         tiny_config(enc_smoe=True, dec_smoe=True, glu=False, tied_embed=False),
-        ModelConfig.toy(dec_smoe=True),
-        ModelConfig.toy(enc_smoe=True, dec_smoe=True, d_ff_dec=256),
+        ModelConfig(dec_smoe=True),
+        ModelConfig(enc_smoe=True, dec_smoe=True, d_ff_dec=256),
         ModelConfig.paper_scale(glu=False, tied_embed=False, dec_smoe=True),
         ModelConfig.paper_scale(enc_smoe=True),
     ):
@@ -277,7 +277,7 @@ def test_config_text_rejects_unknown_keys():
 
 
 def test_config_presets():
-    toy = ModelConfig.toy()
+    toy = ModelConfig()
     assert (toy.n_enc_layers, toy.n_dec_layers, toy.d_model, toy.d_ff, toy.n_heads) == (
         2, 2, 64, 128, 4,
     )

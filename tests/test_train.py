@@ -1,4 +1,5 @@
 import ctypes
+import hashlib
 import math
 import platform
 import resource
@@ -7,6 +8,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import smoe
 from smoe.data import ALPHABET, SyntheticTaskSpec, make_paired_dataset, render_symbols
@@ -28,7 +31,6 @@ from smoe.train import (
     batch_loss,
     cosine_lr,
     make_interleaved_stream,
-    make_single_task_stream,
     run_interference_benchmark,
     run_training,
     shifted_targets,
@@ -128,10 +130,63 @@ def test_interleaved_stream_deterministic():
     assert a != c
 
 
-def test_interleaved_stream_requires_both_tasks():
-    items = [it for it in small_items(4) if it.task is Task.ASR]
-    with pytest.raises(ConfigError):
-        list(make_interleaved_stream(items, 2, seed=0))
+def test_interleaved_stream_trains_a_one_task_pool():
+    st_only = [it for it in small_items(5) if it.task is Task.ST]
+    stream = list(make_interleaved_stream(st_only, 2, seed=0))
+    assert [b.task for b in stream] == [Task.ST] * 3
+    assert sum(len(b) for b in stream) == len(st_only)
+
+
+def test_interleaved_stream_rejects_an_empty_pool():
+    with pytest.raises(ConfigError, match="at least one sample"):
+        list(make_interleaved_stream([], 2, seed=0))
+
+
+STREAM_POOL = small_items(6)  # 6 ASR and 6 ST items, each (task, target, frames) unique
+
+
+def _stream_keys(batch):
+    """One (task, target ids, frame bytes) key per sample of the batch."""
+    frames = np.split(batch.features, np.cumsum(batch.feature_lengths)[:-1])
+    return [
+        (batch.task, tuple(batch.targets[i, :n]), frames[i].tobytes())
+        for i, n in enumerate(batch.target_lengths)
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_asr=st.integers(0, 6), n_st=st.integers(0, 6), batch_size=st.integers(1, 5),
+       seed=st.integers(0, 2**32 - 1))
+def test_interleaved_stream_cycles_the_tasks_it_holds(n_asr, n_st, batch_size, seed):
+    pools = {
+        Task.ASR: [it for it in STREAM_POOL if it.task is Task.ASR][:n_asr],
+        Task.ST: [it for it in STREAM_POOL if it.task is Task.ST][:n_st],
+    }
+    items = pools[Task.ASR] + pools[Task.ST]
+    assume(items)
+    key_of = {(it.task, tuple(it.target.ids), it.features.frames.data.tobytes()): it
+              for it in items}
+    assert len(key_of) == len(items)
+    stream = list(make_interleaved_stream(items, batch_size, seed))
+    emitted = [[key_of[k] for k in _stream_keys(b)] for b in stream]
+    assert all({it.task for it in batch} == {b.task} for batch, b in zip(emitted, stream))
+    present = [task for task in Task if pools[task]]
+    assert [b.task for b in stream] == [present[i % len(present)] for i in range(len(stream))]
+    flat = [id(it) for batch in emitted for it in batch]
+    assert len(flat) == len(set(flat))
+    counts = {task: sum(b.task is task for b in stream) for task in present}
+    assert max(counts.values()) - min(counts.values()) <= 1
+    # the epoch ends because the next task in the cycle has run out
+    after = present[len(stream) % len(present)]
+    assert counts[after] == math.ceil(len(pools[after]) / batch_size)
+    if len(present) == 1:
+        # the single-task stream the benchmark controls trained on: shuffle, then chunk
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(5,)))
+        shuffled = [items[int(i)] for i in rng.permutation(len(items))]
+        oracle = [shuffled[p:p + batch_size] for p in range(0, len(shuffled), batch_size)]
+        assert [[id(it) for it in batch] for batch in emitted] == [
+            [id(it) for it in batch] for batch in oracle
+        ]
 
 
 def test_train_step_zero_lr_keeps_parameters():
@@ -182,7 +237,7 @@ def test_memorization_loss_decreases():
     model = tiny_model(d_model=32, d_ff=32)
     items = [it for it in small_items(2, min_len=3, max_len=3) if it.task is Task.ASR][:1]
     tc = TrainConfig(steps=200, batch_size=1, lr_peak=3e-3, lr_floor=3e-4, seed=0)
-    losses = run_training(model, items, tc, stream_factory=make_single_task_stream)
+    losses = run_training(model, items, tc)
     assert len(losses) == 200
     first = np.mean(losses[:50])
     last = np.mean(losses[-50:])
@@ -262,11 +317,30 @@ def test_train_config_validation():
                                     dict(enc_smoe=True), dict(dropout=0.0)],
                          ids=lambda varied: next(iter(varied)))
 def test_benchmark_configs_may_differ_only_in_decoder_ffn(varied):
-    base = ModelConfig.toy()
+    base = ModelConfig()
     configs = {"base": base, "dec_smoe": replace(base, dec_smoe=True, d_ff_dec=12),
                "varied": replace(base, **varied)}
     with pytest.raises(ConfigError, match=f"'varied' varies {next(iter(varied))}"):
         run_interference_benchmark(SPEC, configs, budget_steps=1, seeds=[0])
+
+
+def test_tiny_benchmark_matches_pinned_digests():
+    """Two seeds of 60 steps at the acceptance suite's benchmark dims. The
+    SHA-256 of the joined log lines and of the report were pinned on the
+    separate control and joint loops; the one run loop must reproduce both
+    bitwise. They hold for one BLAS build: another may round differently."""
+    base = ModelConfig(n_enc_layers=1, n_dec_layers=1, d_model=32, d_ff=64, d_ff_dec=12,
+                       n_heads=4, vocab_size=VOCAB.size, dropout=0.0)
+    configs = {"base": base, "dec_ffn_x2": replace(base, d_ff_dec=24),
+               "dec_smoe": replace(base, dec_smoe=True)}
+    tc = TrainConfig(steps=60, batch_size=8, lr_peak=3e-3, lr_floor=1e-4)
+    result = run_interference_benchmark(SPEC, configs, budget_steps=60, seeds=[0, 1],
+                                        n_train_inputs=96, n_eval_inputs=8, train_config=tc)
+    assert len(result.log_lines) == 620
+    digests = [hashlib.sha256(text.encode()).hexdigest()
+               for text in ("\n".join(result.log_lines), result.report())]
+    assert digests == ["47af75eb3ae372f4095a3d02d9976198929cf698994b2abb2f9635e2aa100c6c",
+                       "2e7bb2dc8b25b5e618d2d58b5fe3350f8b361f016154274ad74573b34330d96d"]
 
 
 def test_finetune_encoder_counts_match_stream_mix():
