@@ -151,7 +151,6 @@ def random_symbols(rng: np.random.Generator, min_len: int, max_len: int) -> str:
 class Utterance:
     """One training/eval item: cached features plus its labels and target."""
 
-    symbols: str
     task: Task
     bandwidth: Bandwidth
     features: FbankFeatures
@@ -171,7 +170,6 @@ def _labelled(
     text = task_spec.apply(task, symbols).encode("ascii")
     target = build_target_sequence(task, text, vocab)
     return Utterance(
-        symbols=symbols,
         task=task,
         bandwidth=features.bandwidth,
         features=features,
@@ -365,7 +363,6 @@ def load_dataset(manifest_path: str | Path, vocab: Vocabulary) -> list[Utterance
         target = build_target_sequence(r.task, text, vocab)
         items.append(
             Utterance(
-                symbols="",  # unknown from disk; targets carry the payload
                 task=r.task,
                 bandwidth=r.bandwidth,
                 features=feats,

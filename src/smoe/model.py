@@ -15,7 +15,9 @@ is its reference, which it matches within 1e-12 relative, not bitwise.
 A model's parameters live in one arena: a contiguous float64 buffer laid
 out by `parameter_shapes(config)` in `named_parameters()` order, each
 parameter's data a view of its slice, so each expert is one contiguous run.
-`count_params` sums the same blocks, each stack's layer 0 and expert 0 once.
+`_layer_blocks` states one layer's blocks once: `count_params` sums them,
+each stack's layer 0 and expert 0 once, and `_layer` builds each layer from
+them, one attribute per block over the views of its named tensors.
 `Model(config, seed)` allocates the arena and fills it with `init_parameters`,
 which draws every matrix in arena order by one fan-in rule.
 `load_checkpoint` and `expand_experts` allocate it with `Model.allocate` and
@@ -26,6 +28,7 @@ is one read into the arena and `checkpoint_config` reads the header alone.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import re
@@ -33,6 +36,7 @@ import struct
 import sys
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Sequence, get_type_hints
 
 import numpy as np
@@ -133,9 +137,10 @@ CONFIG_TYPES = get_type_hints(ModelConfig)  # config key -> its field's type
 
 
 def parse_config_text(text: str, schema: dict) -> dict:
-    """Parse flat `key = value` lines with # comments; unknown keys rejected.
-    `schema` maps each key to its type: bool reads true/false, int | None
-    also reads none, and any other type is called on the value text."""
+    """Parse flat `key = value` lines with # comments; an unknown or repeated
+    key is rejected. `schema` maps each key to its type: bool reads
+    true/false, int | None also reads none, and any other type is called on
+    the value text."""
     out = {}
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -146,6 +151,8 @@ def parse_config_text(text: str, schema: dict) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in schema:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key in out:
+            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         kind = schema[key]
         try:
             if kind is bool:
@@ -266,40 +273,20 @@ def parameter_shapes(config: ModelConfig) -> Shapes:
 Params = list[tuple[str, Tensor]]
 
 
-def _block(params: Params, prefix: str) -> dict[str, Tensor]:
-    """The parameters under `prefix`, keyed by the rest of their names."""
-    return {name[len(prefix):]: t for name, t in params if name.startswith(prefix)}
-
-
-def _ffn(params: Params, prefix: str, routed: bool) -> FFNParams | SMoELayer:
-    if not routed:
-        return FFNParams(**_block(params, prefix))
-    return SMoELayer(experts=[FFNParams(**_block(params, f"{prefix}expert{k}."))
-                              for k in range(N_EXPERTS)])
-
-
-class EncoderLayer:
-    def __init__(self, config: ModelConfig, params: Params, prefix: str):
-        self.attn = AttentionParams(**_block(params, prefix + "attn."), n_heads=config.n_heads)
-        self.ln_attn = LayerNormParams(**_block(params, prefix + "ln_attn."))
-        self.ln_ffn = LayerNormParams(**_block(params, prefix + "ln_ffn."))
-        self.ffn = _ffn(params, prefix + "ffn.", config.enc_smoe)
-
-
-class DecoderLayer:
-    def __init__(self, config: ModelConfig, params: Params, prefix: str, stacked):
-        heads = config.n_heads
-        self.self_attn = AttentionParams(**_block(params, prefix + "self_attn."), n_heads=heads)
-        self.cross_attn = AttentionParams(**_block(params, prefix + "cross_attn."), n_heads=heads)
-        self.ln_self = LayerNormParams(**_block(params, prefix + "ln_self."))
-        self.ln_cross = LayerNormParams(**_block(params, prefix + "ln_cross."))
-        self.ln_ffn = LayerNormParams(**_block(params, prefix + "ln_ffn."))
-        self.ffn = _ffn(params, prefix + "ffn.", config.dec_smoe)
-        # greedy decode's arena views: w_q/w_k/w_v and their biases, and the experts
-        self.qkv = stacked(prefix + "self_attn.w_q", attention_shapes(config.d_model)[:2], 3)
-        first, copies = ("ffn.expert0.w_in", N_EXPERTS) if config.dec_smoe else ("ffn.w_in", 1)
-        shapes = ffn_shapes(config.d_model, config.dec_ff, config.glu)
-        self.experts = [*stacked(prefix + first, shapes, copies), None, None][:6]
+def _layer(config: ModelConfig, stack: str, views: dict[str, Tensor], prefix: str):
+    """Layer `prefix` ("enc.0.") of `stack` over its arena views: per
+    _layer_blocks entry an attribute named after the block that holds its
+    AttentionParams, LayerNormParams or FFNParams, an SMoELayer of them for
+    a routed FFN block. Each tensor is looked up by its full name."""
+    kinds = {"attn": functools.partial(AttentionParams, n_heads=config.n_heads),
+             "norms": LayerNormParams, "ffn": FFNParams}
+    layer = SimpleNamespace()
+    for kind, block, shapes, experts in _layer_blocks(config, stack)[1]:
+        subs = [f"expert{k}." for k in range(experts)] if experts else [""]
+        made = [kinds[kind](**{n: views[f"{prefix}{block}.{sub}{n}"] for n, _ in shapes})
+                for sub in subs]
+        setattr(layer, block, SMoELayer(experts=made) if experts else made[0])
+    return layer
 
 
 @dataclass
@@ -343,8 +330,12 @@ class Model:
         self.out_proj = views.get("out_proj")
         self.input_proj_w = views["input_proj.w"]
         self.input_proj_b = views["input_proj.b"]
-        self.enc_layers = [EncoderLayer(config, self._params, f"enc.{i}.")
+        self.enc_layers = [_layer(config, "enc", views, f"enc.{i}.")
                            for i in range(config.n_enc_layers)]
+        self.dec_layers = [_layer(config, "dec", views, f"dec.{i}.")
+                           for i in range(config.n_dec_layers)]
+        self.ln_enc_final = LayerNormParams(views["ln_enc_final.gain"], views["ln_enc_final.bias"])
+        self.ln_dec_final = LayerNormParams(views["ln_dec_final.gain"], views["ln_dec_final.bias"])
         start = dict(zip(views, np.cumsum([0, *(t.size for t in views.values())]).tolist()))
 
         def stacked(name: str, shapes: Shapes, copies: int) -> list[np.ndarray]:
@@ -355,10 +346,12 @@ class Model:
             return [run[:, end - n : end].reshape(copies, *(1, *shape)[-2:])
                     for (_, shape), n, end in zip(shapes, sizes, np.cumsum(sizes))]
 
-        self.dec_layers = [DecoderLayer(config, self._params, f"dec.{i}.", stacked)
-                           for i in range(config.n_dec_layers)]
-        self.ln_enc_final = LayerNormParams(**_block(self._params, "ln_enc_final."))
-        self.ln_dec_final = LayerNormParams(**_block(self._params, "ln_dec_final."))
+        # greedy decode's arena views: w_q/w_k/w_v and their biases, and the experts
+        first, copies = ("ffn.expert0.w_in", N_EXPERTS) if config.dec_smoe else ("ffn.w_in", 1)
+        ffn = ffn_shapes(config.d_model, config.dec_ff, config.glu)
+        for i, layer in enumerate(self.dec_layers):
+            layer.qkv = stacked(f"dec.{i}.self_attn.w_q", attention_shapes(config.d_model)[:2], 3)
+            layer.experts = [*stacked(f"dec.{i}.{first}", ffn, copies), None, None][:6]
         self.training = False
         self.reseed_dropout(seed)
 
@@ -376,14 +369,10 @@ class Model:
         self._dropout_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(2,)))
 
     def smoe_layers(self) -> list[tuple[str, SMoELayer]]:
-        out = []
-        for i, layer in enumerate(self.enc_layers):
-            if isinstance(layer.ffn, SMoELayer):
-                out.append((f"enc.{i}.ffn", layer.ffn))
-        for i, layer in enumerate(self.dec_layers):
-            if isinstance(layer.ffn, SMoELayer):
-                out.append((f"dec.{i}.ffn", layer.ffn))
-        return out
+        """Every routed FFN bank with its name, encoder layers first."""
+        return [(f"{stack}.{i}.ffn", layer.ffn)
+                for stack, layers in (("enc", self.enc_layers), ("dec", self.dec_layers))
+                for i, layer in enumerate(layers) if isinstance(layer.ffn, SMoELayer)]
 
     def reset_expert_counts(self) -> None:
         for _, bank in self.smoe_layers():

@@ -114,8 +114,7 @@ def backward(loss: Tensor, tape: Tape) -> None:
     visited its gradient is complete: it is consumed there and dropped, and
     intermediate tensors keep grad None. Nodes whose output never received
     a gradient are skipped, leaving off-path tensors with grad None.
-    Gradients accumulate into pre-existing .grad buffers, which is what
-    gradient accumulation across batches relies on.
+    Gradients accumulate into pre-existing .grad buffers.
     """
     if loss.data.shape != ():
         raise ContractError(f"backward() needs a scalar loss, got shape {loss.data.shape}")

@@ -26,7 +26,7 @@ from .errors import ConfigError, NumericError
 from .metrics import corpus_token_accuracy
 from .model import Model, ModelConfig, count_params, expand_experts
 from .moe import Bandwidth, Task
-from .numerics import Tape, Tensor, arena_bounds, backward, scale, softmax_cross_entropy
+from .numerics import Tape, Tensor, arena_bounds, backward, softmax_cross_entropy
 from .seqio import BYTE_BASE, GuidingToken, Vocabulary
 
 
@@ -95,14 +95,12 @@ class TrainConfig:
     lr_floor: float = 3e-4
     seed: int = 0
     optimizer: str = "adam"  # "sgd" keeps zero-grad parameters bitwise frozen
-    momentum: float = 0.0
-    accum_steps: int = 1
 
     def __post_init__(self):
-        for name in ("steps", "batch_size", "accum_steps"):
+        for name in ("steps", "batch_size"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name in ("lr_peak", "lr_floor", "momentum"):
+        for name in ("lr_peak", "lr_floor"):
             if not 0 <= getattr(self, name) < math.inf:  # NaN fails every comparison
                 raise ConfigError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
         if self.lr_peak < self.lr_floor:
@@ -204,7 +202,7 @@ class Adam(_ArenaOptimizer):
 def make_optimizer(model: Model, tc: TrainConfig):
     params = model.named_parameters()
     if tc.optimizer == "sgd":
-        return SGD(params, momentum=tc.momentum)
+        return SGD(params)
     return Adam(params)
 
 
@@ -259,34 +257,24 @@ def batch_loss(model: Model, batch: Batch) -> Tensor:
     )
 
 
-def train_step(
-    model: Model, batch: Batch, optimizer, lr: float, step: int = 0, accum_steps: int = 1
-) -> float:
-    """One training step: forward with routing per batch labels,
-    teacher-forced cross entropy, backward, parameter update. A non-finite
-    loss or gradient raises NumericError before any parameter moves.
-
-    With accum_steps > 1, gradients accumulate over accum_steps
-    consecutive steps: they are zeroed when step % accum_steps == 0, each
-    loss is scaled by 1 / accum_steps, and the parameters update when
-    (step + 1) % accum_steps == 0. Returns the unscaled batch loss.
+def train_step(model: Model, batch: Batch, optimizer, lr: float) -> float:
+    """One training step: zeroed gradients, forward with routing per batch
+    labels, teacher-forced cross entropy, backward, parameter update.
+    Returns the batch loss. A non-finite loss or gradient raises
+    NumericError before any parameter moves.
     """
     model.train()
-    if step % accum_steps == 0:
-        optimizer.zero_grad()
+    optimizer.zero_grad()
     tape = Tape()
     with tape:
         loss = batch_loss(model, batch)
-        if accum_steps > 1:
-            loss = scale(loss, 1.0 / accum_steps)
-    value = float(loss.data) * accum_steps
+    value = float(loss.data)
     context = f"task={batch.task.value}, lr={lr:g}, batch_size={len(batch)}"
     if not np.isfinite(value):
         raise NumericError(f"non-finite loss {value} ({context})")
     backward(loss, tape)
     check_gradients(model, context)
-    if (step + 1) % accum_steps == 0:
-        optimizer.step(lr)
+    optimizer.step(lr)
     return value
 
 
@@ -312,8 +300,7 @@ def run_training(
     """Drive train_step for tc.steps batches, cycling epochs as needed.
 
     Returns the loss history; appends `step= task= lr= loss=` lines to
-    log_lines when given. Gradient accumulation groups accum_steps batches
-    per optimizer step.
+    log_lines when given. Each batch is one optimizer step.
     """
     optimizer = make_optimizer(model, tc)
     model.reseed_dropout(tc.seed)
@@ -325,7 +312,7 @@ def run_training(
             if step >= tc.steps:
                 break
             lr = cosine_lr(step, tc.steps, tc.lr_peak, tc.lr_floor)
-            loss = train_step(model, batch, optimizer, lr, step, tc.accum_steps)
+            loss = train_step(model, batch, optimizer, lr)
             losses.append(loss)
             if log_lines is not None:
                 task_letter = "A" if batch.task is Task.ASR else "S"

@@ -355,6 +355,15 @@ def _train_with(*settings):
     return argv
 
 
+def _train_with_config(text):
+    def argv(root):
+        generate_dataset_files(root / "data", n_items=2, nbwb_mix_fraction=0.0, seed=0)
+        (root / "run.cfg").write_bytes(text)
+        return ["train", "--data", str(root / "data"), "--out", str(root / "run"),
+                "--config", str(root / "run.cfg")]
+    return argv
+
+
 def _decode_with(command, *settings):
     """eval or infer of the tiny checkpoint, with settings."""
     def argv(root):
@@ -407,6 +416,7 @@ def _resized_checkpoint(command, resize):
     pytest.param(_train_with_vocab(b"smoe-vocab v1 merges=0\n", b"smoe-manifest v1\n\xff\n"), 3,
                  id="manifest-not-utf8"),
     pytest.param(_inspect_with_config, 1, id="config-not-utf8"),
+    pytest.param(_train_with_config(b"steps = 2\nsteps = 3\n"), 1, id="config-duplicate-key"),
     pytest.param(_infer_odd_wav, 3, id="wav-odd-data-bytes"),
     pytest.param(_infer_wav_without_data, 3, id="wav-no-data-chunk"),
     pytest.param(_infer_empty_nb_wav, 3, id="wav-empty-narrowband"),
@@ -430,11 +440,12 @@ def _resized_checkpoint(command, resize):
     pytest.param(_datagen_with("n_merges=-1"), 1, id="datagen-n-merges-negative"),
     pytest.param(_train_with("steps=0"), 1, id="train-steps-zero"),
     pytest.param(_train_with("lr_floor=-0.001"), 1, id="train-lr-floor-negative"),
-    pytest.param(_train_with("momentum=-0.5"), 1, id="train-momentum-negative"),
     pytest.param(_train_with("lr_peak=nan"), 1, id="train-lr-peak-nan"),
     pytest.param(_train_with("lr_peak=inf"), 1, id="train-lr-peak-inf"),
     pytest.param(_train_with("lr_floor=nan"), 1, id="train-lr-floor-nan"),
-    pytest.param(_train_with("optimizer=sgd", "momentum=nan"), 1, id="train-momentum-nan"),
+    # gradient accumulation and SGD momentum are no training settings
+    pytest.param(_train_with("accum_steps=5"), 1, id="train-accum-steps-removed"),
+    pytest.param(_train_with("optimizer=sgd", "momentum=0.9"), 1, id="train-momentum-removed"),
     pytest.param(_decode_with("eval", "max_decode_len=0"), 1, id="eval-max-decode-len-zero"),
     pytest.param(_decode_with("infer", "max_decode_len=-3"), 1,
                  id="infer-max-decode-len-negative"),
@@ -511,7 +522,8 @@ def test_datagen_rejected_merge_count_writes_no_wav(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("setting", [
-    "batch_size=-1", "batch_size=0", "lr_peak=nan", "lr_peak=inf", "lr_floor=nan", "momentum=nan",
+    "batch_size=-1", "batch_size=0", "lr_peak=nan", "lr_peak=inf", "lr_floor=nan",
+    "accum_steps=5", "momentum=0.9",
 ])
 def test_train_rejects_bad_settings_before_any_model(setting, tmp_path, capsys, monkeypatch):
     def no_model(*args, **kwargs):
@@ -578,9 +590,9 @@ def test_train_config_is_in_range_or_a_config_error(overrides):
         tc = build_train_config({**DEFAULTS, **overrides}, seed=0)
     except ConfigError:
         return
-    assert min(tc.steps, tc.batch_size, tc.accum_steps) >= 1
-    assert all(math.isfinite(v) for v in (tc.lr_peak, tc.lr_floor, tc.momentum))
-    assert 0 <= tc.lr_floor <= tc.lr_peak and tc.momentum >= 0
+    assert min(tc.steps, tc.batch_size) >= 1
+    assert all(math.isfinite(v) for v in (tc.lr_peak, tc.lr_floor))
+    assert 0 <= tc.lr_floor <= tc.lr_peak
     assert tc.optimizer in ("sgd", "adam")
 
 

@@ -184,23 +184,29 @@ def test_paired_dataset_wideband_features_match_pinned_digest():
 def test_paired_dataset_featurizes_each_input_once_per_bandwidth():
     spec, vocab = SyntheticTaskSpec.default(), Vocabulary()
     items = make_paired_dataset(4, seed=2, task_spec=spec, vocab=vocab, nb_fraction=0.5)
-    by_input = {}
+    by_features = {}
     for it in items:
-        by_input.setdefault((it.symbols, it.bandwidth), []).append(it)
-    assert all(len(group) == 2 for group in by_input.values())  # one per task
-    for group in by_input.values():
-        assert group[0].features is group[1].features
+        by_features.setdefault(id(it.features), []).append(it)
+    # each features object is shared by one item per task; the default spec's
+    # ASR map is the identity, so the ASR text is the input's symbols
+    inputs = {}
+    for group in by_features.values():
+        assert [it.task for it in group] == [Task.ASR, Task.ST]
+        assert group[0].bandwidth is group[1].bandwidth
+        inputs.setdefault(group[0].text.decode("ascii"), []).append(group[0].bandwidth)
+    # ... and made once per (input, bandwidth)
+    assert all(len(set(bandwidths)) == len(bandwidths) for bandwidths in inputs.values())
     # each item equals the one make_utterance builds alone
-    seeds = {}
-    for it in items:
-        seeds.setdefault(it.symbols, 2 * 1_000_003 + len(seeds))
-    for it in items:
-        alone = make_utterance(
-            it.symbols, it.task, spec, vocab, seeds[it.symbols],
-            narrowband=it.bandwidth is Bandwidth.NB,
-        )
-        np.testing.assert_array_equal(it.features.frames.data, alone.features.frames.data)
-        assert it.target.ids == alone.target.ids and it.text == alone.text
+    seeds = {symbols: 2 * 1_000_003 + idx for idx, symbols in enumerate(inputs)}
+    for group in by_features.values():
+        symbols = group[0].text.decode("ascii")
+        for it in group:
+            alone = make_utterance(
+                symbols, it.task, spec, vocab, seeds[symbols],
+                narrowband=it.bandwidth is Bandwidth.NB,
+            )
+            np.testing.assert_array_equal(it.features.frames.data, alone.features.frames.data)
+            assert it.target.ids == alone.target.ids and it.text == alone.text
 
 
 # -- fuzzed manifests -----------------------------------------------------------

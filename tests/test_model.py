@@ -17,13 +17,14 @@ from smoe.model import (
     Model,
     ModelConfig,
     ParamCount,
+    _layer_blocks,
     count_params,
     expand_experts,
     load_checkpoint,
     parameter_shapes,
     save_checkpoint,
 )
-from smoe.moe import Bandwidth, GateVector, Task, smoe_forward
+from smoe.moe import Bandwidth, GateVector, SMoELayer, Task, smoe_forward
 from smoe.nn import ffn_forward
 from smoe.numerics import arena_bounds, constant
 from smoe.seqio import GuidingToken, Vocabulary, build_target_sequence, guiding_prefix
@@ -589,6 +590,47 @@ def test_greedy_views_are_the_arena(routed):
                 assert np.shares_memory(view, t.data) and np.array_equal(view.reshape(t.shape), t.data)
 
 
+@pytest.mark.parametrize("overrides", [
+    dict(), dict(enc_smoe=True), dict(dec_smoe=True), dict(enc_smoe=True, dec_smoe=True),
+    dict(tied_embed=False, glu=False), dict(d_ff_dec=40, dec_smoe=True),
+], ids=["plain", "enc-routed", "dec-routed", "both-routed", "untied-no-glu", "d_ff_dec"])
+def test_layer_blocks_are_their_arena_views(overrides):
+    """Each block _layer_blocks names is a layer attribute whose tensors are,
+    by identity, the named_parameters() entries of its arena names. With the
+    tensors outside the stacks they cover named_parameters() exactly once,
+    and smoe_layers() is the routed FFN blocks in table order."""
+    cfg = tiny_config(n_enc_layers=2, n_dec_layers=2, **overrides)
+    model = Model(cfg, seed=3)
+    named = dict(model.named_parameters())
+    seen = [model.embed, model.out_proj, model.input_proj_w, model.input_proj_b,
+            model.ln_enc_final.gain, model.ln_enc_final.bias,
+            model.ln_dec_final.gain, model.ln_dec_final.bias]
+    routed = []
+    for stack, layers in (("enc", model.enc_layers), ("dec", model.dec_layers)):
+        n_layers, blocks = _layer_blocks(cfg, stack)
+        assert len(layers) == n_layers
+        for i, layer in enumerate(layers):
+            for kind, block, shapes, experts in blocks:
+                got = getattr(layer, block)
+                if kind == "attn":
+                    assert got.n_heads == cfg.n_heads
+                if experts:
+                    assert isinstance(got, SMoELayer) and len(got.experts) == experts
+                    routed.append((f"{stack}.{i}.{block}", got))
+                copies = got.experts if experts else [got]
+                for k, copy in enumerate(copies):
+                    sub = f"expert{k}." if experts else ""
+                    for n, _ in shapes:
+                        assert getattr(copy, n) is named[f"{stack}.{i}.{block}.{sub}{n}"]
+                        seen.append(getattr(copy, n))
+    seen = [t for t in seen if t is not None]
+    assert sorted(map(id, seen)) == sorted(map(id, named.values()))
+    assert [name for name, _ in routed] == [
+        f"{s}.{i}.ffn" for s in ("enc", "dec") if getattr(cfg, f"{s}_smoe") for i in range(2)]
+    assert [(name, id(bank)) for name, bank in model.smoe_layers()] == [
+        (name, id(bank)) for name, bank in routed]
+
+
 # -- one-sample forward pinned across the packed-encoder change ------------------------
 
 
@@ -727,6 +769,9 @@ def test_checkpoint_claiming_huge_layer_or_expert_counts_fails_fast(huge, tmp_pa
     (lambda raw: raw[:4] + struct.pack("<I", 4) + raw[8:], "version"),
     # a config whose layers are wider than the arena the file holds
     (lambda raw: raw.replace(b"d_ff = 24\n", b"d_ff = 26\n", 1), "config implies"),
+    # a second dropout line written over the activation line, same length
+    (lambda raw: raw.replace(b"activation = silu\n", b"dropout = 0.99999\n", 1),
+     "duplicate key 'dropout'"),
 ])
 def test_checkpoint_edited_entries_fail_closed(edit, match, tmp_path):
     model = Model(tiny_config(), seed=38)

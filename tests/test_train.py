@@ -281,31 +281,6 @@ def test_metrics_log_format():
     assert [ln.split(" ")[1] for ln in lines] == ["task=A", "task=S", "task=A", "task=S"]
 
 
-def test_gradient_accumulation_runs():
-    model = tiny_model()
-    items = small_items(4, seed=3)
-    tc = TrainConfig(steps=4, batch_size=2, lr_peak=1e-3, lr_floor=1e-4, seed=7, accum_steps=2)
-    losses = run_training(model, items, tc)
-    assert len(losses) == 4
-    assert all(math.isfinite(v) for v in losses)
-
-
-def test_train_step_accumulates_before_update():
-    model = tiny_model()
-    batch = Batch.build([it for it in small_items(4) if it.task is Task.ASR])
-    opt = SGD(model.named_parameters())
-    before = {n: t.data.copy() for n, t in model.named_parameters()}
-    first = train_step(model, batch, opt, lr=0.05, step=0, accum_steps=2)
-    assert all(np.array_equal(before[n], t.data) for n, t in model.named_parameters())
-    grad_once = {n: t.grad.copy() for n, t in model.named_parameters() if t.grad is not None}
-    second = train_step(model, batch, opt, lr=0.05, step=1, accum_steps=2)
-    assert first == second  # parameters untouched, so the same batch gives the same loss
-    for n, t in model.named_parameters():
-        if n in grad_once:  # two halves of the same batch: grad equals the full-batch grad
-            np.testing.assert_allclose(t.grad, 2 * grad_once[n], rtol=1e-12)
-            assert not np.array_equal(before[n], t.data), n
-
-
 def test_train_config_validation():
     with pytest.raises(ConfigError):
         TrainConfig(lr_peak=1e-4, lr_floor=1e-3)
@@ -674,13 +649,12 @@ def routed_stream():
     return batches
 
 
-@pytest.mark.parametrize("accum_steps", [1, 2])
 @pytest.mark.parametrize("name, make, oracle", [
     ("adam", Adam, OracleAdam),
     ("sgd-momentum", lambda params: SGD(params, momentum=0.9),
      lambda params: OracleSGD(params, momentum=0.9)),
 ])
-def test_arena_optimizer_matches_per_tensor_oracle(name, make, oracle, accum_steps):
+def test_arena_optimizer_matches_per_tensor_oracle(name, make, oracle):
     cfg = dict(enc_smoe=True, dec_smoe=True, dropout=0.1)
     model, reference = tiny_model(**cfg), tiny_model(**cfg)
     opt, ref_opt = make(model.named_parameters()), oracle(reference.named_parameters())
@@ -688,9 +662,8 @@ def test_arena_optimizer_matches_per_tensor_oracle(name, make, oracle, accum_ste
     idle_updates = 0
     for step, batch in enumerate(routed_stream()):
         lr = 0.05 * (1 + step % 3)
-        assert train_step(model, batch, opt, lr, step, accum_steps) == train_step(
-            reference, batch, ref_opt, lr, step, accum_steps)
-        if (step + 1) % accum_steps == 0 and all(t.grad is None for t in nb_expert):
+        assert train_step(model, batch, opt, lr) == train_step(reference, batch, ref_opt, lr)
+        if all(t.grad is None for t in nb_expert):
             idle_updates += 1
         for (n, got), (_, want) in zip(model.named_parameters(), reference.named_parameters()):
             assert np.array_equal(got.data.view(np.uint64), want.data.view(np.uint64)), (step, n)
