@@ -21,7 +21,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .data import SyntheticTaskSpec, generate_dataset_files, load_dataset
+from .data import generate_dataset_files, load_dataset
 from .errors import (
     AudioError,
     CheckpointError,
@@ -77,9 +77,7 @@ DATA_KEYS = {
     "n_items": int, "nbwb_mix_fraction": float, "symbols_min": int, "symbols_max": int,
     "n_merges": int,
 }
-BENCH_KEYS = {
-    "budget_steps": int, "n_seeds": int, "n_train_inputs": int, "n_eval_inputs": int,
-}
+BENCH_KEYS = {"n_seeds": int, "n_train_inputs": int, "n_eval_inputs": int}
 EXTRA_KEYS = {"preset": str, "max_decode_len": int}
 SCHEMA = {**CONFIG_TYPES, **TRAIN_KEYS, **DATA_KEYS, **BENCH_KEYS, **EXTRA_KEYS}
 
@@ -87,7 +85,7 @@ DEFAULTS = {
     "preset": "toy",
     **{f.name: f.default for f in fields(TrainConfig) if f.name in TRAIN_KEYS},
     "n_items": 100, "nbwb_mix_fraction": 0.15, "symbols_min": 3, "symbols_max": 5, "n_merges": 0,
-    "budget_steps": 500, "n_seeds": 3, "n_train_inputs": 768, "n_eval_inputs": 32,
+    "n_seeds": 3, "n_train_inputs": 768, "n_eval_inputs": 32,
     "max_decode_len": 16,
 }
 
@@ -304,28 +302,17 @@ def cmd_gradcheck(args, settings: dict) -> int:
 
 
 def cmd_benchmark(args, settings: dict) -> int:
-    vocab = Vocabulary()
-    base = build_model_config(settings, vocab_size=vocab.size)
-    if base.dec_smoe:
-        raise ConfigError("benchmark derives its variants; start from a plain decoder config")
-    configs = {
-        "base": base,
-        "dec_ffn_x2": replace(base, d_ff_dec=2 * base.dec_ff),
-        "dec_smoe": replace(base, dec_smoe=True),
-    }
+    base = build_model_config(settings, vocab_size=Vocabulary().size)
     seeds = [args.seed + i for i in range(settings["n_seeds"])]
-    tc = build_train_config(settings, args.seed)
     out = Path(args.out) if args.out else None
     if out:
         out.mkdir(parents=True, exist_ok=True)
     result = run_interference_benchmark(
-        SyntheticTaskSpec.default(),
-        configs,
-        budget_steps=settings["budget_steps"],
-        seeds=seeds,
-        n_train_inputs=settings["n_train_inputs"],
-        n_eval_inputs=settings["n_eval_inputs"],
-        train_config=tc,
+        base,
+        build_train_config(settings, args.seed),
+        seeds,
+        settings["n_train_inputs"],
+        settings["n_eval_inputs"],
     )
     print(result.report(), end="")
     if out:
@@ -401,6 +388,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         settings = resolve_settings(args.config, args.set)
         handler = {
             "datagen": cmd_datagen,

@@ -2,8 +2,8 @@
 
 Every op computes its value with numpy, then registers a backward rule on
 the active tape when any input requires grad. Broadcasting is restricted to
-trailing-shape alignment (bias adds) and matched leading-batch matmul; the
-narrow surface keeps every backward rule short enough to audit by hand.
+trailing-shape alignment (bias adds); the narrow surface keeps every
+backward rule short enough to audit by hand.
 `linear` and `attention` are fused: each is one tape node with a
 hand-written backward in place of a chain of the elementary ops. The
 array kernels `attend`, `normalize` and `ffn_rows` compute on plain
@@ -31,28 +31,15 @@ def _needs_grad(*tensors: Tensor) -> bool:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product: 2-D x 2-D, or 3-D x 3-D with equal leading batch.
-
-    y = a @ b. Backward: da = g @ b^T, db = a^T @ g (batched over the
-    leading axis in the 3-D case).
-    """
+    """y = a @ b for 2-D a and b. Backward: da = g @ b^T, db = a^T @ g."""
     ad, bd = a.data, b.data
-    if ad.ndim == bd.ndim == 2:
-        if ad.shape[1] != bd.shape[0]:
-            raise ShapeError(f"matmul inner dims disagree: {ad.shape} x {bd.shape}")
-    elif ad.ndim == bd.ndim == 3:
-        if ad.shape[0] != bd.shape[0] or ad.shape[2] != bd.shape[1]:
-            raise ShapeError(f"batched matmul dims disagree: {ad.shape} x {bd.shape}")
-    else:
-        raise ShapeError(f"matmul supports 2-D or matched 3-D, got {ad.shape} x {bd.shape}")
+    if ad.ndim != 2 or bd.ndim != 2 or ad.shape[1] != bd.shape[0]:
+        raise ShapeError(f"matmul needs 2-D operands with matching inner dims: "
+                         f"{ad.shape} x {bd.shape}")
     out = Tensor(ad @ bd, requires_grad=_needs_grad(a, b))
 
     def grad_fn(g: np.ndarray):
-        swap = (0, 2, 1) if ad.ndim == 3 else (1, 0)
-        return [
-            (a, g @ bd.transpose(swap)),
-            (b, ad.transpose(swap) @ g),
-        ]
+        return [(a, g @ bd.T), (b, ad.T @ g)]
 
     return record_op(out, grad_fn)
 

@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .data import SyntheticTaskSpec, Utterance, make_paired_dataset
+from .data import Utterance, make_paired_dataset
 from .errors import ConfigError, NumericError
 from .metrics import corpus_token_accuracy
 from .model import Model, ModelConfig, count_params, expand_experts
@@ -34,19 +34,19 @@ from .seqio import BYTE_BASE, GuidingToken, Vocabulary
 class Batch:
     """Task-homogeneous training unit.
 
-    features are the samples' frame rows packed in order, with no padding;
-    targets are PAD-padded id rows. The length vectors split both into
-    samples. loss_targets and loss_weights lay out the loss over the [B*L]
-    decoder rows: each row's next-token target (PAD where nothing is
-    learned) and its weight, 1 / (B * K_i) on the K_i kept rows of sample
-    i, so the loss is the mean over samples of each sample's token mean.
+    features are the samples' frame rows packed in order, with no padding,
+    split into samples by feature_lengths; targets are id rows PAD-padded
+    on the right, with no PAD inside a row. loss_targets and loss_weights
+    lay out the loss over the [B*L] decoder rows: each row's next-token
+    target (PAD where nothing is learned) and its weight, 1 / (B * K_i) on
+    the K_i kept rows of sample i, so the loss is the mean over samples of
+    each sample's token mean.
     """
 
     features: np.ndarray  # [sum(feature_lengths) x n_mels]
     feature_lengths: list[int]
     bandwidths: list[Bandwidth]
     targets: np.ndarray  # [B x L_max], PAD-padded
-    target_lengths: list[int]
     task: Task
     loss_targets: np.ndarray = field(init=False)  # [B*L_max]
     loss_weights: np.ndarray = field(init=False)  # [B*L_max]
@@ -54,8 +54,7 @@ class Batch:
     def __post_init__(self):
         pad = int(GuidingToken.PAD)
         shifted = np.full_like(self.targets, pad)
-        for i, n in enumerate(self.target_lengths):
-            shifted[i, :n] = shifted_targets(self.targets[i, :n].tolist())
+        shifted[:, 2:-1] = self.targets[:, 3:]  # a row's padding shifts in as PAD
         kept = shifted != pad
         per_sample = kept.sum(axis=1, keepdims=True)
         self.loss_targets = shifted.reshape(-1)
@@ -79,7 +78,6 @@ class Batch:
             feature_lengths=[it.features.n_frames for it in items],
             bandwidths=[it.bandwidth for it in items],
             targets=targets,
-            target_lengths=[len(it.target.ids) for it in items],
             task=items[0].task,
         )
 
@@ -411,62 +409,62 @@ class BenchmarkResult:
 
 
 def run_interference_benchmark(
-    task_spec: SyntheticTaskSpec,
-    configs: dict[str, ModelConfig],
-    budget_steps: int,
+    base: ModelConfig,
+    train_config: TrainConfig,
     seeds: Sequence[int],
-    n_train_inputs: int = 768,
-    n_eval_inputs: int = 32,
-    train_config: TrainConfig | None = None,
+    n_train_inputs: int,
+    n_eval_inputs: int,
 ) -> BenchmarkResult:
-    """Train every config on the identical interleaved stream and compare
-    per-task greedy accuracy; single-task controls establish that the
-    baseline capacity suffices for either task alone. Every input is
-    BENCH_SYMBOLS symbols long and is scored by a BENCH_DECODE_LEN-step
-    greedy decode.
+    """Train the hard-shared `base`, its double-width decoder FFN
+    (`dec_ffn_x2`) and its task-routed decoder FFN (`dec_smoe`) on the
+    identical interleaved stream and compare per-task greedy accuracy;
+    single-task controls on `base` establish that its capacity suffices for
+    either task alone. Every input is BENCH_SYMBOLS symbols long and is
+    scored by a BENCH_DECODE_LEN-step greedy decode.
 
     Each seed walks one run list of (label, config, task): the ASR and ST
-    controls on the first config, then every config in order on both tasks
-    (task None). Every run trains Model(config, seed) on the seed's training
-    items of its task and scores it on the eval items of its task.
+    controls, then the three models in that order on both tasks (task
+    None). Every run trains Model(config, seed) for train_config.steps steps
+    on the seed's training items of its task and scores it on its eval items.
 
-    Raises ConfigError, before any dataset is built, on no seeds, a count
-    of inputs below 1, configs that disagree anywhere except the decoder
-    feedforward arrangement, or a max_tgt_tokens too small for the decode.
+    Raises ConfigError, before any dataset is built, on a routed base, no
+    seeds, a count of inputs below 1, or a max_tgt_tokens too small for the
+    decode.
     """
-    if not configs:
-        raise ConfigError("benchmark needs at least one config")
+    if base.dec_smoe:
+        raise ConfigError("benchmark derives its variants; start from a plain decoder config")
     if not seeds:
         raise ConfigError("benchmark needs at least one seed")
     for name, count in (("n_train_inputs", n_train_inputs), ("n_eval_inputs", n_eval_inputs)):
         if count < 1:
             raise ConfigError(f"{name} must be >= 1, got {count}")
-    _check_shared_dims(configs)
-    control_cfg = next(iter(configs.values()))
-    if control_cfg.max_decode_len < BENCH_DECODE_LEN:
+    if base.max_decode_len < BENCH_DECODE_LEN:
         raise ConfigError(
             f"benchmark scores a {BENCH_DECODE_LEN}-step decode, which needs max_tgt_tokens "
-            f">= {BENCH_DECODE_LEN + 2}, got {control_cfg.max_tgt_tokens}"
+            f">= {BENCH_DECODE_LEN + 2}, got {base.max_tgt_tokens}"
         )
-    base_tc = train_config or TrainConfig(steps=budget_steps)
-    base_tc = replace(base_tc, steps=budget_steps)
+    configs = {
+        "base": base,
+        "dec_ffn_x2": replace(base, d_ff_dec=2 * base.dec_ff),
+        "dec_smoe": replace(base, dec_smoe=True),
+    }
     vocab = Vocabulary()
     log_lines: list[str] = []
 
-    runs = [(f"control task={task.value}", control_cfg, task) for task in Task]
+    runs = [(f"control task={task.value}", base, task) for task in Task]
     runs += [(f"model {name}", cfg, None) for name, cfg in configs.items()]
     accs: dict[tuple[str, Task], list[float]] = {}  # per seed, in seed order
 
     for seed in seeds:
         train_items = make_paired_dataset(
-            n_train_inputs, seed=seed * 7919 + 1, task_spec=task_spec, vocab=vocab,
+            n_train_inputs, seed=seed * 7919 + 1, vocab=vocab,
             min_len=BENCH_SYMBOLS, max_len=BENCH_SYMBOLS,
         )
         eval_items = make_paired_dataset(
-            n_eval_inputs, seed=seed * 7919 + 2, task_spec=task_spec, vocab=vocab,
+            n_eval_inputs, seed=seed * 7919 + 2, vocab=vocab,
             min_len=BENCH_SYMBOLS, max_len=BENCH_SYMBOLS,
         )
-        tc = replace(base_tc, seed=seed)
+        tc = replace(train_config, seed=seed)
         for label, cfg, task in runs:
             model = Model(cfg, seed=seed)
             log_lines.append(f"# {label} seed={seed}")
@@ -494,18 +492,6 @@ def run_interference_benchmark(
         control_st=means[f"control task={Task.ST.value}", Task.ST],
         log_lines=log_lines,
     )
-
-
-def _check_shared_dims(configs: dict[str, ModelConfig]) -> None:
-    ref = next(iter(configs.values()))
-    varying = {"d_ff_dec", "dec_smoe"}
-    for name, cfg in configs.items():
-        for f in fields(ModelConfig):
-            if f.name not in varying and getattr(cfg, f.name) != getattr(ref, f.name):
-                raise ConfigError(
-                    f"benchmark config {name!r} varies {f.name}; only the decoder "
-                    f"FFN arrangement ({sorted(varying)}) may differ"
-                )
 
 
 # -- narrowband fine-tuning -----------------------------------------------------

@@ -1,10 +1,12 @@
-"""Tape ops that only the tests use: trainable leaves, and the shape and
-softmax ops of the padded-attention oracle and the numerics tests."""
+"""Tape ops that only the tests use: trainable leaves, and the shape,
+batched-matmul and softmax ops of the padded-attention oracle and the
+numerics tests."""
 
 from typing import Sequence
 
 import numpy as np
 
+from smoe.errors import ShapeError
 from smoe.numerics import Tensor, record_op
 
 
@@ -31,6 +33,20 @@ def permute(a: Tensor, axes: Sequence[int]) -> Tensor:
 
     def grad_fn(g: np.ndarray):
         return [(a, g.transpose(inverse))]
+
+    return record_op(out, grad_fn)
+
+
+def bmm(a: Tensor, b: Tensor) -> Tensor:
+    """Batched matrix product of [n x i x j] and [n x j x k] stacks.
+    Backward: da = g @ b^T, db = a^T @ g, per batch entry."""
+    ad, bd = a.data, b.data
+    if ad.ndim != 3 or bd.ndim != 3 or ad.shape[0] != bd.shape[0] or ad.shape[2] != bd.shape[1]:
+        raise ShapeError(f"batched matmul dims disagree: {ad.shape} x {bd.shape}")
+    out = Tensor(ad @ bd, requires_grad=a.requires_grad or b.requires_grad)
+
+    def grad_fn(g: np.ndarray):
+        return [(a, g @ bd.transpose(0, 2, 1)), (b, ad.transpose(0, 2, 1) @ g)]
 
     return record_op(out, grad_fn)
 

@@ -67,15 +67,9 @@ BENCH_BASE = ModelConfig(
     n_enc_layers=1, n_dec_layers=1, d_model=32, d_ff=64, d_ff_dec=12,
     n_heads=4, vocab_size=VOCAB.size, dropout=0.0,
 )
-BENCH_CONFIGS = {
-    "base": BENCH_BASE,
-    "dec_ffn_x2": replace(BENCH_BASE, d_ff_dec=24),
-    "dec_smoe": replace(BENCH_BASE, dec_smoe=True),
-}
-BENCH_STEPS = 500
 BENCH_TRAIN_INPUTS = 768
 BENCH_EVAL_INPUTS = 32
-BENCH_TC = TrainConfig(steps=BENCH_STEPS, batch_size=8, lr_peak=3e-3, lr_floor=1e-4)
+BENCH_TC = TrainConfig(steps=500, batch_size=8, lr_peak=3e-3, lr_floor=1e-4)
 
 
 def _usage() -> tuple[float, float, int]:
@@ -112,13 +106,7 @@ def report(n: int, name: str, ok: bool, detail: str, elapsed: float, limit: floa
 
 def _run_benchmark():
     return run_interference_benchmark(
-        TASK_SPEC,
-        BENCH_CONFIGS,
-        budget_steps=BENCH_STEPS,
-        seeds=SEEDS,
-        n_train_inputs=BENCH_TRAIN_INPUTS,
-        n_eval_inputs=BENCH_EVAL_INPUTS,
-        train_config=BENCH_TC,
+        BENCH_BASE, BENCH_TC, SEEDS, BENCH_TRAIN_INPUTS, BENCH_EVAL_INPUTS
     )
 
 

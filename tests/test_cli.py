@@ -200,10 +200,10 @@ def test_finetune_cli(workspace, tmp_path, capsys):
 
 
 def test_benchmark_cli_tiny(tmp_path, capsys):
-    # tiny budget: just exercises the plumbing and the report format
+    # tiny budget: exercises the plumbing, the report format and the step budget
     assert main([
         "benchmark", "--out", str(tmp_path / "bench"), "--seed", "0",
-        "--set", "n_seeds=1", "--set", "budget_steps=6",
+        "--set", "n_seeds=1", "--set", "steps=6",
         "--set", "n_train_inputs=8", "--set", "n_eval_inputs=4",
         "--set", "d_model=16", "--set", "d_ff=16", "--set", "d_ff_dec=8",
         "--set", "n_enc_layers=1", "--set", "n_dec_layers=1",
@@ -213,7 +213,13 @@ def test_benchmark_cli_tiny(tmp_path, capsys):
     report = (tmp_path / "bench" / "report.tsv").read_text().splitlines()
     assert report[0] == "model\ttrainable\tactive\tacc_asr\tacc_st"
     assert {ln.split("\t")[0] for ln in report[1:4]} == {"base", "dec_ffn_x2", "dec_smoe"}
-    assert (tmp_path / "bench" / "benchmark.log").exists()
+    log = (tmp_path / "bench" / "benchmark.log").read_text().splitlines()
+    runs = [ln for ln in log if ln.startswith("# ") and " acc" not in ln]
+    assert len(runs) == 5  # two single-task controls, then the three models
+    assert sum(ln.startswith("step=") for ln in log) == 6 * len(runs)
+    resolved = (tmp_path / "bench" / "config.resolved").read_text().splitlines()
+    assert "steps = 6" in resolved
+    assert not any(ln.startswith("budget_steps") for ln in resolved)
 
 
 def _tiny_checkpoint(root, edit=None, vocab=None):
@@ -319,7 +325,7 @@ def _inspect_with(*settings):
 
 def _benchmark_with(*settings):
     def argv(root):
-        return ["benchmark", "--set", "budget_steps=1", *_sets(settings)]
+        return ["benchmark", "--set", "steps=1", *_sets(settings)]
     return argv
 
 
@@ -352,6 +358,12 @@ def _train_with(*settings):
         generate_dataset_files(root / "data", n_items=2, nbwb_mix_fraction=0.0, seed=0)
         return ["train", "--data", str(root / "data"), "--out", str(root / "run"),
                 "--set", "steps=2", *_sets(settings)]
+    return argv
+
+
+def _with_seed(make_argv, seed):
+    def argv(root):
+        return [*make_argv(root), "--seed", str(seed)]
     return argv
 
 
@@ -453,6 +465,11 @@ def _resized_checkpoint(command, resize):
     pytest.param(_datagen_with("symbols_min=301", "symbols_max=301"), 1,
                  id="datagen-symbols-past-audio-cap"),
     pytest.param(_benchmark_with("n_seeds=0"), 1, id="benchmark-no-seeds"),
+    # the benchmark trains `steps` steps: its own budget key is gone
+    pytest.param(_benchmark_with("budget_steps=500"), 1, id="benchmark-budget-steps-removed"),
+    # numpy seeds are non-negative
+    pytest.param(_with_seed(_datagen_with(), -1), 1, id="datagen-seed-negative"),
+    pytest.param(_with_seed(_train_with(), -1), 1, id="train-seed-negative"),
     pytest.param(_benchmark_with("n_train_inputs=0"), 1, id="benchmark-no-train-inputs"),
     pytest.param(_benchmark_with("n_eval_inputs=0", "n_seeds=1"), 1,
                  id="benchmark-no-eval-inputs"),
@@ -503,6 +520,8 @@ def test_malformed_input_exit_code(make_argv, code, tmp_path, capsys):
     ("n_seeds=0", "seed"),
     ("n_train_inputs=0", "n_train_inputs"),
     ("n_eval_inputs=0", "n_eval_inputs"),
+    ("dec_smoe=true", "plain decoder"),
+    ("budget_steps=6", "budget_steps"),
 ])
 def test_benchmark_rejects_empty_counts_before_any_dataset(setting, key, tmp_path, capsys,
                                                           monkeypatch):
@@ -512,6 +531,19 @@ def test_benchmark_rejects_empty_counts_before_any_dataset(setting, key, tmp_pat
     monkeypatch.setattr(smoe.train, "make_paired_dataset", no_dataset)
     assert main(_benchmark_with(setting)(tmp_path)) == 1
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("make_argv", [_datagen_with(), _train_with(), _benchmark_with()],
+                         ids=["datagen", "train", "benchmark"])
+def test_negative_seed_fails_before_any_output(make_argv, tmp_path, capsys):
+    argv = make_argv(tmp_path)
+    if "--out" not in argv:
+        argv += ["--out", str(tmp_path / "bench")]
+    out = Path(argv[argv.index("--out") + 1])
+    assert main([*argv, "--seed", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert "config error: --seed must be >= 0, got -1" in captured.err
+    assert "Traceback" not in captured.err and not out.exists()
 
 
 def test_datagen_rejected_merge_count_writes_no_wav(tmp_path, capsys):
@@ -678,7 +710,7 @@ def test_out_under_a_file_exits_3_before_any_step(command, workspace, tmp_path, 
         "train": ["train", "--data", str(workspace / "data")],
         "finetune-nbwb": ["finetune-nbwb", "--ckpt", str(workspace / "run" / "model.ckpt"),
                           "--data", str(workspace / "data")],
-        "benchmark": ["benchmark", "--set", "n_seeds=1", "--set", "budget_steps=1"],
+        "benchmark": ["benchmark", "--set", "n_seeds=1", "--set", "steps=1"],
     }[command]
     assert main([*argv, "--out", out]) == 3
     captured = capsys.readouterr()

@@ -22,7 +22,7 @@ from smoe.numerics import (
     sum_all,
 )
 
-from tape_ops import parameter, permute, reshape, softmax_last
+from tape_ops import bmm, parameter, permute, reshape, softmax_last
 
 
 def test_matmul_identity():
@@ -266,13 +266,13 @@ def test_batched_matmul_matches_loop():
     rng = np.random.default_rng(14)
     a = rng.normal(size=(3, 2, 5))
     b = rng.normal(size=(3, 5, 4))
-    out = matmul(constant(a), constant(b))
+    out = bmm(constant(a), constant(b))
     for i in range(3):
         np.testing.assert_allclose(out.data[i], a[i] @ b[i], rtol=1e-14)
 
     ap, bp = parameter(a), parameter(b)
     report = grad_check(
-        lambda: sum_all(matmul(ap, bp)), [("a", ap), ("b", bp)], tolerance=1e-7
+        lambda: sum_all(bmm(ap, bp)), [("a", ap), ("b", bp)], tolerance=1e-7
     )
     assert report.passed
 
