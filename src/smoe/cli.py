@@ -240,7 +240,6 @@ def cmd_infer(args, settings: dict) -> int:
     model, vocab = _load_model(args)
     max_len = _decode_len(settings, model.config)
     feats = fbank(read_wav(args.audio))
-    model.eval()
     bw = feats.bandwidth
     if args.single_task:
         task = Task.ASR if args.single_task == "asr" else Task.ST

@@ -149,33 +149,21 @@ def random_symbols(rng: np.random.Generator, min_len: int, max_len: int) -> str:
 
 @dataclass
 class Utterance:
-    """One training/eval item: cached features plus its labels and target."""
+    """One training/eval item: cached features, the target and its text.
+    The routing labels are read off them: the task from the target, the
+    bandwidth from the features."""
 
-    task: Task
-    bandwidth: Bandwidth
     features: FbankFeatures
     target: TargetSequence
     text: bytes
 
+    @property
+    def task(self) -> Task:
+        return self.target.task
 
-def _labelled(
-    symbols: str,
-    task: Task,
-    task_spec: SyntheticTaskSpec,
-    vocab: Vocabulary,
-    features: FbankFeatures,
-) -> Utterance:
-    """An utterance of `features` with its task's text and target. The
-    features are shared, not copied: nothing writes to them in place."""
-    text = task_spec.apply(task, symbols).encode("ascii")
-    target = build_target_sequence(task, text, vocab)
-    return Utterance(
-        task=task,
-        bandwidth=features.bandwidth,
-        features=features,
-        target=target,
-        text=text,
-    )
+    @property
+    def bandwidth(self) -> Bandwidth:
+        return self.features.bandwidth
 
 
 def make_utterance(
@@ -189,7 +177,8 @@ def make_utterance(
     wave = render_symbols(symbols, seed)
     if narrowband:
         wave = to_narrowband(wave)
-    return _labelled(symbols, task, task_spec, vocab, fbank(wave))
+    text = task_spec.apply(task, symbols).encode("ascii")
+    return Utterance(fbank(wave), build_target_sequence(task, text, vocab), text)
 
 
 def make_paired_dataset(
@@ -218,16 +207,20 @@ def make_paired_dataset(
     nb_indices = set(rng.permutation(n_inputs)[:n_nb].tolist())
     items: list[Utterance] = []
     for idx, symbols in enumerate(inputs):
-        # each input is rendered once and featurized once per bandwidth;
-        # its utterances for every task share those features
+        # each input is rendered once, featurized once per bandwidth and
+        # given each task's text and target once: its utterances share the
+        # features of their bandwidth and the target of their task, as
+        # nothing writes to them in place
         item_seed = seed * 1_000_003 + idx
         wave = render_symbols(symbols, item_seed)
         wb = fbank(wave)
         nb = fbank(to_narrowband(wave)) if idx in nb_indices else None
         for task in (Task.ASR, Task.ST):
-            items.append(_labelled(symbols, task, task_spec, vocab, wb))
+            text = task_spec.apply(task, symbols).encode("ascii")
+            target = build_target_sequence(task, text, vocab)
+            items.append(Utterance(wb, target, text))
             if nb is not None:
-                items.append(_labelled(symbols, task, task_spec, vocab, nb))
+                items.append(Utterance(nb, target, text))
     return items
 
 
@@ -294,8 +287,8 @@ def generate_dataset_files(
     max_len: int = 5,
     n_merges: int = 0,
 ) -> Path:
-    """Write WAVs, targets, a vocabulary, and a manifest; returns the
-    manifest path.
+    """Write WAVs, a vocabulary, and a manifest that maps each WAV to its
+    bandwidth, task and target text; returns the manifest path.
 
     Each item gets one task (alternating transcription/translation); a
     nbwb_mix_fraction subset of items gains a narrowband twin record with
@@ -338,9 +331,6 @@ def generate_dataset_files(
                 ManifestRecord(audio_path=nb_rel, bandwidth=Bandwidth.NB, task=task, text=text)
             )
     vocab.save(out / "vocab.txt")
-    (out / "targets.txt").write_text(
-        "".join(f"{r.audio_path}\t{r.text}\n" for r in records), encoding="utf-8"
-    )
     manifest_path = out / "manifest.tsv"
     write_manifest(manifest_path, records)
     return manifest_path
@@ -358,16 +348,6 @@ def load_dataset(manifest_path: str | Path, vocab: Vocabulary) -> list[Utterance
                 f"{r.audio_path}: manifest says {r.bandwidth.value}, "
                 f"file is {wave.bandwidth.value}"
             )
-        feats = fbank(wave)
         text = r.text.encode("utf-8")
-        target = build_target_sequence(r.task, text, vocab)
-        items.append(
-            Utterance(
-                task=r.task,
-                bandwidth=r.bandwidth,
-                features=feats,
-                target=target,
-                text=text,
-            )
-        )
+        items.append(Utterance(fbank(wave), build_target_sequence(r.task, text, vocab), text))
     return items

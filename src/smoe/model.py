@@ -407,31 +407,34 @@ class Model:
 
     def encode(self, features: FbankFeatures, bw: Bandwidth) -> Tensor:
         """Encoder states [n_frames x d] of one utterance."""
-        frames = features.frames.data
-        return self.encode_batch(frames, [frames.shape[0]], [bw])
+        return self.encode_batch([features], [bw])
 
     def encode_batch(
-        self, frames: np.ndarray, lengths: Sequence[int], bandwidths: Sequence[Bandwidth]
+        self, features: Sequence[FbankFeatures], bandwidths: Sequence[Bandwidth]
     ) -> Tensor:
-        """Packed encoder states [sum(lengths) x d] of packed frame rows
-        [sum(lengths) x N_MELS]: sample i's lengths[i] frames, in order.
+        """Packed encoder states [sum of n_frames x d] of utterances'
+        features: sample i's n_frames rows, in order, routed by bandwidths[i].
 
-        Every layer runs on these rows alone; attention reads each sample's
-        own rows. A batch that mixes bandwidths sends each bandwidth's rows
+        Each sample's frames are normalized and packed once; every layer
+        runs on these rows alone, and attention reads each sample's own
+        rows. A batch that mixes bandwidths sends each bandwidth's rows
         through its expert in one call, gathered and scattered back, so an
         expert no sample routes to is never invoked.
         """
         cfg = self.config
-        t_max, n_mels = max(lengths), frames.shape[1]
+        lengths = [f.n_frames for f in features]
+        t_max = max(lengths)
         if t_max > cfg.max_src_frames:
             raise LimitError(f"{t_max} frames exceeds max_src_frames {cfg.max_src_frames}")
-        if n_mels != N_MELS:
-            raise ConfigError(f"features have {n_mels} mels, the input projection wants {N_MELS}")
+        n_mels = {f.frames.shape[1] for f in features}
+        if n_mels != {N_MELS}:
+            raise ConfigError(f"features have {sorted(n_mels)} mels, the input projection "
+                              f"wants {N_MELS}")
         # per-utterance global normalization keeps log-mel magnitudes sane
         # without erasing the relative band structure
+        packed = np.concatenate([(r - r.mean()) / max(r.std(), 1e-8)
+                                 for r in (f.frames.data for f in features)])
         offsets = np.cumsum([0, *lengths])
-        real = [frames[start:end] for start, end in zip(offsets[:-1], offsets[1:])]
-        packed = np.concatenate([(r - r.mean()) / max(r.std(), 1e-8) for r in real])
         positions = sinusoidal_positions(t_max, cfg.d_model).data
         x = linear(constant(packed), self.input_proj_w, self.input_proj_b)
         x = add(x, constant(np.concatenate([positions[:length] for length in lengths])))
@@ -608,15 +611,18 @@ class Model:
     def infer_single(
         self, features: FbankFeatures, bw: Bandwidth, task: Task, max_len: int
     ) -> SingleDecode:
-        enc_out = self.encode(features, bw)
+        """Greedy decode of one task. The model is switched to eval mode
+        first, as `_greedy_rows` is the eval-mode computation."""
+        enc_out = self.eval().encode(features, bw)
         return self._greedy_rows(enc_out, [task], max_len)[0]
 
     def infer_dual(self, features: FbankFeatures, bw: Bandwidth, max_len: int) -> DualDecode:
         """One encoder pass feeding a two-row greedy decode: the transcription
         row routes to the ASR expert, the translation row to the ST expert.
         The rows share only the encoder output, so each decodes the ids of
-        the single-task decode of its task."""
-        enc_out = self.encode(features, bw)
+        the single-task decode of its task. The model is switched to eval
+        mode first, as in infer_single."""
+        enc_out = self.eval().encode(features, bw)
         asr, st = self._greedy_rows(enc_out, [Task.ASR, Task.ST], max_len)
         return DualDecode(
             asr_ids=asr.ids,

@@ -22,30 +22,29 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .data import Utterance, make_paired_dataset
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, LimitError, NumericError
 from .metrics import corpus_token_accuracy
 from .model import Model, ModelConfig, count_params, expand_experts
 from .moe import Bandwidth, Task
 from .numerics import Tape, Tensor, arena_bounds, backward, softmax_cross_entropy
 from .seqio import BYTE_BASE, GuidingToken, Vocabulary
+from .signal import FbankFeatures
 
 
 @dataclass
 class Batch:
     """Task-homogeneous training unit.
 
-    features are the samples' frame rows packed in order, with no padding,
-    split into samples by feature_lengths; targets are id rows PAD-padded
-    on the right, with no PAD inside a row. loss_targets and loss_weights
-    lay out the loss over the [B*L] decoder rows: each row's next-token
-    target (PAD where nothing is learned) and its weight, 1 / (B * K_i) on
-    the K_i kept rows of sample i, so the loss is the mean over samples of
-    each sample's token mean.
+    features are the samples' own feature objects, in order: the encoder
+    reads each one's frames, frame count and bandwidth, and packs the
+    frames once. targets are id rows PAD-padded on the right, with no PAD
+    inside a row. loss_targets and loss_weights lay out the loss over the
+    [B*L] decoder rows: each row's next-token target (PAD where nothing is
+    learned) and its weight, 1 / (B * K_i) on the K_i kept rows of sample
+    i, so the loss is the mean over samples of each sample's token mean.
     """
 
-    features: np.ndarray  # [sum(feature_lengths) x n_mels]
-    feature_lengths: list[int]
-    bandwidths: list[Bandwidth]
+    features: list[FbankFeatures]
     targets: np.ndarray  # [B x L_max], PAD-padded
     task: Task
     loss_targets: np.ndarray = field(init=False)  # [B*L_max]
@@ -73,16 +72,10 @@ class Batch:
         targets = np.full((len(items), l_max), int(GuidingToken.PAD), dtype=np.int64)
         for i, it in enumerate(items):
             targets[i, : len(it.target.ids)] = it.target.ids
-        return Batch(
-            features=np.concatenate([it.features.frames.data for it in items]),
-            feature_lengths=[it.features.n_frames for it in items],
-            bandwidths=[it.bandwidth for it in items],
-            targets=targets,
-            task=items[0].task,
-        )
+        return Batch(features=[it.features for it in items], targets=targets, task=items[0].task)
 
     def __len__(self) -> int:
-        return len(self.feature_lengths)
+        return len(self.features)
 
 
 @dataclass
@@ -248,8 +241,9 @@ def shifted_targets(ids: list[int]) -> list[int]:
 def batch_loss(model: Model, batch: Batch) -> Tensor:
     """Teacher-forced loss of the whole batch in one forward pass:
     the mean over samples of each sample's mean cross entropy."""
-    enc_out = model.encode_batch(batch.features, batch.feature_lengths, batch.bandwidths)
-    logits = model.decode_batch(enc_out, batch.targets, batch.task, batch.feature_lengths)
+    feats = batch.features
+    enc_out = model.encode_batch(feats, [f.bandwidth for f in feats])
+    logits = model.decode_batch(enc_out, batch.targets, batch.task, [f.n_frames for f in feats])
     return softmax_cross_entropy(
         logits, batch.loss_targets, int(GuidingToken.PAD), batch.loss_weights
     )
@@ -298,8 +292,17 @@ def run_training(
     """Drive train_step for tc.steps batches, cycling epochs as needed.
 
     Returns the loss history; appends `step= task= lr= loss=` lines to
-    log_lines when given. Each batch is one optimizer step.
+    log_lines when given. Each batch is one optimizer step. An item longer
+    than the model's max_src_frames or max_tgt_tokens raises LimitError,
+    naming its index in `items`, before the first step.
     """
+    cfg = model.config
+    for i, it in enumerate(items):
+        for n, what, key in ((it.features.n_frames, "frames", "max_src_frames"),
+                             (len(it.target.ids), "target tokens", "max_tgt_tokens")):
+            if n > getattr(cfg, key):
+                raise LimitError(f"training item {i} ({it.task.value}, {it.bandwidth.value}): "
+                                 f"{n} {what} exceeds {key} {getattr(cfg, key)}")
     optimizer = make_optimizer(model, tc)
     model.reseed_dropout(tc.seed)
     losses: list[float] = []
@@ -343,9 +346,8 @@ def decode_payload_symbols(ids: list[int], vocab: Vocabulary) -> list[str]:
 def decode_pairs(
     model: Model, items: Sequence[Utterance], vocab: Vocabulary, max_len: int
 ) -> dict[Task, list[tuple[list[str], list[str]]]]:
-    """Greedy-decode each item on its own task in eval mode; per task, the
-    (reference, hypothesis) symbol lists in item order."""
-    model.eval()
+    """Greedy-decode each item on its own task (infer_single decodes in eval
+    mode); per task, the (reference, hypothesis) symbol lists in item order."""
     pairs: dict[Task, list[tuple[list[str], list[str]]]] = {Task.ASR: [], Task.ST: []}
     for it in items:
         result = model.infer_single(it.features, it.bandwidth, it.task, max_len=max_len)

@@ -2,10 +2,12 @@ import contextlib
 import io
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -52,7 +54,10 @@ def test_datagen_counts_and_snapshot(workspace):
     nb = [r for r in records if r.bandwidth is Bandwidth.NB]
     assert len(wb) == 24
     assert len(nb) == 6  # round(0.25 * 24)
-    assert (data / "config.resolved").exists()
+    # the manifest is the one map from audio to text
+    assert sorted(p.name for p in data.iterdir()) == [
+        "config.resolved", "manifest.tsv", "vocab.txt", "wavs"]
+    assert len(list((data / "wavs").iterdir())) == len(records)
     assert "n_items = 24" in (data / "config.resolved").read_text()
 
 
@@ -361,6 +366,25 @@ def _train_with(*settings):
     return argv
 
 
+def _train_one_step_with(edit, *settings):
+    """train, one step of batch 1 on a tiny model, over a two-item dataset
+    (item 0 ASR, item 1 ST) whose manifest records `edit` rewrites."""
+    def argv(root):
+        manifest = generate_dataset_files(root / "data", n_items=2, nbwb_mix_fraction=0.0, seed=0)
+        write_manifest(manifest, edit(read_manifest(manifest)))
+        return ["train", "--data", str(root / "data"), "--out", str(root / "run"),
+                *_sets(["steps=1", "batch_size=1", "d_model=16", "d_ff=16", "n_heads=2",
+                        *settings])]
+    return argv
+
+
+def _long_st_text(records):
+    """The ST record's text at 118 symbols: 122 target ids, past the 120 the
+    toy preset allows. The one-step run draws only the ASR item."""
+    asr, st = records
+    return [asr, replace(st, text="a" * 118)]
+
+
 def _with_seed(make_argv, seed):
     def argv(root):
         return [*make_argv(root), "--seed", str(seed)]
@@ -508,12 +532,31 @@ def _resized_checkpoint(command, resize):
     pytest.param(_vocab_mismatch("finetune-nbwb", 0, 8), 3, id="finetune-vocab-larger"),
     pytest.param(_vocab_mismatch("infer", 0, 8), 3, id="infer-vocab-larger"),
     pytest.param(_vocab_mismatch("eval", 8, 0), 3, id="eval-vocab-smaller"),
+    # every item is checked against the model's limits, not only the ones drawn
+    pytest.param(_train_one_step_with(_long_st_text), 3, id="train-item-past-max-tgt-tokens"),
 ])
 def test_malformed_input_exit_code(make_argv, code, tmp_path, capsys):
     assert main(make_argv(tmp_path)) == code
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error" in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("make_argv, message", [
+    (_train_one_step_with(_long_st_text),
+     r"training item 1 \(ST, WB\): 122 target tokens exceeds max_tgt_tokens 120"),
+    (_train_one_step_with(lambda records: records, "max_src_frames=20"),
+     r"training item 0 \(ASR, WB\): \d+ frames exceeds max_src_frames 20"),
+], ids=["target-tokens", "frames"])
+def test_over_long_training_item_fails_before_any_step(make_argv, message, tmp_path, capsys,
+                                                       monkeypatch):
+    def no_step(*args, **kwargs):
+        raise AssertionError("a training step ran before every item was checked")
+
+    monkeypatch.setattr(smoe.train, "train_step", no_step)
+    assert main(make_argv(tmp_path)) == 3
+    assert re.search(f"input error: {message}", capsys.readouterr().err)
+    assert list((tmp_path / "run").iterdir()) == []
 
 
 @pytest.mark.parametrize("setting, key", [

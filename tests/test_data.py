@@ -79,7 +79,8 @@ def test_generate_dataset_files_counts(tmp_path):
     assert len(wb) == 20
     assert len(nb) == 3  # round(0.15 * 20)
     assert (tmp_path / "vocab.txt").exists()
-    assert (tmp_path / "targets.txt").exists()
+    # the manifest is the one map from audio to text: no second targets file
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.tsv", "vocab.txt", "wavs"]
 
 
 def test_generate_dataset_files_zero_mix(tmp_path):

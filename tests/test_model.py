@@ -301,6 +301,28 @@ def test_dual_inference_matches_single_runs():
     assert dual.st_truncated == single_st.truncated
 
 
+def test_greedy_inference_encodes_in_eval_mode(monkeypatch):
+    # dropout 0.5 on a model left in training mode: an encoder that drew
+    # masks would hand the decode different states on every call
+    model = Model(ModelConfig(vocab_size=272, dropout=0.5, dec_smoe=True, n_dec_layers=1), seed=3)
+    feats = random_features(4, frames=30)
+    want = model.eval().encode(feats, Bandwidth.WB).data.view(np.uint64)
+    seen = []
+    greedy_rows = Model._greedy_rows
+
+    def spy(self, enc_out, tasks, max_len):
+        seen.append((self.training, enc_out.data.view(np.uint64).copy()))
+        return greedy_rows(self, enc_out, tasks, max_len)
+
+    monkeypatch.setattr(Model, "_greedy_rows", spy)
+    for mode in (model.train, model.eval):
+        mode().infer_single(feats, Bandwidth.WB, Task.ASR, max_len=2)
+        mode().infer_dual(feats, Bandwidth.WB, max_len=2)
+    assert len(seen) == 4
+    for training, enc in seen:
+        assert not training and np.array_equal(enc, want)
+
+
 def test_dual_inference_expert_counts_lockstep():
     model = Model(tiny_config(dec_smoe=True), seed=13).eval()
     feats = random_features(14)

@@ -21,7 +21,7 @@ from smoe.numerics import (
     transpose2d,
 )
 from smoe.seqio import GuidingToken, Vocabulary
-from smoe.signal import fbank
+from smoe.signal import N_MELS, FbankFeatures, fbank
 from smoe.train import (
     SGD,
     Adam,
@@ -55,6 +55,11 @@ def small_items(n=8, seed=0, **kw):
     return make_paired_dataset(n, seed=seed, task_spec=SPEC, vocab=VOCAB, **kw)
 
 
+def bandwidths(batch):
+    """The set of the batch samples' bandwidths, read off their features."""
+    return {f.bandwidth for f in batch.features}
+
+
 def test_task_spec_disagreement():
     differ = [SPEC.map_a[s] != SPEC.map_b[s] for s in SPEC.alphabet]
     assert sum(differ) / len(differ) >= 0.90
@@ -78,10 +83,25 @@ def test_batch_padding_and_lengths():
         n = len(it.target.ids)
         assert batch.targets[i, :n].tolist() == it.target.ids
         assert np.all(batch.targets[i, n:] == int(GuidingToken.PAD))
-        assert batch.feature_lengths[i] == it.features.n_frames
-    # features are the real frame rows, packed in order: no padding row
-    np.testing.assert_array_equal(
-        batch.features, np.concatenate([it.features.frames.data for it in items]))
+    # features are the items' own feature objects, in order: nothing is copied or padded
+    assert [id(f) for f in batch.features] == [id(it.features) for it in items]
+
+
+def test_paired_batches_pass_the_shared_features_through():
+    items = small_items(6, seed=1, nb_fraction=0.5)
+    pools = {task: [it for it in items if it.task is task] for task in Task}
+    # an input's ASR and ST utterances of one bandwidth share one features object
+    assert all(a.features is s.features for a, s in zip(pools[Task.ASR], pools[Task.ST]))
+    for task, pool in pools.items():
+        batch = Batch.build(pool)
+        assert all(f is it.features for f, it in zip(batch.features, pool, strict=True))
+        # an NB twin follows its WB utterance and shares its target and text
+        twins = [(wb, nb) for wb, nb in zip(pool, pool[1:]) if nb.bandwidth is Bandwidth.NB]
+        assert len(twins) == 3
+        for wb, nb in twins:
+            assert wb.bandwidth is Bandwidth.WB and wb.task is nb.task is task
+            assert nb.target is wb.target and nb.text is wb.text
+            assert nb.features is not wb.features
 
 
 def test_shifted_targets_mask_prefix_and_tail():
@@ -96,9 +116,9 @@ def test_shifted_targets_mask_prefix_and_tail():
 def test_loss_targets_are_each_rows_shifted_targets(rows):
     pad = int(GuidingToken.PAD)
     width = max(map(len, rows))
+    frame = FbankFeatures(frames=constant(np.zeros((1, N_MELS))), bandwidth=Bandwidth.WB)
     batch = Batch(
-        features=np.zeros((len(rows), 1)), feature_lengths=[1] * len(rows),
-        bandwidths=[Bandwidth.WB] * len(rows),
+        features=[frame] * len(rows),
         targets=np.array([r + [pad] * (width - len(r)) for r in rows]), task=Task.ASR,
     )
     want = [shifted_targets(r) + [pad] * (width - len(r)) for r in rows]
@@ -120,7 +140,7 @@ def test_interleaved_stream_alternates():
     stream = list(make_interleaved_stream(items, batch_size=2, seed=0))
     assert [b.task for b in stream] == [Task.ASR, Task.ST, Task.ASR, Task.ST]
     for b in stream:
-        assert len({it for it in b.bandwidths}) <= 2
+        assert len(bandwidths(b)) <= 2
 
 
 def test_interleaved_stream_fairness_with_imbalance():
@@ -160,10 +180,9 @@ STREAM_POOL = small_items(6)  # 6 ASR and 6 ST items, each (task, target, frames
 
 def _stream_keys(batch):
     """One (task, target ids, frame bytes) key per sample of the batch."""
-    frames = np.split(batch.features, np.cumsum(batch.feature_lengths)[:-1])
     return [
-        (batch.task, tuple(row[row != int(GuidingToken.PAD)]), frames[i].tobytes())
-        for i, row in enumerate(batch.targets)
+        (batch.task, tuple(row[row != int(GuidingToken.PAD)]), f.frames.data.tobytes())
+        for f, row in zip(batch.features, batch.targets)
     ]
 
 
@@ -327,8 +346,8 @@ def test_finetune_encoder_counts_match_stream_mix():
     tc = TrainConfig(steps=100, batch_size=2, lr_peak=1e-3, lr_floor=1e-4, seed=2)
     stream = list(make_interleaved_stream(items, tc.batch_size, tc.seed))
     expected = [  # [WB, NB]: one expert call per batch that holds that bandwidth
-        sum(1 for b in stream if Bandwidth.WB in b.bandwidths),
-        sum(1 for b in stream if Bandwidth.NB in b.bandwidths),
+        sum(1 for b in stream if Bandwidth.WB in bandwidths(b)),
+        sum(1 for b in stream if Bandwidth.NB in bandwidths(b)),
     ]
     model.reset_expert_counts()
     opt = make_optimizer(model, tc)
@@ -338,7 +357,7 @@ def test_finetune_encoder_counts_match_stream_mix():
         if name.startswith("enc."):
             assert bank.call_counts == expected, name
     assert expected[1] > 0  # the mixed stream really carried NB samples
-    assert any(len(set(b.bandwidths)) == 2 for b in stream)  # and mixed batches
+    assert any(len(bandwidths(b)) == 2 for b in stream)  # and mixed batches
 
 
 def _per_sample_loss(model, items):
@@ -460,19 +479,20 @@ def _padded_batch_loss(model, batch):
     to the batch's longest in encoder and decoder, padded keys masked out of
     attention, each bandwidth's real rows gathered for its expert."""
     cfg = model.config
-    lengths = batch.feature_lengths
-    n, t_max, n_mels = len(lengths), max(lengths), batch.features.shape[1]
-    normed = np.zeros((n, t_max, n_mels))
-    for i, real in enumerate(np.split(batch.features, np.cumsum(lengths)[:-1])):
+    lengths = [f.n_frames for f in batch.features]
+    n, t_max = len(lengths), max(lengths)
+    normed = np.zeros((n, t_max, N_MELS))
+    for i, f in enumerate(batch.features):
+        real = f.frames.data
         normed[i, : lengths[i]] = (real - real.mean()) / max(real.std(), 1e-8)
-    x = add(matmul(constant(normed.reshape(n * t_max, n_mels)), model.input_proj_w),
+    x = add(matmul(constant(normed.reshape(n * t_max, N_MELS)), model.input_proj_w),
             model.input_proj_b)
     x = add(x, constant(np.tile(sinusoidal_positions(t_max, cfg.d_model).data, (n, 1))))
     mask = _key_padding_mask(lengths, t_max)
     rows = {}
-    for i, (length, bw) in enumerate(zip(lengths, batch.bandwidths)):
-        gate = gate_encoder(bw) if cfg.enc_smoe else None
-        rows.setdefault(gate, []).append(np.arange(i * t_max, i * t_max + length))
+    for i, f in enumerate(batch.features):
+        gate = gate_encoder(f.bandwidth) if cfg.enc_smoe else None
+        rows.setdefault(gate, []).append(np.arange(i * t_max, i * t_max + f.n_frames))
     groups = [(gate, np.concatenate(r)) for gate, r in rows.items()]
     if len(groups) == 1 and mask is None:
         groups = [(groups[0][0], None)]
@@ -520,9 +540,7 @@ def test_loss_weights_average_sample_means_with_an_empty_sample():
     rows = [items[0].target.ids, [3, 6, 1, 2], [3, 6, 1]]  # 3rd: no position is learned
     width = max(map(len, rows))
     batch = Batch(
-        features=Batch.build(items).features,
-        feature_lengths=[it.features.n_frames for it in items],
-        bandwidths=[it.bandwidth for it in items],
+        features=[it.features for it in items],
         targets=np.array([r + [pad] * (width - len(r)) for r in rows]),
         task=Task.ASR,
     )
