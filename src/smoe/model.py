@@ -6,8 +6,11 @@ routes its feedforward blocks by task. Everything else is shared. A forward
 pass runs a whole batch at once: the encoder on packed real-frame rows
 [sum(T_i) x d], where dropout draws at that shape, the decoder on padded
 target rows [B*L x d]; attention reads each sample's own rows, and each
-encoder expert runs once on its bandwidth's rows. `encode` and `decode` are
-its one-sample calls. Greedy decoding runs off the tape on preallocated,
+encoder expert runs once on its bandwidth's rows. Each pre-norm attention
+sublayer, self- or cross-attention, is one tape node
+(`nn.attention_sublayer`); each FFN sublayer is its norm, the FFN block
+and the residual add. `encode` and `decode` are its one-sample calls.
+Greedy decoding runs off the tape on preallocated,
 head-major key/value caches and stacked arena views, through the kernels
 the tape ops wrap (`numerics.attend`, `normalize` and `ffn_rows`); `decode`
 is its reference, which it matches within 1e-12 relative, not bitwise.
@@ -53,6 +56,7 @@ from .nn import (
     LayerNormParams,
     attention_forward,
     attention_shapes,
+    attention_sublayer,
     ffn_forward,
     ffn_shapes,
     init_parameters,
@@ -67,6 +71,16 @@ from .numerics import (
 )
 from .seqio import GuidingToken, TargetSequence, guiding_prefix
 from .signal import N_MELS, FbankFeatures
+
+# The public API. It re-exports the three blocks that perfbench/spans.py wraps
+# as attributes of this module; attention_forward has no caller here since
+# the model runs each attention sublayer as one `attention_sublayer` node.
+__all__ = [
+    "CHECKPOINT_MAGIC", "CHECKPOINT_VERSION", "CONFIG_TYPES", "DualDecode", "LayerSplit", "Model",
+    "ModelConfig", "ParamCount", "SingleDecode", "attention_forward", "checkpoint_config",
+    "count_params", "expand_experts", "ffn_forward", "format_value", "load_checkpoint",
+    "parameter_shapes", "parse_config_text", "save_checkpoint", "smoe_forward",
+]
 
 CHECKPOINT_MAGIC = b"SMOE"
 CHECKPOINT_VERSION = 3
@@ -422,6 +436,8 @@ class Model:
         expert no sample routes to is never invoked.
         """
         cfg = self.config
+        if not features:
+            raise ConfigError("cannot encode an empty batch")
         lengths = [f.n_frames for f in features]
         t_max = max(lengths)
         if t_max > cfg.max_src_frames:
@@ -430,10 +446,7 @@ class Model:
         if n_mels != {N_MELS}:
             raise ConfigError(f"features have {sorted(n_mels)} mels, the input projection "
                               f"wants {N_MELS}")
-        # per-utterance global normalization keeps log-mel magnitudes sane
-        # without erasing the relative band structure
-        packed = np.concatenate([(r - r.mean()) / max(r.std(), 1e-8)
-                                 for r in (f.frames.data for f in features)])
+        packed = np.concatenate([f.normalized() for f in features])
         offsets = np.cumsum([0, *lengths])
         positions = sinusoidal_positions(t_max, cfg.d_model).data
         x = linear(constant(packed), self.input_proj_w, self.input_proj_b)
@@ -447,10 +460,8 @@ class Model:
                 rows.setdefault(gate, []).append(np.arange(start, start + length))
             groups = [(gate, np.concatenate(r)) for gate, r in rows.items()]
         for layer in self.enc_layers:
-            x = pre_norm_residual(
-                lambda h: attention_forward(layer.attn, h, h, h, lengths, lengths),
-                layer.ln_attn, x, cfg.dropout, self._dropout_rng, self.training,
-            )
+            x = attention_sublayer(layer.attn, layer.ln_attn, x, None, lengths, lengths, False,
+                                   cfg.dropout, self._dropout_rng, self.training)
             x = pre_norm_residual(
                 lambda h: self._dispatch_ffn(layer.ffn, groups, h),
                 layer.ln_ffn, x, cfg.dropout, self._dropout_rng, self.training,
@@ -487,15 +498,10 @@ class Model:
         gate = gate_decoder(task)
         lens = [t] * n  # each id row is one sample of t positions
         for layer in self.dec_layers:
-            x = pre_norm_residual(
-                lambda h: attention_forward(layer.self_attn, h, h, h, lens, lens, causal=True),
-                layer.ln_self, x, cfg.dropout, self._dropout_rng, self.training,
-            )
-            x = pre_norm_residual(
-                lambda h: attention_forward(
-                    layer.cross_attn, h, enc_out, enc_out, lens, enc_lengths),
-                layer.ln_cross, x, cfg.dropout, self._dropout_rng, self.training,
-            )
+            x = attention_sublayer(layer.self_attn, layer.ln_self, x, None, lens, lens, True,
+                                   cfg.dropout, self._dropout_rng, self.training)
+            x = attention_sublayer(layer.cross_attn, layer.ln_cross, x, enc_out, lens, enc_lengths,
+                                   False, cfg.dropout, self._dropout_rng, self.training)
             x = pre_norm_residual(
                 lambda h: self._sublayer_ffn(layer.ffn, gate, h),
                 layer.ln_ffn, x, cfg.dropout, self._dropout_rng, self.training,

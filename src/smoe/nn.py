@@ -3,6 +3,10 @@
 All blocks are pure functions over parameter dataclasses and [rows x d]
 stacks; state (dropout RNG, train/eval mode) is passed in explicitly so the
 same parameters can be shared across callers without hidden coupling.
+`ffn_forward` and `attention_sublayer` are each one tape node with a
+hand-written backward: the FFN block, and the whole pre-norm attention
+sublayer that `pre_norm_residual` over `attention_forward` composes from
+seven nodes, bitwise the same.
 """
 
 from __future__ import annotations
@@ -15,7 +19,8 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .numerics import (
-    Tensor, active_tape, add, attention, constant, dropout, ffn_rows, layer_norm, linear, record_op,
+    Tensor, active_tape, add, attention, attention_rows, attention_rows_backward, constant, dropout,
+    ffn_rows, layer_norm, linear, normalize, normalize_backward, record_op,
 )
 
 LN_EPSILON = 1e-6
@@ -220,3 +225,68 @@ def pre_norm_residual(
             raise ConfigError("training-mode dropout needs an RNG")
         out = dropout(out, dropout_rate, rng, training=True)
     return add(x, out)
+
+
+def attention_sublayer(
+    p: AttentionParams,
+    ln: LayerNormParams,
+    x: Tensor,
+    memory: Tensor | None = None,
+    q_lengths: Sequence[int] | None = None,
+    k_lengths: Sequence[int] | None = None,
+    causal: bool = False,
+    dropout_rate: float = 0.0,
+    rng: np.random.Generator | None = None,
+    training: bool = False,
+) -> Tensor:
+    """The pre-norm attention sublayer x + dropout(attention_forward(p, h,
+    kv, kv, q_lengths, k_lengths, causal)) for h = layernorm(x) and kv =
+    memory (cross-attention) or h (self-attention, memory None), as one tape
+    node over `normalize` and `attention_rows`.
+
+    It computes bitwise what that pre_norm_residual composition computes,
+    forward and backward: the dropout mask is drawn after the output
+    projection at its shape, and the backward keeps the composition's
+    summation order. h's gradient is dv W_v^T + dk W_k^T + dq W_q^T in that
+    order (only dq W_q^T under cross-attention, where memory gets dv W_v^T
+    and dk W_k^T as two entries), and x gets g + the layer norm's dx.
+    """
+    d = ln.gain.shape[0]
+    if x.data.ndim != 2 or x.shape[1] != d or (memory is not None and memory.shape[-1] != d):
+        raise ShapeError(f"attention sublayer inputs {x.shape}/"
+                         f"{None if memory is None else memory.shape} do not fit d_model {d}")
+    dropping = training and dropout_rate > 0.0
+    if dropping and rng is None:
+        raise ConfigError("training-mode dropout needs an RNG")
+    leaves = [x, ln.gain, ln.bias, p.w_q, p.b_q, p.w_k, p.b_k, p.w_v, p.b_v, p.w_o, p.b_o]
+    needs = any(t.requires_grad for t in leaves) or (memory is not None and memory.requires_grad)
+    h, xhat, inv_std = normalize(x.data, ln.gain.data, ln.bias.data, LN_EPSILON)
+    kv = h if memory is None else memory.data
+    ctx, saved = attention_rows(
+        h @ p.w_q.data + p.b_q.data, kv @ p.w_k.data + p.b_k.data, kv @ p.w_v.data + p.b_v.data,
+        p.n_heads, q_lengths, k_lengths, causal, needs and active_tape() is not None,
+    )
+    out = ctx @ p.w_o.data + p.b_o.data
+    mask = None
+    if dropping:
+        mask = (rng.random(out.shape) >= dropout_rate) / (1.0 - dropout_rate)
+        out *= mask
+    out += x.data
+
+    def grad_fn(g: np.ndarray):
+        go = g if mask is None else g * mask
+        dq, dk, dv = attention_rows_backward(go @ p.w_o.data.T, saved, p.n_heads, kv.shape[0])
+        grads = [(p.w_o, ctx.T @ go), (p.b_o, go.sum(axis=0)),
+                 (p.w_v, kv.T @ dv), (p.b_v, dv.sum(axis=0)),
+                 (p.w_k, kv.T @ dk), (p.b_k, dk.sum(axis=0)),
+                 (p.w_q, h.T @ dq), (p.b_q, dq.sum(axis=0))]
+        if memory is None:
+            dh = dv @ p.w_v.data.T + dk @ p.w_k.data.T + dq @ p.w_q.data.T
+        else:
+            dh = dq @ p.w_q.data.T
+            if memory.requires_grad:
+                grads += [(memory, dv @ p.w_v.data.T), (memory, dk @ p.w_k.data.T)]
+        dx, dgain, dbias = normalize_backward(dh, ln.gain.data, xhat, inv_std)
+        return grads + [(ln.gain, dgain), (ln.bias, dbias), (x, g + dx)]
+
+    return record_op(Tensor(out, requires_grad=needs), grad_fn)

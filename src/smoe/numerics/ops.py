@@ -6,9 +6,12 @@ trailing-shape alignment (bias adds); the narrow surface keeps every
 backward rule short enough to audit by hand.
 `linear` and `attention` are fused: each is one tape node with a
 hand-written backward in place of a chain of the elementary ops. The
-array kernels `attend`, `normalize` and `ffn_rows` compute on plain
-arrays with no tape; the tape ops and `nn.ffn_forward` wrap them, and
-greedy decode calls them directly.
+array kernels compute on plain arrays with no tape: `attention_rows`
+(length checks, grouping by (t_q, t_k), `attend` per group) with
+`attention_rows_backward`, `normalize` with `normalize_backward`, and
+`ffn_rows`. The tape ops, `nn.ffn_forward` and `nn.attention_sublayer`
+wrap them, and greedy decode calls `attend`, `normalize` and `ffn_rows`
+directly.
 """
 
 from __future__ import annotations
@@ -106,16 +109,106 @@ def attend(
     heads-merged context [n*t_q x h*dh] and the probabilities [n x h x t_q x
     t_k]. Scores are scaled by 1/sqrt(dh). causal keeps query i on keys 0 ..
     t_k - t_q + i (bottom-right aligned), so queries appended after cached
-    keys read no later position; masked probabilities are exact 0.0. Greedy
-    decode passes slices of its head-major key/value caches.
+    keys read no later position; masked probabilities are exact 0.0. The
+    softmax runs in place in the scores array. Greedy decode passes slices
+    of its head-major key/value caches.
     """
     t_q, t_k = q.shape[2], v.shape[2]
-    scores = (q @ k_t) * (1.0 / math.sqrt(q.shape[3]))
+    probs = q @ k_t
+    probs *= 1.0 / math.sqrt(q.shape[3])
     if causal and t_q > 1:
-        scores = np.where(np.tri(t_q, t_k, t_k - t_q, dtype=bool), scores, -np.inf)
-    probs = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        np.copyto(probs, -np.inf, where=~np.tri(t_q, t_k, t_k - t_q, dtype=bool))
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
     probs /= probs.sum(axis=-1, keepdims=True)
     return _merge_heads(probs @ v), probs
+
+
+def _sample_rows(offsets: np.ndarray, group: list[int], t: int) -> slice | np.ndarray:
+    """The packed rows of the samples `group`, each t rows from its offset:
+    a slice when the samples are consecutive, else an index array."""
+    start = int(offsets[group[0]])
+    if group[-1] - group[0] == len(group) - 1:
+        return slice(start, start + len(group) * t)
+    return (offsets[group][:, None] + np.arange(t)).ravel()
+
+
+def attention_rows(
+    q: np.ndarray,
+    k: np.ndarray,
+    v: np.ndarray,
+    n_heads: int,
+    q_lengths: Sequence[int] | None = None,
+    k_lengths: Sequence[int] | None = None,
+    causal: bool = False,
+    keep: bool = False,
+) -> tuple[np.ndarray, list | None]:
+    """Multi-head attention of packed samples on plain rows, no tape: the
+    context [sum(q_lengths) x d] of q [sum(q_lengths) x d] over k, v
+    [sum(k_lengths) x d], each stacking the samples' rows in order.
+
+    Sample i's q_lengths[i] queries read only its own k_lengths[i] keys (see
+    `attend`); None lengths mean one sample of all rows. Samples of equal
+    (t_q, t_k) run as one group: no row is padding, no key is masked but
+    by `causal`. Consecutive samples read and write their rows as slices.
+    Returns the context and, if keep, what `attention_rows_backward` needs,
+    else None. Lengths that do not split the rows into samples of positive
+    length, and q/k/v shapes that do not fit n_heads, raise ShapeError.
+    """
+    (n_q, d), n_k = q.shape, k.shape[0]
+    q_lengths = [n_q] if q_lengths is None else [int(t) for t in q_lengths]
+    k_lengths = [n_k] if k_lengths is None else [int(t) for t in k_lengths]
+    if (not q_lengths or len(q_lengths) != len(k_lengths) or min(q_lengths + k_lengths) <= 0
+            or sum(q_lengths) != n_q or sum(k_lengths) != n_k):
+        raise ShapeError(f"lengths {q_lengths}/{k_lengths} do not split {n_q}/{n_k} rows "
+                         "into samples of positive length")
+    if v.shape != k.shape or k.shape[1] != d or d % n_heads:
+        raise ShapeError(f"q/k/v shapes {q.shape}/{k.shape}/{v.shape} do not fit {n_heads} heads")
+    if causal and any(t_q > t_k for t_q, t_k in zip(q_lengths, k_lengths)):
+        raise ShapeError("causal attention needs t_q <= t_k in every sample")
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, lengths in enumerate(zip(q_lengths, k_lengths)):
+        groups.setdefault(lengths, []).append(i)
+    q_off, k_off = np.cumsum([0] + q_lengths), np.cumsum([0] + k_lengths)
+    out, saved = None if len(groups) == 1 else np.empty((n_q, d)), [] if keep else None
+    for (t_q, t_k), group in groups.items():
+        qr, kr = _sample_rows(q_off, group, t_q), _sample_rows(k_off, group, t_k)
+        qg, kg, vg = (a[r].reshape(len(group), -1, d) for a, r in ((q, qr), (k, kr), (v, kr)))
+        ctx, probs = attend(_heads(qg, n_heads), _heads(kg, n_heads).swapaxes(-1, -2),
+                            _heads(vg, n_heads), causal)
+        if out is None:  # one group: every row, in order
+            out = ctx
+        else:
+            out[qr] = ctx
+        if keep:
+            saved.append((qr, kr, qg, kg, vg, probs))
+    return out, saved
+
+
+def attention_rows_backward(
+    g: np.ndarray, saved: list, n_heads: int, n_k: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gradients dq, dk, dv of `attention_rows` over n_k key rows for the
+    context gradient g, from what it kept. Per group, with C the context: dV = P^T dC, dS = P *
+    (dP - rowsum(P * dP)) / sqrt(dh) for dP = dC V^T, dQ = dS K, dK = dS^T
+    Q. A group whose rows are a slice is written in place through head-split
+    views of the gradients."""
+    n_q, d = g.shape
+    dq, dk, dv = np.empty((n_q, d)), np.empty((n_k, d)), np.empty((n_k, d))
+    for qr, kr, qg, kg, vg, probs in saved:
+        gh = _heads(g[qr].reshape(qg.shape), n_heads)
+        ds = gh @ _heads(vg, n_heads).swapaxes(-1, -2)  # dP, then dS in place
+        ds -= (ds * probs).sum(axis=-1, keepdims=True)
+        ds *= probs
+        ds /= math.sqrt(d // n_heads)
+        for grad, rows, a, b in ((dq, qr, ds, _heads(kg, n_heads)),
+                                 (dk, kr, ds.swapaxes(-1, -2), _heads(qg, n_heads)),
+                                 (dv, kr, probs.swapaxes(-1, -2), gh)):
+            if isinstance(rows, slice):  # written through a head-split view of the rows
+                np.matmul(a, b, out=_heads(grad[rows].reshape(len(probs), -1, d), n_heads))
+            else:
+                grad[rows] = _merge_heads(a @ b)
+    return dq, dk, dv
 
 
 def attention(
@@ -127,60 +220,15 @@ def attention(
     k_lengths: Sequence[int] | None = None,
     causal: bool = False,
 ) -> Tensor:
-    """Multi-head attention of packed samples as one tape node: the context
-    [sum(q_lengths) x d] of q [sum(q_lengths) x d] over k, v
-    [sum(k_lengths) x d], each stacking the samples' rows in order.
-
-    Sample i's q_lengths[i] queries read only its own k_lengths[i] keys (see
-    `attend`); None lengths mean one sample of all rows. Samples of equal
-    (t_q, t_k) run as one group: no row is padding, no key is masked but
-    by `causal`. Backward, per group, with C the context: dV = P^T dC,
-    dS = P * (dP - rowsum(P * dP)) / sqrt(dh) for dP = dC V^T, dQ = dS K,
-    dK = dS^T Q. What it needs is kept only while a tape records.
-    """
-    (n_q, d), n_k = q.data.shape, k.data.shape[0]
-    q_lengths = [n_q] if q_lengths is None else [int(t) for t in q_lengths]
-    k_lengths = [n_k] if k_lengths is None else [int(t) for t in k_lengths]
-    if (len(q_lengths) != len(k_lengths) or min(q_lengths + k_lengths) <= 0
-            or sum(q_lengths) != n_q or sum(k_lengths) != n_k):
-        raise ShapeError(f"lengths {q_lengths}/{k_lengths} do not split {n_q}/{n_k} rows "
-                         "into samples of positive length")
-    if v.data.shape != k.data.shape or k.data.shape[1] != d or d % n_heads:
-        raise ShapeError(f"q/k/v shapes {q.data.shape}/{k.data.shape}/{v.data.shape} "
-                         f"do not fit {n_heads} heads")
-    if causal and any(t_q > t_k for t_q, t_k in zip(q_lengths, k_lengths)):
-        raise ShapeError("causal attention needs t_q <= t_k in every sample")
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i, lengths in enumerate(zip(q_lengths, k_lengths)):
-        groups.setdefault(lengths, []).append(i)
-    q_off, k_off = np.cumsum([0] + q_lengths), np.cumsum([0] + k_lengths)
+    """`attention_rows` as one tape node: multi-head attention of packed
+    samples, q [sum(q_lengths) x d] over k, v [sum(k_lengths) x d], with
+    `attention_rows_backward` as its backward. What that needs is kept only
+    while a tape records."""
     keep = active_tape() is not None and _needs_grad(q, k, v)
-    single = len(groups) == 1  # then the group is every row, in order
-    out, saved = None if single else np.empty((n_q, d)), []
-    for (t_q, t_k), group in groups.items():
-        qr = kr = slice(None)
-        if not single:
-            qr = (q_off[group][:, None] + np.arange(t_q)).ravel()
-            kr = (k_off[group][:, None] + np.arange(t_k)).ravel()
-        qg, kg, vg = (a.data[r].reshape(len(group), -1, d) for a, r in ((q, qr), (k, kr), (v, kr)))
-        ctx, probs = attend(_heads(qg, n_heads), _heads(kg, n_heads).swapaxes(-1, -2),
-                            _heads(vg, n_heads), causal)
-        if single:
-            out = ctx
-        else:
-            out[qr] = ctx
-        if keep:
-            saved.append((qr, kr, qg, kg, vg, probs))
+    out, saved = attention_rows(q.data, k.data, v.data, n_heads, q_lengths, k_lengths, causal, keep)
 
     def grad_fn(g: np.ndarray):
-        dq, dk, dv = np.empty((n_q, d)), np.empty((n_k, d)), np.empty((n_k, d))
-        for qr, kr, qg, kg, vg, probs in saved:
-            gh = _heads(g[qr].reshape(qg.shape), n_heads)
-            dp = gh @ _heads(vg, n_heads).swapaxes(-1, -2)
-            ds = probs * (dp - (dp * probs).sum(axis=-1, keepdims=True)) / math.sqrt(d // n_heads)
-            dq[qr] = _merge_heads(ds @ _heads(kg, n_heads))
-            dk[kr] = _merge_heads(ds.swapaxes(-1, -2) @ _heads(qg, n_heads))
-            dv[kr] = _merge_heads(probs.swapaxes(-1, -2) @ gh)
+        dq, dk, dv = attention_rows_backward(g, saved, n_heads, k.data.shape[0])
         return [(q, dq), (k, dk), (v, dv)]
 
     return record_op(Tensor(out, requires_grad=_needs_grad(q, k, v)), grad_fn)
@@ -258,6 +306,23 @@ def normalize(
     return xhat * gain + bias, xhat, inv_std
 
 
+def normalize_backward(
+    g: np.ndarray, gain: np.ndarray, xhat: np.ndarray, inv_std: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gradients dx, dgain, dbias of `normalize` for the output gradient g,
+    from its xhat and inv_std: with g_hat = g * gain, dx = inv_std * (g_hat
+    - mean(g_hat) - xhat * mean(g_hat * xhat)), the means over the last
+    axis; dgain and dbias sum g * xhat and g over the other axes."""
+    d, sum_axes = g.shape[-1], tuple(range(g.ndim - 1))
+    g_hat = g * gain  # each mean is what ndarray.mean computes, without its Python wrapper
+    dx = inv_std * (
+        g_hat
+        - np.add.reduce(g_hat, -1, keepdims=True) / d
+        - xhat * (np.add.reduce(g_hat * xhat, -1, keepdims=True) / d)
+    )
+    return dx, (g * xhat).sum(axis=sum_axes), g.sum(axis=sum_axes)
+
+
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, epsilon: float) -> Tensor:
     """`normalize` as a tape op: per-row normalization over the last axis,
     then affine gain/bias."""
@@ -270,18 +335,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, epsilon: float) -> Tensor:
     out = Tensor(y, requires_grad=_needs_grad(x, gain, bias))
 
     def grad_fn(g: np.ndarray):
-        sum_axes = tuple(range(g.ndim - 1))
-        g_hat = g * gain.data
-        dx = inv_std * (
-            g_hat
-            - g_hat.mean(axis=-1, keepdims=True)
-            - xhat * (g_hat * xhat).mean(axis=-1, keepdims=True)
-        )
-        return [
-            (x, dx),
-            (gain, (g * xhat).sum(axis=sum_axes)),
-            (bias, g.sum(axis=sum_axes)),
-        ]
+        dx, dgain, dbias = normalize_backward(g, gain.data, xhat, inv_std)
+        return [(x, dx), (gain, dgain), (bias, dbias)]
 
     return record_op(out, grad_fn)
 

@@ -9,6 +9,7 @@ survives as missing energy above ~4 kHz.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -137,6 +138,20 @@ class FbankFeatures:
     @property
     def n_frames(self) -> int:
         return self.frames.shape[0]
+
+    @cached_property
+    def norm_stats(self) -> tuple[float, float]:
+        """The frames' mean and their std clamped to at least 1e-8, computed
+        once, on first use; `fbank` makes the frames read-only."""
+        r = self.frames.data
+        return r.mean(), max(r.std(), 1e-8)
+
+    def normalized(self) -> np.ndarray:
+        """(frames - mean) / std over all frames and mels, by `norm_stats`:
+        the encoder's input. Per-utterance global normalization keeps log-mel
+        magnitudes sane without erasing the relative band structure."""
+        mean, std = self.norm_stats
+        return (self.frames.data - mean) / std
 
 
 _MEL_BANK = mel_filterbank()

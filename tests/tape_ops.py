@@ -1,7 +1,8 @@
-"""Tape ops that only the tests use: trainable leaves, and the shape,
+"""Tape ops that only the tests use: trainable leaves, the shape,
 batched-matmul and softmax ops of the padded-attention oracle and the
-numerics tests."""
+numerics tests, and the attention op as it was before its in-place kernel."""
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -63,3 +64,50 @@ def softmax_last(a: Tensor) -> Tensor:
         return [(a, y * (g - dot))]
 
     return record_op(out, grad_fn)
+
+
+def attention_by_gathers(q: Tensor, k: Tensor, v: Tensor, n_heads: int, q_lengths: Sequence[int],
+                         k_lengths: Sequence[int], causal: bool = False) -> Tensor:
+    """The attention tape op as it was before its kernel became
+    `numerics.attention_rows`: per (t_q, t_k) group, row gathers by index
+    array, a softmax into fresh arrays and merged-head gradients scattered
+    back by index. Lengths are taken as valid."""
+    (n_q, d), n_k, dh = q.data.shape, k.data.shape[0], q.data.shape[1] // n_heads
+
+    def heads(a):
+        n, t, _ = a.shape
+        return a.reshape(n, t, n_heads, dh).transpose(0, 2, 1, 3)
+
+    def merge(a):
+        n, h, t, _ = a.shape
+        return a.transpose(0, 2, 1, 3).reshape(n * t, h * dh)
+
+    groups: dict = {}
+    for i, lengths in enumerate(zip(q_lengths, k_lengths)):
+        groups.setdefault(lengths, []).append(i)
+    q_off, k_off = np.cumsum([0, *q_lengths]), np.cumsum([0, *k_lengths])
+    out, saved = np.empty((n_q, d)), []
+    for (t_q, t_k), group in groups.items():
+        qr = (q_off[group][:, None] + np.arange(t_q)).ravel()
+        kr = (k_off[group][:, None] + np.arange(t_k)).ravel()
+        qg, kg, vg = (a.data[r].reshape(len(group), -1, d) for a, r in ((q, qr), (k, kr), (v, kr)))
+        scores = (heads(qg) @ heads(kg).swapaxes(-1, -2)) * (1.0 / math.sqrt(dh))
+        if causal and t_q > 1:
+            scores = np.where(np.tri(t_q, t_k, t_k - t_q, dtype=bool), scores, -np.inf)
+        probs = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        probs /= probs.sum(axis=-1, keepdims=True)
+        out[qr] = merge(probs @ heads(vg))
+        saved.append((qr, kr, qg, kg, vg, probs))
+
+    def grad_fn(g: np.ndarray):
+        dq, dk, dv = np.empty((n_q, d)), np.empty((n_k, d)), np.empty((n_k, d))
+        for qr, kr, qg, kg, vg, probs in saved:
+            gh = heads(g[qr].reshape(qg.shape))
+            dp = gh @ heads(vg).swapaxes(-1, -2)
+            ds = probs * (dp - (dp * probs).sum(axis=-1, keepdims=True)) / math.sqrt(dh)
+            dq[qr] = merge(ds @ heads(kg))
+            dk[kr] = merge(ds.swapaxes(-1, -2) @ heads(qg))
+            dv[kr] = merge(probs.swapaxes(-1, -2) @ gh)
+        return [(q, dq), (k, dk), (v, dv)]
+
+    return record_op(Tensor(out, requires_grad=True), grad_fn)

@@ -103,6 +103,11 @@ def test_length_limits_enforced():
         model.forward(random_features(frames=6), Bandwidth.WB, asr_target(b"abcdef"))
 
 
+def test_empty_encoder_batch_fails_closed():
+    with pytest.raises(ConfigError, match="empty batch"):
+        Model(tiny_config(), seed=5).encode_batch([], [])
+
+
 def test_cloned_experts_match_baseline_bitwise():
     donor = Model(tiny_config(), seed=6).eval()
     routed = expand_experts(donor, encoder=True, decoder=True).eval()

@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from smoe.errors import ConfigError
+from smoe.errors import ConfigError, ShapeError
 from smoe.nn import (
     AttentionParams,
     FFNParams,
     LayerNormParams,
     attention_forward,
     attention_shapes,
+    attention_sublayer,
     ffn_forward,
     ffn_shapes,
     layer_norm_params,
@@ -21,7 +22,7 @@ from smoe.numerics import (
     Tape, Tensor, backward, constant, grad_check, linear, mul, record_op, sum_all,
 )
 
-from blocks import build_block
+from blocks import build_block, composed_attention_sublayer
 from tape_ops import parameter
 
 
@@ -296,3 +297,95 @@ def test_fused_ffn_relu_grad_check(glu):
 
     report = grad_check(f, [("x", x), *params], tolerance=1e-4)
     assert report.passed, report.summary()
+
+
+# -- the fused attention sublayer against the composition it replaced --------------
+
+
+SUBLAYER_CASES = {  # (layers, q_lengths, k_lengths, causal, cross-attention)
+    "encoder-self-mixed-lengths": (1, [5, 3, 5, 1, 3, 3], None, False, False),
+    "decoder-causal-padded": (1, [6, 6, 6], None, True, False),
+    "cross-two-layers": (2, [4, 4, 4], [7, 2, 5], False, True),
+}
+
+
+def sublayer_blocks(n_layers, d, rng):
+    """n_layers (attention, layer norm) pairs and all their tensors; the
+    norms get random gains and biases so neither is the identity."""
+    blocks, tensors = [], []
+    for _ in range(n_layers):
+        attn, attn_params = build_block(AttentionParams, attention_shapes(d), rng, n_heads=4)
+        ln, ln_params = build_block(LayerNormParams, layer_norm_shapes(d))
+        for _, t in ln_params:
+            t.data[...] = rng.normal(size=t.shape)
+        blocks.append((attn, ln))
+        tensors += [t for _, t in attn_params + ln_params]
+    return blocks, tensors
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.15])
+@pytest.mark.parametrize("case", list(SUBLAYER_CASES))
+def test_fused_attention_sublayer_matches_seven_node_composition(case, rate):
+    n_layers, q_lengths, k_lengths, causal, cross = SUBLAYER_CASES[case]
+    d, rng = 24, np.random.default_rng(19)
+    blocks, tensors = sublayer_blocks(n_layers, d, rng)
+    x = parameter(rng.normal(size=(sum(q_lengths), d)))
+    if causal:  # each sample's last two positions hold one padding row
+        x.data.reshape(len(q_lengths), -1, d)[:, -2:] = x.data[0]
+    memory = parameter(rng.normal(size=(sum(k_lengths), d))) if cross else None
+    probe = constant(rng.normal(size=x.shape))
+    leaves = [x, *tensors] + ([memory] if cross else [])
+    runs = []
+    for sublayer in (attention_sublayer, composed_attention_sublayer):
+        for t in leaves:
+            t.zero_grad()
+        dropout_rng = np.random.default_rng(23)
+        with Tape() as tape:
+            h = x
+            for p, ln in blocks:
+                h = sublayer(p, ln, h, memory, q_lengths, k_lengths or q_lengths, causal,
+                             rate, dropout_rng, training=True)
+            n_nodes = len(tape)
+            loss = sum_all(mul(h, probe))
+        backward(loss, tape)
+        runs.append((h.data, n_nodes, [t.grad for t in leaves]))
+    (got, got_nodes, got_grads), (want, want_nodes, want_grads) = runs
+    assert (got_nodes, want_nodes) == (n_layers, n_layers * (8 if rate else 7))
+    assert np.array_equal(got, want)
+    for g, w in zip(got_grads, want_grads, strict=True):
+        assert g is not None and np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("case", list(SUBLAYER_CASES))
+def test_fused_attention_sublayer_grad_check(case):
+    n_layers, q_lengths, k_lengths, causal, cross = SUBLAYER_CASES[case]
+    d, rng = 8, np.random.default_rng(20)
+    blocks, tensors = sublayer_blocks(n_layers, d, rng)
+    x = parameter(rng.normal(size=(sum(q_lengths), d)))
+    memory = parameter(rng.normal(size=(sum(k_lengths), d))) if cross else None
+    probe = constant(rng.normal(size=x.shape))
+
+    def f():
+        h = x
+        for p, ln in blocks:
+            h = attention_sublayer(p, ln, h, memory, q_lengths, k_lengths or q_lengths, causal)
+        return sum_all(mul(h, probe))
+
+    named = [("x", x), *((f"t{i}", t) for i, t in enumerate(tensors))]
+    report = grad_check(f, named + ([("memory", memory)] if cross else []), step=1e-6,
+                        max_coords_per_param=6, rng=np.random.default_rng(0))
+    assert report.passed, report.summary()
+
+
+def test_fused_attention_sublayer_rejects_bad_inputs():
+    rng = np.random.default_rng(21)
+    [(p, ln)], _ = sublayer_blocks(1, 8, rng)
+    x = constant(rng.normal(size=(4, 8)))
+    with pytest.raises(ShapeError):
+        attention_sublayer(p, ln, constant(np.zeros((4, 6))))
+    with pytest.raises(ShapeError):
+        attention_sublayer(p, ln, x, constant(np.zeros((3, 6))))
+    with pytest.raises(ShapeError):
+        attention_sublayer(p, ln, x, q_lengths=[], k_lengths=[])
+    with pytest.raises(ConfigError):
+        attention_sublayer(p, ln, x, dropout_rate=0.1, training=True)

@@ -22,7 +22,7 @@ from smoe.numerics import (
     sum_all,
 )
 
-from tape_ops import bmm, parameter, permute, reshape, softmax_last
+from tape_ops import attention_by_gathers, bmm, parameter, permute, reshape, softmax_last
 
 
 def test_matmul_identity():
@@ -332,11 +332,58 @@ def test_causal_attention_is_bottom_right_aligned():
     ([6, -1], [3, 3], False),  # a negative length
     ([5], [3, 3], False),  # counts differ
     ([2, 3], [4, 2], True),  # causal with t_q > t_k
+    ([], [], False),  # no samples
 ])
 def test_attention_rejects_malformed_lengths(q_lengths, k_lengths, causal):
     q, kv = constant(np.zeros((5, 4))), constant(np.zeros((6, 4)))
     with pytest.raises(ShapeError):
         attention(q, kv, kv, 2, q_lengths, k_lengths, causal)
+
+
+@pytest.mark.parametrize("q_lengths, k_lengths, causal", [
+    ([3, 1, 3, 2, 3], [3, 1, 3, 2, 3], False),  # groups of one sample and of scattered samples
+    ([4, 4, 4], [4, 4, 4], True),  # one group of every row: a padded decoder batch
+    ([2, 2, 1, 2], [5, 3, 6, 3], False),  # cross-attention, consecutive and scattered groups
+    ([2, 1, 3], [3, 1, 3], True),  # causal with t_q < t_k
+])
+def test_attention_matches_the_gathering_op_bitwise(q_lengths, k_lengths, causal):
+    # the in-place softmax, the slice reads and the in-place head-split
+    # gradient writes compute bitwise what index gathers and fresh arrays did;
+    # 6-wide heads, so the 1/sqrt(dh) scaling is inexact
+    rng = np.random.default_rng(17)
+    q = parameter(rng.normal(size=(sum(q_lengths), 12)))
+    k, v = (parameter(rng.normal(size=(sum(k_lengths), 12))) for _ in range(2))
+    probe = constant(rng.normal(size=q.shape))
+    runs = []
+    for op in (attention, attention_by_gathers):
+        for t in (q, k, v):
+            t.zero_grad()
+        with Tape() as tape:
+            out = op(q, k, v, 2, q_lengths, k_lengths, causal)
+            loss = sum_all(mul(out, probe))
+        backward(loss, tape)
+        runs.append([out.data, q.grad, k.grad, v.grad])
+    for got, want in zip(*runs):
+        assert np.array_equal(got, want)
+
+
+def test_layer_norm_backward_matches_the_mean_expression_bitwise():
+    rng = np.random.default_rng(18)
+    x, gain, bias = (parameter(rng.normal(size=shape)) for shape in ((2, 7, 12), (12,), (12,)))
+    g = rng.normal(size=x.shape)
+    with Tape() as tape:
+        out = layer_norm(x, gain, bias, 1e-6)
+        loss = sum_all(mul(out, constant(g)))
+    backward(loss, tape)
+    centered = x.data - x.data.mean(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + 1e-6)
+    xhat = centered * inv_std
+    g_hat = g * gain.data
+    want = inv_std * (g_hat - g_hat.mean(axis=-1, keepdims=True)
+                      - xhat * (g_hat * xhat).mean(axis=-1, keepdims=True))
+    assert np.array_equal(x.grad, want)
+    assert np.array_equal(gain.grad, (g * xhat).sum(axis=(0, 1)))
+    assert np.array_equal(bias.grad, g.sum(axis=(0, 1)))
 
 
 def test_dropout_train_eval_behavior():

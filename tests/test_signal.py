@@ -6,9 +6,11 @@ from hypothesis import strategies as st
 from smoe import errors
 from smoe.errors import AudioError, ContractError, FormatError, LimitError
 from smoe.moe import Bandwidth
+from smoe.numerics import constant
 from smoe.signal import (
     LOG_FLOOR,
     SAMPLE_RATE_WB,
+    FbankFeatures,
     Waveform,
     fbank,
     mel_filterbank,
@@ -218,6 +220,20 @@ def test_fbank_narrowband_limits_at_the_boundary():
     assert fbank(Waveform(samples=np.zeros(200), sample_rate=8000)).n_frames == 1
     with pytest.raises(LimitError):
         fbank(Waveform(samples=np.zeros(30 * 8000 + 1), sample_rate=8000))
+
+
+@pytest.mark.parametrize("frames, constant_value", [
+    (37, None), (1, None), (12, -8.5), (1, -3.0), (1, 0.0),
+])
+def test_cached_normalization_is_the_per_call_expression(frames, constant_value):
+    rng = np.random.default_rng(frames)
+    r = (rng.normal(loc=-8.0, scale=3.0, size=(frames, 80)) if constant_value is None
+         else np.full((frames, 80), constant_value))
+    feats = FbankFeatures(frames=constant(r), bandwidth=Bandwidth.WB)
+    want = (r - r.mean()) / max(r.std(), 1e-8)
+    first = feats.normalized()
+    assert "norm_stats" in vars(feats)  # kept after the first use
+    assert np.array_equal(first, want) and np.array_equal(feats.normalized(), want)
 
 
 def test_fbank_features_are_read_only():

@@ -1,9 +1,11 @@
 """Static checks over the package source, with the standard library only."""
 
 import ast
+import importlib
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "smoe"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "smoe"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -49,3 +51,17 @@ def test_src_has_no_unused_imports():
              for path in sorted(SRC.rglob("*.py"))}
     assert len(found) >= 10  # the scan reached the package
     assert {path: names for path, names in found.items() if names} == {}
+
+
+def test_perfbench_bindings_resolve():
+    # perfbench/spans.py wraps each (module, class, attribute) of its
+    # BINDINGS by `owner.__dict__[attr]`, so each must be defined right there
+    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text(encoding="utf-8"))
+    [bindings] = [ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
+                  and any(isinstance(t, ast.Name) and t.id == "BINDINGS" for t in node.targets)]
+    assert ("model", None, "attention_forward", "@attn") in bindings
+    for module, cls, attr, _ in bindings:
+        owner = importlib.import_module(f"smoe.{module}")
+        if cls is not None:
+            owner = getattr(owner, cls)
+        assert attr in vars(owner), (module, cls, attr)

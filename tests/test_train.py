@@ -4,6 +4,7 @@ import math
 import platform
 import resource
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -770,3 +771,32 @@ def test_heap_policy_sets_both_thresholds_and_ignores_a_zero_return(monkeypatch)
     monkeypatch.setattr(ctypes, "CDLL", lambda name: type("Lib", (), {"mallopt": mallopt})())
     smoe._keep_freed_pages()
     assert mallopt.calls == [(-3, 32 << 20), (-1, 512 << 20)]
+
+
+# criterion 8's three models (the interference benchmark's base, FFN x2 and
+# S-MoE), and perfbench train's, which routes the encoder too
+STEP_NODE_CASES = {
+    "base": ({}, 19),
+    "dec_ffn_x2": ({"d_ff_dec": 24}, 19),
+    "dec_smoe": ({"dec_smoe": True}, 19),
+    "enc_and_dec_smoe": ({"enc_smoe": True, "dec_smoe": True}, 23),
+}
+
+
+@pytest.mark.parametrize("case", list(STEP_NODE_CASES))
+def test_training_step_tape_nodes(case):
+    # encoder: input projection, positions, the attention sublayer, the FFN
+    # sublayer's norm, FFN and add (a routed FFN over mixed bandwidths: two
+    # row gathers, two experts and a scatter), the final norm; decoder: the
+    # embedding, its scale, positions, self- and cross-attention sublayers,
+    # the FFN sublayer's 3, the final norm, the tied head's transpose and
+    # matmul, and the loss
+    overrides, nodes = STEP_NODE_CASES[case]
+    cfg = ModelConfig(n_enc_layers=1, n_dec_layers=1, d_model=32, d_ff=64, d_ff_dec=12,
+                      n_heads=4, vocab_size=VOCAB.size, dropout=0.0)
+    model = Model(replace(cfg, **overrides), seed=0).train()
+    batch = Batch.build([it for it in small_items(8, nb_fraction=0.5) if it.task is Task.ASR])
+    assert bandwidths(batch) == {Bandwidth.WB, Bandwidth.NB}
+    with Tape() as tape:
+        batch_loss(model, batch)
+    assert len(tape) == nodes
