@@ -12,8 +12,8 @@ def _keep_freed_pages() -> None:
     except (OSError, AttributeError):  # no mallopt to call
         return
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD, the dynamic threshold's cap
-    mallopt(-1, 512 << 20)  # M_TRIM_THRESHOLD; either alone turns that threshold off
+    mallopt(-4, 0)  # M_MMAP_MAX: no block is mapped on its own, so arenas reuse heap pages
+    mallopt(-1, 512 << 20)  # M_TRIM_THRESHOLD: a free heap top up to this size is kept
 
 
 _keep_freed_pages()

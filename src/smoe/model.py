@@ -438,6 +438,9 @@ class Model:
         cfg = self.config
         if not features:
             raise ConfigError("cannot encode an empty batch")
+        if len(bandwidths) != len(features):
+            raise ConfigError(f"{len(features)} features but {len(bandwidths)} bandwidths: "
+                              "each sample needs one")
         lengths = [f.n_frames for f in features]
         t_max = max(lengths)
         if t_max > cfg.max_src_frames:

@@ -434,17 +434,16 @@ def softmax_cross_entropy(
         return record_op(out, zero_fn)
     weights = kept / kept.sum() if weights is None else np.where(kept, weights, 0.0)
 
-    shifted = z - z.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=-1)) + z.max(axis=-1)
+    zmax = z.max(axis=-1, keepdims=True)
+    ex = np.exp(z - zmax)
+    lse = np.log(ex.sum(axis=-1)) + zmax[:, 0]
     rows = np.arange(z.shape[0])
     nll = lse - z[rows, tgt.clip(0, z.shape[1] - 1)]
     loss_val = float(nll[kept] @ weights[kept])
     out = Tensor(loss_val, requires_grad=logits.requires_grad)
 
     def grad_fn(g: np.ndarray):
-        probs = np.exp(shifted)
-        probs /= probs.sum(axis=-1, keepdims=True)
-        gz = probs
+        gz = ex / ex.sum(axis=-1, keepdims=True)  # a new array: ex is read again on a replay
         gz[rows[kept], tgt[kept]] -= 1.0
         gz *= (weights * float(g))[:, None]
         return [(logits, gz)]

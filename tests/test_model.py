@@ -108,6 +108,15 @@ def test_empty_encoder_batch_fails_closed():
         Model(tiny_config(), seed=5).encode_batch([], [])
 
 
+@pytest.mark.parametrize("n_bandwidths", [1, 2, 4])
+def test_bandwidth_count_must_match_the_features(n_bandwidths):
+    model = Model(tiny_config(enc_smoe=True), seed=5).eval()
+    feats = [random_features(seed) for seed in range(3)]
+    with pytest.raises(ConfigError, match=f"3 features but {n_bandwidths} bandwidths"):
+        model.encode_batch(feats, ([Bandwidth.WB, Bandwidth.NB] * 2)[:n_bandwidths])
+    assert model.smoe_layers()[0][1].call_counts == [0, 0]
+
+
 def test_cloned_experts_match_baseline_bitwise():
     donor = Model(tiny_config(), seed=6).eval()
     routed = expand_experts(donor, encoder=True, decoder=True).eval()
