@@ -140,6 +140,15 @@ def write_snapshot(out_dir: Path, settings: dict, seed: int) -> None:
     (out_dir / "config.resolved").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _write_run(out: Path, model: Model, vocab: Vocabulary, log_lines: list[str], settings: dict,
+               seed: int) -> None:
+    """A training command's files: model.ckpt, vocab.txt, metrics.log and config.resolved."""
+    save_checkpoint(model, out / "model.ckpt", step=settings["steps"])
+    vocab.save(out / "vocab.txt")
+    (out / "metrics.log").write_text("\n".join(log_lines) + "\n", encoding="utf-8")
+    write_snapshot(out, settings, seed)
+
+
 # -- shared loading helpers -----------------------------------------------------
 
 
@@ -192,10 +201,7 @@ def cmd_train(args, settings: dict) -> int:
     model = Model(cfg, seed=args.seed)
     log_lines: list[str] = []
     losses = run_training(model, items, tc, log_lines=log_lines)
-    save_checkpoint(model, out / "model.ckpt", step=tc.steps)
-    vocab.save(out / "vocab.txt")
-    (out / "metrics.log").write_text("\n".join(log_lines) + "\n", encoding="utf-8")
-    write_snapshot(out, settings, args.seed)
+    _write_run(out, model, vocab, log_lines, settings, args.seed)
     print(f"trained {tc.steps} steps, final loss {losses[-1]:.5f}")
     print(f"wrote {out / 'model.ckpt'}")
     return EXIT_OK
@@ -209,10 +215,7 @@ def cmd_finetune_nbwb(args, settings: dict) -> int:
     items = load_dataset(Path(args.data) / "manifest.tsv", vocab)
     log_lines: list[str] = []
     model = finetune_nbwb(donor, items, tc, log_lines=log_lines)
-    save_checkpoint(model, out / "model.ckpt", step=tc.steps)
-    vocab.save(out / "vocab.txt")
-    (out / "metrics.log").write_text("\n".join(log_lines) + "\n", encoding="utf-8")
-    write_snapshot(out, settings, args.seed)
+    _write_run(out, model, vocab, log_lines, settings, args.seed)
     print(f"wrote {out / 'model.ckpt'} (encoder experts: "
           f"{N_EXPERTS}, routing on)")
     return EXIT_OK
@@ -280,7 +283,6 @@ def cmd_gradcheck(args, settings: dict) -> int:
         raise ConfigError(f"gradcheck decodes {len(ids)} ids up to {max(ids)} over 6 frames, "
                           "more than vocab_size, max_tgt_tokens or max_src_frames allows")
     model = Model(cfg, seed=args.seed)
-    model.train()
     rng = np.random.default_rng(args.seed)
     feats = FbankFeatures(frames=constant(rng.normal(size=(6, N_MELS))), bandwidth=Bandwidth.WB)
 

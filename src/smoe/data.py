@@ -282,7 +282,6 @@ def generate_dataset_files(
     n_items: int,
     nbwb_mix_fraction: float,
     seed: int,
-    task_spec: SyntheticTaskSpec | None = None,
     min_len: int = 3,
     max_len: int = 5,
     n_merges: int = 0,
@@ -290,10 +289,11 @@ def generate_dataset_files(
     """Write WAVs, a vocabulary, and a manifest that maps each WAV to its
     bandwidth, task and target text; returns the manifest path.
 
-    Each item gets one task (alternating transcription/translation); a
-    nbwb_mix_fraction subset of items gains a narrowband twin record with
-    the same task and target. The vocabulary is trained on the texts before
-    any file is written, so a rejected merge count leaves no WAV behind.
+    Each item gets one task (alternating transcription/translation) and
+    the text `SyntheticTaskSpec.default()` gives it; a nbwb_mix_fraction
+    subset of items gains a narrowband twin record with the same task and
+    target. The vocabulary is trained on the texts before any file is
+    written, so a rejected merge count leaves no WAV behind.
     """
     if n_items <= 0:
         raise ConfigError(f"n_items must be positive, got {n_items}")
@@ -304,13 +304,12 @@ def generate_dataset_files(
             f"symbol counts need 1 <= min_len <= max_len <= {MAX_SYMBOLS} (a longer render "
             f"passes the {MAX_SECONDS:g} s audio cap), got {min_len}, {max_len}"
         )
-    if task_spec is None:
-        task_spec = SyntheticTaskSpec.default()
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(4,)))
     n_nb = int(round(nbwb_mix_fraction * n_items))
     nb_indices = set(rng.permutation(n_items)[:n_nb].tolist())
     symbols = [random_symbols(rng, min_len, max_len) for _ in range(n_items)]
     tasks = [Task.ASR if idx % 2 == 0 else Task.ST for idx in range(n_items)]
+    task_spec = SyntheticTaskSpec.default()
     texts = [task_spec.apply(task, s) for task, s in zip(tasks, symbols)]
     vocab = train_bpe([text.encode("ascii") for text in texts], n_merges)
 

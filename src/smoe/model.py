@@ -1,19 +1,20 @@
 """Full encoder-decoder model, parameter accounting, and checkpoints.
 
-The encoder consumes log-Mel frames and routes its feedforward blocks by
-audio bandwidth; the decoder consumes guiding-token-prefixed target ids and
-routes its feedforward blocks by task. Everything else is shared. A forward
-pass runs a whole batch at once: the encoder on packed real-frame rows
-[sum(T_i) x d], where dropout draws at that shape, the decoder on padded
-target rows [B*L x d]; attention reads each sample's own rows, and each
-encoder expert runs once on its bandwidth's rows. Each pre-norm attention
-sublayer, self- or cross-attention, is one tape node
-(`nn.attention_sublayer`); each FFN sublayer is its norm, the FFN block
-and the residual add. `encode` and `decode` are its one-sample calls.
-Greedy decoding runs off the tape on preallocated,
-head-major key/value caches and stacked arena views, through the kernels
-the tape ops wrap (`numerics.attend`, `normalize` and `ffn_rows`); `decode`
-is its reference, which it matches within 1e-12 relative, not bitwise.
+The encoder consumes log-Mel frames and routes its feedforward blocks by the
+bandwidth of each sample's features; the decoder consumes
+guiding-token-prefixed target ids and routes its feedforward blocks by task.
+Everything else is shared. A forward pass runs a whole batch at once: the
+encoder on packed real-frame rows [sum(T_i) x d], where dropout draws at
+that shape, the decoder on padded target rows [B*L x d]; attention reads
+each sample's own rows, and each encoder expert runs once on its bandwidth's
+rows. Only in training mode does it hand its blocks the dropout RNG. Each
+pre-norm attention sublayer, self- or cross-attention, is one tape node
+(`nn.attention_sublayer`); each FFN sublayer is its norm, the FFN block and
+the residual add. `encode` and `decode` are its one-sample calls. Greedy
+decoding runs off the tape on preallocated, head-major key/value caches and
+stacked arena views, through the kernels the tape ops wrap
+(`numerics.attend`, `normalize` and `ffn_rows`); `decode` is its reference,
+which it matches within 1e-12 relative, not bitwise.
 
 A model's parameters live in one arena: a contiguous float64 buffer laid
 out by `parameter_shapes(config)` in `named_parameters()` order, each
@@ -50,7 +51,6 @@ from .moe import (
     smoe_forward,
 )
 from .nn import (
-    LN_EPSILON,
     AttentionParams,
     FFNParams,
     LayerNormParams,
@@ -420,14 +420,14 @@ class Model:
         return scatter_rows(parts, x.shape[0])
 
     def encode(self, features: FbankFeatures, bw: Bandwidth) -> Tensor:
-        """Encoder states [n_frames x d] of one utterance."""
-        return self.encode_batch([features], [bw])
+        """Encoder states [n_frames x d] of one utterance, routed by bw."""
+        if bw is not features.bandwidth:
+            features = replace(features, bandwidth=bw)
+        return self.encode_batch([features])
 
-    def encode_batch(
-        self, features: Sequence[FbankFeatures], bandwidths: Sequence[Bandwidth]
-    ) -> Tensor:
+    def encode_batch(self, features: Sequence[FbankFeatures]) -> Tensor:
         """Packed encoder states [sum of n_frames x d] of utterances'
-        features: sample i's n_frames rows, in order, routed by bandwidths[i].
+        features: sample i's n_frames rows, in order, routed by its bandwidth.
 
         Each sample's frames are normalized and packed once; every layer
         runs on these rows alone, and attention reads each sample's own
@@ -438,9 +438,6 @@ class Model:
         cfg = self.config
         if not features:
             raise ConfigError("cannot encode an empty batch")
-        if len(bandwidths) != len(features):
-            raise ConfigError(f"{len(features)} features but {len(bandwidths)} bandwidths: "
-                              "each sample needs one")
         lengths = [f.n_frames for f in features]
         t_max = max(lengths)
         if t_max > cfg.max_src_frames:
@@ -451,11 +448,12 @@ class Model:
                               f"wants {N_MELS}")
         packed = np.concatenate([f.normalized() for f in features])
         offsets = np.cumsum([0, *lengths])
-        positions = sinusoidal_positions(t_max, cfg.d_model).data
+        positions = sinusoidal_positions(t_max, cfg.d_model)
+        rng = self._dropout_rng if self.training else None
         x = linear(constant(packed), self.input_proj_w, self.input_proj_b)
         x = add(x, constant(np.concatenate([positions[:length] for length in lengths])))
-        x = dropout(x, cfg.dropout, self._dropout_rng, self.training)
-        gates = [gate_encoder(bw) if cfg.enc_smoe else None for bw in bandwidths]
+        x = dropout(x, cfg.dropout, rng)
+        gates = [gate_encoder(f.bandwidth) if cfg.enc_smoe else None for f in features]
         groups: list[tuple[GateVector | None, np.ndarray | None]] = [(gates[0], None)]
         if len(set(gates)) > 1:
             rows: dict[GateVector | None, list[np.ndarray]] = {}
@@ -464,11 +462,9 @@ class Model:
             groups = [(gate, np.concatenate(r)) for gate, r in rows.items()]
         for layer in self.enc_layers:
             x = attention_sublayer(layer.attn, layer.ln_attn, x, None, lengths, lengths, False,
-                                   cfg.dropout, self._dropout_rng, self.training)
-            x = pre_norm_residual(
-                lambda h: self._dispatch_ffn(layer.ffn, groups, h),
-                layer.ln_ffn, x, cfg.dropout, self._dropout_rng, self.training,
-            )
+                                   cfg.dropout, rng)
+            x = pre_norm_residual(lambda h: self._dispatch_ffn(layer.ffn, groups, h),
+                                  layer.ln_ffn, x, cfg.dropout, rng)
         return layer_norm_params(self.ln_enc_final, x)
 
     def decode(self, enc_out: Tensor, ids: list[int], task: Task) -> Tensor:
@@ -496,19 +492,18 @@ class Model:
         if t > cfg.max_tgt_tokens:
             raise LimitError(f"{t} target tokens exceeds max_tgt_tokens {cfg.max_tgt_tokens}")
         x = scale(embedding(self.embed, ids.reshape(-1)), math.sqrt(cfg.d_model))
-        x = add(x, constant(np.tile(sinusoidal_positions(t, cfg.d_model).data, (n, 1))))
-        x = dropout(x, cfg.dropout, self._dropout_rng, self.training)
+        x = add(x, constant(np.tile(sinusoidal_positions(t, cfg.d_model), (n, 1))))
+        rng = self._dropout_rng if self.training else None
+        x = dropout(x, cfg.dropout, rng)
         gate = gate_decoder(task)
         lens = [t] * n  # each id row is one sample of t positions
         for layer in self.dec_layers:
             x = attention_sublayer(layer.self_attn, layer.ln_self, x, None, lens, lens, True,
-                                   cfg.dropout, self._dropout_rng, self.training)
+                                   cfg.dropout, rng)
             x = attention_sublayer(layer.cross_attn, layer.ln_cross, x, enc_out, lens, enc_lengths,
-                                   False, cfg.dropout, self._dropout_rng, self.training)
-            x = pre_norm_residual(
-                lambda h: self._sublayer_ffn(layer.ffn, gate, h),
-                layer.ln_ffn, x, cfg.dropout, self._dropout_rng, self.training,
-            )
+                                   False, cfg.dropout, rng)
+            x = pre_norm_residual(lambda h: self._sublayer_ffn(layer.ffn, gate, h),
+                                  layer.ln_ffn, x, cfg.dropout, rng)
         x = layer_norm_params(self.ln_dec_final, x)
         if self.out_proj is not None:
             return matmul(x, self.out_proj)
@@ -528,7 +523,7 @@ class Model:
         final norm and output projection of `decode`, without a tape."""
         out_proj = self.embed.data.T if self.out_proj is None else self.out_proj.data
         ln = self.ln_dec_final
-        return normalize(last, ln.gain.data, ln.bias.data, LN_EPSILON)[0] @ out_proj
+        return normalize(last, ln.gain.data, ln.bias.data)[0] @ out_proj
 
     def _greedy_rows(self, enc_out: Tensor, tasks: list[Task], max_len: int) -> list[SingleDecode]:
         """Greedy decode of one row per task over one encoder output, with
@@ -556,14 +551,14 @@ class Model:
         d_h, enc, live = d // n_heads, enc_out.data, list(range(len(tasks)))
         step_ids = np.array([guiding_prefix(task) for task in tasks])
         n_pos = step_ids.shape[1] + max_len - 1  # the last step's input sits at n_pos - 1
-        positions = sinusoidal_positions(n_pos, d).data
+        positions = sinusoidal_positions(n_pos, d)
 
         def heads(x: np.ndarray, n_rows: int) -> np.ndarray:
             """Rows [n_rows*t x d] as [n_rows x heads x t x d_h], a view."""
             return x.reshape(n_rows, -1, n_heads, d_h).transpose(0, 2, 1, 3)
 
         def norm(ln: LayerNormParams, x: np.ndarray) -> np.ndarray:
-            return normalize(x, ln.gain.data, ln.bias.data, LN_EPSILON)[0]
+            return normalize(x, ln.gain.data, ln.bias.data)[0]
 
         cross = [(np.ascontiguousarray(heads(enc @ a.w_k.data + a.b_k.data, 1).swapaxes(2, 3)),
                   np.ascontiguousarray(heads(enc @ a.w_v.data + a.b_v.data, 1)))

@@ -1,8 +1,9 @@
 """Transformer building blocks: feedforward, attention, norms, positions.
 
 All blocks are pure functions over parameter dataclasses and [rows x d]
-stacks; state (dropout RNG, train/eval mode) is passed in explicitly so the
-same parameters can be shared across callers without hidden coupling.
+stacks. A block drops out exactly when its caller passes an RNG and a
+positive rate (a Model does so in training mode only), so the same
+parameters can be shared across callers without hidden coupling.
 `ffn_forward` and `attention_sublayer` are each one tape node with a
 hand-written backward: the FFN block, and the whole pre-norm attention
 sublayer that `pre_norm_residual` over `attention_forward` composes from
@@ -19,11 +20,9 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .numerics import (
-    Tensor, active_tape, add, attention, attention_rows, attention_rows_backward, constant, dropout,
-    ffn_rows, layer_norm, linear, normalize, normalize_backward, record_op,
+    Tensor, active_tape, add, attention, attention_rows, attention_rows_backward, dropout, ffn_rows,
+    layer_norm, linear, normalize, normalize_backward, record_op,
 )
-
-LN_EPSILON = 1e-6
 
 
 def init_parameters(params: Sequence[tuple[str, Tensor]], rng: np.random.Generator) -> None:
@@ -179,7 +178,7 @@ def attention_forward(
 _POSITIONS: dict[int, np.ndarray] = {}  # d_model -> its longest table so far
 
 
-def sinusoidal_positions(t: int, d_model: int) -> Tensor:
+def sinusoidal_positions(t: int, d_model: int) -> np.ndarray:
     """Fixed sine/cosine position codes: channel 2i uses sin(p / 10000^(2i/d)),
     channel 2i+1 the matching cos. Each length reads a read-only slice of
     one table per d_model, rebuilt only when a longer one is asked for."""
@@ -193,7 +192,7 @@ def sinusoidal_positions(t: int, d_model: int) -> Tensor:
         angles = pos / np.power(10000.0, 2.0 * np.arange(d_model // 2, dtype=np.float64) / d_model)
         table = _POSITIONS[d_model] = np.stack([np.sin(angles), np.cos(angles)], -1).reshape(t, -1)
         table.flags.writeable = False
-    return constant(table[:t])
+    return table[:t]
 
 
 @dataclass
@@ -207,7 +206,7 @@ def layer_norm_shapes(d_model: int) -> list[tuple[str, tuple[int, ...]]]:
 
 
 def layer_norm_params(p: LayerNormParams, x: Tensor) -> Tensor:
-    return layer_norm(x, p.gain, p.bias, LN_EPSILON)
+    return layer_norm(x, p.gain, p.bias)
 
 
 def pre_norm_residual(
@@ -216,15 +215,9 @@ def pre_norm_residual(
     x: Tensor,
     dropout_rate: float = 0.0,
     rng: np.random.Generator | None = None,
-    training: bool = False,
 ) -> Tensor:
-    """x + dropout(block(layernorm(x))); dropout only in training mode."""
-    out = block(layer_norm_params(ln, x))
-    if training and dropout_rate > 0.0:
-        if rng is None:
-            raise ConfigError("training-mode dropout needs an RNG")
-        out = dropout(out, dropout_rate, rng, training=True)
-    return add(x, out)
+    """x + dropout(block(layernorm(x))); dropout only when given an rng."""
+    return add(x, dropout(block(layer_norm_params(ln, x)), dropout_rate, rng))
 
 
 def attention_sublayer(
@@ -237,7 +230,6 @@ def attention_sublayer(
     causal: bool = False,
     dropout_rate: float = 0.0,
     rng: np.random.Generator | None = None,
-    training: bool = False,
 ) -> Tensor:
     """The pre-norm attention sublayer x + dropout(attention_forward(p, h,
     kv, kv, q_lengths, k_lengths, causal)) for h = layernorm(x) and kv =
@@ -255,12 +247,9 @@ def attention_sublayer(
     if x.data.ndim != 2 or x.shape[1] != d or (memory is not None and memory.shape[-1] != d):
         raise ShapeError(f"attention sublayer inputs {x.shape}/"
                          f"{None if memory is None else memory.shape} do not fit d_model {d}")
-    dropping = training and dropout_rate > 0.0
-    if dropping and rng is None:
-        raise ConfigError("training-mode dropout needs an RNG")
     leaves = [x, ln.gain, ln.bias, p.w_q, p.b_q, p.w_k, p.b_k, p.w_v, p.b_v, p.w_o, p.b_o]
     needs = any(t.requires_grad for t in leaves) or (memory is not None and memory.requires_grad)
-    h, xhat, inv_std = normalize(x.data, ln.gain.data, ln.bias.data, LN_EPSILON)
+    h, xhat, inv_std = normalize(x.data, ln.gain.data, ln.bias.data)
     kv = h if memory is None else memory.data
     ctx, saved = attention_rows(
         h @ p.w_q.data + p.b_q.data, kv @ p.w_k.data + p.b_k.data, kv @ p.w_v.data + p.b_v.data,
@@ -268,7 +257,7 @@ def attention_sublayer(
     )
     out = ctx @ p.w_o.data + p.b_o.data
     mask = None
-    if dropping:
+    if rng is not None and dropout_rate > 0.0:
         mask = (rng.random(out.shape) >= dropout_rate) / (1.0 - dropout_rate)
         out *= mask
     out += x.data

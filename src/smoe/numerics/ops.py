@@ -24,6 +24,8 @@ import numpy as np
 from ..errors import ConfigError, ShapeError
 from .tensor import Tensor, active_tape, record_op
 
+LN_EPSILON = 1e-6  # added to the variance in every layer norm
+
 
 def constant(data) -> Tensor:
     return Tensor(data, requires_grad=False)
@@ -294,14 +296,14 @@ def transpose2d(a: Tensor) -> Tensor:
 
 
 def normalize(
-    x: np.ndarray, gain: np.ndarray, bias: np.ndarray, epsilon: float
+    x: np.ndarray, gain: np.ndarray, bias: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Layer norm of plain rows, no tape: y = gain * xhat + bias for
-    xhat = (x - mean) / sqrt(var + eps) over the last axis, with the biased
-    variance. Returns y, xhat and 1 / sqrt(var + eps)."""
+    xhat = (x - mean) / sqrt(var + LN_EPSILON) over the last axis, with the
+    biased variance. Returns y, xhat and 1 / sqrt(var + LN_EPSILON)."""
     d = x.shape[-1]  # np.add.reduce is what ndarray.sum runs, without its Python wrapper
     centered = x - np.add.reduce(x, -1, keepdims=True) / d
-    inv_std = 1.0 / np.sqrt(np.add.reduce(centered * centered, -1, keepdims=True) / d + epsilon)
+    inv_std = 1.0 / np.sqrt(np.add.reduce(centered * centered, -1, keepdims=True) / d + LN_EPSILON)
     xhat = centered * inv_std
     return xhat * gain + bias, xhat, inv_std
 
@@ -323,7 +325,7 @@ def normalize_backward(
     return dx, (g * xhat).sum(axis=sum_axes), g.sum(axis=sum_axes)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, epsilon: float) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """`normalize` as a tape op: per-row normalization over the last axis,
     then affine gain/bias."""
     if gain.data.shape != (x.data.shape[-1],) or bias.data.shape != gain.data.shape:
@@ -331,7 +333,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, epsilon: float) -> Tensor:
             f"layer_norm affine shapes {gain.data.shape}/{bias.data.shape} "
             f"do not match feature dim {x.data.shape[-1]}"
         )
-    y, xhat, inv_std = normalize(x.data, gain.data, bias.data, epsilon)
+    y, xhat, inv_std = normalize(x.data, gain.data, bias.data)
     out = Tensor(y, requires_grad=_needs_grad(x, gain, bias))
 
     def grad_fn(g: np.ndarray):
@@ -383,9 +385,9 @@ def scatter_rows(parts: Sequence[tuple[Tensor, np.ndarray]], n_rows: int) -> Ten
     return record_op(out, grad_fn)
 
 
-def dropout(x: Tensor, rate: float, rng: np.random.Generator, training: bool) -> Tensor:
-    """Inverted dropout; identity when not training or rate == 0."""
-    if not training or rate <= 0.0:
+def dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
+    """Inverted dropout drawing its mask from rng; x itself if rng is None or rate is 0."""
+    if rng is None or rate <= 0.0:
         return x
     keep = (rng.random(x.data.shape) >= rate) / (1.0 - rate)
     out = Tensor(x.data * keep, requires_grad=x.requires_grad)

@@ -242,7 +242,7 @@ def batch_loss(model: Model, batch: Batch) -> Tensor:
     """Teacher-forced loss of the whole batch in one forward pass:
     the mean over samples of each sample's mean cross entropy."""
     feats = batch.features
-    enc_out = model.encode_batch(feats, [f.bandwidth for f in feats])
+    enc_out = model.encode_batch(feats)
     logits = model.decode_batch(enc_out, batch.targets, batch.task, [f.n_frames for f in feats])
     return softmax_cross_entropy(
         logits, batch.loss_targets, int(GuidingToken.PAD), batch.loss_weights

@@ -15,7 +15,7 @@ def build_block(block_type, shapes, rng=None, **fields):
 
 
 def composed_attention_sublayer(p, ln, x, memory=None, q_lengths=None, k_lengths=None,
-                                causal=False, dropout_rate=0.0, rng=None, training=False):
+                                causal=False, dropout_rate=0.0, rng=None):
     """The pre-norm attention sublayer as the model composed it before
     `nn.attention_sublayer`: layer norm, the q/k/v `linear`s, the attention
     node, the output `linear`, dropout and the residual `add`, each its own
@@ -23,5 +23,5 @@ def composed_attention_sublayer(p, ln, x, memory=None, q_lengths=None, k_lengths
     return pre_norm_residual(
         lambda h: attention_forward(p, h, h if memory is None else memory,
                                     h if memory is None else memory, q_lengths, k_lengths, causal),
-        ln, x, dropout_rate, rng, training,
+        ln, x, dropout_rate, rng,
     )

@@ -3,6 +3,7 @@ import math
 import re
 import struct
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 import smoe.model
 from smoe.cli import main
+from smoe.data import Utterance
 from smoe.errors import ConfigError, FormatError, LimitError
 from smoe.model import (
     Model,
@@ -29,6 +31,7 @@ from smoe.nn import ffn_forward
 from smoe.numerics import arena_bounds, constant
 from smoe.seqio import GuidingToken, Vocabulary, build_target_sequence, guiding_prefix
 from smoe.signal import N_MELS, FbankFeatures
+from smoe.train import Batch, batch_loss
 
 VOCAB = Vocabulary()
 
@@ -105,16 +108,67 @@ def test_length_limits_enforced():
 
 def test_empty_encoder_batch_fails_closed():
     with pytest.raises(ConfigError, match="empty batch"):
-        Model(tiny_config(), seed=5).encode_batch([], [])
+        Model(tiny_config(), seed=5).encode_batch([])
 
 
-@pytest.mark.parametrize("n_bandwidths", [1, 2, 4])
-def test_bandwidth_count_must_match_the_features(n_bandwidths):
-    model = Model(tiny_config(enc_smoe=True), seed=5).eval()
-    feats = [random_features(seed) for seed in range(3)]
-    with pytest.raises(ConfigError, match=f"3 features but {n_bandwidths} bandwidths"):
-        model.encode_batch(feats, ([Bandwidth.WB, Bandwidth.NB] * 2)[:n_bandwidths])
-    assert model.smoe_layers()[0][1].call_counts == [0, 0]
+def test_mixed_bandwidth_batch_runs_each_encoder_expert_once_on_its_own_rows(monkeypatch):
+    # samples WB, NB, WB of 5, 7 and 4 frames: each sample is routed by its
+    # features' bandwidth, so expert 0 gets rows 0-4 and 12-15 in one call
+    # and expert 1 rows 5-11 in another
+    model = Model(tiny_config(enc_smoe=True), seed=36).eval()
+    feats = [replace(random_features(37 + i, frames), bandwidth=bw)
+             for i, (frames, bw) in enumerate([(5, Bandwidth.WB), (7, Bandwidth.NB),
+                                                (4, Bandwidth.WB)])]
+    normed, calls = [], []
+    dispatch = Model._dispatch_ffn
+
+    def record_dispatch(self, layer_ffn, groups, x):
+        normed.append(x.data.copy())
+        return dispatch(self, layer_ffn, groups, x)
+
+    def record_expert(layer, gate, x, activation="silu"):
+        calls.append((gate.selected, x.data.copy()))
+        return smoe_forward(layer, gate, x, activation)
+
+    monkeypatch.setattr(Model, "_dispatch_ffn", record_dispatch)
+    monkeypatch.setattr(smoe.model, "smoe_forward", record_expert)
+    packed = model.encode_batch(feats).data
+    [h] = normed
+    assert sorted(k for k, _ in calls) == [0, 1]
+    assert model.smoe_layers()[0][1].call_counts == [1, 1]
+    for k, rows in calls:
+        want = np.r_[0:5, 12:16] if k == 0 else np.r_[5:12]
+        assert np.array_equal(rows, h[want])
+    for f, start in zip(feats, [0, 5, 12]):  # each sample's rows are its own encoding
+        alone = model.encode(f, f.bandwidth).data
+        np.testing.assert_allclose(packed[start : start + f.n_frames], alone, rtol=1e-12,
+                                   atol=1e-12)
+
+
+def test_encode_routes_by_its_bandwidth_argument():
+    # wideband-labelled features encoded as narrowband go through expert 1,
+    # as the same frames labelled narrowband do, and keep their own label
+    model = Model(tiny_config(enc_smoe=True), seed=38).eval()
+    feats = random_features(39)
+    bank = model.smoe_layers()[0][1]
+    got = model.encode(feats, Bandwidth.NB).data
+    assert bank.call_counts == [0, 1] and feats.bandwidth is Bandwidth.WB
+    want = model.encode_batch([replace(feats, bandwidth=Bandwidth.NB)]).data
+    assert np.array_equal(got, want) and bank.call_counts == [0, 2]
+    assert not np.array_equal(got, model.encode(feats, Bandwidth.WB).data)
+
+
+def test_dropout_draws_only_in_training_mode():
+    # at dropout 0.15, eval-mode encode, decode and infer_dual leave the
+    # model's dropout RNG where it was; a training-mode batch_loss draws
+    model = Model(tiny_config(dropout=0.15, dec_smoe=True), seed=40).eval()
+    feats = random_features(41)
+    state = model._dropout_rng.bit_generator.state
+    model.decode(model.encode(feats, Bandwidth.WB), asr_target().ids, Task.ASR)
+    model.infer_dual(feats, Bandwidth.WB, max_len=4)
+    assert model._dropout_rng.bit_generator.state == state
+    batch_loss(model.train(), Batch.build([Utterance(feats, asr_target(), b"abc")]))
+    assert model._dropout_rng.bit_generator.state != state
 
 
 def test_cloned_experts_match_baseline_bitwise():

@@ -164,7 +164,7 @@ def test_attention_grad_check():
 
 
 def test_sinusoidal_positions_closed_form():
-    pe = sinusoidal_positions(4, 6).data
+    pe = sinusoidal_positions(4, 6)
     np.testing.assert_allclose(pe[0], [0, 1, 0, 1, 0, 1], atol=1e-15)
     assert pe[1, 0] == pytest.approx(math.sin(1.0), abs=1e-12)
     assert pe[1, 1] == pytest.approx(math.cos(1.0), abs=1e-12)
@@ -182,14 +182,14 @@ def test_positions_are_read_only_slices_of_one_table():
         return out
 
     d = 10  # no other test asks for this width
-    long, short = sinusoidal_positions(37, d).data, sinusoidal_positions(5, d).data
+    long, short = sinusoidal_positions(37, d), sinusoidal_positions(5, d)
     assert np.array_equal(long, closed_form(37, d)) and np.array_equal(short, closed_form(5, d))
     assert short.base is long.base and np.shares_memory(short, long)
     with pytest.raises(ValueError, match="read-only"):
         short[0, 0] = 1.0
-    longer = sinusoidal_positions(64, d).data  # a longer length rebuilds the table
+    longer = sinusoidal_positions(64, d)  # a longer length rebuilds the table
     assert np.array_equal(longer, closed_form(64, d)) and not longer.flags.writeable
-    assert np.shares_memory(sinusoidal_positions(37, d).data, longer)
+    assert np.shares_memory(sinusoidal_positions(37, d), longer)
 
 
 def test_pre_norm_residual_identity_block():
@@ -218,8 +218,8 @@ def test_pre_norm_eval_mode_deterministic():
     ffn, _ = make_ffn(8, 16, True, seed=2)
     ln = make_norm(8)
     x = constant(rng.normal(size=(3, 8)))
-    a = pre_norm_residual(lambda h: ffn_forward(ffn, h), ln, x, dropout_rate=0.5, training=False)
-    b = pre_norm_residual(lambda h: ffn_forward(ffn, h), ln, x, dropout_rate=0.5, training=False)
+    a = pre_norm_residual(lambda h: ffn_forward(ffn, h), ln, x, dropout_rate=0.5)
+    b = pre_norm_residual(lambda h: ffn_forward(ffn, h), ln, x, dropout_rate=0.5)
     assert np.array_equal(a.data, b.data)
 
 
@@ -344,7 +344,7 @@ def test_fused_attention_sublayer_matches_seven_node_composition(case, rate):
             h = x
             for p, ln in blocks:
                 h = sublayer(p, ln, h, memory, q_lengths, k_lengths or q_lengths, causal,
-                             rate, dropout_rng, training=True)
+                             rate, dropout_rng)
             n_nodes = len(tape)
             loss = sum_all(mul(h, probe))
         backward(loss, tape)
@@ -387,5 +387,3 @@ def test_fused_attention_sublayer_rejects_bad_inputs():
         attention_sublayer(p, ln, x, constant(np.zeros((3, 6))))
     with pytest.raises(ShapeError):
         attention_sublayer(p, ln, x, q_lengths=[], k_lengths=[])
-    with pytest.raises(ConfigError):
-        attention_sublayer(p, ln, x, dropout_rate=0.1, training=True)

@@ -65,3 +65,41 @@ def test_perfbench_bindings_resolve():
         if cls is not None:
             owner = getattr(owner, cls)
         assert attr in vars(owner), (module, cls, attr)
+
+
+def orphaned_private_defs(sources: dict[str, str]) -> tuple[int, list[str]]:
+    """The number of `_`-prefixed (not dunder) functions, classes and methods
+    the modules define, and those no module reads outside the definition's
+    own lines: not as a name, not as an attribute."""
+    trees = {path: ast.parse(source) for path, source in sources.items()}
+    defs = [(path, node) for path, tree in trees.items() for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.endswith("__")]
+    reads = [(path, node.lineno, node.id if isinstance(node, ast.Name) else node.attr)
+             for path, tree in trees.items() for node in ast.walk(tree)
+             if isinstance(node, (ast.Name, ast.Attribute))]
+    orphans = [f"{path}:{d.lineno} {d.name}" for path, d in defs if not any(
+        name == d.name and not (where == path and d.lineno <= line <= d.end_lineno)
+        for where, line, name in reads)]
+    return len(defs), orphans
+
+
+def test_orphan_scan_flags_only_unread_private_defs():
+    sources = {
+        "a.py": "def _used():\n    return 1\n\n"
+                "def _recursive(n):\n    return _recursive(n - 1)\n\n"
+                "class _Box:\n    def _method(self):\n        return self._other()\n"
+                "    def _other(self):\n        return 0\n    def __init__(self):\n        pass\n",
+        "b.py": "from a import _used\nx = _used()\n",
+    }
+    assert orphaned_private_defs(sources) == (5, ["a.py:4 _recursive", "a.py:7 _Box",
+                                                  "a.py:8 _method"])
+
+
+def test_src_has_no_orphaned_private_helpers():
+    # a removal that leaves a private helper with no caller fails here
+    n_defs, orphans = orphaned_private_defs(
+        {str(path.relative_to(SRC)): path.read_text(encoding="utf-8")
+         for path in sorted(SRC.rglob("*.py"))})
+    assert n_defs >= 20  # the scan reached the package's private helpers
+    assert orphans == []
