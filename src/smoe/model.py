@@ -27,7 +27,8 @@ which draws every matrix in arena order by one fan-in rule.
 `load_checkpoint` and `expand_experts` allocate it with `Model.allocate` and
 write every parameter from the file or the donor; they draw no random values.
 A checkpoint is a header, the config block and the arena's bytes, so a load
-is one read into the arena and `checkpoint_config` reads the header alone.
+reads the arena's bytes straight into the arena, its two halves at once where
+the OS has positional reads, and `checkpoint_config` reads the header alone.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ import os
 import re
 import struct
 import sys
+import threading
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -752,15 +754,61 @@ def load_checkpoint(path: str | Path) -> tuple[Model, int]:
     """Rebuild a model from a checkpoint; fails closed on a bad header or
     config block and on a file size other than the one they imply.
 
-    The header is checked before the arena is allocated, and the arena is
-    read in one call straight into the new model's arena, so every
-    parameter is written and no random value is drawn.
+    The header is checked before the arena is allocated. The arena's bytes
+    are then read straight into the new model's arena, from the descriptor
+    the header was read from, so every parameter is written and no random
+    value is drawn. Where the OS has positional reads (`os.preadv`, POSIX)
+    the two halves of the arena are read at once; elsewhere it is one read.
     """
     with _open_checkpoint(path) as fh:
         config, step = _read_header(fh, path)
         model = Model.allocate(config)
-        if fh.readinto(model.arena) != model.arena.nbytes:
+        if hasattr(os, "preadv"):
+            _read_halves(fh.fileno(), fh.tell(), model.arena, path)
+        elif fh.readinto(model.arena) != model.arena.nbytes:
             raise CheckpointError(f"truncated checkpoint {path}")
     if sys.byteorder == "big":  # the arena on disk is little-endian
         model.arena.byteswap(inplace=True)
     return model, step
+
+
+class _Reader(threading.Thread):
+    """A thread that keeps what its target raised, for its joiner to raise."""
+
+    error: BaseException | None = None
+
+    def run(self) -> None:
+        try:
+            super().run()
+        except BaseException as exc:
+            self.error = exc
+
+
+def _read_halves(fd: int, offset: int, arena: np.ndarray, path: str | Path) -> None:
+    """Fill `arena` from the file bytes at `offset` on: a helper thread reads
+    the upper half while the calling thread reads the lower, split on a whole
+    float. Both read the one open descriptor by position, so a save that
+    replaces `path` meanwhile cannot give each half a different file. The
+    helper is joined before this returns or raises, and its error, if the
+    lower half raised none, is raised here."""
+    raw = memoryview(arena).cast("B")
+    split = 8 * (arena.size // 2)
+    upper = _Reader(target=_read_span, args=(fd, raw[split:], offset + split, path))
+    upper.start()
+    try:
+        _read_span(fd, raw[:split], offset, path)
+    finally:
+        upper.join()
+    if upper.error is not None:
+        raise upper.error
+
+
+def _read_span(fd: int, buf: memoryview, offset: int, path: str | Path) -> None:
+    """Fill `buf` from file offset `offset` by positional reads, looping on
+    short counts; end of file before `buf` is full is a truncated checkpoint."""
+    done = 0
+    while done < len(buf):
+        n = os.preadv(fd, [buf[done:]], offset + done)
+        if n == 0:
+            raise CheckpointError(f"truncated checkpoint {path}")
+        done += n

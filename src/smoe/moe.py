@@ -2,7 +2,8 @@
 
 The gate is a function of labels that are known up front (audio bandwidth
 for the encoder, task for the decoder), so there is no gating network to
-train. A routed bank holds one expert per label value, N_EXPERTS of them.
+train. A routed bank holds one expert per label value, N_EXPERTS of them;
+a gate given any other value raises RoutingError rather than pick one.
 A zero gate weight means the expert is never invoked: the layer calls
 exactly one expert per forward and counts invocations to prove it.
 """
@@ -50,18 +51,28 @@ class GateVector:
         return len(self.weights)
 
 
+_ENCODER_GATES = {Bandwidth.WB: GateVector((1.0, 0.0)), Bandwidth.NB: GateVector((0.0, 1.0))}
+_DECODER_GATES = {Task.ST: GateVector((1.0, 0.0)), Task.ASR: GateVector((0.0, 1.0))}
+
+
+def _gate(gates: dict, label) -> GateVector:
+    """`label`'s gate in `gates`; any value that is not one of its keys,
+    a look-alike string, None or the other enum's member, is a RoutingError."""
+    try:
+        return gates[label]
+    except (KeyError, TypeError):  # TypeError: an unhashable label
+        raise RoutingError(f"no expert for {label!r}: the gate takes one of "
+                           f"{[str(k) for k in gates]}") from None
+
+
 def gate_encoder(bw: Bandwidth) -> GateVector:
     """Wideband audio selects expert 0; narrowband selects expert 1."""
-    if bw is Bandwidth.WB:
-        return GateVector((1.0, 0.0))
-    return GateVector((0.0, 1.0))
+    return _gate(_ENCODER_GATES, bw)
 
 
 def gate_decoder(task: Task) -> GateVector:
     """Translation selects expert 0; transcription selects expert 1."""
-    if task is Task.ST:
-        return GateVector((1.0, 0.0))
-    return GateVector((0.0, 1.0))
+    return _gate(_DECODER_GATES, task)
 
 
 @dataclass

@@ -133,7 +133,11 @@ def mel_filterbank() -> np.ndarray:
 @dataclass
 class FbankFeatures:
     frames: Tensor  # [n_frames x n_mels]
-    bandwidth: Bandwidth
+    bandwidth: Bandwidth  # routes the encoder's experts, so nothing else is accepted
+
+    def __post_init__(self):
+        if not isinstance(self.bandwidth, Bandwidth):
+            raise ContractError(f"features need a Bandwidth, got {self.bandwidth!r}")
 
     @property
     def n_frames(self) -> int:

@@ -5,6 +5,7 @@ lines and timings. The interference benchmark and fine-tuning experiments
 train real (tiny) models, so the whole module takes several minutes.
 """
 
+import hashlib
 import itertools
 import math
 import resource
@@ -419,6 +420,24 @@ def test_criterion_08_interference_benchmark(benchmark_run):
         detail += f" | failed: {failed}"
     # elapsed is the fixture's training time: that is what the budget covers
     report(8, "task-interference benchmark", ok, detail, elapsed, 900.0, cpu, faults)
+
+
+# sha256 of criterion 8's log lines joined with "\n" and of its report(), as
+# this build of numpy and its BLAS computes them
+BENCH_LOG_SHA256 = "efd183aab847d513179900ae484e7a60976d34ec7b35eaf4333ed4a985913b54"
+BENCH_REPORT_SHA256 = "aec74c8d237dec64832e0a8320db6d92e2f42b631aee8a7c2eb5d9079f5316dc"
+
+
+def test_criterion_08_log_and_report_are_pinned(benchmark_run):
+    result, *_ = benchmark_run
+    log = hashlib.sha256("\n".join(result.log_lines).encode("utf-8")).hexdigest()
+    summary = hashlib.sha256(result.report().encode("utf-8")).hexdigest()
+    assert (log, summary) == (BENCH_LOG_SHA256, BENCH_REPORT_SHA256), (
+        f"criterion 8 printed log {log} and report {summary}. Re-pin these only in a "
+        "change that must alter summation order, with its composition oracle passing "
+        "and criterion 8's six figures shown in CHANGES.md; a digest that moves for "
+        "any other reason is a change in what the benchmark computes."
+    )
 
 
 # -- criterion 9 ---------------------------------------------------------------

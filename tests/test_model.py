@@ -1,8 +1,11 @@
+import errno
 import hashlib
 import math
+import os
 import re
 import struct
 import tempfile
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -14,7 +17,7 @@ from hypothesis import strategies as st
 import smoe.model
 from smoe.cli import main
 from smoe.data import Utterance
-from smoe.errors import ConfigError, FormatError, LimitError
+from smoe.errors import CheckpointError, ConfigError, FormatError, LimitError
 from smoe.model import (
     Model,
     ModelConfig,
@@ -898,6 +901,94 @@ def test_failed_save_keeps_previous_checkpoint_and_leaves_no_temp_file(tmp_path)
         save_checkpoint(broken, path, step=2)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+
+
+def upper_half_start(path, model):
+    """The file offset where a load's helper thread starts reading: the
+    arena's upper half, split on a whole float."""
+    return path.stat().st_size - 8 * (model.arena.size - model.arena.size // 2)
+
+
+def recorded_opens(monkeypatch):
+    """The files load_checkpoint opens, kept so a test can see them closed."""
+    opened, real = [], smoe.model._open_checkpoint
+
+    def record(path):
+        opened.append(real(path))
+        return opened[-1]
+
+    monkeypatch.setattr(smoe.model, "_open_checkpoint", record)
+    return opened
+
+
+def test_load_with_short_positional_reads_round_trips_bitwise(tmp_path, monkeypatch):
+    model = Model(tiny_config(enc_smoe=True, dec_smoe=True), seed=45)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model, path, step=6)
+    upper = upper_half_start(path, model)
+    reads, real = [], os.preadv
+
+    def at_most_4k(fd, buffers, offset):
+        (buf,) = buffers
+        reads.append((threading.current_thread(), offset))
+        return real(fd, [buf[:4096]], offset)
+
+    monkeypatch.setattr(os, "preadv", at_most_4k)
+    loaded, step = load_checkpoint(path)
+    assert step == 6 and loaded.config == model.config
+    assert np.array_equal(loaded.arena.view(np.uint64), model.arena.view(np.uint64))
+    lower = {thread for thread, offset in reads if offset < upper}
+    helper = {thread for thread, offset in reads if offset >= upper}
+    assert lower == {threading.current_thread()} and len(helper) == 1 and lower != helper
+    split = 8 * (model.arena.size // 2)
+    assert len(reads) == math.ceil(split / 4096) + math.ceil((model.arena.nbytes - split) / 4096)
+
+
+def test_load_without_positional_reads_is_one_read_and_round_trips_bitwise(tmp_path,
+                                                                          monkeypatch):
+    model = Model(tiny_config(enc_smoe=True), seed=47)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model, path, step=3)
+    monkeypatch.delattr(os, "preadv")
+    started = []
+    monkeypatch.setattr(smoe.model._Reader, "start", lambda self: started.append(self))
+    loaded, step = load_checkpoint(path)
+    assert step == 3 and not started
+    assert np.array_equal(loaded.arena.view(np.uint64), model.arena.view(np.uint64))
+
+
+@pytest.mark.parametrize("half", ["lower", "upper"])
+@pytest.mark.parametrize("fault", ["end of file", "OSError"])
+def test_load_whose_half_fails_raises_and_leaves_no_thread_or_file(half, fault, tmp_path,
+                                                                   monkeypatch, capsys):
+    model = Model(tiny_config(), seed=46)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model, path)
+    upper = upper_half_start(path, model)
+    injected = OSError(errno.EIO, "injected read error")
+    real = os.preadv
+
+    def failing(fd, buffers, offset):
+        if (offset >= upper) == (half == "upper"):
+            if fault == "OSError":
+                raise injected
+            return 0
+        return real(fd, buffers, offset)
+
+    opened = recorded_opens(monkeypatch)
+    monkeypatch.setattr(os, "preadv", failing)
+    threads = threading.active_count()
+    if fault == "OSError":
+        with pytest.raises(OSError) as info:
+            load_checkpoint(path)
+        assert info.value is injected
+    else:
+        with pytest.raises(CheckpointError, match="truncated checkpoint"):
+            load_checkpoint(path)
+        assert main(["infer", "--ckpt", str(path), str(tmp_path / "in.wav")]) == 2
+        assert "truncated checkpoint" in capsys.readouterr().err
+    assert opened and all(fh.closed for fh in opened)
+    assert threading.active_count() == threads
 
 
 # -- parameter arena ----------------------------------------------------------------

@@ -44,6 +44,16 @@ def test_gates_are_one_hot_for_all_labels():
     assert gate_decoder(Task.ASR) != gate_decoder(Task.ST)
 
 
+@pytest.mark.parametrize("gate, label", [
+    (gate_encoder, "wb"), (gate_encoder, "WB"), (gate_encoder, None), (gate_encoder, Task.ST),
+    (gate_encoder, Task.ASR), (gate_decoder, "st"), (gate_decoder, "ASR"), (gate_decoder, None),
+    (gate_decoder, Bandwidth.WB), (gate_decoder, Bandwidth.NB), (gate_decoder, ["ST"]),
+])
+def test_gates_fail_closed_on_any_other_value(gate, label):
+    with pytest.raises(RoutingError, match="no expert for"):
+        gate(label)
+
+
 @pytest.mark.parametrize("bad", [(0.5, 0.5), (1.0, 1.0), (0.0, 0.0), (2.0, -1.0), (1.0,) * 3 + (0.0,)])
 def test_soft_or_invalid_gates_rejected(bad):
     if bad == (1.0,) * 3 + (0.0,):

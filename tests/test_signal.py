@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 from smoe import errors
 from smoe.errors import AudioError, ContractError, FormatError, LimitError
-from smoe.moe import Bandwidth
+from smoe.moe import Bandwidth, Task
 from smoe.numerics import constant
 from smoe.signal import (
     LOG_FLOOR,
@@ -234,6 +236,15 @@ def test_cached_normalization_is_the_per_call_expression(frames, constant_value)
     first = feats.normalized()
     assert "norm_stats" in vars(feats)  # kept after the first use
     assert np.array_equal(first, want) and np.array_equal(feats.normalized(), want)
+
+
+@pytest.mark.parametrize("bandwidth", ["wb", "WB", None, Task.ASR, 1])
+def test_features_reject_a_bandwidth_that_is_no_bandwidth(bandwidth):
+    frames = constant(np.zeros((3, 80)))
+    with pytest.raises(ContractError, match="need a Bandwidth"):
+        FbankFeatures(frames=frames, bandwidth=bandwidth)
+    with pytest.raises(ContractError, match="need a Bandwidth"):
+        replace(FbankFeatures(frames=frames, bandwidth=Bandwidth.NB), bandwidth=bandwidth)
 
 
 def test_fbank_features_are_read_only():
