@@ -10,6 +10,12 @@ encoder's narrowband expert is there to fix.
 Transcription ("ASR") targets are the symbols themselves; translation
 ("ST") targets apply a fixed derangement of the alphabet, so the two tasks
 conflict on every symbol and compete for shared decoder capacity.
+
+`generate_dataset_files` and `load_dataset` map their items, each
+independent of the others, through `halves.map_halves`: the calling thread
+renders and writes, or reads and featurizes, the lower half of the items
+while one helper thread does the upper half, with the results and the error
+of a serial loop.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import ConfigError, FormatError
+from .halves import map_halves
 from .moe import Bandwidth, Task
 from .seqio import TargetSequence, Vocabulary, build_target_sequence, train_bpe
 from .signal import (
@@ -181,6 +188,16 @@ def make_utterance(
     return Utterance(fbank(wave), build_target_sequence(task, text, vocab), text)
 
 
+def _map_items(fn, items):
+    """`map_halves(fn, items)`; or a serial map while a function of this
+    module is a wrapper (it has `__wrapped__`, as `functools.wraps` sets),
+    since a wrapper need not be thread-safe: a span tracer's, for one, may
+    keep one span stack for the whole process."""
+    if any(hasattr(f, "__wrapped__") for f in globals().values()):
+        return [fn(x) for x in items]
+    return map_halves(fn, items)
+
+
 def make_paired_dataset(
     n_inputs: int,
     seed: int,
@@ -315,20 +332,22 @@ def generate_dataset_files(
 
     out = Path(out_dir)
     (out / "wavs").mkdir(parents=True, exist_ok=True)
-    records: list[ManifestRecord] = []
-    for idx, (syms, task, text) in enumerate(zip(symbols, tasks, texts)):
-        wave = render_symbols(syms, seed=seed * 1_000_003 + idx)
+
+    def write_item(idx: int) -> list[ManifestRecord]:
+        task, text = tasks[idx], texts[idx]
+        wave = render_symbols(symbols[idx], seed=seed * 1_000_003 + idx)
         wb_rel = f"wavs/item_{idx:05d}_wb.wav"
         write_wav(out / wb_rel, wave)
-        records.append(
-            ManifestRecord(audio_path=wb_rel, bandwidth=Bandwidth.WB, task=task, text=text)
-        )
+        records = [ManifestRecord(audio_path=wb_rel, bandwidth=Bandwidth.WB, task=task, text=text)]
         if idx in nb_indices:
             nb_rel = f"wavs/item_{idx:05d}_nb.wav"
             write_wav(out / nb_rel, to_narrowband(wave))
             records.append(
                 ManifestRecord(audio_path=nb_rel, bandwidth=Bandwidth.NB, task=task, text=text)
             )
+        return records
+
+    records = [r for recs in _map_items(write_item, range(n_items)) for r in recs]
     vocab.save(out / "vocab.txt")
     manifest_path = out / "manifest.tsv"
     write_manifest(manifest_path, records)
@@ -339,8 +358,8 @@ def load_dataset(manifest_path: str | Path, vocab: Vocabulary) -> list[Utterance
     """Read a manifest directory back into feature-extracted utterances."""
     manifest_path = Path(manifest_path)
     base = manifest_path.parent
-    items = []
-    for r in read_manifest(manifest_path):
+
+    def load(r: ManifestRecord) -> Utterance:
         wave = read_wav(base / r.audio_path)
         if wave.bandwidth is not r.bandwidth:
             raise FormatError(
@@ -348,5 +367,6 @@ def load_dataset(manifest_path: str | Path, vocab: Vocabulary) -> list[Utterance
                 f"file is {wave.bandwidth.value}"
             )
         text = r.text.encode("utf-8")
-        items.append(Utterance(fbank(wave), build_target_sequence(r.task, text, vocab), text))
-    return items
+        return Utterance(fbank(wave), build_target_sequence(r.task, text, vocab), text)
+
+    return _map_items(load, read_manifest(manifest_path))

@@ -27,8 +27,10 @@ which draws every matrix in arena order by one fan-in rule.
 `load_checkpoint` and `expand_experts` allocate it with `Model.allocate` and
 write every parameter from the file or the donor; they draw no random values.
 A checkpoint is a header, the config block and the arena's bytes, so a load
-reads the arena's bytes straight into the arena, its two halves at once where
-the OS has positional reads, and `checkpoint_config` reads the header alone.
+reads the arena's bytes straight into the arena, and `checkpoint_config`
+reads the header alone. Where the OS has positional reads, the load reads
+the arena's two halves at once through `halves.map_halves`: the calling
+thread reads the lower half, one helper thread the upper.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ import os
 import re
 import struct
 import sys
-import threading
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -48,6 +49,7 @@ from typing import Sequence, get_type_hints
 import numpy as np
 
 from .errors import CheckpointError, ConfigError, LimitError
+from .halves import map_halves
 from .moe import (
     N_EXPERTS, Bandwidth, GateVector, SMoELayer, Task, gate_decoder, gate_encoder, select_expert,
     smoe_forward,
@@ -758,49 +760,26 @@ def load_checkpoint(path: str | Path) -> tuple[Model, int]:
     are then read straight into the new model's arena, from the descriptor
     the header was read from, so every parameter is written and no random
     value is drawn. Where the OS has positional reads (`os.preadv`, POSIX)
-    the two halves of the arena are read at once; elsewhere it is one read.
+    the two halves of the arena are read at once (`map_halves`), and a
+    failed read of the lower half is raised before one of the upper half;
+    elsewhere it is one read.
     """
     with _open_checkpoint(path) as fh:
         config, step = _read_header(fh, path)
         model = Model.allocate(config)
         if hasattr(os, "preadv"):
-            _read_halves(fh.fileno(), fh.tell(), model.arena, path)
+            # two spans split on a whole float, each read by position from
+            # the one descriptor, so a save that replaces `path` meanwhile
+            # cannot give them different files
+            fd, offset, raw = fh.fileno(), fh.tell(), memoryview(model.arena).cast("B")
+            split = 8 * (model.arena.size // 2)
+            map_halves(lambda span: _read_span(fd, raw[span], offset + span.start, path),
+                       [slice(0, split), slice(split, raw.nbytes)])
         elif fh.readinto(model.arena) != model.arena.nbytes:
             raise CheckpointError(f"truncated checkpoint {path}")
     if sys.byteorder == "big":  # the arena on disk is little-endian
         model.arena.byteswap(inplace=True)
     return model, step
-
-
-class _Reader(threading.Thread):
-    """A thread that keeps what its target raised, for its joiner to raise."""
-
-    error: BaseException | None = None
-
-    def run(self) -> None:
-        try:
-            super().run()
-        except BaseException as exc:
-            self.error = exc
-
-
-def _read_halves(fd: int, offset: int, arena: np.ndarray, path: str | Path) -> None:
-    """Fill `arena` from the file bytes at `offset` on: a helper thread reads
-    the upper half while the calling thread reads the lower, split on a whole
-    float. Both read the one open descriptor by position, so a save that
-    replaces `path` meanwhile cannot give each half a different file. The
-    helper is joined before this returns or raises, and its error, if the
-    lower half raised none, is raised here."""
-    raw = memoryview(arena).cast("B")
-    split = 8 * (arena.size // 2)
-    upper = _Reader(target=_read_span, args=(fd, raw[split:], offset + split, path))
-    upper.start()
-    try:
-        _read_span(fd, raw[:split], offset, path)
-    finally:
-        upper.join()
-    if upper.error is not None:
-        raise upper.error
 
 
 def _read_span(fd: int, buf: memoryview, offset: int, path: str | Path) -> None:

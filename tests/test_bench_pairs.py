@@ -1,7 +1,9 @@
-"""tools/bench_pairs.py's summary, on canned benchmark output. No benchmark runs."""
+"""tools/bench_pairs.py's summary, on canned benchmark output, and its
+snapshot of a working tree. No benchmark runs."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -81,3 +83,29 @@ def test_summary_claims_no_gain_it_cannot_show(parent, change, gain, inside):
               bench_pairs.parse_run(run_output(c, 1.0, c))) for p, c in zip(parent, change)]
     op = bench_pairs.summarize(SPEC, pairs)["metrics"]["op_ms_p50"]
     assert (op["gain_shown"], op["within_bound"]) == (gain, inside)
+
+
+def test_snapshot_copies_the_files_git_lists_of_the_working_tree(tmp_path):
+    repo, into = tmp_path / "repo", tmp_path / "snapshot"
+    (repo / "pkg").mkdir(parents=True)
+
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args], cwd=repo,
+                       check=True, capture_output=True)
+
+    git("init", "-q")
+    (repo / ".gitignore").write_text("__pycache__/\n")
+    for name in ("pkg/kept.py", "pkg/edited.py", "pkg/deleted.py"):
+        (repo / name).write_text("committed\n")
+    git("add", "-A")
+    git("commit", "-q", "-m", "base")
+    (repo / "pkg" / "edited.py").write_text("edited\n")
+    (repo / "pkg" / "deleted.py").unlink()
+    (repo / "pkg" / "untracked.py").write_text("untracked\n")
+    (repo / "pkg" / "__pycache__").mkdir()
+    (repo / "pkg" / "__pycache__" / "kept.cpython-311.pyc").write_bytes(b"ignored")
+    bench_pairs.snapshot(repo, into)
+    copied = {p.relative_to(into).as_posix(): p.read_text()
+              for p in into.rglob("*") if p.is_file()}
+    assert copied == {".gitignore": "__pycache__/\n", "pkg/kept.py": "committed\n",
+                      "pkg/edited.py": "edited\n", "pkg/untracked.py": "untracked\n"}

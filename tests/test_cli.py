@@ -94,6 +94,22 @@ def test_train_on_a_one_task_dataset_trains_that_task(tmp_path):
     assert [line.split()[1] for line in log] == ["task=S"] * 4
 
 
+def test_train_on_mislabelled_records_in_both_halves_names_the_earlier(tmp_path, capsys):
+    # load_dataset maps the manifest's halves on two threads; the upper half
+    # reaches its bad first record before the lower half reaches its last
+    data = tmp_path / "data"
+    manifest = generate_dataset_files(data, n_items=6, nbwb_mix_fraction=0.0, seed=0)
+    records = read_manifest(manifest)
+    for i in (2, 3):
+        records[i] = replace(records[i], bandwidth=Bandwidth.NB)
+    write_manifest(manifest, records)
+    assert main(["train", "--data", str(data), "--out", str(tmp_path / "run"),
+                 "--set", "steps=1"]) == 3
+    err = capsys.readouterr().err
+    assert "wavs/item_00002_wb.wav: manifest says NB, file is WB" in err
+    assert "item_00003" not in err
+
+
 def test_infer_dual_and_single_consistent(workspace, capsys):
     run = workspace / "run"
     wav = sorted((workspace / "data" / "wavs").glob("*.wav"))[0]

@@ -1,10 +1,13 @@
+import functools
 import hashlib
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import smoe.data
 from smoe import errors
 from smoe.data import (
     ALPHABET,
@@ -208,6 +211,72 @@ def test_paired_dataset_featurizes_each_input_once_per_bandwidth():
             )
             np.testing.assert_array_equal(it.features.frames.data, alone.features.frames.data)
             assert it.target.ids == alone.target.ids and it.text == alone.text
+
+
+# -- the two-halves map against a serial loop ------------------------------------
+
+
+def serial_map(fn, items):
+    return [fn(x) for x in items]
+
+
+@pytest.fixture
+def threads_seen(monkeypatch):
+    """The threads that ran smoe.data's per-item work, one set per map_halves call."""
+    seen, real = [], smoe.data.map_halves
+
+    def recording(fn, items):
+        threads = set()
+        seen.append(threads)
+
+        def run(x):
+            threads.add(threading.current_thread())
+            return fn(x)
+        return real(run, items)
+
+    monkeypatch.setattr(smoe.data, "map_halves", recording)
+    return seen
+
+
+def same_utterances(a, b) -> bool:
+    return len(a) == len(b) and all(
+        np.array_equal(x.features.frames.data, y.features.frames.data)
+        and x.target.ids == y.target.ids and x.text == y.text and x.bandwidth is y.bandwidth
+        for x, y in zip(a, b))
+
+
+def test_generated_files_and_loaded_dataset_equal_a_serial_loop(tmp_path, monkeypatch,
+                                                                   threads_seen):
+    args = dict(n_items=7, nbwb_mix_fraction=0.5, seed=12, min_len=2, max_len=6, n_merges=4)
+    mapped = generate_dataset_files(tmp_path / "mapped", **args)
+    vocab = Vocabulary.load(mapped.parent / "vocab.txt")
+    loaded = load_dataset(mapped, vocab)
+    assert [len(threads) for threads in threads_seen] == [2, 2]  # each map ran on two threads
+    monkeypatch.setattr(smoe.data, "map_halves", serial_map)
+    serial = generate_dataset_files(tmp_path / "serial", **args)
+    names = sorted(p.relative_to(serial.parent) for p in serial.parent.rglob("*") if p.is_file())
+    assert names == sorted(p.relative_to(mapped.parent)
+                           for p in mapped.parent.rglob("*") if p.is_file())
+    assert len(names) == 2 + 7 + 4  # vocab, manifest, 7 WAVs and 4 narrowband twins
+    for name in names:
+        assert (mapped.parent / name).read_bytes() == (serial.parent / name).read_bytes(), name
+    assert same_utterances(loaded, load_dataset(serial, vocab))
+
+
+def test_a_wrapped_function_keeps_the_per_item_work_on_the_calling_thread(tmp_path,
+                                                                         monkeypatch):
+    # a wrapper, such as a span tracer's, need not be thread-safe
+    callers, real = [], smoe.data.fbank
+
+    @functools.wraps(real)
+    def wrapped(wave):
+        callers.append(threading.current_thread())
+        return real(wave)
+
+    manifest = generate_dataset_files(tmp_path, n_items=4, nbwb_mix_fraction=0.5, seed=2)
+    monkeypatch.setattr(smoe.data, "fbank", wrapped)
+    assert len(load_dataset(manifest, Vocabulary())) == 6
+    assert callers == [threading.main_thread()] * 6
 
 
 # -- fuzzed manifests -----------------------------------------------------------

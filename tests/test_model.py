@@ -951,7 +951,7 @@ def test_load_without_positional_reads_is_one_read_and_round_trips_bitwise(tmp_p
     save_checkpoint(model, path, step=3)
     monkeypatch.delattr(os, "preadv")
     started = []
-    monkeypatch.setattr(smoe.model._Reader, "start", lambda self: started.append(self))
+    monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self))
     loaded, step = load_checkpoint(path)
     assert step == 3 and not started
     assert np.array_equal(loaded.arena.view(np.uint64), model.arena.view(np.uint64))

@@ -4,12 +4,16 @@
         [--seed S]
 
 Run from anywhere inside the repository. The parent revision is extracted
-with `git archive` into a temporary directory. For each workload the tool
-then runs the benchmark command that BENCHMARK.json declares, for its
-`run_seconds`, alternately in that tree and in the working tree: 10 pairs,
-the parent first on odd pairs. Every run uses the same seed. With --parent
-HEAD and a clean working tree the file is an A/A baseline: the spread the
-benchmark shows between two copies of one revision.
+with `git archive` into a temporary directory, and the working tree is
+copied into another beside it: the files `git ls-files --cached --others
+--exclude-standard` lists, tracked files deleted from the tree left out.
+So both sides run from fresh trees of the same shape, with no build or
+cache files of earlier runs. For each workload the tool then runs the
+benchmark command that BENCHMARK.json declares, for its `run_seconds`,
+alternately in the two trees: 10 pairs, the parent first on odd pairs.
+Every run uses the same seed. With --parent HEAD and a clean working tree
+the file is an A/A baseline: the spread the benchmark shows between two
+copies of one revision.
 
 It writes BENCH_<label>.json at the repository root. For each workload and
 end-to-end metric it holds the parent's and the change's median and
@@ -20,7 +24,7 @@ median stays inside it, which is "unresolved" when the parent's own
 quartile spread is wider than the bound and some run of the change reads no
 better than some run of the parent. Each run's record keeps the host facts
 it printed.
-The temporary tree is deleted on exit, and no run outlives the tool.
+The temporary trees are deleted on exit, and no run outlives the tool.
 """
 
 from __future__ import annotations
@@ -28,6 +32,8 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -139,6 +145,22 @@ def extract(rev: str, into: Path) -> str:
     return commit
 
 
+def snapshot(root: Path, into: Path) -> None:
+    """Copy into `into` the files of the working tree at `root` that git
+    lists, tracked or untracked but not ignored, except tracked files
+    deleted from the tree."""
+    def listed(*flags: str) -> list[str]:
+        out = subprocess.run(["git", "ls-files", "-z", *flags], cwd=root, check=True,
+                             capture_output=True).stdout
+        return [name for name in os.fsdecode(out).split("\0") if name]
+
+    deleted = set(listed("--deleted"))
+    for name in listed("--cached", "--others", "--exclude-standard"):
+        if name not in deleted:
+            (into / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(root / name, into / name, follow_symlinks=False)
+
+
 def run_once(command: list[str], tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """One untraced benchmark run in `tree`, parsed; a failed run raises."""
     args = [*command, "--workload", workload, "--seed", str(seed), "--seconds", str(seconds),
@@ -164,13 +186,14 @@ def main(argv=None) -> int:
         parser.error(f"unknown workloads {unknown}")
     head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, check=True,
                           capture_output=True, text=True).stdout.strip()
-    out = {"label": args.label, "change": f"working tree on {head}", "seed": args.seed,
-           "seconds": spec["run_seconds"], "command": spec["command"],
+    out = {"label": args.label, "change": f"snapshot of the working tree on {head}",
+           "seed": args.seed, "seconds": spec["run_seconds"], "command": spec["command"],
            "method": "alternating pairs, the parent first on odd pairs; medians and "
                      "inclusive quartiles over each side's runs", "workloads": {}}
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
-        out["parent"] = extract(args.parent, Path(tmp))
-        trees = {"parent": Path(tmp), "change": ROOT}
+        trees = {side: Path(tmp) / side for side in SIDES}
+        out["parent"] = extract(args.parent, trees["parent"])
+        snapshot(ROOT, trees["change"])
         for workload in chosen:
             pairs, runs = [], []
             for i in range(1, PAIRS + 1):
