@@ -13,8 +13,10 @@ pre-norm attention sublayer, self- or cross-attention, is one tape node
 the residual add. `encode` and `decode` are its one-sample calls. Greedy
 decoding runs off the tape on preallocated, head-major key/value caches and
 stacked arena views, through the kernels the tape ops wrap
-(`numerics.attend`, `normalize` and `ffn_rows`); `decode` is its reference,
-which it matches within 1e-12 relative, not bitwise.
+(`numerics.attend`, `normalize`, `ffn_rows`, `affine_rows` and
+`matmul_columns`); `decode` is its reference, which it matches within 1e-12
+relative, not bitwise. At paper scale the numerics kernels run each large
+product on two cores (`halves.split_parts`), bitwise as on one.
 
 A model's parameters live in one arena: a contiguous float64 buffer laid
 out by `parameter_shapes(config)` in `named_parameters()` order, each
@@ -70,8 +72,8 @@ from .nn import (
     sinusoidal_positions,
 )
 from .numerics import (
-    Tensor, add, attend, constant, dropout, embedding, ffn_rows, linear, matmul, normalize,
-    parameter_arena, scale, scatter_rows, transpose2d,
+    Tensor, add, affine_rows, attend, constant, dropout, embedding, ffn_rows, linear, matmul,
+    matmul_columns, normalize, parameter_arena, scale, scatter_rows, transpose2d,
 )
 from .seqio import GuidingToken, TargetSequence, guiding_prefix
 from .signal import N_MELS, FbankFeatures
@@ -527,7 +529,7 @@ class Model:
         final norm and output projection of `decode`, without a tape."""
         out_proj = self.embed.data.T if self.out_proj is None else self.out_proj.data
         ln = self.ln_dec_final
-        return normalize(last, ln.gain.data, ln.bias.data)[0] @ out_proj
+        return matmul_columns(normalize(last, ln.gain.data, ln.bias.data)[0], out_proj)
 
     def _greedy_rows(self, enc_out: Tensor, tasks: list[Task], max_len: int) -> list[SingleDecode]:
         """Greedy decode of one row per task over one encoder output, with
@@ -538,12 +540,16 @@ class Model:
         one position per step. Each layer takes Q, K and V from one matmul
         over its `qkv` view and writes K and V in place into caches sized
         from max_len, head-major as `attend` reads them; cross-attention
-        keys/values are projected once. Every row's feedforward runs through
-        its task's expert in one call over the `experts` view. Only last
-        positions reach the vocabulary, and a row leaves the batch and its
-        caches at its EOS. No dropout: this is the eval-mode computation, its
-        logits within 1e-12 relative of `decode`'s, not bitwise. A max_len
-        past max_decode_len raises ConfigError before the first step.
+        keys/values are projected once, by `affine_rows`. Every row's
+        feedforward runs through its task's expert in one `ffn_rows` call
+        over the `experts` view. Only last positions reach the vocabulary,
+        through `matmul_columns`, and a row leaves the batch and its caches
+        at its EOS. The cross keys/values, the feedforward (over experts)
+        and the vocabulary product each run as two parts on two cores when
+        `halves.split_parts` finds them large enough, bitwise as one part.
+        No dropout: this is the eval-mode computation, its logits within
+        1e-12 relative of `decode`'s, not bitwise. A max_len past
+        max_decode_len raises ConfigError before the first step.
         """
         cfg = self.config
         results = [SingleDecode(ids=[], truncated=True) for _ in tasks]
@@ -564,42 +570,53 @@ class Model:
         def norm(ln: LayerNormParams, x: np.ndarray) -> np.ndarray:
             return normalize(x, ln.gain.data, ln.bias.data)[0]
 
-        cross = [(np.ascontiguousarray(heads(enc @ a.w_k.data + a.b_k.data, 1).swapaxes(2, 3)),
-                  np.ascontiguousarray(heads(enc @ a.w_v.data + a.b_v.data, 1)))
+        cross = [(np.ascontiguousarray(heads(affine_rows(enc, a.w_k.data, a.b_k.data), 1)
+                                       .swapaxes(2, 3)),
+                  np.ascontiguousarray(heads(affine_rows(enc, a.w_v.data, a.b_v.data), 1)))
                  for a in (layer.cross_attn for layer in self.dec_layers)]
         caches = [(np.empty((len(live), n_heads, d_h, n_pos)),
                    np.empty((len(live), n_heads, n_pos, d_h))) for _ in self.dec_layers]
         gates = [gate_decoder(task) for task in tasks]
+
+        def routed(live: list[int]) -> tuple[slice, list[list]]:
+            """The order that lines the live rows up with their experts, and
+            each layer's `experts` view cut to those experts, consecutive
+            because the tasks are distinct."""
+            ks = [gates[r].selected for r in live] if cfg.dec_smoe else [0]
+            picked = slice(min(ks), max(ks) + 1)
+            return slice(None, None, 1 if ks[0] <= ks[-1] else -1), [
+                [None if t is None else t[picked] for t in layer.experts]
+                for layer in self.dec_layers]
+
+        order, experts = routed(live)
         done = 0  # positions already in the self-attention caches
         for _ in range(max_len):
             n_rows, n_new = step_ids.shape
             end = done + n_new
             x = self.embed.data[step_ids] * math.sqrt(d) + positions[done:end]
             x = x.reshape(n_rows * n_new, d)
-            # the live rows' experts, consecutive because the tasks are distinct
-            ks = [gates[r].selected for r in live] if cfg.dec_smoe else [0]
-            order = slice(None, None, 1 if ks[0] <= ks[-1] else -1)
-            picked = slice(min(ks), max(ks) + 1)
-            for layer, (keys, values), (cross_k, cross_v) in zip(self.dec_layers, caches, cross):
+            for layer, (keys, values), (cross_k, cross_v), weights in zip(
+                    self.dec_layers, caches, cross, experts):
                 qkv = np.matmul(norm(layer.ln_self, x), layer.qkv[0]) + layer.qkv[1]
                 q, k, v = qkv.reshape(3, n_rows, n_new, n_heads, d_h).transpose(0, 1, 3, 2, 4)
                 keys[..., done:end] = k.swapaxes(2, 3)
                 values[:, :, done:end] = v
-                ctx, _ = attend(q, keys[..., :end], values[:, :, :end], causal=True)
+                ctx = np.empty_like(x)  # each attention's context, heads merged
+                ctx_heads = heads(ctx, n_rows)
+                attend(q, keys[..., :end], values[:, :, :end], ctx_heads, causal=True)
                 a = layer.self_attn
-                x = x + (ctx @ a.w_o.data + a.b_o.data)
+                x += ctx @ a.w_o.data + a.b_o.data
                 a = layer.cross_attn
-                ctx, _ = attend(heads(norm(layer.ln_cross, x) @ a.w_q.data + a.b_q.data, n_rows),
-                                cross_k, cross_v)
-                x = x + (ctx @ a.w_o.data + a.b_o.data)
+                attend(heads(norm(layer.ln_cross, x) @ a.w_q.data + a.b_q.data, n_rows),
+                       cross_k, cross_v, ctx_heads)
+                x += ctx @ a.w_o.data + a.b_o.data
                 for r in live if cfg.dec_smoe else ():
                     select_expert(layer.ffn, gates[r])  # counts the call the next line makes
                 h = norm(layer.ln_ffn, x).reshape(n_rows, n_new, d)[order]
-                weights = (None if t is None else t[picked] for t in layer.experts)
-                x = x + ffn_rows(h, *weights, cfg.activation)[0][order].reshape(-1, d)
+                x += ffn_rows(h, *weights, cfg.activation)[0][order].reshape(-1, d)
             done = end
             last = x.reshape(n_rows, n_new, d)[:, -1]
-            next_ids = np.argmax(self._last_logits(last), axis=-1)
+            next_ids = self._last_logits(last).argmax(-1)
             keep = []
             for j, r in enumerate(live):
                 token = int(next_ids[j])
@@ -613,6 +630,7 @@ class Model:
             if len(keep) < n_rows:
                 live = [live[j] for j in keep]
                 caches = [(k[keep], v[keep]) for k, v in caches]
+                order, experts = routed(live)
             step_ids = next_ids[keep, None]
         return results
 

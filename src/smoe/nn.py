@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .numerics import (
-    Tensor, active_tape, add, attention, attention_rows, attention_rows_backward, dropout, ffn_rows,
-    layer_norm, linear, normalize, normalize_backward, record_op,
+    Tensor, active_tape, add, affine_rows, attention, attention_rows, attention_rows_backward,
+    dropout, ffn_rows, layer_norm, linear, normalize, normalize_backward, record_op,
 )
 
 
@@ -252,10 +252,11 @@ def attention_sublayer(
     h, xhat, inv_std = normalize(x.data, ln.gain.data, ln.bias.data)
     kv = h if memory is None else memory.data
     ctx, saved = attention_rows(
-        h @ p.w_q.data + p.b_q.data, kv @ p.w_k.data + p.b_k.data, kv @ p.w_v.data + p.b_v.data,
+        affine_rows(h, p.w_q.data, p.b_q.data), affine_rows(kv, p.w_k.data, p.b_k.data),
+        affine_rows(kv, p.w_v.data, p.b_v.data),
         p.n_heads, q_lengths, k_lengths, causal, needs and active_tape() is not None,
     )
-    out = ctx @ p.w_o.data + p.b_o.data
+    out = affine_rows(ctx, p.w_o.data, p.b_o.data)
     mask = None
     if rng is not None and dropout_rate > 0.0:
         mask = (rng.random(out.shape) >= dropout_rate) / (1.0 - dropout_rate)

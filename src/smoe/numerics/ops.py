@@ -8,10 +8,19 @@ backward rule short enough to audit by hand.
 hand-written backward in place of a chain of the elementary ops. The
 array kernels compute on plain arrays with no tape: `attention_rows`
 (length checks, grouping by (t_q, t_k), `attend` per group) with
-`attention_rows_backward`, `normalize` with `normalize_backward`, and
-`ffn_rows`. The tape ops, `nn.ffn_forward` and `nn.attention_sublayer`
-wrap them, and greedy decode calls `attend`, `normalize` and `ffn_rows`
-directly.
+`attention_rows_backward`, `normalize` with `normalize_backward`,
+`ffn_rows`, `affine_rows` and `matmul_columns`. The tape ops,
+`nn.ffn_forward` and `nn.attention_sublayer` wrap them, and greedy decode
+calls them directly.
+
+The forward kernels `ffn_rows`, `affine_rows`, `matmul_columns` and
+`attention_rows` (over heads) cut their work by `halves.split_parts`, which
+reads only the operands' shapes, and run the parts through
+`halves.map_halves`: a large product runs on two cores, each part writing
+its slice of one preallocated output, bitwise what one part computes; a
+small one runs as one part on the calling thread. Only these kernels' own
+numpy calls run on the helper thread. Backward kernels run on the calling
+thread.
 """
 
 from __future__ import annotations
@@ -22,6 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import ConfigError, ShapeError
+from ..halves import GRAIN, map_halves, split_parts
 from .tensor import Tensor, active_tape, record_op
 
 LN_EPSILON = 1e-6  # added to the variance in every layer norm
@@ -74,20 +84,80 @@ def ffn_rows(
     hg = h when w_gate is None), out = hg @ w_out + b_out. Returns out and,
     if keep, [a, sig, h, gate, hg] for a backward (sig None for relu, gate
     None without GLU); otherwise None, each intermediate dropped once the
-    next exists."""
+    next exists.
+
+    x may also be a stack [experts x rows x d_model] over weights stacked
+    [experts x ...] (a bank's experts, one per slice) or [1 x ...] (one
+    block for every slice). The work is cut by `split_parts` on x's first
+    axis, rows of a matrix or experts of a stack, and each part writes its
+    slice of out and of the kept intermediates.
+    """
     if activation not in ("silu", "relu"):
         raise ConfigError(f"unknown activation {activation!r}")
-    a = x @ w_in + b_in
-    sig = 1.0 / (1.0 + np.exp(-a)) if activation == "silu" else None
-    h = np.maximum(a, 0.0) if sig is None else a * sig
-    saved = [a, sig, h] if keep else None
-    del a, sig
-    gate = None if w_gate is None else x @ w_gate + b_gate
-    hg = h if gate is None else h * gate
-    if keep:
-        saved += [gate, hg]
-    del h, gate
-    return hg @ w_out + b_out, saved
+    lead, d_ff, glu = x.shape[:-1], w_in.shape[-1], w_gate is not None
+    parts = split_parts(len(x), x.size * d_ff, 1 if x.ndim == 3 else GRAIN)
+    weights = (w_in, b_in, w_out, b_out, w_gate, b_gate)
+    # a bank's stacks are cut with x's experts; whole, they serve one part
+    per_expert = len(parts) > 1 and x.ndim == 3 and len(w_in) > 1
+    kept = ([np.empty(lead + (d_ff,)) if used else None
+             for used in (True, activation == "silu", True, glu, glu)] if keep else None)
+    out = np.empty(lead + w_out.shape[-1:])
+
+    def run(s: slice) -> None:
+        xs = x[s]
+        wi, bi, wo, bo, wg, bg = ([None if w is None else w[s] for w in weights]
+                                  if per_expert else weights)
+        # the part's slices of the kept arrays; None makes each op allocate
+        a_out, sig_out, h_out, gate_out, hg_out = (
+            [None if k is None else k[s] for k in kept] if keep else [None] * 5)
+        a = np.matmul(xs, wi, out=a_out)
+        a += bi
+        if activation == "silu":  # 1 / (1 + exp(-a)), one op at a time in place
+            sig = np.negative(a, out=sig_out)
+            np.exp(sig, out=sig)
+            sig += 1.0
+            np.divide(1.0, sig, out=sig)
+            h = np.multiply(a, sig, out=h_out)
+        else:
+            sig, h = None, np.maximum(a, 0.0, out=h_out)
+        del a, sig
+        if glu:
+            gate = np.matmul(xs, wg, out=gate_out)
+            gate += bg
+            h = np.multiply(h, gate, out=hg_out)
+            del gate
+        part = np.matmul(h, wo, out=out[s])
+        part += bo
+
+    map_halves(run, parts)
+    if keep and not glu:
+        kept[4] = kept[2]
+    return out, kept
+
+
+def affine_rows(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x @ w + b for plain rows x [rows x d_in], w [d_in x d_out] and b
+    [d_out], no tape, cut into rows by `split_parts`."""
+    out = np.empty((len(x), w.shape[1]))
+
+    def run(s: slice) -> None:
+        part = np.matmul(x[s], w, out=out[s])
+        part += b
+
+    map_halves(run, split_parts(len(x), x.size * w.shape[1]))
+    return out
+
+
+def matmul_columns(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """x @ w for plain x [rows x d_in] and w [d_in x d_out], no tape, cut
+    into columns of w by `split_parts`: the vocabulary of a logits product."""
+    out = np.empty((len(x), w.shape[1]))
+
+    def run(s: slice) -> None:
+        np.matmul(x, w[:, s], out=out[:, s])
+
+    map_halves(run, split_parts(w.shape[1], x.size * w.shape[1]))
+    return out
 
 
 def _heads(a: np.ndarray, n_heads: int) -> np.ndarray:
@@ -103,27 +173,30 @@ def _merge_heads(a: np.ndarray) -> np.ndarray:
 
 
 def attend(
-    q: np.ndarray, k_t: np.ndarray, v: np.ndarray, causal: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
+    q: np.ndarray, k_t: np.ndarray, v: np.ndarray, out: np.ndarray,
+    probs: np.ndarray | None = None, causal: bool = False,
+) -> np.ndarray:
     """Multi-head softmax attention on head-split plain arrays (strided views
     will do), no tape, of queries q [n x h x t_q x dh] over transposed keys
-    k_t [n or 1 x h x dh x t_k] and values v [n or 1 x h x t_k x dh]: the
-    heads-merged context [n*t_q x h*dh] and the probabilities [n x h x t_q x
-    t_k]. Scores are scaled by 1/sqrt(dh). causal keeps query i on keys 0 ..
-    t_k - t_q + i (bottom-right aligned), so queries appended after cached
-    keys read no later position; masked probabilities are exact 0.0. The
-    softmax runs in place in the scores array. Greedy decode passes slices
-    of its head-major key/value caches.
+    k_t [n or 1 x h x dh x t_k] and values v [n or 1 x h x t_k x dh]: writes
+    the context into `out` [n x h x t_q x dh], a head-split view of the
+    heads-merged context rows, and returns the probabilities [n x h x t_q x
+    t_k], written into `probs` when given. Scores are scaled by 1/sqrt(dh).
+    causal keeps query i on keys 0 .. t_k - t_q + i (bottom-right aligned),
+    so queries appended after cached keys read no later position; masked
+    probabilities are exact 0.0. The softmax runs in place in the scores
+    array. Greedy decode passes slices of its head-major key/value caches.
     """
     t_q, t_k = q.shape[2], v.shape[2]
-    probs = q @ k_t
+    probs = np.matmul(q, k_t, out=probs)
     probs *= 1.0 / math.sqrt(q.shape[3])
     if causal and t_q > 1:
         np.copyto(probs, -np.inf, where=~np.tri(t_q, t_k, t_k - t_q, dtype=bool))
-    probs -= probs.max(axis=-1, keepdims=True)
+    probs -= np.maximum.reduce(probs, -1, keepdims=True)  # ndarray.max, without its wrapper
     np.exp(probs, out=probs)
-    probs /= probs.sum(axis=-1, keepdims=True)
-    return _merge_heads(probs @ v), probs
+    probs /= np.add.reduce(probs, -1, keepdims=True)
+    np.matmul(probs, v, out=out)
+    return probs
 
 
 def _sample_rows(offsets: np.ndarray, group: list[int], t: int) -> slice | np.ndarray:
@@ -172,15 +245,17 @@ def attention_rows(
     for i, lengths in enumerate(zip(q_lengths, k_lengths)):
         groups.setdefault(lengths, []).append(i)
     q_off, k_off = np.cumsum([0] + q_lengths), np.cumsum([0] + k_lengths)
-    out, saved = None if len(groups) == 1 else np.empty((n_q, d)), [] if keep else None
+    out, saved = np.empty((n_q, d)), [] if keep else None
     for (t_q, t_k), group in groups.items():
         qr, kr = _sample_rows(q_off, group, t_q), _sample_rows(k_off, group, t_k)
         qg, kg, vg = (a[r].reshape(len(group), -1, d) for a, r in ((q, qr), (k, kr), (v, kr)))
-        ctx, probs = attend(_heads(qg, n_heads), _heads(kg, n_heads).swapaxes(-1, -2),
-                            _heads(vg, n_heads), causal)
-        if out is None:  # one group: every row, in order
-            out = ctx
-        else:
+        qh, kh, vh = _heads(qg, n_heads), _heads(kg, n_heads).swapaxes(-1, -2), _heads(vg, n_heads)
+        in_place = isinstance(qr, slice)  # the group's context is written into out
+        ctx = out[qr] if in_place else np.empty((len(group) * t_q, d))
+        ctx_h, probs = _heads(ctx.reshape(qg.shape), n_heads), np.empty(qh.shape[:3] + (t_k,))
+        map_halves(lambda s: attend(qh[:, s], kh[:, s], vh[:, s], ctx_h[:, s], probs[:, s], causal),
+                   split_parts(n_heads, len(group) * t_q * t_k * d, 1))
+        if not in_place:
             out[qr] = ctx
         if keep:
             saved.append((qr, kr, qg, kg, vg, probs))

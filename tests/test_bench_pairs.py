@@ -64,6 +64,7 @@ def test_summary_of_ten_pairs_shows_a_gain_inside_every_bound():
     assert op["ratios"][5] == pytest.approx(61.0 / 60.5)
     assert op["worse_by"] == pytest.approx(47.0 / 60.0 - 1.0)
     assert op["raw"]["parent"]["median"] == 50.0 and op["raw"]["change"]["median"] == 37.0
+    assert op["raw"]["pairs_won"] == 9 and op["raw"]["gain_shown"]
     items = out["metrics"]["items_per_s"]
     assert items["pairs_won"] == 9 and items["gain_shown"] and items["within_bound"]
     assert items["worse_by"] == pytest.approx(1.0 - 60.0 / 47.0, rel=1e-3)
@@ -83,6 +84,21 @@ def test_summary_claims_no_gain_it_cannot_show(parent, change, gain, inside):
               bench_pairs.parse_run(run_output(c, 1.0, c))) for p, c in zip(parent, change)]
     op = bench_pairs.summarize(SPEC, pairs)["metrics"]["op_ms_p50"]
     assert (op["gain_shown"], op["within_bound"]) == (gain, inside)
+
+
+def test_raw_figures_are_judged_apart_from_the_scaled_ones():
+    # a one-thread speed probe can scale a two-thread operation wrongly, so
+    # the raw figures get their own pairs won and gain: here the scaled
+    # medians tie while every raw pair is won by 10 ms, 5x the parent spread
+    parent = [(60.0 + i % 3, 50.0 + i % 3) for i in range(10)]
+    change = [(60.0 + i % 3, 40.0 + i % 3) for i in range(10)]
+    pairs = [(bench_pairs.parse_run(run_output(p, 1.0, p_raw)),
+              bench_pairs.parse_run(run_output(c, 1.0, c_raw)))
+             for (p, p_raw), (c, c_raw) in zip(parent, change)]
+    op = bench_pairs.summarize(SPEC, pairs)["metrics"]["op_ms_p50"]
+    assert (op["pairs_won"], op["gain_shown"]) == (0, False)
+    assert (op["raw"]["pairs_won"], op["raw"]["gain_shown"]) == (10, True)
+    assert op["raw"]["change"]["median"] == 41.0
 
 
 def test_snapshot_copies_the_files_git_lists_of_the_working_tree(tmp_path):

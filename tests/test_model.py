@@ -18,6 +18,7 @@ import smoe.model
 from smoe.cli import main
 from smoe.data import Utterance
 from smoe.errors import CheckpointError, ConfigError, FormatError, LimitError
+from smoe.halves import SPLIT_MIN_MACS
 from smoe.model import (
     Model,
     ModelConfig,
@@ -35,6 +36,8 @@ from smoe.numerics import arena_bounds, constant
 from smoe.seqio import GuidingToken, Vocabulary, build_target_sequence, guiding_prefix
 from smoe.signal import N_MELS, FbankFeatures
 from smoe.train import Batch, batch_loss
+
+from splits import one_part_then_split, perfbench_bindings
 
 VOCAB = Vocabulary()
 
@@ -1118,3 +1121,71 @@ def monkeypatch_arena():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(smoe.model, "parameter_arena", marked)
         yield
+
+
+# -- mid-size inference on two cores: bitwise the one-part run -------------------------
+
+
+@pytest.fixture(scope="module", params=[True, False], ids=["tied", "untied"])
+def mid_model(request):
+    """Both stacks routed at d 256: every product the size rule can split
+    at the default SPLIT_MIN_MACS or at 0 splits here. With a tied table
+    the random model's greedy ids repeat one token; untied, they vary."""
+    return Model(ModelConfig(n_enc_layers=2, n_dec_layers=1, d_model=256, d_ff=1024, n_heads=4,
+                             vocab_size=4000, dropout=0.0, enc_smoe=True, dec_smoe=True,
+                             tied_embed=request.param), seed=3).eval()
+
+
+def mid_features(frames=300):
+    rng = np.random.default_rng(frames)
+    return FbankFeatures(frames=constant(rng.normal(size=(frames, 80)) - 10.0),
+                         bandwidth=Bandwidth.NB)
+
+
+@pytest.mark.parametrize("limit", [SPLIT_MIN_MACS, 0], ids=["rule", "every-product"])
+def test_mid_size_encode_decode_and_greedy_in_two_parts_are_bitwise_one_part(
+        limit, mid_model, fast_logits, monkeypatch):
+    # at the rule's own limit the encoder, the attention sublayers and the
+    # cross keys/values split; at 0 the logits and decoder experts split too
+    feats, ids = mid_features(), guiding_prefix(Task.ST) + list(range(100, 130))
+
+    def run():
+        fast_logits.clear()
+        enc = mid_model.encode(feats, Bandwidth.NB)
+        dual = mid_model.infer_dual(feats, Bandwidth.NB, max_len=8)
+        asr, st = (mid_model.infer_single(feats, Bandwidth.NB, task, max_len=8)
+                   for task in (Task.ASR, Task.ST))
+        assert (dual.asr_ids, dual.asr_truncated, dual.st_ids, dual.st_truncated) == (
+            asr.ids, asr.truncated, st.ids, st.truncated)
+        return [enc.data, mid_model.decode(enc, ids, Task.ST).data, *fast_logits], dual
+
+    (one, one_threads), (two, two_threads) = one_part_then_split(monkeypatch, run, limit)
+    assert one_threads == 0 and two_threads > 0
+    assert len(one[0]) == len(two[0]) == 2 + 3 * 8  # a dual and two single decodes, 8 steps
+    assert all(np.array_equal(a, b) for a, b in zip(one[0], two[0]))
+    assert one[1] == two[1]
+
+
+def test_split_inference_leaves_no_thread_and_no_traced_call_on_the_helper(mid_model,
+                                                                           monkeypatch):
+    # perfbench's span tracer keeps one span stack for the process, so no
+    # function it wraps may run on the helper thread; only numerics kernels do
+    ran_on = []
+    for module, cls, attr, _ in perfbench_bindings():
+        if module == "model":
+            owner = smoe.model if cls is None else getattr(smoe.model, cls)
+            original = getattr(owner, attr)
+
+            def recording(*args, _original=original, **kwargs):
+                ran_on.append(threading.current_thread())
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, attr, recording)
+    starts, real = [], threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda self: (starts.append(self), real(self)))
+    threads = threading.active_count()
+    mid_model.encode(mid_features(), Bandwidth.NB)
+    assert threading.active_count() == threads and starts
+    mid_model.infer_dual(mid_features(), Bandwidth.NB, max_len=4)
+    assert threading.active_count() == threads
+    assert ran_on and set(ran_on) == {threading.main_thread()}

@@ -1,20 +1,29 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+import smoe.halves
 from smoe.errors import ContractError, ShapeError
+from smoe.halves import SPLIT_MIN_MACS, split_parts
 from smoe.nn import FFNParams, ffn_forward
 from smoe.numerics import (
     Tape,
     add,
+    affine_rows,
     attention,
+    attention_rows,
     backward,
     constant,
     dropout,
     embedding,
+    ffn_rows,
     grad_check,
     layer_norm,
     linear,
     matmul,
+    matmul_columns,
     mul,
     scale,
     scatter_rows,
@@ -22,6 +31,7 @@ from smoe.numerics import (
     sum_all,
 )
 
+from splits import one_part_then_split
 from tape_ops import attention_by_gathers, bmm, parameter, permute, reshape, softmax_last
 
 
@@ -498,3 +508,159 @@ def test_backward_stores_grad_on_leaves_only():
         if t.grad is not None:
             assert np.array_equal(t.grad, want[n]), n
     assert any(t.grad is None for _, t in params)  # the unrouted expert
+
+
+# -- the forward's products in two parts: bitwise what one part computes -----
+
+
+@pytest.mark.parametrize("n, grain", [(16, 8), (17, 8), (23, 8), (24, 8), (296, 8), (297, 8),
+                                      (40000, 8), (2, 1), (3, 1), (8, 1)])
+def test_split_parts_cuts_on_a_multiple_of_the_grain_near_the_middle(n, grain):
+    lower, upper = split_parts(n, SPLIT_MIN_MACS, grain)
+    assert (lower.start, lower.stop, upper.start, upper.stop) == (0, lower.stop, lower.stop, n)
+    assert lower.stop % grain == 0 and min(lower.stop, n - lower.stop) >= grain
+    assert abs(n - 2 * lower.stop) <= grain
+
+
+@pytest.mark.parametrize("n, macs, grain", [(15, 10**9, 8), (1, 10**9, 1),
+                                            (10**6, SPLIT_MIN_MACS - 1, 8)])
+def test_split_parts_keeps_small_work_in_one_part(n, macs, grain):
+    assert split_parts(n, macs, grain) == [slice(0, n)]
+
+
+def assert_split_bitwise(runs):
+    """The two runs of one_part_then_split: the one-part run started no
+    thread, the split run did, and every array of their results is equal."""
+    (one, one_threads), (two, two_threads) = runs
+    assert one_threads == 0 and two_threads > 0
+    flat = [(a, b) for a, b in zip(one, two) if a is not None or b is not None]
+    assert all(np.array_equal(a, b) for a, b in flat)
+
+
+def ffn_weights(rng, d, d_ff, glu, stack=()):
+    shapes = [(*stack, d, d_ff), (*stack, *(1,) * bool(stack), d_ff), (*stack, d_ff, d),
+              (*stack, *(1,) * bool(stack), d)]
+    shapes += [shapes[0], shapes[1]] if glu else []
+    return [rng.normal(size=s) for s in shapes] + [None] * (0 if glu else 2)
+
+
+# Each case's products reach SPLIT_MIN_MACS, so the rule's own split runs.
+# With 512-wide rows, a part of fewer than ~30 rows would run on OpenBLAS's
+# small-matrix path and differ from the whole in the last bit.
+
+
+@pytest.mark.parametrize("rows", [296, 297])
+def test_affine_rows_in_two_parts_is_bitwise_one_part(rows, monkeypatch):
+    rng = np.random.default_rng(rows)
+    x, w, b = rng.normal(size=(rows, 512)), rng.normal(size=(512, 64)), rng.normal(size=64)
+    runs = one_part_then_split(monkeypatch, lambda: [affine_rows(x, w, b)])
+    assert_split_bitwise(runs)
+    assert np.array_equal(runs[0][0][0], x @ w + b)
+
+
+@pytest.mark.parametrize("rows", [296, 297])
+@pytest.mark.parametrize("activation, glu", [("silu", True), ("relu", False)])
+@pytest.mark.parametrize("keep", [False, True])
+def test_ffn_rows_in_two_parts_is_bitwise_one_part(rows, activation, glu, keep, monkeypatch):
+    rng = np.random.default_rng(rows)
+    x, weights = rng.normal(size=(rows, 512)), ffn_weights(rng, 512, 64, glu)
+
+    def run():
+        out, kept = ffn_rows(x, *weights, activation, keep)
+        return [out, *(kept or [])]
+
+    runs = one_part_then_split(monkeypatch, run)
+    assert_split_bitwise(runs)
+    assert len(runs[1][0]) == (6 if keep else 1)
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["bank", "shared"])
+def test_ffn_rows_of_a_two_expert_stack_in_two_parts_is_bitwise_one_part(shared, monkeypatch):
+    # greedy decode's feedforward: each row's positions through its expert
+    # of a stacked bank, or both rows through one block stacked [1 x ...]
+    rng = np.random.default_rng(2)
+    x = rng.normal(size=(2, 40, 256))
+    weights = ffn_weights(rng, 256, 256, True, (1 if shared else 2,))
+    runs = one_part_then_split(monkeypatch, lambda: [ffn_rows(x, *weights, "silu")[0]])
+    assert_split_bitwise(runs)
+    for k in range(2):
+        one = [w if len(w) == 1 else w[k : k + 1] for w in weights]
+        assert np.array_equal(runs[1][0][0][k : k + 1], ffn_rows(x[k : k + 1], *one, "silu")[0])
+
+
+@pytest.mark.parametrize("q_lengths, k_lengths, causal", [
+    ([296], [296], False), ([297], [297], True), ([150, 150], [150, 150], False),
+    ([148, 148], [297, 296], False), ([9, 296], [9, 297], True),
+])
+def test_attention_rows_in_two_parts_is_bitwise_one_part(q_lengths, k_lengths, causal,
+                                                         monkeypatch):
+    rng = np.random.default_rng(sum(q_lengths))
+    q = rng.normal(size=(sum(q_lengths), 128))
+    k, v = (rng.normal(size=(sum(k_lengths), 128)) for _ in range(2))
+
+    def run():
+        ctx, saved = attention_rows(q, k, v, 8, q_lengths, k_lengths, causal, keep=True)
+        return [ctx, *(group[-1] for group in saved)]
+
+    assert_split_bitwise(one_part_then_split(monkeypatch, run))
+
+
+@pytest.mark.parametrize("rows", [1, 2])
+def test_matmul_columns_in_two_parts_is_bitwise_one_part(rows, monkeypatch):
+    # the vocabulary logits of greedy decode, against a transposed table; a
+    # cut off a multiple of 4 columns moves the last bit on OpenBLAS
+    rng = np.random.default_rng(rows)
+    y, table = rng.normal(size=(rows, 512)), rng.normal(size=(8000, 512))
+    runs = one_part_then_split(monkeypatch, lambda: [matmul_columns(y, table.T)])
+    assert_split_bitwise(runs)
+    assert np.array_equal(runs[0][0][0], y @ table.T)
+
+
+def test_concurrent_split_products_under_a_short_switch_interval_keep_their_own_results():
+    # four callers, each splitting its products over a helper: eight threads
+    # on fewer cores, switching often, each part writing its slice of its
+    # caller's output
+    rng = np.random.default_rng(4)
+    x, w, b = rng.normal(size=(64, 512)), rng.normal(size=(512, 160)), rng.normal(size=160)
+    weights = ffn_weights(rng, 512, 160, True)
+    assert len(split_parts(64, x.size * 160)) == 2  # both kernels split
+    want = [affine_rows(x * k, w, b) for k in range(4)], [
+        ffn_rows(x * k, *weights, "silu")[0] for k in range(4)]
+    outs, interval = {}, sys.getswitchinterval()
+
+    def caller(k):
+        outs[k] = [(affine_rows(x * k, w, b), ffn_rows(x * k, *weights, "silu")[0])
+                   for _ in range(10)]
+
+    callers = [threading.Thread(target=caller, args=(k,)) for k in range(4)]
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(10.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    assert all(np.array_equal(a, want[0][k]) and np.array_equal(f, want[1][k])
+               for k in range(4) for a, f in outs[k])
+
+
+class FailingUpperPart(np.ndarray):
+    """Rows whose upper part, the one the helper thread maps, cannot be read."""
+
+    def __getitem__(self, index):
+        if isinstance(index, slice) and index.start:
+            self.error = ValueError(f"rows {index.start}:{index.stop}")
+            raise self.error
+        return super().__getitem__(index)
+
+
+def test_an_error_in_the_helpers_part_reaches_the_caller_as_the_same_object(monkeypatch):
+    monkeypatch.setattr(smoe.halves, "SPLIT_MIN_MACS", 0)
+    threads = threading.active_count()
+    x = np.ones((32, 8)).view(FailingUpperPart)
+    with pytest.raises(ValueError) as info:
+        affine_rows(x, np.ones((8, 4)), np.zeros(4))
+    assert info.value is x.error and str(info.value) == "rows 16:32"
+    assert threading.active_count() == threads

@@ -4,6 +4,8 @@ import ast
 import importlib
 from pathlib import Path
 
+from splits import perfbench_bindings
+
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "smoe"
 
@@ -56,9 +58,7 @@ def test_src_has_no_unused_imports():
 def test_perfbench_bindings_resolve():
     # perfbench/spans.py wraps each (module, class, attribute) of its
     # BINDINGS by `owner.__dict__[attr]`, so each must be defined right there
-    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text(encoding="utf-8"))
-    [bindings] = [ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
-                  and any(isinstance(t, ast.Name) and t.id == "BINDINGS" for t in node.targets)]
+    bindings = perfbench_bindings()
     assert ("model", None, "attention_forward", "@attn") in bindings
     for module, cls, attr, _ in bindings:
         owner = importlib.import_module(f"smoe.{module}")

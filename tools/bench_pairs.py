@@ -17,13 +17,13 @@ copies of one revision.
 
 It writes BENCH_<label>.json at the repository root. For each workload and
 end-to-end metric it holds the parent's and the change's median and
-quartiles (the scaled figures of each run's final JSON line, and the raw
-ones where the run prints them), the change/parent ratio of every pair, the
-pairs the change won, the BENCHMARK.json bound and whether the change's
-median stays inside it, which is "unresolved" when the parent's own
-quartile spread is wider than the bound and some run of the change reads no
-better than some run of the parent. Each run's record keeps the host facts
-it printed.
+quartiles, the pairs the change won and whether it shows a gain, for the
+scaled figures of each run's final JSON line and, where the run prints
+them, for the raw ones; the change/parent ratio of every pair; and the
+BENCHMARK.json bound and whether the change's scaled median stays inside
+it, which is "unresolved" when the parent's own quartile spread is wider
+than the bound and some run of the change reads no better than some run of
+the parent. Each run's record keeps the host facts it printed.
 The temporary trees are deleted on exit, and no run outlives the tool.
 """
 
@@ -85,23 +85,35 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def compare(parent: list[float], change: list[float], lower: bool) -> dict:
+    """One figure over pairs of runs: each side's median and quartiles, the
+    pairs the change won, and whether it shows a gain: it wins at least nine
+    tenths of at least ten pairs, and its median is better by more than the
+    parent runs' interquartile distance."""
+    won = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
+    base, new = spread(parent), spread(change)
+    better_by = (base["median"] - new["median"]) * (1.0 if lower else -1.0)
+    return {"parent": base, "change": new, "pairs_won": won,
+            "gain_shown": (len(parent) >= PAIRS and 10 * won >= 9 * len(parent)
+                           and better_by > base["q3"] - base["q1"])}
+
+
 def summarize_metric(metric: dict, pairs: list[tuple[dict, dict]]) -> dict:
-    """One end-to-end metric over (parent run, change run) pairs: each side's
-    median and quartiles, per-pair ratios, pairs won, and the bound check.
+    """One end-to-end metric over (parent run, change run) pairs: `compare`
+    of its scaled figures, per-pair ratios and the bound check, and
+    `compare` of its raw figures where every run printed them, since a
+    one-thread speed probe can misstate an operation that uses two threads.
     `worse_by` is how far the change's median is worse than the parent's, as
     a share of the parent's; negative is better. `within_bound` is
     "unresolved" when the parent's interquartile distance, as a share of its
     median, is wider than the bound, unless every run of the change reads
-    better than every run of the parent. A gain is shown when the change wins at
-    least nine tenths of at least ten pairs and its median is better by more
-    than the parent runs' interquartile distance."""
+    better than every run of the parent."""
     name, lower = metric["name"], metric["better"] == "lower"
     parent = [p["metrics"][name] for p, _ in pairs]
     change = [c["metrics"][name] for _, c in pairs]
-    won = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
-    base, new = spread(parent), spread(change)
-    worse_by = (new["median"] / base["median"] - 1.0) * (1.0 if lower else -1.0)
-    better_by = -worse_by * base["median"]
+    scaled = compare(parent, change, lower)
+    base = scaled["parent"]
+    worse_by = (scaled["change"]["median"] / base["median"] - 1.0) * (1.0 if lower else -1.0)
     apart = max(change) < min(parent) if lower else min(change) > max(parent)
     noisy = base["q3"] - base["q1"] > metric["bound"] * base["median"] and not apart
     out = {
@@ -109,17 +121,16 @@ def summarize_metric(metric: dict, pairs: list[tuple[dict, dict]]) -> dict:
         "better": metric["better"],
         "bound": metric["bound"],
         "parent": base,
-        "change": new,
+        "change": scaled["change"],
         "ratios": [c / p for p, c in zip(parent, change)],
-        "pairs_won": won,
+        "pairs_won": scaled["pairs_won"],
         "worse_by": worse_by,
         "within_bound": "unresolved" if noisy else worse_by <= metric["bound"],
-        "gain_shown": (len(pairs) >= PAIRS and 10 * won >= 9 * len(pairs)
-                       and better_by > base["q3"] - base["q1"]),
+        "gain_shown": scaled["gain_shown"],
     }
     if all(name in run["raw"] for pair in pairs for run in pair):
-        out["raw"] = {side: spread([pair[i]["raw"][name] for pair in pairs])
-                      for i, side in enumerate(SIDES)}
+        out["raw"] = compare([p["raw"][name] for p, _ in pairs],
+                             [c["raw"][name] for _, c in pairs], lower)
     return out
 
 
