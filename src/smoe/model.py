@@ -8,9 +8,13 @@ encoder on packed real-frame rows [sum(T_i) x d], where dropout draws at
 that shape, the decoder on padded target rows [B*L x d]; attention reads
 each sample's own rows, and each encoder expert runs once on its bandwidth's
 rows. Only in training mode does it hand its blocks the dropout RNG. Each
+stack's entry is one tape node: the encoder's input projection plus
+positions, the decoder's embedding lookup, √d scale and positions. Each
 pre-norm attention sublayer, self- or cross-attention, is one tape node
 (`nn.attention_sublayer`); each FFN sublayer is its norm, the FFN block and
-the residual add. `encode` and `decode` are its one-sample calls. Greedy
+the residual add. The decoder ends in one output-head node, the final norm
+and the output projection (`_output_head`), over the kernels greedy
+decode's logits use. `encode` and `decode` are its one-sample calls. Greedy
 decoding runs off the tape on preallocated, head-major key/value caches and
 stacked arena views, through the kernels the tape ops wrap
 (`numerics.attend`, `normalize`, `ffn_rows`, `affine_rows` and
@@ -72,8 +76,8 @@ from .nn import (
     sinusoidal_positions,
 )
 from .numerics import (
-    Tensor, add, affine_rows, attend, constant, dropout, embedding, ffn_rows, linear, matmul,
-    matmul_columns, normalize, parameter_arena, scale, scatter_rows, transpose2d,
+    Tensor, affine_rows, attend, constant, dropout, embedding, ffn_rows, gather_rows, linear,
+    matmul_columns, normalize, normalize_backward, parameter_arena, record_op, scatter_rows,
 )
 from .seqio import GuidingToken, TargetSequence, guiding_prefix
 from .signal import N_MELS, FbankFeatures
@@ -421,7 +425,7 @@ class Model:
         and rows in no group get 0. rows None is every row of x."""
         if groups[0][1] is None:
             return self._sublayer_ffn(layer_ffn, groups[0][0], x)
-        parts = [(self._sublayer_ffn(layer_ffn, gate, embedding(x, rows)), rows)
+        parts = [(self._sublayer_ffn(layer_ffn, gate, gather_rows(x, rows)), rows)
                  for gate, rows in groups]
         return scatter_rows(parts, x.shape[0])
 
@@ -456,8 +460,8 @@ class Model:
         offsets = np.cumsum([0, *lengths])
         positions = sinusoidal_positions(t_max, cfg.d_model)
         rng = self._dropout_rng if self.training else None
-        x = linear(constant(packed), self.input_proj_w, self.input_proj_b)
-        x = add(x, constant(np.concatenate([positions[:length] for length in lengths])))
+        x = linear(constant(packed), self.input_proj_w, self.input_proj_b,
+                   np.concatenate([positions[:length] for length in lengths]))
         x = dropout(x, cfg.dropout, rng)
         gates = [gate_encoder(f.bandwidth) if cfg.enc_smoe else None for f in features]
         groups: list[tuple[GateVector | None, np.ndarray | None]] = [(gates[0], None)]
@@ -497,8 +501,8 @@ class Model:
         n, t = ids.shape
         if t > cfg.max_tgt_tokens:
             raise LimitError(f"{t} target tokens exceeds max_tgt_tokens {cfg.max_tgt_tokens}")
-        x = scale(embedding(self.embed, ids.reshape(-1)), math.sqrt(cfg.d_model))
-        x = add(x, constant(np.tile(sinusoidal_positions(t, cfg.d_model), (n, 1))))
+        x = embedding(self.embed, ids.reshape(-1), math.sqrt(cfg.d_model),
+                      np.tile(sinusoidal_positions(t, cfg.d_model), (n, 1)))
         rng = self._dropout_rng if self.training else None
         x = dropout(x, cfg.dropout, rng)
         gate = gate_decoder(task)
@@ -510,10 +514,7 @@ class Model:
                                    False, cfg.dropout, rng)
             x = pre_norm_residual(lambda h: self._sublayer_ffn(layer.ffn, gate, h),
                                   layer.ln_ffn, x, cfg.dropout, rng)
-        x = layer_norm_params(self.ln_dec_final, x)
-        if self.out_proj is not None:
-            return matmul(x, self.out_proj)
-        return matmul(x, transpose2d(self.embed))
+        return self._output_head(x)
 
     def forward(
         self, features: FbankFeatures, bw: Bandwidth, target: TargetSequence
@@ -522,14 +523,39 @@ class Model:
         enc_out = self.encode(features, bw)
         return self.decode(enc_out, target.ids, target.task)
 
+    def _head_rows(self, x: np.ndarray) -> tuple[np.ndarray, tuple]:
+        """Vocabulary logits [rows x vocab] of decoder states x [rows x d],
+        no tape: the final norm, then the output projection P (the embedding
+        table's transpose when tied) by `matmul_columns`. Also returns the
+        norm's output h, its xhat and inv_std, and P, for a backward."""
+        ln = self.ln_dec_final
+        h, xhat, inv_std = normalize(x, ln.gain.data, ln.bias.data)
+        proj = self.embed.data.T if self.out_proj is None else self.out_proj.data
+        return matmul_columns(h, proj), (h, xhat, inv_std, proj)
+
+    def _output_head(self, x: Tensor) -> Tensor:
+        """`_head_rows` as one tape node. Backward, for the logits gradient
+        g: dP = h^T g (transposed onto the tied table), and the norm's
+        backward of dh = g P^T."""
+        ln, tied = self.ln_dec_final, self.out_proj is None
+        weight = self.embed if tied else self.out_proj
+        logits, (h, xhat, inv_std, proj) = self._head_rows(x.data)
+
+        def grad_fn(g: np.ndarray):
+            dproj = h.T @ g
+            dx, dgain, dbias = normalize_backward(g @ proj.T, ln.gain.data, xhat, inv_std)
+            return [(weight, dproj.T if tied else dproj), (ln.gain, dgain), (ln.bias, dbias),
+                    (x, dx)]
+
+        needs = x.requires_grad or weight.requires_grad or ln.gain.requires_grad
+        return record_op(Tensor(logits, requires_grad=needs), grad_fn)
+
     # -- greedy decoding ----------------------------------------------------
 
     def _last_logits(self, last: np.ndarray) -> np.ndarray:
         """Vocabulary logits [rows x vocab] of decoder states [rows x d]: the
-        final norm and output projection of `decode`, without a tape."""
-        out_proj = self.embed.data.T if self.out_proj is None else self.out_proj.data
-        ln = self.ln_dec_final
-        return matmul_columns(normalize(last, ln.gain.data, ln.bias.data)[0], out_proj)
+        output head of `decode`, without a tape."""
+        return self._head_rows(last)[0]
 
     def _greedy_rows(self, enc_out: Tensor, tasks: list[Task], max_len: int) -> list[SingleDecode]:
         """Greedy decode of one row per task over one encoder output, with

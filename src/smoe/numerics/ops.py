@@ -18,9 +18,9 @@ The forward kernels `ffn_rows`, `affine_rows`, `matmul_columns` and
 reads only the operands' shapes, and run the parts through
 `halves.map_halves`: a large product runs on two cores, each part writing
 its slice of one preallocated output, bitwise what one part computes; a
-small one runs as one part on the calling thread. Only these kernels' own
-numpy calls run on the helper thread. Backward kernels run on the calling
-thread.
+small one is computed directly on the calling thread, with no map, closure
+or preallocated output. Only these kernels' own numpy calls run on the
+helper thread. Backward kernels run on the calling thread.
 """
 
 from __future__ import annotations
@@ -45,27 +45,19 @@ def _needs_grad(*tensors: Tensor) -> bool:
     return any(t.requires_grad for t in tensors)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """y = a @ b for 2-D a and b. Backward: da = g @ b^T, db = a^T @ g."""
-    ad, bd = a.data, b.data
-    if ad.ndim != 2 or bd.ndim != 2 or ad.shape[1] != bd.shape[0]:
-        raise ShapeError(f"matmul needs 2-D operands with matching inner dims: "
-                         f"{ad.shape} x {bd.shape}")
-    out = Tensor(ad @ bd, requires_grad=_needs_grad(a, b))
-
-    def grad_fn(g: np.ndarray):
-        return [(a, g @ bd.T), (b, ad.T @ g)]
-
-    return record_op(out, grad_fn)
-
-
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """y = x @ w + b for x [rows x d_in], w [d_in x d_out], b [d_out].
+def linear(x: Tensor, w: Tensor, b: Tensor, extra: np.ndarray | None = None) -> Tensor:
+    """y = x @ w + b for x [rows x d_in], w [d_in x d_out], b [d_out], then
+    + extra, a constant [rows x d_out] (the encoder's positions), if given.
     Backward: dw = x^T @ g, db = g summed over rows, dx = g @ w^T if needed."""
     xd, wd = x.data, w.data
     if xd.ndim != 2 or wd.ndim != 2 or xd.shape[1] != wd.shape[0] or b.data.shape != wd.shape[1:]:
         raise ShapeError(f"linear shapes disagree: {xd.shape} x {wd.shape} + {b.data.shape}")
-    out = Tensor(xd @ wd + b.data, requires_grad=_needs_grad(x, w, b))
+    y = xd @ wd + b.data
+    if extra is not None:
+        if extra.shape != y.shape:
+            raise ShapeError(f"linear extra {extra.shape} does not match its output {y.shape}")
+        y += extra
+    out = Tensor(y, requires_grad=_needs_grad(x, w, b))
 
     def grad_fn(g: np.ndarray):
         grads = [(w, xd.T @ g), (b, g.sum(axis=0))]
@@ -94,40 +86,22 @@ def ffn_rows(
     """
     if activation not in ("silu", "relu"):
         raise ConfigError(f"unknown activation {activation!r}")
-    lead, d_ff, glu = x.shape[:-1], w_in.shape[-1], w_gate is not None
-    parts = split_parts(len(x), x.size * d_ff, 1 if x.ndim == 3 else GRAIN)
     weights = (w_in, b_in, w_out, b_out, w_gate, b_gate)
+    parts = split_parts(len(x), x.size * w_in.shape[-1], 1 if x.ndim == 3 else GRAIN)
+    if len(parts) == 1:
+        return _ffn_part(x, weights, activation, keep, [None] * 6)
+    lead, d_ff, glu = x.shape[:-1], w_in.shape[-1], w_gate is not None
     # a bank's stacks are cut with x's experts; whole, they serve one part
-    per_expert = len(parts) > 1 and x.ndim == 3 and len(w_in) > 1
+    per_expert = x.ndim == 3 and len(w_in) > 1
     kept = ([np.empty(lead + (d_ff,)) if used else None
              for used in (True, activation == "silu", True, glu, glu)] if keep else None)
     out = np.empty(lead + w_out.shape[-1:])
 
     def run(s: slice) -> None:
-        xs = x[s]
-        wi, bi, wo, bo, wg, bg = ([None if w is None else w[s] for w in weights]
-                                  if per_expert else weights)
-        # the part's slices of the kept arrays; None makes each op allocate
-        a_out, sig_out, h_out, gate_out, hg_out = (
-            [None if k is None else k[s] for k in kept] if keep else [None] * 5)
-        a = np.matmul(xs, wi, out=a_out)
-        a += bi
-        if activation == "silu":  # 1 / (1 + exp(-a)), one op at a time in place
-            sig = np.negative(a, out=sig_out)
-            np.exp(sig, out=sig)
-            sig += 1.0
-            np.divide(1.0, sig, out=sig)
-            h = np.multiply(a, sig, out=h_out)
-        else:
-            sig, h = None, np.maximum(a, 0.0, out=h_out)
-        del a, sig
-        if glu:
-            gate = np.matmul(xs, wg, out=gate_out)
-            gate += bg
-            h = np.multiply(h, gate, out=hg_out)
-            del gate
-        part = np.matmul(h, wo, out=out[s])
-        part += bo
+        part = [None if w is None else w[s] for w in weights] if per_expert else weights
+        # the part's slices of the kept arrays and of out
+        _ffn_part(x[s], part, activation, False,
+                  [None if k is None else k[s] for k in kept or [None] * 5] + [out[s]])
 
     map_halves(run, parts)
     if keep and not glu:
@@ -135,28 +109,67 @@ def ffn_rows(
     return out, kept
 
 
+def _ffn_part(x: np.ndarray, weights: Sequence, activation: str, keep: bool,
+              outs: list) -> tuple[np.ndarray, list | None]:
+    """`ffn_rows`' arithmetic on x, writing a, sig, h, gate, hg and the
+    output into `outs` where an entry is an array and allocating where it is
+    None; returns the output and, if keep, [a, sig, h, gate, hg]."""
+    w_in, b_in, w_out, b_out, w_gate, b_gate = weights
+    a_out, sig_out, h_out, gate_out, hg_out, out = outs
+    a = np.matmul(x, w_in, out=a_out)
+    a += b_in
+    if activation == "silu":  # 1 / (1 + exp(-a)), one op at a time in place
+        sig = np.negative(a, out=sig_out)
+        np.exp(sig, out=sig)
+        sig += 1.0
+        np.divide(1.0, sig, out=sig)
+        h = np.multiply(a, sig, out=h_out)
+    else:
+        sig, h = None, np.maximum(a, 0.0, out=h_out)
+    kept = [a, sig, h, None, h] if keep else None
+    del a, sig
+    if w_gate is not None:
+        gate = np.matmul(x, w_gate, out=gate_out)
+        gate += b_gate
+        h = np.multiply(h, gate, out=hg_out)
+        if keep:
+            kept[3:] = [gate, h]
+        del gate
+    out = np.matmul(h, w_out, out=out)
+    out += b_out
+    return out, kept
+
+
 def affine_rows(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """x @ w + b for plain rows x [rows x d_in], w [d_in x d_out] and b
     [d_out], no tape, cut into rows by `split_parts`."""
+    parts = split_parts(len(x), x.size * w.shape[1])
+    if len(parts) == 1:
+        out = x @ w
+        out += b
+        return out
     out = np.empty((len(x), w.shape[1]))
 
     def run(s: slice) -> None:
         part = np.matmul(x[s], w, out=out[s])
         part += b
 
-    map_halves(run, split_parts(len(x), x.size * w.shape[1]))
+    map_halves(run, parts)
     return out
 
 
 def matmul_columns(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """x @ w for plain x [rows x d_in] and w [d_in x d_out], no tape, cut
     into columns of w by `split_parts`: the vocabulary of a logits product."""
+    parts = split_parts(w.shape[1], x.size * w.shape[1])
+    if len(parts) == 1:
+        return x @ w
     out = np.empty((len(x), w.shape[1]))
 
     def run(s: slice) -> None:
         np.matmul(x, w[:, s], out=out[:, s])
 
-    map_halves(run, split_parts(w.shape[1], x.size * w.shape[1]))
+    map_halves(run, parts)
     return out
 
 
@@ -252,9 +265,14 @@ def attention_rows(
         qh, kh, vh = _heads(qg, n_heads), _heads(kg, n_heads).swapaxes(-1, -2), _heads(vg, n_heads)
         in_place = isinstance(qr, slice)  # the group's context is written into out
         ctx = out[qr] if in_place else np.empty((len(group) * t_q, d))
-        ctx_h, probs = _heads(ctx.reshape(qg.shape), n_heads), np.empty(qh.shape[:3] + (t_k,))
-        map_halves(lambda s: attend(qh[:, s], kh[:, s], vh[:, s], ctx_h[:, s], probs[:, s], causal),
-                   split_parts(n_heads, len(group) * t_q * t_k * d, 1))
+        ctx_h = _heads(ctx.reshape(qg.shape), n_heads)
+        parts = split_parts(n_heads, len(group) * t_q * t_k * d, 1)
+        if len(parts) == 1:
+            probs = attend(qh, kh, vh, ctx_h, causal=causal)
+        else:
+            probs = np.empty(qh.shape[:3] + (t_k,))
+            map_halves(lambda s: attend(qh[:, s], kh[:, s], vh[:, s], ctx_h[:, s], probs[:, s],
+                                        causal), parts)
         if not in_place:
             out[qr] = ctx
         if keep:
@@ -341,31 +359,11 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return record_op(out, grad_fn)
 
 
-def scale(a: Tensor, factor: float) -> Tensor:
-    out = Tensor(a.data * factor, requires_grad=a.requires_grad)
-
-    def grad_fn(g: np.ndarray):
-        return [(a, g * factor)]
-
-    return record_op(out, grad_fn)
-
-
 def sum_all(a: Tensor) -> Tensor:
     out = Tensor(a.data.sum(), requires_grad=a.requires_grad)
 
     def grad_fn(g: np.ndarray):
         return [(a, np.broadcast_to(g, a.data.shape).copy())]
-
-    return record_op(out, grad_fn)
-
-
-def transpose2d(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ShapeError(f"transpose2d needs a matrix, got {a.data.shape}")
-    out = Tensor(a.data.T, requires_grad=a.requires_grad)
-
-    def grad_fn(g: np.ndarray):
-        return [(a, g.T)]
 
     return record_op(out, grad_fn)
 
@@ -418,8 +416,12 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     return record_op(out, grad_fn)
 
 
-def embedding(table: Tensor, ids: Sequence[int]) -> Tensor:
-    """Row gather: out[i] = table[ids[i]]. Backward scatter-adds."""
+def embedding(
+    table: Tensor, ids: Sequence[int], factor: float = 1.0, extra: np.ndarray | None = None
+) -> Tensor:
+    """Row gather: out[i] = table[ids[i]], times `factor` unless it is 1,
+    then + extra, a constant of out's shape (the decoder's positions), if
+    given. Backward scatter-adds g * factor, so ids may repeat."""
     idx = np.asarray(ids, dtype=np.intp)
     if idx.ndim != 1:
         raise ShapeError("embedding ids must be a flat id list")
@@ -428,12 +430,34 @@ def embedding(table: Tensor, ids: Sequence[int]) -> Tensor:
             f"embedding id out of range [0, {table.data.shape[0]}): "
             f"min={idx.min()}, max={idx.max()}"
         )
-    out = Tensor(table.data[idx], requires_grad=table.requires_grad)
+    rows = table.data[idx]
+    if factor != 1.0:
+        rows *= factor
+    if extra is not None:
+        if extra.shape != rows.shape:
+            raise ShapeError(f"embedding extra {extra.shape} does not match its rows {rows.shape}")
+        rows += extra
+    out = Tensor(rows, requires_grad=table.requires_grad)
 
     def grad_fn(g: np.ndarray):
         gt = np.zeros_like(table.data)
-        np.add.at(gt, idx, g)
+        np.add.at(gt, idx, g if factor == 1.0 else g * factor)
         return [(table, gt)]
+
+    return record_op(out, grad_fn)
+
+
+def gather_rows(x: Tensor, rows: np.ndarray) -> Tensor:
+    """out = x[rows] for distinct row indices, the inverse of
+    `scatter_rows`. Backward writes g + 0.0 into zeros at the rows: bitwise
+    what `embedding`'s scatter-add onto zeros gives, -0.0 included, without
+    its np.add.at."""
+    out = Tensor(x.data[rows], requires_grad=x.requires_grad)
+
+    def grad_fn(g: np.ndarray):
+        gx = np.zeros_like(x.data)
+        gx[rows] = g + 0.0
+        return [(x, gx)]
 
     return record_op(out, grad_fn)
 

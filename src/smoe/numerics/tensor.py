@@ -9,6 +9,9 @@ visited exactly once. Gradients are stored only on leaves.
 
 A parameter arena is one contiguous float64 buffer that a table of named
 parameters tiles in order; each parameter's data is a view of its slice.
+An optimizer gives the parameters a gradient arena of the same layout
+(`bind_gradient_arena`), into whose slices backward writes their gradients.
+Both arenas start on a 64-byte boundary.
 """
 
 from __future__ import annotations
@@ -22,6 +25,8 @@ from ..errors import ContractError, ShapeError
 
 GradFn = Callable[[np.ndarray], "list[tuple[Tensor, np.ndarray]]"]
 
+ALIGN = 64  # bytes: where every arena starts, a cache line and the widest vector load
+
 
 class Tensor:
     """Float64 array with optional gradient storage.
@@ -29,10 +34,11 @@ class Tensor:
     backward() writes `grad` only on leaves, tensors that no tape node
     produced (parameters and inputs); it stays None on intermediate tensors
     and on tensors off the loss path, which the gradient-isolation tests
-    rely on.
+    rely on. A leaf whose `grad_buffer` is set (see `bind_gradient_arena`)
+    gets its gradient written there while its grad is None.
     """
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad", "grad", "grad_buffer")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -41,6 +47,7 @@ class Tensor:
         self.data = arr
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
+        self.grad_buffer: np.ndarray | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -114,7 +121,12 @@ def backward(loss: Tensor, tape: Tape) -> None:
     visited its gradient is complete: it is consumed there and dropped, and
     intermediate tensors keep grad None. Nodes whose output never received
     a gradient are skipped, leaving off-path tensors with grad None.
-    Gradients accumulate into pre-existing .grad buffers.
+    Gradients accumulate into pre-existing .grad arrays, as a new array.
+
+    A leaf whose grad is None and whose grad_buffer is set gets its first
+    gradient copied into that buffer and each later one added there in
+    place, bitwise the sum of fresh arrays, and the buffer becomes its
+    grad; such a leaf must not be a node's output.
     """
     if loss.data.shape != ():
         raise ContractError(f"backward() needs a scalar loss, got shape {loss.data.shape}")
@@ -130,17 +142,36 @@ def backward(loss: Tensor, tape: Tape) -> None:
             if not tensor.requires_grad:
                 continue
             key = id(tensor)
-            if key in grads:
-                grads[key] = grads[key] + grad
-            else:
+            acc = grads.get(key)
+            if acc is None:
+                buffer = tensor.grad_buffer
+                if buffer is not None and tensor.grad is None:
+                    np.copyto(buffer, grad)
+                    grad = buffer
                 grads[key] = grad
                 holders[key] = tensor
+            elif acc is tensor.grad_buffer:
+                acc += grad
+            else:
+                grads[key] = acc + grad
     for key, grad in grads.items():  # only leaves are left
         tensor = holders[key]
-        if tensor.grad is None:
+        if grad is tensor.grad_buffer:
+            tensor.grad = grad
+        elif tensor.grad is None:
             tensor.grad = np.array(grad, dtype=np.float64, copy=True)
         else:
             tensor.grad = tensor.grad + grad
+
+
+def aligned_empty(n: int) -> np.ndarray:
+    """An uninitialised float64 vector of n entries starting on an
+    ALIGN-byte boundary: a view, through a memoryview, of a buffer ALIGN
+    bytes longer. Views of it keep it as their base, as views of a
+    buffer numpy allocated keep that buffer."""
+    raw = np.empty(8 * n + ALIGN, dtype=np.uint8)
+    start = -raw.ctypes.data % ALIGN
+    return np.frombuffer(raw.data[start : start + 8 * n], dtype=np.float64)
 
 
 def parameter_arena(
@@ -149,10 +180,11 @@ def parameter_arena(
     """One float64 buffer for a table of (name, shape) entries and a
     trainable Tensor viewing each entry's slice of it, in table order.
 
-    The buffer is uninitialised: the caller must write every view.
+    The buffer is uninitialised, and starts on an ALIGN-byte boundary: the
+    caller must write every view.
     """
     sizes = [math.prod(shape) for _, shape in shapes]
-    arena = np.empty(sum(sizes))
+    arena = aligned_empty(sum(sizes))
     params, off = [], 0
     for (name, shape), n in zip(shapes, sizes):
         params.append((name, Tensor(arena[off : off + n].reshape(shape), requires_grad=True)))
@@ -174,3 +206,19 @@ def arena_bounds(params: Sequence[tuple[str, Tensor]]) -> tuple[np.ndarray, list
     if arena is None or arena.ndim != 1 or arena.size != bounds[-1]:
         raise ContractError("parameters do not tile their whole arena")
     return arena, bounds
+
+
+def bind_gradient_arena(
+    params: Sequence[tuple[str, Tensor]],
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """A gradient arena laid out as the parameter arena that `params` tile
+    (see arena_bounds), and each parameter's slice of it, shaped like the
+    parameter and bound as its grad_buffer, in table order. The arena is
+    uninitialised; backward writes a slice before it becomes a grad."""
+    flat, bounds = arena_bounds(params)
+    arena = aligned_empty(flat.size)
+    views = []
+    for (_, p), start, end in zip(params, bounds, bounds[1:]):
+        p.grad_buffer = arena[start:end].reshape(p.shape)
+        views.append(p.grad_buffer)
+    return arena, views

@@ -1,6 +1,7 @@
-"""Tape ops that only the tests use: trainable leaves, the shape,
-batched-matmul and softmax ops of the padded-attention oracle and the
-numerics tests, and the attention op as it was before its in-place kernel."""
+"""Tape ops that only the tests use: trainable leaves, the matmul, scale,
+transpose, shape, batched-matmul and softmax ops of the padded-attention
+and composition oracles and the numerics tests, and the attention op as it
+was before its in-place kernel."""
 
 import math
 from typing import Sequence
@@ -14,6 +15,40 @@ from smoe.numerics import Tensor, record_op
 def parameter(data) -> Tensor:
     """A trainable leaf tensor of `data`."""
     return Tensor(data, requires_grad=True)
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """y = a @ b for 2-D a and b. Backward: da = g @ b^T, db = a^T @ g."""
+    ad, bd = a.data, b.data
+    if ad.ndim != 2 or bd.ndim != 2 or ad.shape[1] != bd.shape[0]:
+        raise ShapeError(f"matmul needs 2-D operands with matching inner dims: "
+                         f"{ad.shape} x {bd.shape}")
+    out = Tensor(ad @ bd, requires_grad=a.requires_grad or b.requires_grad)
+
+    def grad_fn(g: np.ndarray):
+        return [(a, g @ bd.T), (b, ad.T @ g)]
+
+    return record_op(out, grad_fn)
+
+
+def scale(a: Tensor, factor: float) -> Tensor:
+    out = Tensor(a.data * factor, requires_grad=a.requires_grad)
+
+    def grad_fn(g: np.ndarray):
+        return [(a, g * factor)]
+
+    return record_op(out, grad_fn)
+
+
+def transpose2d(a: Tensor) -> Tensor:
+    if a.data.ndim != 2:
+        raise ShapeError(f"transpose2d needs a matrix, got {a.data.shape}")
+    out = Tensor(a.data.T, requires_grad=a.requires_grad)
+
+    def grad_fn(g: np.ndarray):
+        return [(a, g.T)]
+
+    return record_op(out, grad_fn)
 
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:

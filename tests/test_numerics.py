@@ -19,20 +19,21 @@ from smoe.numerics import (
     dropout,
     embedding,
     ffn_rows,
+    gather_rows,
     grad_check,
     layer_norm,
     linear,
-    matmul,
     matmul_columns,
     mul,
-    scale,
     scatter_rows,
     softmax_cross_entropy,
     sum_all,
 )
 
 from splits import one_part_then_split
-from tape_ops import attention_by_gathers, bmm, parameter, permute, reshape, softmax_last
+from tape_ops import (
+    attention_by_gathers, bmm, matmul, parameter, permute, reshape, scale, softmax_last,
+)
 
 
 def test_matmul_identity():
@@ -257,6 +258,41 @@ def test_embedding_gather_and_scatter_grad():
         embedding(table, [4])
 
 
+def test_gather_rows_backward_is_the_scatter_add_of_distinct_rows():
+    """The encoder dispatch's gather writes g + 0.0 where embedding
+    scatter-adds g onto zeros: the same bits, a -0.0 gradient included."""
+    rng = np.random.default_rng(21)
+    x = parameter(rng.normal(size=(6, 3)))
+    rows = np.array([4, 0, 2])
+    g = rng.normal(size=(3, 3))
+    g[0, 1] = g[2, 0] = -0.0
+    runs = []
+    for gather in (gather_rows, embedding):
+        x.zero_grad()
+        with Tape() as tape:
+            out = gather(x, rows)
+            loss = sum_all(mul(out, constant(g)))
+        backward(loss, tape)
+        runs.append((out.data, x.grad))
+    for got, want in zip(*runs):
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert np.signbit(runs[0][1]).sum() == np.signbit(g).sum() - 2  # each -0.0 became +0.0
+
+
+def test_entry_ops_add_their_extra_rows_last_and_reject_another_shape():
+    rng = np.random.default_rng(22)
+    x, w, b = constant(rng.normal(size=(2, 3))), parameter(rng.normal(size=(3, 4))), parameter(
+        rng.normal(size=4))
+    table, extra = parameter(rng.normal(size=(5, 4))), rng.normal(size=(2, 4))
+    assert np.array_equal(linear(x, w, b, extra).data, add(linear(x, w, b), constant(extra)).data)
+    assert np.array_equal(embedding(table, [3, 3], 2.0, extra).data,
+                          add(scale(embedding(table, [3, 3]), 2.0), constant(extra)).data)
+    with pytest.raises(ShapeError, match="extra"):
+        linear(x, w, b, np.zeros((2, 3)))
+    with pytest.raises(ShapeError, match="extra"):
+        embedding(table, [1, 2], 2.0, np.zeros((3, 4)))
+
+
 def test_reshape_permute_roundtrip_grads():
     rng = np.random.default_rng(13)
     x = parameter(rng.normal(size=(2, 3, 4)))
@@ -429,7 +465,7 @@ def test_row_gather_scatter_grad_check():
     probe = constant(rng.normal(size=(7, 4)))
 
     def dispatched():
-        parts = [(matmul(embedding(x, rows), w), rows) for rows, w in zip(groups, weights)]
+        parts = [(matmul(gather_rows(x, rows), w), rows) for rows, w in zip(groups, weights)]
         return scatter_rows(parts, 7)
 
     out = dispatched().data

@@ -14,12 +14,12 @@ from hypothesis import strategies as st
 import smoe
 from smoe.data import ALPHABET, SyntheticTaskSpec, make_paired_dataset, render_symbols
 from smoe.errors import ConfigError, ContractError, NumericError
-from smoe.model import Model, ModelConfig, load_checkpoint, save_checkpoint
+from smoe.model import Model, ModelConfig, load_checkpoint, parameter_shapes, save_checkpoint
 from smoe.moe import Bandwidth, Task, gate_decoder, gate_encoder
-from smoe.nn import layer_norm_params, pre_norm_residual, sinusoidal_positions
+from smoe.nn import attention_sublayer, layer_norm_params, pre_norm_residual, sinusoidal_positions
 from smoe.numerics import (
-    Tape, Tensor, add, backward, constant, embedding, matmul, scale, softmax_cross_entropy,
-    transpose2d,
+    Tape, Tensor, add, arena_bounds, backward, constant, dropout, embedding, linear,
+    parameter_arena, scatter_rows, softmax_cross_entropy,
 )
 from smoe.seqio import GuidingToken, Vocabulary
 from smoe.signal import N_MELS, FbankFeatures, fbank
@@ -37,7 +37,7 @@ from smoe.train import (
     train_step,
 )
 
-from tape_ops import bmm, permute, reshape, softmax_last
+from tape_ops import bmm, matmul, permute, reshape, scale, softmax_last, transpose2d
 
 SPEC = SyntheticTaskSpec.default()
 VOCAB = Vocabulary()
@@ -386,7 +386,9 @@ def _loss_and_grads(model, loss_fn):
     with tape:
         loss = loss_fn()
     backward(loss, tape)
-    return float(loss.data), {n: t.grad for n, t in model.named_parameters()}
+    # copies: a grad bound to an optimizer's gradient arena is overwritten by the next backward
+    return float(loss.data), {n: None if t.grad is None else t.grad.copy()
+                              for n, t in model.named_parameters()}
 
 
 def _assert_grads_close(got, want, rtol=1e-12):
@@ -399,6 +401,7 @@ def _assert_grads_close(got, want, rtol=1e-12):
         assert (g is None) == (w is None), name
         if w is None:
             continue
+        assert not np.shares_memory(g, w), name  # one gradient compared with itself shows nothing
         ref = np.abs(w).max()
         bound = rtol * (ref if ref > 1e-9 * floor else floor)
         assert np.abs(g - w).max() <= bound, (name, np.abs(g - w).max(), bound)
@@ -540,6 +543,107 @@ def test_packed_batch_matches_padded_masked_oracle(config):
         _assert_grads_close(got, want)
 
 
+def _composed_batch_loss(model, batch):
+    """(encoder output, logits, loss) of batch_loss as the model composed it
+    before its entry and output-head nodes and its distinct-row gather: the
+    input `linear` and a positions `add`; the embedding lookup, a `scale`
+    and a positions `add`; each bandwidth's rows gathered by `embedding`;
+    the final `layer_norm`, then a `matmul` by the untied projection or by
+    the tied table's `transpose2d`. Dropout draws from the model's stream
+    in the model's order."""
+    cfg, feats = model.config, batch.features
+    lengths = [f.n_frames for f in feats]
+    rng = model._dropout_rng if model.training else None
+    positions = sinusoidal_positions(max(lengths), cfg.d_model)
+    x = linear(constant(np.concatenate([f.normalized() for f in feats])), model.input_proj_w,
+               model.input_proj_b)
+    x = add(x, constant(np.concatenate([positions[:n] for n in lengths])))
+    x = dropout(x, cfg.dropout, rng)
+    rows = {}
+    for f, start in zip(feats, np.cumsum([0, *lengths])):
+        gate = gate_encoder(f.bandwidth) if cfg.enc_smoe else None
+        rows.setdefault(gate, []).append(np.arange(start, start + f.n_frames))
+    groups = [(gate, np.concatenate(r)) for gate, r in rows.items()]
+
+    def dispatched(layer_ffn, h):
+        if len(groups) == 1:
+            return model._sublayer_ffn(layer_ffn, groups[0][0], h)
+        return scatter_rows([(model._sublayer_ffn(layer_ffn, gate, embedding(h, r)), r)
+                             for gate, r in groups], h.shape[0])
+
+    for layer in model.enc_layers:
+        x = attention_sublayer(layer.attn, layer.ln_attn, x, None, lengths, lengths, False,
+                               cfg.dropout, rng)
+        x = pre_norm_residual(lambda h: dispatched(layer.ffn, h), layer.ln_ffn, x, cfg.dropout, rng)
+    enc = layer_norm_params(model.ln_enc_final, x)
+    n, t = batch.targets.shape
+    y = scale(embedding(model.embed, batch.targets.reshape(-1)), math.sqrt(cfg.d_model))
+    y = add(y, constant(np.tile(sinusoidal_positions(t, cfg.d_model), (n, 1))))
+    y = dropout(y, cfg.dropout, rng)
+    gate, lens = gate_decoder(batch.task), [t] * n
+    for layer in model.dec_layers:
+        y = attention_sublayer(layer.self_attn, layer.ln_self, y, None, lens, lens, True,
+                               cfg.dropout, rng)
+        y = attention_sublayer(layer.cross_attn, layer.ln_cross, y, enc, lens, lengths, False,
+                               cfg.dropout, rng)
+        y = pre_norm_residual(lambda h: model._sublayer_ffn(layer.ffn, gate, h), layer.ln_ffn, y,
+                              cfg.dropout, rng)
+    y = layer_norm_params(model.ln_dec_final, y)
+    logits = matmul(y, model.out_proj if model.out_proj is not None else transpose2d(model.embed))
+    loss = softmax_cross_entropy(logits, batch.loss_targets, int(GuidingToken.PAD),
+                                 batch.loss_weights)
+    return enc, logits, loss
+
+
+def _fused_batch_loss(model, batch):
+    """(encoder output, logits, loss) of batch_loss, through the model."""
+    enc = model.encode_batch(batch.features)
+    logits = model.decode_batch(enc, batch.targets, batch.task, [f.n_frames for f in batch.features])
+    loss = softmax_cross_entropy(logits, batch.loss_targets, int(GuidingToken.PAD),
+                                 batch.loss_weights)
+    return enc, logits, loss
+
+
+def _bits(a):
+    return None if a is None else np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("dropout_rate", [0.0, 0.15])
+@pytest.mark.parametrize("config", ["enc-dec-routed-tied-glu-silu", "dec-routed-untied-relu",
+                                    "enc-routed-untied-glu-relu"])
+def test_fused_entry_head_and_gather_match_their_composition(config, dropout_rate):
+    """The entry nodes, the output head and the distinct-row gather against
+    the composition they replaced: encoder output, logits, loss and every
+    parameter's gradient bitwise, on batches of mixed lengths and mixed
+    bandwidths. The fused side's gradients land in an optimizer's
+    gradient arena, the composition's in fresh arrays."""
+    batches = _oracle_batches()
+    for name in ("mixed-bandwidth", "mixed-bandwidth-st", "narrowband-only"):
+        batch = Batch.build(batches[name])
+        sides = []
+        for loss_fn, bind in ((_fused_batch_loss, True), (_composed_batch_loss, False)):
+            # d_model 24: a √d scale that is not a power of 2 rounds
+            model = tiny_model(n_enc_layers=2, n_dec_layers=2, d_model=24, d_ff=24,
+                               dropout=dropout_rate, **ORACLE_CONFIGS[config]).train()
+            # every vector moved off its init of 0 or 1, so no bias add is exact
+            model.arena += np.random.default_rng(5).normal(0.0, 0.1, model.arena.size)
+            opt = Adam(model.named_parameters()) if bind else None
+            model.reseed_dropout(7)
+            with Tape() as tape:
+                values = loss_fn(model, batch)
+            backward(values[-1], tape)
+            grads = {n: t.grad for n, t in model.named_parameters()}
+            if opt is not None:
+                assert all(g is None or np.shares_memory(g, opt.grad) for g in grads.values())
+            sides.append(([v.data for v in values], grads))
+        (got_values, got), (want_values, want) = sides
+        for g, w in zip(got_values, want_values):
+            assert np.array_equal(_bits(g), _bits(w)), name
+        for n, w in want.items():
+            assert (got[n] is None) == (w is None), (name, n)
+            assert w is None or np.array_equal(_bits(got[n]), _bits(w)), (name, n)
+
+
 def test_loss_weights_average_sample_means_with_an_empty_sample():
     pad = int(GuidingToken.PAD)
     items = [it for it in small_items(3, seed=2) if it.task is Task.ASR]
@@ -619,7 +723,7 @@ class OracleSGD:
                 continue
             if self.momentum > 0.0:
                 v = self.velocity.get(id(p))
-                v = p.grad if v is None else self.momentum * v + p.grad
+                v = p.grad.copy() if v is None else self.momentum * v + p.grad
                 self.velocity[id(p)] = v
             else:
                 v = p.grad
@@ -694,6 +798,89 @@ def test_arena_optimizer_matches_per_tensor_oracle(name, make, oracle):
         assert np.shares_memory(t.data, model.arena)
 
 
+def test_gradients_land_in_the_optimizer_arena_and_unreached_ones_stay_none():
+    model = tiny_model(dec_smoe=True)
+    opt = Adam(model.named_parameters())
+    assert opt.grad.shape == model.arena.shape and not np.shares_memory(opt.grad, model.arena)
+    # check_gradients finds the gradient arena as the base of its views
+    assert all(t.grad_buffer.base is opt.grad for _, t in model.named_parameters())
+    batch = Batch.build([it for it in small_items(4) if it.task is Task.ASR][:1])
+    train_step(model, batch, opt, lr=1e-3)
+    unrouted = f".ffn.expert{gate_decoder(Task.ASR).selected ^ 1}."
+    for (name, t), view in zip(model.named_parameters(), opt.grad_views):
+        if unrouted in name:
+            assert t.grad is None and not np.any(view), name
+        else:
+            assert t.grad is view, name
+    opt.zero_grad()
+    assert all(t.grad is None for _, t in model.named_parameters()) and not np.any(opt.grad)
+
+
+def test_a_rebound_gradient_steps_as_its_arena_slice_would():
+    """Adam reads p.grad: every third grad negated off the arena, by
+    rebinding (the concatenating path), gives the update of the same grads
+    negated in their arena slices."""
+    batch = Batch.build([it for it in small_items(4) if it.task is Task.ST])
+    arenas = []
+    for rebind in (False, True):
+        model = tiny_model(dec_smoe=True)
+        opt = Adam(model.named_parameters())
+        opt.zero_grad()
+        with Tape() as tape:
+            loss = batch_loss(model, batch)
+        backward(loss, tape)
+        for _, t in model.named_parameters()[::3]:
+            if t.grad is None:
+                continue
+            if rebind:
+                t.grad = -t.grad
+            else:
+                t.grad *= -1.0
+        opt.step(1e-3)
+        arenas.append(model.arena.copy())
+    assert np.array_equal(_bits(arenas[0]), _bits(arenas[1]))
+
+
+def test_non_finite_gradient_off_the_arena_is_found():
+    model = tiny_model()
+    opt = SGD(model.named_parameters())
+    batch = Batch.build([it for it in small_items(4) if it.task is Task.ASR])
+    real_backward = smoe.train.backward
+
+    def rebound(loss, tape):
+        real_backward(loss, tape)
+        params = dict(model.named_parameters())
+        params["dec.0.ffn.b_out"].grad = np.full_like(params["dec.0.ffn.b_out"].grad, np.nan)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(smoe.train, "backward", rebound)
+        with pytest.raises(NumericError, match=r"non-finite gradient in dec\.0\.ffn\.b_out"):
+            train_step(model, batch, opt, lr=1e-3)
+
+
+def test_backward_without_zeroing_adds_to_a_bound_gradient_as_to_a_fresh_one():
+    batch = Batch.build([it for it in small_items(4) if it.task is Task.ASR])
+    grads = []
+    for bind in (True, False):
+        model = tiny_model()
+        if bind:
+            Adam(model.named_parameters())
+        for _ in range(2):
+            with Tape() as tape:
+                loss = batch_loss(model, batch)
+            backward(loss, tape)
+        grads.append({n: t.grad for n, t in model.named_parameters()})
+    for n, g in grads[0].items():
+        assert np.array_equal(_bits(g), _bits(grads[1][n])), n
+
+
+def test_inference_models_carry_no_gradient_arena(tmp_path):
+    model = tiny_model()
+    save_checkpoint(model, tmp_path / "m.ckpt")
+    for m in (model, load_checkpoint(tmp_path / "m.ckpt")[0]):
+        assert all(t.grad_buffer is None for _, t in m.named_parameters())
+
+
 def test_training_keeps_parameters_in_the_arena():
     model = tiny_model(dec_smoe=True)
     run_training(model, small_items(8), TrainConfig(steps=3, batch_size=2))
@@ -714,6 +901,34 @@ def test_optimizers_reject_parameters_that_do_not_tile_one_arena():
 # the acceptance suite's interference dims, as perfbench's train workload uses
 BENCH_DIMS = dict(n_enc_layers=1, n_dec_layers=1, d_model=32, d_ff=64, d_ff_dec=12, n_heads=4,
                   dropout=0.0, enc_smoe=True, dec_smoe=True)
+
+
+@pytest.mark.parametrize("config", [
+    pytest.param(ModelConfig(), id="toy"),
+    pytest.param(ModelConfig(**BENCH_DIMS, vocab_size=VOCAB.size), id="bench"),
+    pytest.param(ModelConfig.paper_scale(dec_smoe=True), id="paper"),
+])
+def test_parameter_and_gradient_arenas_start_on_64_bytes(config):
+    # the paper arena (121 M parameters) is allocated, never written, so it
+    # costs address space and no memory
+    arena, params = parameter_arena(parameter_shapes(config))
+    grad = SGD(params).grad
+    for buffer in (arena, grad):
+        assert buffer.ctypes.data % 64 == 0 and buffer.size == arena.size
+    assert arena_bounds(params)[0] is arena
+
+
+def test_bench_dims_training_and_decode_start_no_map(monkeypatch):
+    """Below the size rule the split kernels call their arithmetic directly:
+    a bench-dims training step and a greedy decode never reach map_halves."""
+    def no_map(fn, items):
+        raise AssertionError("map_halves called below the size rule")
+
+    monkeypatch.setattr(smoe.numerics.ops, "map_halves", no_map)
+    model = tiny_model(**BENCH_DIMS)
+    items = small_items(8, nb_fraction=0.5)
+    assert math.isfinite(run_training(model, items, TrainConfig(steps=2, batch_size=8))[-1])
+    model.infer_dual(items[0].features, items[0].bandwidth, max_len=8)
 
 
 def _minor_faults(fn) -> int:
@@ -805,21 +1020,21 @@ def test_heap_policy_turns_off_mmap_and_ignores_a_zero_return(monkeypatch):
 # criterion 8's three models (the interference benchmark's base, FFN x2 and
 # S-MoE), and perfbench train's, which routes the encoder too
 STEP_NODE_CASES = {
-    "base": ({}, 19),
-    "dec_ffn_x2": ({"d_ff_dec": 24}, 19),
-    "dec_smoe": ({"dec_smoe": True}, 19),
-    "enc_and_dec_smoe": ({"enc_smoe": True, "dec_smoe": True}, 23),
+    "base": ({}, 14),
+    "dec_ffn_x2": ({"d_ff_dec": 24}, 14),
+    "dec_smoe": ({"dec_smoe": True}, 14),
+    "enc_and_dec_smoe": ({"enc_smoe": True, "dec_smoe": True}, 18),
 }
 
 
 @pytest.mark.parametrize("case", list(STEP_NODE_CASES))
 def test_training_step_tape_nodes(case):
-    # encoder: input projection, positions, the attention sublayer, the FFN
-    # sublayer's norm, FFN and add (a routed FFN over mixed bandwidths: two
-    # row gathers, two experts and a scatter), the final norm; decoder: the
-    # embedding, its scale, positions, self- and cross-attention sublayers,
-    # the FFN sublayer's 3, the final norm, the tied head's transpose and
-    # matmul, and the loss
+    # encoder: the entry (input projection and positions), the attention
+    # sublayer, the FFN sublayer's norm, FFN and add (a routed FFN over mixed
+    # bandwidths: two row gathers, two experts and a scatter), the final
+    # norm; decoder: the entry (embedding, its scale and positions), self-
+    # and cross-attention sublayers, the FFN sublayer's 3, the output head
+    # (final norm and tied projection), and the loss
     overrides, nodes = STEP_NODE_CASES[case]
     cfg = ModelConfig(n_enc_layers=1, n_dec_layers=1, d_model=32, d_ff=64, d_ff_dec=12,
                       n_heads=4, vocab_size=VOCAB.size, dropout=0.0)
