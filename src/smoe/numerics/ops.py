@@ -416,12 +416,10 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     return record_op(out, grad_fn)
 
 
-def embedding(
-    table: Tensor, ids: Sequence[int], factor: float = 1.0, extra: np.ndarray | None = None
-) -> Tensor:
-    """Row gather: out[i] = table[ids[i]], times `factor` unless it is 1,
-    then + extra, a constant of out's shape (the decoder's positions), if
-    given. Backward scatter-adds g * factor, so ids may repeat."""
+def embedding(table: Tensor, ids: Sequence[int], factor: float, extra: np.ndarray) -> Tensor:
+    """The decoder's entry: out[i] = table[ids[i]] * factor + extra[i],
+    where extra is a constant of out's shape (the positions). Backward
+    scatter-adds g * factor, so ids may repeat."""
     idx = np.asarray(ids, dtype=np.intp)
     if idx.ndim != 1:
         raise ShapeError("embedding ids must be a flat id list")
@@ -431,17 +429,15 @@ def embedding(
             f"min={idx.min()}, max={idx.max()}"
         )
     rows = table.data[idx]
-    if factor != 1.0:
-        rows *= factor
-    if extra is not None:
-        if extra.shape != rows.shape:
-            raise ShapeError(f"embedding extra {extra.shape} does not match its rows {rows.shape}")
-        rows += extra
+    if extra.shape != rows.shape:
+        raise ShapeError(f"embedding extra {extra.shape} does not match its rows {rows.shape}")
+    rows *= factor
+    rows += extra
     out = Tensor(rows, requires_grad=table.requires_grad)
 
     def grad_fn(g: np.ndarray):
         gt = np.zeros_like(table.data)
-        np.add.at(gt, idx, g if factor == 1.0 else g * factor)
+        np.add.at(gt, idx, g * factor)
         return [(table, gt)]
 
     return record_op(out, grad_fn)
@@ -450,8 +446,7 @@ def embedding(
 def gather_rows(x: Tensor, rows: np.ndarray) -> Tensor:
     """out = x[rows] for distinct row indices, the inverse of
     `scatter_rows`. Backward writes g + 0.0 into zeros at the rows: bitwise
-    what `embedding`'s scatter-add onto zeros gives, -0.0 included, without
-    its np.add.at."""
+    what a scatter-add onto zeros gives, -0.0 included, without np.add.at."""
     out = Tensor(x.data[rows], requires_grad=x.requires_grad)
 
     def grad_fn(g: np.ndarray):

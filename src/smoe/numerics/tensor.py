@@ -11,7 +11,6 @@ A parameter arena is one contiguous float64 buffer that a table of named
 parameters tiles in order; each parameter's data is a view of its slice.
 An optimizer gives the parameters a gradient arena of the same layout
 (`bind_gradient_arena`), into whose slices backward writes their gradients.
-Both arenas start on a 64-byte boundary.
 """
 
 from __future__ import annotations
@@ -24,8 +23,6 @@ import numpy as np
 from ..errors import ContractError, ShapeError
 
 GradFn = Callable[[np.ndarray], "list[tuple[Tensor, np.ndarray]]"]
-
-ALIGN = 64  # bytes: where every arena starts, a cache line and the widest vector load
 
 
 class Tensor:
@@ -164,27 +161,16 @@ def backward(loss: Tensor, tape: Tape) -> None:
             tensor.grad = tensor.grad + grad
 
 
-def aligned_empty(n: int) -> np.ndarray:
-    """An uninitialised float64 vector of n entries starting on an
-    ALIGN-byte boundary: a view, through a memoryview, of a buffer ALIGN
-    bytes longer. Views of it keep it as their base, as views of a
-    buffer numpy allocated keep that buffer."""
-    raw = np.empty(8 * n + ALIGN, dtype=np.uint8)
-    start = -raw.ctypes.data % ALIGN
-    return np.frombuffer(raw.data[start : start + 8 * n], dtype=np.float64)
-
-
 def parameter_arena(
     shapes: Sequence[tuple[str, tuple[int, ...]]],
 ) -> tuple[np.ndarray, list[tuple[str, Tensor]]]:
     """One float64 buffer for a table of (name, shape) entries and a
     trainable Tensor viewing each entry's slice of it, in table order.
 
-    The buffer is uninitialised, and starts on an ALIGN-byte boundary: the
-    caller must write every view.
+    The buffer is uninitialised: the caller must write every view.
     """
     sizes = [math.prod(shape) for _, shape in shapes]
-    arena = aligned_empty(sum(sizes))
+    arena = np.empty(sum(sizes))
     params, off = [], 0
     for (name, shape), n in zip(shapes, sizes):
         params.append((name, Tensor(arena[off : off + n].reshape(shape), requires_grad=True)))
@@ -216,7 +202,7 @@ def bind_gradient_arena(
     parameter and bound as its grad_buffer, in table order. The arena is
     uninitialised; backward writes a slice before it becomes a grad."""
     flat, bounds = arena_bounds(params)
-    arena = aligned_empty(flat.size)
+    arena = np.empty(flat.size)
     views = []
     for (_, p), start, end in zip(params, bounds, bounds[1:]):
         p.grad_buffer = arena[start:end].reshape(p.shape)

@@ -141,24 +141,23 @@ class _ArenaOptimizer:
 
     def _segments(self) -> Iterator[tuple[int, slice, np.ndarray]]:
         """Advance the step count of every parameter with a grad, then yield
-        (step count, arena slice, flattened grads) per segment: the gradient
-        arena's slice when each grad of the segment is its own slice of it,
-        else their concatenation (a grad the caller rebound)."""
-        runs: list[list] = []  # [first, end, every grad its own arena slice]
+        (step count, arena slice, gradient arena slice) per segment. A grad
+        that is not its parameter's own slice (one the caller rebound) is
+        first copied into that slice."""
+        runs: list[list[int]] = []
         for i, (_, p) in enumerate(self.params):
             if p.grad is None:
                 continue
             self.t[i] += 1
-            own = p.grad is self.grad_views[i]
+            if p.grad is not self.grad_views[i]:
+                self.grad_views[i][...] = p.grad
             if runs and runs[-1][1] == i and self.t[runs[-1][0]] == self.t[i]:
-                runs[-1][1:] = i + 1, runs[-1][2] and own
+                runs[-1][1] = i + 1
             else:
-                runs.append([i, i + 1, own])
-        for i, j, own in runs:
+                runs.append([i, i + 1])
+        for i, j in runs:
             seg = slice(self.bounds[i], self.bounds[j])
-            grad = (self.grad[seg] if own
-                    else np.concatenate([p.grad.ravel() for _, p in self.params[i:j]]))
-            yield self.t[i], seg, grad
+            yield self.t[i], seg, self.grad[seg]
 
 
 class SGD(_ArenaOptimizer):

@@ -1,7 +1,7 @@
 """Tape ops that only the tests use: trainable leaves, the matmul, scale,
-transpose, shape, batched-matmul and softmax ops of the padded-attention
-and composition oracles and the numerics tests, and the attention op as it
-was before its in-place kernel."""
+transpose, row-gather, shape, batched-matmul and softmax ops of the
+padded-attention and composition oracles and the numerics tests, and the
+attention op as it was before its in-place kernel."""
 
 import math
 from typing import Sequence
@@ -47,6 +47,21 @@ def transpose2d(a: Tensor) -> Tensor:
 
     def grad_fn(g: np.ndarray):
         return [(a, g.T)]
+
+    return record_op(out, grad_fn)
+
+
+def gather_add_at(table: Tensor, ids: Sequence[int]) -> Tensor:
+    """Row gather out[i] = table[ids[i]] whose backward scatter-adds g with
+    np.add.at: the embedding op before the decoder entry took in its scale
+    and positions, and the encoder dispatch's gather before gather_rows."""
+    idx = np.asarray(ids, dtype=np.intp)
+    out = Tensor(table.data[idx], requires_grad=table.requires_grad)
+
+    def grad_fn(g: np.ndarray):
+        gt = np.zeros_like(table.data)
+        np.add.at(gt, idx, g)
+        return [(table, gt)]
 
     return record_op(out, grad_fn)
 

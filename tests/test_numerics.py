@@ -32,7 +32,8 @@ from smoe.numerics import (
 
 from splits import one_part_then_split
 from tape_ops import (
-    attention_by_gathers, bmm, matmul, parameter, permute, reshape, scale, softmax_last,
+    attention_by_gathers, bmm, gather_add_at, matmul, parameter, permute, reshape, scale,
+    softmax_last,
 )
 
 
@@ -244,30 +245,32 @@ def test_layer_norm_statistics_and_grad():
 
 def test_embedding_gather_and_scatter_grad():
     table = parameter(np.arange(12, dtype=np.float64).reshape(4, 3))
-    out = embedding(table, [2, 0, 2])
-    np.testing.assert_array_equal(out.data, table.data[[2, 0, 2]])
+    extra = np.full((3, 3), 0.5)
+    out = embedding(table, [2, 0, 2], 2.0, extra)
+    np.testing.assert_array_equal(out.data, table.data[[2, 0, 2]] * 2.0 + 0.5)
     tape = Tape()
     with tape:
-        loss = sum_all(embedding(table, [2, 0, 2]))
+        loss = sum_all(embedding(table, [2, 0, 2], 2.0, extra))
     backward(loss, tape)
     expected = np.zeros((4, 3))
-    expected[2] = 2.0  # appears twice
-    expected[0] = 1.0
+    expected[2] = 4.0  # appears twice, times the factor
+    expected[0] = 2.0
     np.testing.assert_array_equal(table.grad, expected)
     with pytest.raises(IndexError):
-        embedding(table, [4])
+        embedding(table, [4], 2.0, np.zeros((1, 3)))
 
 
 def test_gather_rows_backward_is_the_scatter_add_of_distinct_rows():
-    """The encoder dispatch's gather writes g + 0.0 where embedding
-    scatter-adds g onto zeros: the same bits, a -0.0 gradient included."""
+    """The encoder dispatch's gather writes g + 0.0 where a gather by
+    np.add.at scatter-adds g onto zeros: the same bits, a -0.0 gradient
+    included."""
     rng = np.random.default_rng(21)
     x = parameter(rng.normal(size=(6, 3)))
     rows = np.array([4, 0, 2])
     g = rng.normal(size=(3, 3))
     g[0, 1] = g[2, 0] = -0.0
     runs = []
-    for gather in (gather_rows, embedding):
+    for gather in (gather_rows, gather_add_at):
         x.zero_grad()
         with Tape() as tape:
             out = gather(x, rows)
@@ -286,7 +289,7 @@ def test_entry_ops_add_their_extra_rows_last_and_reject_another_shape():
     table, extra = parameter(rng.normal(size=(5, 4))), rng.normal(size=(2, 4))
     assert np.array_equal(linear(x, w, b, extra).data, add(linear(x, w, b), constant(extra)).data)
     assert np.array_equal(embedding(table, [3, 3], 2.0, extra).data,
-                          add(scale(embedding(table, [3, 3]), 2.0), constant(extra)).data)
+                          add(scale(gather_add_at(table, [3, 3]), 2.0), constant(extra)).data)
     with pytest.raises(ShapeError, match="extra"):
         linear(x, w, b, np.zeros((2, 3)))
     with pytest.raises(ShapeError, match="extra"):

@@ -14,12 +14,11 @@ from hypothesis import strategies as st
 import smoe
 from smoe.data import ALPHABET, SyntheticTaskSpec, make_paired_dataset, render_symbols
 from smoe.errors import ConfigError, ContractError, NumericError
-from smoe.model import Model, ModelConfig, load_checkpoint, parameter_shapes, save_checkpoint
+from smoe.model import Model, ModelConfig, load_checkpoint, save_checkpoint
 from smoe.moe import Bandwidth, Task, gate_decoder, gate_encoder
 from smoe.nn import attention_sublayer, layer_norm_params, pre_norm_residual, sinusoidal_positions
 from smoe.numerics import (
-    Tape, Tensor, add, arena_bounds, backward, constant, dropout, embedding, linear,
-    parameter_arena, scatter_rows, softmax_cross_entropy,
+    Tape, Tensor, add, backward, constant, dropout, linear, scatter_rows, softmax_cross_entropy,
 )
 from smoe.seqio import GuidingToken, Vocabulary
 from smoe.signal import N_MELS, FbankFeatures, fbank
@@ -37,7 +36,9 @@ from smoe.train import (
     train_step,
 )
 
-from tape_ops import bmm, matmul, permute, reshape, scale, softmax_last, transpose2d
+from tape_ops import (
+    bmm, gather_add_at, matmul, permute, reshape, scale, softmax_last, transpose2d,
+)
 
 SPEC = SyntheticTaskSpec.default()
 VOCAB = Vocabulary()
@@ -512,7 +513,7 @@ def _padded_batch_loss(model, batch):
                               layer.ln_ffn, x)
     enc = layer_norm_params(model.ln_enc_final, x)
     t = batch.targets.shape[1]
-    y = scale(embedding(model.embed, batch.targets.reshape(-1)), math.sqrt(cfg.d_model))
+    y = scale(gather_add_at(model.embed, batch.targets.reshape(-1)), math.sqrt(cfg.d_model))
     y = add(y, constant(np.tile(sinusoidal_positions(t, cfg.d_model), (n, 1))))
     causal = np.tril(np.ones((t, t), dtype=bool))
     gate = gate_decoder(batch.task)
@@ -546,11 +547,11 @@ def test_packed_batch_matches_padded_masked_oracle(config):
 def _composed_batch_loss(model, batch):
     """(encoder output, logits, loss) of batch_loss as the model composed it
     before its entry and output-head nodes and its distinct-row gather: the
-    input `linear` and a positions `add`; the embedding lookup, a `scale`
-    and a positions `add`; each bandwidth's rows gathered by `embedding`;
-    the final `layer_norm`, then a `matmul` by the untied projection or by
-    the tied table's `transpose2d`. Dropout draws from the model's stream
-    in the model's order."""
+    input `linear` and a positions `add`; the embedding lookup
+    (`gather_add_at`), a `scale` and a positions `add`; each bandwidth's
+    rows gathered by `gather_add_at`; the final `layer_norm`, then a
+    `matmul` by the untied projection or by the tied table's `transpose2d`.
+    Dropout draws from the model's stream in the model's order."""
     cfg, feats = model.config, batch.features
     lengths = [f.n_frames for f in feats]
     rng = model._dropout_rng if model.training else None
@@ -568,7 +569,7 @@ def _composed_batch_loss(model, batch):
     def dispatched(layer_ffn, h):
         if len(groups) == 1:
             return model._sublayer_ffn(layer_ffn, groups[0][0], h)
-        return scatter_rows([(model._sublayer_ffn(layer_ffn, gate, embedding(h, r)), r)
+        return scatter_rows([(model._sublayer_ffn(layer_ffn, gate, gather_add_at(h, r)), r)
                              for gate, r in groups], h.shape[0])
 
     for layer in model.enc_layers:
@@ -577,7 +578,7 @@ def _composed_batch_loss(model, batch):
         x = pre_norm_residual(lambda h: dispatched(layer.ffn, h), layer.ln_ffn, x, cfg.dropout, rng)
     enc = layer_norm_params(model.ln_enc_final, x)
     n, t = batch.targets.shape
-    y = scale(embedding(model.embed, batch.targets.reshape(-1)), math.sqrt(cfg.d_model))
+    y = scale(gather_add_at(model.embed, batch.targets.reshape(-1)), math.sqrt(cfg.d_model))
     y = add(y, constant(np.tile(sinusoidal_positions(t, cfg.d_model), (n, 1))))
     y = dropout(y, cfg.dropout, rng)
     gate, lens = gate_decoder(batch.task), [t] * n
@@ -818,8 +819,8 @@ def test_gradients_land_in_the_optimizer_arena_and_unreached_ones_stay_none():
 
 def test_a_rebound_gradient_steps_as_its_arena_slice_would():
     """Adam reads p.grad: every third grad negated off the arena, by
-    rebinding (the concatenating path), gives the update of the same grads
-    negated in their arena slices."""
+    rebinding (copied into its slice at the step), gives the update of the
+    same grads negated in their arena slices."""
     batch = Batch.build([it for it in small_items(4) if it.task is Task.ST])
     arenas = []
     for rebind in (False, True):
@@ -901,21 +902,6 @@ def test_optimizers_reject_parameters_that_do_not_tile_one_arena():
 # the acceptance suite's interference dims, as perfbench's train workload uses
 BENCH_DIMS = dict(n_enc_layers=1, n_dec_layers=1, d_model=32, d_ff=64, d_ff_dec=12, n_heads=4,
                   dropout=0.0, enc_smoe=True, dec_smoe=True)
-
-
-@pytest.mark.parametrize("config", [
-    pytest.param(ModelConfig(), id="toy"),
-    pytest.param(ModelConfig(**BENCH_DIMS, vocab_size=VOCAB.size), id="bench"),
-    pytest.param(ModelConfig.paper_scale(dec_smoe=True), id="paper"),
-])
-def test_parameter_and_gradient_arenas_start_on_64_bytes(config):
-    # the paper arena (121 M parameters) is allocated, never written, so it
-    # costs address space and no memory
-    arena, params = parameter_arena(parameter_shapes(config))
-    grad = SGD(params).grad
-    for buffer in (arena, grad):
-        assert buffer.ctypes.data % 64 == 0 and buffer.size == arena.size
-    assert arena_bounds(params)[0] is arena
 
 
 def test_bench_dims_training_and_decode_start_no_map(monkeypatch):
