@@ -9,8 +9,6 @@ visited exactly once. Gradients are stored only on leaves.
 
 A parameter arena is one contiguous float64 buffer that a table of named
 parameters tiles in order; each parameter's data is a view of its slice.
-An optimizer gives the parameters a gradient arena of the same layout
-(`bind_gradient_arena`), into whose slices backward writes their gradients.
 """
 
 from __future__ import annotations
@@ -31,11 +29,10 @@ class Tensor:
     backward() writes `grad` only on leaves, tensors that no tape node
     produced (parameters and inputs); it stays None on intermediate tensors
     and on tensors off the loss path, which the gradient-isolation tests
-    rely on. A leaf whose `grad_buffer` is set (see `bind_gradient_arena`)
-    gets its gradient written there while its grad is None.
+    rely on.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "grad_buffer")
+    __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -44,7 +41,6 @@ class Tensor:
         self.data = arr
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
-        self.grad_buffer: np.ndarray | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -118,12 +114,7 @@ def backward(loss: Tensor, tape: Tape) -> None:
     visited its gradient is complete: it is consumed there and dropped, and
     intermediate tensors keep grad None. Nodes whose output never received
     a gradient are skipped, leaving off-path tensors with grad None.
-    Gradients accumulate into pre-existing .grad arrays, as a new array.
-
-    A leaf whose grad is None and whose grad_buffer is set gets its first
-    gradient copied into that buffer and each later one added there in
-    place, bitwise the sum of fresh arrays, and the buffer becomes its
-    grad; such a leaf must not be a node's output.
+    Gradients accumulate into pre-existing .grad buffers.
     """
     if loss.data.shape != ():
         raise ContractError(f"backward() needs a scalar loss, got shape {loss.data.shape}")
@@ -139,23 +130,14 @@ def backward(loss: Tensor, tape: Tape) -> None:
             if not tensor.requires_grad:
                 continue
             key = id(tensor)
-            acc = grads.get(key)
-            if acc is None:
-                buffer = tensor.grad_buffer
-                if buffer is not None and tensor.grad is None:
-                    np.copyto(buffer, grad)
-                    grad = buffer
+            if key in grads:
+                grads[key] = grads[key] + grad
+            else:
                 grads[key] = grad
                 holders[key] = tensor
-            elif acc is tensor.grad_buffer:
-                acc += grad
-            else:
-                grads[key] = acc + grad
     for key, grad in grads.items():  # only leaves are left
         tensor = holders[key]
-        if grad is tensor.grad_buffer:
-            tensor.grad = grad
-        elif tensor.grad is None:
+        if tensor.grad is None:
             tensor.grad = np.array(grad, dtype=np.float64, copy=True)
         else:
             tensor.grad = tensor.grad + grad
@@ -192,19 +174,3 @@ def arena_bounds(params: Sequence[tuple[str, Tensor]]) -> tuple[np.ndarray, list
     if arena is None or arena.ndim != 1 or arena.size != bounds[-1]:
         raise ContractError("parameters do not tile their whole arena")
     return arena, bounds
-
-
-def bind_gradient_arena(
-    params: Sequence[tuple[str, Tensor]],
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """A gradient arena laid out as the parameter arena that `params` tile
-    (see arena_bounds), and each parameter's slice of it, shaped like the
-    parameter and bound as its grad_buffer, in table order. The arena is
-    uninitialised; backward writes a slice before it becomes a grad."""
-    flat, bounds = arena_bounds(params)
-    arena = np.empty(flat.size)
-    views = []
-    for (_, p), start, end in zip(params, bounds, bounds[1:]):
-        p.grad_buffer = arena[start:end].reshape(p.shape)
-        views.append(p.grad_buffer)
-    return arena, views

@@ -26,9 +26,7 @@ from .errors import ConfigError, LimitError, NumericError
 from .metrics import corpus_token_accuracy
 from .model import Model, ModelConfig, count_params, expand_experts
 from .moe import Bandwidth, Task
-from .numerics import (
-    Tape, Tensor, arena_bounds, backward, bind_gradient_arena, softmax_cross_entropy,
-)
+from .numerics import Tape, Tensor, arena_bounds, backward, softmax_cross_entropy
 from .seqio import BYTE_BASE, GuidingToken, Vocabulary
 from .signal import FbankFeatures
 
@@ -120,44 +118,32 @@ class _ArenaOptimizer:
     bitwise untouched, state included. A segment is a run of neighbouring
     parameters that have a grad and share a step count, so per-step
     corrections stay per parameter.
-
-    The optimizer owns a gradient arena laid out like the parameter arena
-    and binds each parameter's slice as its grad_buffer, so backward writes
-    the gradients there. It allocates the arena, so an inference model
-    carries none.
     """
 
     def __init__(self, params: list[tuple[str, Tensor]]):
         self.params = params
         self.flat, self.bounds = arena_bounds(params)
-        self.grad, self.grad_views = bind_gradient_arena(params)
         self.t = [0] * len(params)
 
     def zero_grad(self) -> None:
-        """Zero the gradient arena and unset every grad."""
-        self.grad.fill(0.0)
         for _, p in self.params:
-            p.grad = None
+            p.zero_grad()
 
     def _segments(self) -> Iterator[tuple[int, slice, np.ndarray]]:
         """Advance the step count of every parameter with a grad, then yield
-        (step count, arena slice, gradient arena slice) per segment. A grad
-        that is not its parameter's own slice (one the caller rebound) is
-        first copied into that slice."""
+        (step count, arena slice, flattened grads) per segment."""
         runs: list[list[int]] = []
         for i, (_, p) in enumerate(self.params):
             if p.grad is None:
                 continue
             self.t[i] += 1
-            if p.grad is not self.grad_views[i]:
-                self.grad_views[i][...] = p.grad
             if runs and runs[-1][1] == i and self.t[runs[-1][0]] == self.t[i]:
                 runs[-1][1] = i + 1
             else:
                 runs.append([i, i + 1])
         for i, j in runs:
-            seg = slice(self.bounds[i], self.bounds[j])
-            yield self.t[i], seg, self.grad[seg]
+            grad = np.concatenate([p.grad.ravel() for _, p in self.params[i:j]])
+            yield self.t[i], slice(self.bounds[i], self.bounds[j]), grad
 
 
 class SGD(_ArenaOptimizer):
@@ -286,17 +272,11 @@ def train_step(model: Model, batch: Batch, optimizer, lr: float) -> float:
 
 def check_gradients(model: Model, context: str) -> None:
     """Raise NumericError naming the first parameter, in named_parameters()
-    order, whose gradient holds a non-finite value. When every grad is its
-    slice of one gradient arena (see _ArenaOptimizer), whose other slices
-    the optimizer zeroed, one isfinite pass over that arena is the check;
-    otherwise one sum over all gradients. The parameters are searched only
-    when the check fails."""
+    order, whose gradient holds a non-finite value. One sum over all
+    gradients is the check; the parameters are searched only when it is
+    not finite."""
     params = model.named_parameters()
-    buffer = params[0][1].grad_buffer
-    if buffer is not None and all(t.grad is None or t.grad is t.grad_buffer for _, t in params):
-        if np.isfinite(buffer.base).all():  # the arena: its views keep it as their base
-            return
-    elif math.isfinite(sum(float(t.grad.sum()) for _, t in params if t.grad is not None)):
+    if math.isfinite(sum(float(t.grad.sum()) for _, t in params if t.grad is not None)):
         return
     for name, t in params:
         if t.grad is not None and not np.isfinite(t.grad).all():

@@ -387,9 +387,7 @@ def _loss_and_grads(model, loss_fn):
     with tape:
         loss = loss_fn()
     backward(loss, tape)
-    # copies: a grad bound to an optimizer's gradient arena is overwritten by the next backward
-    return float(loss.data), {n: None if t.grad is None else t.grad.copy()
-                              for n, t in model.named_parameters()}
+    return float(loss.data), {n: t.grad for n, t in model.named_parameters()}
 
 
 def _assert_grads_close(got, want, rtol=1e-12):
@@ -616,27 +614,23 @@ def test_fused_entry_head_and_gather_match_their_composition(config, dropout_rat
     """The entry nodes, the output head and the distinct-row gather against
     the composition they replaced: encoder output, logits, loss and every
     parameter's gradient bitwise, on batches of mixed lengths and mixed
-    bandwidths. The fused side's gradients land in an optimizer's
-    gradient arena, the composition's in fresh arrays."""
+    bandwidths."""
     batches = _oracle_batches()
     for name in ("mixed-bandwidth", "mixed-bandwidth-st", "narrowband-only"):
         batch = Batch.build(batches[name])
         sides = []
-        for loss_fn, bind in ((_fused_batch_loss, True), (_composed_batch_loss, False)):
+        for loss_fn in (_fused_batch_loss, _composed_batch_loss):
             # d_model 24: a √d scale that is not a power of 2 rounds
             model = tiny_model(n_enc_layers=2, n_dec_layers=2, d_model=24, d_ff=24,
                                dropout=dropout_rate, **ORACLE_CONFIGS[config]).train()
             # every vector moved off its init of 0 or 1, so no bias add is exact
             model.arena += np.random.default_rng(5).normal(0.0, 0.1, model.arena.size)
-            opt = Adam(model.named_parameters()) if bind else None
             model.reseed_dropout(7)
             with Tape() as tape:
                 values = loss_fn(model, batch)
             backward(values[-1], tape)
-            grads = {n: t.grad for n, t in model.named_parameters()}
-            if opt is not None:
-                assert all(g is None or np.shares_memory(g, opt.grad) for g in grads.values())
-            sides.append(([v.data for v in values], grads))
+            sides.append(([v.data for v in values],
+                          {n: t.grad for n, t in model.named_parameters()}))
         (got_values, got), (want_values, want) = sides
         for g, w in zip(got_values, want_values):
             assert np.array_equal(_bits(g), _bits(w)), name
@@ -724,7 +718,7 @@ class OracleSGD:
                 continue
             if self.momentum > 0.0:
                 v = self.velocity.get(id(p))
-                v = p.grad.copy() if v is None else self.momentum * v + p.grad
+                v = p.grad if v is None else self.momentum * v + p.grad
                 self.velocity[id(p)] = v
             else:
                 v = p.grad
@@ -797,89 +791,6 @@ def test_arena_optimizer_matches_per_tensor_oracle(name, make, oracle):
     assert idle_updates >= 2  # the NB expert sat out several updates
     for _, t in model.named_parameters():
         assert np.shares_memory(t.data, model.arena)
-
-
-def test_gradients_land_in_the_optimizer_arena_and_unreached_ones_stay_none():
-    model = tiny_model(dec_smoe=True)
-    opt = Adam(model.named_parameters())
-    assert opt.grad.shape == model.arena.shape and not np.shares_memory(opt.grad, model.arena)
-    # check_gradients finds the gradient arena as the base of its views
-    assert all(t.grad_buffer.base is opt.grad for _, t in model.named_parameters())
-    batch = Batch.build([it for it in small_items(4) if it.task is Task.ASR][:1])
-    train_step(model, batch, opt, lr=1e-3)
-    unrouted = f".ffn.expert{gate_decoder(Task.ASR).selected ^ 1}."
-    for (name, t), view in zip(model.named_parameters(), opt.grad_views):
-        if unrouted in name:
-            assert t.grad is None and not np.any(view), name
-        else:
-            assert t.grad is view, name
-    opt.zero_grad()
-    assert all(t.grad is None for _, t in model.named_parameters()) and not np.any(opt.grad)
-
-
-def test_a_rebound_gradient_steps_as_its_arena_slice_would():
-    """Adam reads p.grad: every third grad negated off the arena, by
-    rebinding (copied into its slice at the step), gives the update of the
-    same grads negated in their arena slices."""
-    batch = Batch.build([it for it in small_items(4) if it.task is Task.ST])
-    arenas = []
-    for rebind in (False, True):
-        model = tiny_model(dec_smoe=True)
-        opt = Adam(model.named_parameters())
-        opt.zero_grad()
-        with Tape() as tape:
-            loss = batch_loss(model, batch)
-        backward(loss, tape)
-        for _, t in model.named_parameters()[::3]:
-            if t.grad is None:
-                continue
-            if rebind:
-                t.grad = -t.grad
-            else:
-                t.grad *= -1.0
-        opt.step(1e-3)
-        arenas.append(model.arena.copy())
-    assert np.array_equal(_bits(arenas[0]), _bits(arenas[1]))
-
-
-def test_non_finite_gradient_off_the_arena_is_found():
-    model = tiny_model()
-    opt = SGD(model.named_parameters())
-    batch = Batch.build([it for it in small_items(4) if it.task is Task.ASR])
-    real_backward = smoe.train.backward
-
-    def rebound(loss, tape):
-        real_backward(loss, tape)
-        params = dict(model.named_parameters())
-        params["dec.0.ffn.b_out"].grad = np.full_like(params["dec.0.ffn.b_out"].grad, np.nan)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(smoe.train, "backward", rebound)
-        with pytest.raises(NumericError, match=r"non-finite gradient in dec\.0\.ffn\.b_out"):
-            train_step(model, batch, opt, lr=1e-3)
-
-
-def test_backward_without_zeroing_adds_to_a_bound_gradient_as_to_a_fresh_one():
-    batch = Batch.build([it for it in small_items(4) if it.task is Task.ASR])
-    grads = []
-    for bind in (True, False):
-        model = tiny_model()
-        if bind:
-            Adam(model.named_parameters())
-        for _ in range(2):
-            with Tape() as tape:
-                loss = batch_loss(model, batch)
-            backward(loss, tape)
-        grads.append({n: t.grad for n, t in model.named_parameters()})
-    for n, g in grads[0].items():
-        assert np.array_equal(_bits(g), _bits(grads[1][n])), n
-
-
-def test_inference_models_carry_no_gradient_arena(tmp_path):
-    model = tiny_model()
-    save_checkpoint(model, tmp_path / "m.ckpt")
-    for m in (model, load_checkpoint(tmp_path / "m.ckpt")[0]):
-        assert all(t.grad_buffer is None for _, t in m.named_parameters())
 
 
 def test_training_keeps_parameters_in_the_arena():
