@@ -41,6 +41,8 @@ thread reads the lower half, one helper thread the upper.
 
 from __future__ import annotations
 
+import ctypes
+import errno
 import functools
 import math
 import os
@@ -732,9 +734,42 @@ def expand_experts(donor: Model, encoder: bool = False, decoder: bool = False) -
 _HEADER = struct.Struct("<4sIQI")  # magic, version, step, config byte length
 
 
+def _libc_fallocate():
+    """Linux fallocate(2) from libc, errno kept for ctypes.get_errno, or None
+    where libc has no such symbol."""
+    try:
+        fallocate = ctypes.CDLL(None, use_errno=True).fallocate64  # off64_t on every build
+    except (OSError, AttributeError):
+        return None
+    fallocate.argtypes = (ctypes.c_int, ctypes.c_int, ctypes.c_int64, ctypes.c_int64)
+    fallocate.restype = ctypes.c_int
+    return fallocate
+
+
+_fallocate = _libc_fallocate()
+
+
+def _preallocate(fd: int, size: int, path: Path) -> None:
+    """Allocate the `size` bytes of the empty file open as `fd` in one call
+    (fallocate mode 0), before a write fills them. Skipped where libc or the
+    filesystem has no fallocate (a missing symbol, EOPNOTSUPP, ENOSYS); any
+    other failure (ENOSPC, EFBIG, EIO) raises OSError, as a failed write
+    does. Not posix_fallocate: glibc emulates that one by writing every
+    block where the filesystem lacks fallocate."""
+    if _fallocate is None:
+        return
+    while _fallocate(fd, 0, 0, size) != 0:
+        err = ctypes.get_errno()
+        if err in (errno.EOPNOTSUPP, errno.ENOSYS):
+            return
+        if err != errno.EINTR:
+            raise OSError(err, os.strerror(err), str(path))
+
+
 def save_checkpoint(model: Model, path: str | Path, step: int = 0) -> None:
     """Write the header and config block, then the arena in one write,
-    with no full-size copy in memory on a little-endian host.
+    with no full-size copy in memory on a little-endian host. The file's
+    blocks are allocated first, at its exact size (`_preallocate`).
 
     The bytes go to a temporary file beside `path`, which then replaces
     `path` in one rename, so a save that fails midway leaves the previous
@@ -745,6 +780,7 @@ def save_checkpoint(model: Model, path: str | Path, step: int = 0) -> None:
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
+            _preallocate(fh.fileno(), _HEADER.size + len(cfg_bytes) + model.arena.nbytes, tmp)
             fh.write(_HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, step, len(cfg_bytes)))
             fh.write(cfg_bytes)
             fh.write(model.arena.astype("<f8", copy=False))

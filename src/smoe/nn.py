@@ -109,12 +109,12 @@ def ffn_forward(p: FFNParams, x: Tensor, activation: str = "silu") -> Tensor:
     def grad_fn(g: np.ndarray):
         a, sig, h, gate, hg = saved
         dh = g @ p.w_out.data.T
-        grads = [(p.w_out, hg.T @ g), (p.b_out, g.sum(axis=0))]
+        grads = [(p.w_out, hg.T @ g), (p.b_out, np.add.reduce(g, 0))]
         if gate is not None:
             dgate, dh = dh * h, dh * gate
-            grads += [(p.w_gate, x.data.T @ dgate), (p.b_gate, dgate.sum(axis=0))]
+            grads += [(p.w_gate, x.data.T @ dgate), (p.b_gate, np.add.reduce(dgate, 0))]
         da = dh * (a > 0.0) if sig is None else dh * sig * (1.0 + a * (1.0 - sig))
-        grads += [(p.w_in, x.data.T @ da), (p.b_in, da.sum(axis=0))]
+        grads += [(p.w_in, x.data.T @ da), (p.b_in, np.add.reduce(da, 0))]
         if x.requires_grad:
             dx = da @ p.w_in.data.T
             grads.append((x, dx if gate is None else dgate @ p.w_gate.data.T + dx))
@@ -266,10 +266,10 @@ def attention_sublayer(
     def grad_fn(g: np.ndarray):
         go = g if mask is None else g * mask
         dq, dk, dv = attention_rows_backward(go @ p.w_o.data.T, saved, p.n_heads, kv.shape[0])
-        grads = [(p.w_o, ctx.T @ go), (p.b_o, go.sum(axis=0)),
-                 (p.w_v, kv.T @ dv), (p.b_v, dv.sum(axis=0)),
-                 (p.w_k, kv.T @ dk), (p.b_k, dk.sum(axis=0)),
-                 (p.w_q, h.T @ dq), (p.b_q, dq.sum(axis=0))]
+        grads = [(p.w_o, ctx.T @ go), (p.b_o, np.add.reduce(go, 0)),
+                 (p.w_v, kv.T @ dv), (p.b_v, np.add.reduce(dv, 0)),
+                 (p.w_k, kv.T @ dk), (p.b_k, np.add.reduce(dk, 0)),
+                 (p.w_q, h.T @ dq), (p.b_q, np.add.reduce(dq, 0))]
         if memory is None:
             dh = dv @ p.w_v.data.T + dk @ p.w_k.data.T + dq @ p.w_q.data.T
         else:

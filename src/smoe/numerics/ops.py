@@ -11,7 +11,13 @@ array kernels compute on plain arrays with no tape: `attention_rows`
 `attention_rows_backward`, `normalize` with `normalize_backward`,
 `ffn_rows`, `affine_rows` and `matmul_columns`. The tape ops,
 `nn.ffn_forward` and `nn.attention_sublayer` wrap them, and greedy decode
-calls them directly.
+calls them directly. `normalize` of one row, each step of a single-task
+greedy decode after its prefix, takes the row's mean and inverse std as
+Python floats (8 numpy calls in place of 12): the one reduction over the
+whole row sums its elements in the order the reduction over the last axis
+does, and the divides, the epsilon add and `math.sqrt` are the IEEE
+operations numpy applies elementwise, so y, xhat and inv_std are bitwise
+the row-wise expression's.
 
 The forward kernels `ffn_rows`, `affine_rows`, `matmul_columns` and
 `attention_rows` (over heads) cut their work by `halves.split_parts`, which
@@ -60,7 +66,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor, extra: np.ndarray | None = None) -> 
     out = Tensor(y, requires_grad=_needs_grad(x, w, b))
 
     def grad_fn(g: np.ndarray):
-        grads = [(w, xd.T @ g), (b, g.sum(axis=0))]
+        grads = [(w, xd.T @ g), (b, np.add.reduce(g, 0))]
         return grads + [(x, g @ wd.T)] if x.requires_grad else grads
 
     return record_op(out, grad_fn)
@@ -293,7 +299,7 @@ def attention_rows_backward(
     for qr, kr, qg, kg, vg, probs in saved:
         gh = _heads(g[qr].reshape(qg.shape), n_heads)
         ds = gh @ _heads(vg, n_heads).swapaxes(-1, -2)  # dP, then dS in place
-        ds -= (ds * probs).sum(axis=-1, keepdims=True)
+        ds -= np.add.reduce(ds * probs, -1, keepdims=True)
         ds *= probs
         ds /= math.sqrt(d // n_heads)
         for grad, rows, a, b in ((dq, qr, ds, _heads(kg, n_heads)),
@@ -341,7 +347,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     lead = a.data.ndim - b.data.ndim
 
     def grad_fn(g: np.ndarray):
-        gb = g.sum(axis=tuple(range(lead))) if lead else g
+        gb = np.add.reduce(g, tuple(range(lead))) if lead else g
         return [(a, g), (b, gb)]
 
     return record_op(out, grad_fn)
@@ -373,8 +379,20 @@ def normalize(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Layer norm of plain rows, no tape: y = gain * xhat + bias for
     xhat = (x - mean) / sqrt(var + LN_EPSILON) over the last axis, with the
-    biased variance. Returns y, xhat and 1 / sqrt(var + LN_EPSILON)."""
+    biased variance. Returns y, xhat and 1 / sqrt(var + LN_EPSILON).
+
+    One row [1 x d], as a greedy decode step has, takes its mean and inverse
+    std as Python floats: 8 numpy calls where the row-wise expression makes
+    12. Bitwise the same: the reduction over the whole array sums the row's
+    d elements in the order the reduction over its last axis does, and each
+    float operation (the divides, the add, math.sqrt) is the IEEE operation
+    numpy applies elementwise. inv_std stays a [1 x 1] array."""
     d = x.shape[-1]  # np.add.reduce is what ndarray.sum runs, without its Python wrapper
+    if x.ndim == 2 and len(x) == 1:
+        centered = x - float(np.add.reduce(x, None)) / d
+        inv = 1.0 / math.sqrt(float(np.add.reduce(centered * centered, None)) / d + LN_EPSILON)
+        xhat = centered * inv
+        return xhat * gain + bias, xhat, np.array([[inv]])
     centered = x - np.add.reduce(x, -1, keepdims=True) / d
     inv_std = 1.0 / np.sqrt(np.add.reduce(centered * centered, -1, keepdims=True) / d + LN_EPSILON)
     xhat = centered * inv_std
@@ -395,7 +413,7 @@ def normalize_backward(
         - np.add.reduce(g_hat, -1, keepdims=True) / d
         - xhat * (np.add.reduce(g_hat * xhat, -1, keepdims=True) / d)
     )
-    return dx, (g * xhat).sum(axis=sum_axes), g.sum(axis=sum_axes)
+    return dx, np.add.reduce(g * xhat, sum_axes), np.add.reduce(g, sum_axes)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:

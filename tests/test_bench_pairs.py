@@ -125,3 +125,39 @@ def test_snapshot_copies_the_files_git_lists_of_the_working_tree(tmp_path):
               for p in into.rglob("*") if p.is_file()}
     assert copied == {".gitignore": "__pycache__/\n", "pkg/kept.py": "committed\n",
                       "pkg/edited.py": "edited\n", "pkg/untracked.py": "untracked\n"}
+
+
+def test_parse_probe_reads_the_loop_seconds_and_rejects_other_output():
+    assert bench_pairs.parse_probe("probe_s = 0.316\n") == 0.316
+    assert bench_pairs.parse_probe("a warning\nprobe_s = 0.5\n") == 0.5
+    for text in ("", "0.316\n", "probe_s = 0.3\nleft over\n"):
+        with pytest.raises(ValueError, match="not a core probe's output"):
+            bench_pairs.parse_probe(text)
+
+
+def test_probe_times_runs_the_probes_it_is_asked_for(monkeypatch):
+    monkeypatch.setattr(bench_pairs, "CORE_PROBE", "print('probe_s = 0.25')")
+    assert bench_pairs.probe_times(2) == [0.25, 0.25]
+    monkeypatch.setattr(bench_pairs, "CORE_PROBE", "raise SystemExit(3)")
+    with pytest.raises(RuntimeError, match=r"exited \[3\]"):
+        bench_pairs.probe_times(1)
+
+
+@pytest.mark.parametrize("ratios, shared", [
+    ([1.02, 0.98, 1.21] + [1.0] * 7, False),  # a second core before every pair
+    ([1.0] * 9 + [2.03], True),  # one pair ran with the two probes on one core
+    ([1.0] * 9 + [1.5], False),  # the flag is for a ratio above 1.5
+])
+def test_summary_keeps_the_core_probe_ratios_and_flags_a_shared_core(ratios, shared):
+    pairs = []
+    for ratio in ratios:
+        pair = (bench_pairs.parse_run(run_output(50.0, 1.0, 50.0)),
+                bench_pairs.parse_run(run_output(49.0, 1.0, 49.0)))
+        for run in pair:
+            run["host"]["two_over_one"] = ratio
+        pairs.append(pair)
+    out = bench_pairs.summarize(SPEC, pairs)
+    assert (out["two_over_one"], out["shared_core"]) == (ratios, shared)
+    unprobed = bench_pairs.summarize(SPEC, [(bench_pairs.parse_run(run_output(50.0, 1.0, 50.0)),
+                                             bench_pairs.parse_run(run_output(49.0, 1.0, 49.0)))])
+    assert (unprobed["two_over_one"], unprobed["shared_core"]) == ([], False)

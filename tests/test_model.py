@@ -1,3 +1,4 @@
+import ctypes
 import errno
 import hashlib
 import math
@@ -516,10 +517,12 @@ def test_cached_greedy_matches_full_recompute(overrides, fast_logits):
             assert_logits_close(got[1], refs[Task.ST][2][step])
 
 
-def test_dual_row_leaves_the_batch_at_eos():
-    # relabel one token of the ASR row's greedy output as EOS by swapping
-    # their output columns: the ASR row then stops there, while the ST row,
-    # which never emits either token, decodes to max_len unchanged
+def eos_relabelled_model():
+    """A model whose ASR row stops early and whose ST row does not: one token
+    of the ASR row's greedy output is relabelled as EOS by swapping their
+    output columns, while the ST row, which never emits either token,
+    decodes to max_len unchanged. Returns the model, its features, max_len,
+    its encoder output, both rows' original ids and the ASR row's stop."""
     model = Model(tiny_config(dec_smoe=True, tied_embed=False), seed=1).eval()
     feats = random_features(1)
     max_len = 8
@@ -531,6 +534,12 @@ def test_dual_row_leaves_the_batch_at_eos():
                 if asr[k] not in asr[:k] + st and eos not in asr + st)
     w = model.out_proj.data
     w[:, [eos, asr[stop]]] = w[:, [asr[stop], eos]]
+    return model, feats, max_len, enc, asr, st, stop
+
+
+def test_dual_row_leaves_the_batch_at_eos():
+    model, feats, max_len, enc, asr, st, stop = eos_relabelled_model()
+    eos = int(GuidingToken.EOS)
     model.reset_expert_counts()
     dual = model.infer_dual(feats, Bandwidth.WB, max_len=max_len)
     counts = model.smoe_layers()[0][1].call_counts
@@ -764,6 +773,34 @@ def test_one_sample_forward_and_greedy_match_pinned_digest(overrides, digest):
     assert h.hexdigest() == digest
 
 
+def test_greedy_logits_and_ids_match_pinned_digest(fast_logits):
+    # SHA-256 over the <f8 bytes of every logit block the cached greedy decode
+    # computes, and over its results: infer_single for both tasks and
+    # infer_dual on two of PINNED_B1's configs, then the dual decode of
+    # eos_relabelled_model, which goes on with one row once its ASR row
+    # stops. The digest holds for one BLAS build: another may round differently.
+    h = hashlib.sha256()
+
+    def record(result):
+        for logits in fast_logits:
+            h.update(logits.astype("<f8").tobytes())
+        fast_logits.clear()
+        h.update(repr(result).encode())
+
+    for overrides, _ in PINNED_B1[:2]:
+        model = Model(ModelConfig(vocab_size=VOCAB.size, dropout=0.0, **overrides), seed=7).eval()
+        for frames, bw in ((13, Bandwidth.NB), (37, Bandwidth.WB)):
+            rng = np.random.default_rng(frames)
+            feats = FbankFeatures(frames=constant(rng.normal(size=(frames, 80)) - 10.0),
+                                  bandwidth=bw)
+            for task in (Task.ASR, Task.ST):
+                record(model.infer_single(feats, bw, task, max_len=9))
+            record(model.infer_dual(feats, bw, max_len=9))
+    model, feats, max_len = eos_relabelled_model()[:3]
+    record(model.infer_dual(feats, Bandwidth.WB, max_len=max_len))
+    assert h.hexdigest() == "03cc6098f1c6ed68dfed4428fd5fa410f5b84c511ac9a802917bb6e3fccee632"
+
+
 # -- checkpoint bytes ---------------------------------------------------------------
 
 
@@ -904,6 +941,78 @@ def test_failed_save_keeps_previous_checkpoint_and_leaves_no_temp_file(tmp_path)
         save_checkpoint(broken, path, step=2)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+
+
+def forced_fallocate(monkeypatch, code):
+    """Replace libc's fallocate by one that fails with errno `code`, or by
+    None (no such symbol) for code None; returns the calls it saw."""
+    calls = []
+
+    def fail(fd, mode, offset, size):
+        calls.append((mode, offset, size))
+        ctypes.set_errno(code)
+        return -1
+
+    monkeypatch.setattr(smoe.model, "_fallocate", None if code is None else fail)
+    return calls
+
+
+def test_save_preallocates_the_exact_size_and_round_trips(tmp_path, monkeypatch):
+    model = Model(tiny_config(dec_smoe=True, tied_embed=False), seed=42)
+    want, calls, real = checkpoint_bytes(model, 5), [], smoe.model._fallocate
+
+    def record(fd, mode, offset, size):
+        calls.append((mode, offset, size, os.fstat(fd).st_size))
+        return 0 if real is None else real(fd, mode, offset, size)
+
+    monkeypatch.setattr(smoe.model, "_fallocate", record)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model, path, step=5)
+    assert calls == [(0, 0, len(want), 0)]  # one call, on the empty file
+    assert path.read_bytes() == want
+    loaded, step = load_checkpoint(path)
+    assert step == 5 and loaded.arena.tobytes() == model.arena.tobytes()
+
+
+@pytest.mark.parametrize("code", [errno.EOPNOTSUPP, errno.ENOSYS, None],
+                         ids=["EOPNOTSUPP", "ENOSYS", "no-symbol"])
+def test_save_without_fallocate_writes_the_same_bytes(code, tmp_path, monkeypatch):
+    model = Model(tiny_config(), seed=43)
+    calls = forced_fallocate(monkeypatch, code)
+    save_checkpoint(model, tmp_path / "m.ckpt", step=3)
+    assert len(calls) == (0 if code is None else 1)
+    assert (tmp_path / "m.ckpt").read_bytes() == checkpoint_bytes(model, 3)
+
+
+def test_interrupted_preallocation_is_retried(tmp_path, monkeypatch):
+    model, calls = Model(tiny_config(), seed=46), []
+
+    def interrupted_once(fd, mode, offset, size):
+        calls.append(size)
+        ctypes.set_errno(errno.EINTR)
+        return -1 if len(calls) == 1 else 0
+
+    monkeypatch.setattr(smoe.model, "_fallocate", interrupted_once)
+    save_checkpoint(model, tmp_path / "m.ckpt", step=4)
+    want = checkpoint_bytes(model, 4)
+    assert calls == [len(want)] * 2
+    assert (tmp_path / "m.ckpt").read_bytes() == want
+
+
+@pytest.mark.parametrize("code", [errno.ENOSPC, errno.EFBIG, errno.EIO],
+                         ids=["ENOSPC", "EFBIG", "EIO"])
+def test_failed_preallocation_fails_the_save_and_keeps_the_previous_file(
+        code, tmp_path, monkeypatch):
+    path = tmp_path / "m.ckpt"
+    earlier = Model(tiny_config(), seed=44)
+    save_checkpoint(earlier, path, step=1)
+    forced_fallocate(monkeypatch, code)
+    with pytest.raises(OSError) as failed:
+        save_checkpoint(Model(tiny_config(), seed=45), path, step=2)
+    assert failed.value.errno == code
+    assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+    loaded, step = load_checkpoint(path)
+    assert step == 1 and loaded.arena.tobytes() == earlier.arena.tobytes()
 
 
 def upper_half_start(path, model):

@@ -3,6 +3,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import smoe.halves
 from smoe.errors import ContractError, ShapeError
@@ -25,6 +27,7 @@ from smoe.numerics import (
     linear,
     matmul_columns,
     mul,
+    normalize,
     scatter_rows,
     softmax_cross_entropy,
     sum_all,
@@ -433,6 +436,43 @@ def test_layer_norm_backward_matches_the_mean_expression_bitwise():
     assert np.array_equal(x.grad, want)
     assert np.array_equal(gain.grad, (g * xhat).sum(axis=(0, 1)))
     assert np.array_equal(bias.grad, g.sum(axis=(0, 1)))
+
+
+def _row_wise_normalize(x, gain, bias):
+    """`normalize`'s expression for any number of rows, statistics as arrays."""
+    d = x.shape[-1]
+    centered = x - np.add.reduce(x, -1, keepdims=True) / d
+    inv_std = 1.0 / np.sqrt(np.add.reduce(centered * centered, -1, keepdims=True) / d + 1e-6)
+    xhat = centered * inv_std
+    return xhat * gain + bias, xhat, inv_std
+
+
+@settings(max_examples=300, deadline=None)
+@given(d=st.sampled_from([2, 8, 16, 32, 64, 512, 2048]), seed=st.integers(0, 2**32 - 1),
+       scale=st.integers(-8, 8), offset=st.one_of(st.none(), st.integers(-8, 8)),
+       constant_row=st.booleans(), layout=st.sampled_from(["row", "last of [1 x t x d]",
+                                                           "every other column"]))
+def test_one_row_layer_norm_is_the_row_wise_expression_bitwise(
+        d, seed, scale, offset, constant_row, layout):
+    # the one-row path takes its statistics as Python floats; y, xhat and
+    # inv_std must be bitwise (sign of zero included) those of the row-wise
+    # expression, for contiguous rows and for one-row strided views
+    rng = np.random.default_rng(seed)
+    value = (np.full(d, rng.normal()) if constant_row else rng.normal(size=d)) * 10.0**scale
+    if offset is not None:
+        value += rng.uniform(-1.0, 1.0) * 10.0**offset
+    if layout == "row":
+        x = value[None]
+    elif layout == "last of [1 x t x d]":
+        t = int(rng.integers(1, 5))
+        x = np.concatenate([rng.normal(size=(t - 1) * d), value]).reshape(1, t, d)[:, -1]
+    else:
+        x = np.stack([value, rng.normal(size=d)], axis=-1).reshape(1, 2 * d)[:, ::2]
+    assert x.shape == (1, d) and np.array_equal(x[0], value)
+    gain, bias = rng.normal(size=d), rng.normal(size=d)
+    for got, want in zip(normalize(x, gain, bias), _row_wise_normalize(x, gain, bias)):
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
 
 def test_dropout_train_eval_behavior():

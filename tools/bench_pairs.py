@@ -24,6 +24,15 @@ BENCHMARK.json bound and whether the change's scaled median stays inside
 it, which is "unresolved" when the parent's own quartile spread is wider
 than the bound and some run of the change reads no better than some run of
 the parent. Each run's record keeps the host facts it printed.
+
+Before each pair the tool asks whether the host gives it a second core: it
+times a short one-thread matmul loop in one process alone, then in two
+processes at once (two, never more). The slower of the two over the one
+alone is stored as `two_over_one` in both runs' host facts: near 1 when the
+two ran on two cores, near 2 when they shared one. A workload is flagged
+`shared_core` when some pair saw a ratio above SHARED_CORE_RATIO, since
+the figures of an operation that runs a helper thread (a checkpoint load, a
+dataset pass, a paper-preset decode) then depend on what else the host ran.
 The temporary trees are deleted on exit, and no run outlives the tool.
 """
 
@@ -46,6 +55,19 @@ PAIRS = 10
 HOST_KEYS = ("python", "numpy", "blas", "blas_threads", "nproc", "speed_probe")
 INFO_KEYS = ("setup_import_s", "speed_factor_median", "speed_factor_range")
 SIDES = ("parent", "change")
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# one probe process: 300 products of a 300 x 300 matrix, ~0.3 s on one core
+# of a 2-core Intel Xeon host
+CORE_PROBE = """import time
+import numpy as np
+a = np.random.default_rng(0).random((300, 300))
+a @ a
+start = time.perf_counter()
+for _ in range(300):
+    a @ a
+print(f"probe_s = {time.perf_counter() - start!r}")
+"""
+SHARED_CORE_RATIO = 1.5
 
 
 def parse_run(text: str) -> dict:
@@ -75,6 +97,41 @@ def parse_run(text: str) -> dict:
         "raw": raw,
         "host": host,
     }
+
+
+def parse_probe(text: str) -> float:
+    """The loop seconds a core probe process printed as its last line."""
+    name, eq, value = text.strip().rpartition("\n")[2].partition(" = ")
+    if name != "probe_s" or not eq:
+        raise ValueError(f"not a core probe's output: {text!r}")
+    return float(value)
+
+
+def probe_times(count: int) -> list[float]:
+    """The loop seconds of `count` core probe processes started together,
+    each with one BLAS thread. A failed probe raises, and no probe outlives
+    the call."""
+    env = {**os.environ, **dict.fromkeys(BLAS_THREADS, "1")}
+    procs = []
+    try:
+        for _ in range(count):
+            procs.append(subprocess.Popen([sys.executable, "-c", CORE_PROBE], env=env,
+                                          stdout=subprocess.PIPE, text=True))
+        outs = [proc.communicate()[0] for proc in procs]
+        if any(proc.returncode for proc in procs):
+            raise RuntimeError(f"a core probe exited {[proc.returncode for proc in procs]}")
+        return [parse_probe(out) for out in outs]
+    finally:
+        for proc in procs:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+
+
+def core_ratio() -> float:
+    """The slower of two probes run at once over one probe run alone."""
+    alone = probe_times(1)[0]
+    return max(probe_times(2)) / alone
 
 
 def spread(values: list[float]) -> dict:
@@ -135,12 +192,17 @@ def summarize_metric(metric: dict, pairs: list[tuple[dict, dict]]) -> dict:
 
 
 def summarize(spec: dict, pairs: list[tuple[dict, dict]]) -> dict:
-    """One workload's pairs: the operation counts of each side, and
-    summarize_metric of every end-to-end metric in BENCHMARK.json's `spec`."""
+    """One workload's pairs: the operation counts of each side, the core
+    probe's ratio before each pair whose runs carry it and whether any is
+    above SHARED_CORE_RATIO, and summarize_metric of every end-to-end metric
+    in BENCHMARK.json's `spec`."""
+    ratios = [p["host"]["two_over_one"] for p, _ in pairs if "two_over_one" in p["host"]]
     return {
         "pairs": len(pairs),
         "ops": {side: {key: sum(pair[i][key] for pair in pairs) for key in ("attempted", "failed")}
                 for i, side in enumerate(SIDES)},
+        "two_over_one": ratios,
+        "shared_core": any(r > SHARED_CORE_RATIO for r in ratios),
         "metrics": {m["name"]: summarize_metric(m, pairs) for m in spec["end_to_end"]},
     }
 
@@ -209,10 +271,11 @@ def main(argv=None) -> int:
             pairs, runs = [], []
             for i in range(1, PAIRS + 1):
                 order = SIDES if i % 2 else SIDES[::-1]
-                got = {}
+                got, ratio = {}, core_ratio()
                 for position, side in enumerate(order, start=1):
                     got[side] = run_once(spec["command"], trees[side], workload, args.seed,
                                          spec["run_seconds"])
+                    got[side]["host"]["two_over_one"] = ratio
                     runs.append({"pair": i, "side": side, "position": position, **got[side]})
                     print(f"{workload} pair {i}/{PAIRS} {side}: "
                           f"{json.dumps(got[side]['metrics'])}", file=sys.stderr)
