@@ -17,7 +17,7 @@ class ContractError(RuntimeError):
 
 
 class RoutingError(ValueError):
-    """Gate vector is not a valid one-hot selection."""
+    """No expert for a label: a gate that is not one-hot, or an id that is not a task tag."""
 
 
 class SequenceError(ValueError):

@@ -2,25 +2,26 @@
 
 The encoder consumes log-Mel frames and routes its feedforward blocks by the
 bandwidth of each sample's features; the decoder consumes
-guiding-token-prefixed target ids and routes its feedforward blocks by task.
-Everything else is shared. A forward pass runs a whole batch at once: the
-encoder on packed real-frame rows [sum(T_i) x d], where dropout draws at
-that shape, the decoder on padded target rows [B*L x d]; attention reads
-each sample's own rows, and each encoder expert runs once on its bandwidth's
-rows. Only in training mode does it hand its blocks the dropout RNG. Each
-stack's entry is one tape node: the encoder's input projection plus
-positions, the decoder's embedding lookup, √d scale and positions. Each
-pre-norm attention sublayer, self- or cross-attention, is one tape node
-(`nn.attention_sublayer`); each FFN sublayer is its norm, the FFN block and
-the residual add. The decoder ends in one output-head node, the final norm
-and the output projection (`_output_head`), over the kernels greedy
-decode's logits use. `encode` and `decode` are its one-sample calls. Greedy
-decoding runs off the tape on preallocated, head-major key/value caches and
-stacked arena views, through the kernels the tape ops wrap
-(`numerics.attend`, `normalize`, `ffn_rows`, `affine_rows` and
-`matmul_columns`); `decode` is its reference, which it matches within 1e-12
-relative, not bitwise. At paper scale the numerics kernels run each large
-product on two cores (`halves.split_parts`), bitwise as on one.
+guiding-token-prefixed target ids and routes each row's feedforward blocks
+by the task of its own guiding tag (`seqio.task_of`). Everything else is
+shared. A forward pass runs a whole batch at once: the encoder on packed
+real-frame rows [sum(T_i) x d], where dropout draws at that shape, the
+decoder on padded target rows [B*L x d]; attention reads each sample's own
+rows, and each expert runs once on the rows routed to it (`_row_groups`).
+Only in training mode does it hand its blocks the dropout RNG. Each stack's
+entry is one tape node: the encoder's input projection plus positions, the
+decoder's embedding lookup, √d scale and positions. Each pre-norm attention
+sublayer, self- or cross-attention, is one tape node (`nn.attention_sublayer`);
+each FFN sublayer is its norm, the FFN block and the residual add. The
+decoder ends in one output-head node, the final norm and the output
+projection (`_output_head`), over the kernels greedy decode's logits use.
+`encode` and `decode` are its one-sample calls. Greedy decoding runs off the
+tape on preallocated, head-major key/value caches and stacked arena views,
+through the kernels the tape ops wrap (`numerics.attend`, `normalize`,
+`ffn_rows`, `affine_rows` and `matmul_columns`); `decode` is its reference,
+which it matches within 1e-12 relative, not bitwise. At paper scale the
+numerics kernels run each large product on two cores (`halves.split_parts`),
+bitwise as on one.
 
 A model's parameters live in one arena: a contiguous float64 buffer laid
 out by `parameter_shapes(config)` in `named_parameters()` order, each
@@ -56,7 +57,7 @@ from typing import Sequence, get_type_hints
 
 import numpy as np
 
-from .errors import CheckpointError, ConfigError, LimitError
+from .errors import CheckpointError, ConfigError, LimitError, RoutingError
 from .halves import map_halves
 from .moe import (
     N_EXPERTS, Bandwidth, GateVector, SMoELayer, Task, gate_decoder, gate_encoder, select_expert,
@@ -81,7 +82,7 @@ from .numerics import (
     Tensor, affine_rows, attend, constant, dropout, embedding, ffn_rows, gather_rows, linear,
     matmul_columns, normalize, normalize_backward, parameter_arena, record_op, scatter_rows,
 )
-from .seqio import GuidingToken, TargetSequence, guiding_prefix
+from .seqio import GuidingToken, TargetSequence, guiding_prefix, task_of
 from .signal import N_MELS, FbankFeatures
 
 # The public API. It re-exports the three blocks that perfbench/spans.py wraps
@@ -297,6 +298,19 @@ def parameter_shapes(config: ModelConfig) -> Shapes:
 
 
 Params = list[tuple[str, Tensor]]
+RowGroups = list[tuple[GateVector | None, np.ndarray | None]]  # FFN (gate, rows); None: all rows
+
+
+def _row_groups(gates: list[GateVector | None], lengths: Sequence[int]) -> RowGroups:
+    """The row groups of samples packed in order, sample i's lengths[i] rows
+    routed by gates[i]: one group of every row when the gates agree, else
+    one per gate, in first-seen order."""
+    if len(set(gates)) == 1:
+        return [(gates[0], None)]
+    rows: dict[GateVector | None, list[np.ndarray]] = {}
+    for gate, start, length in zip(gates, np.cumsum([0, *lengths]), lengths):
+        rows.setdefault(gate, []).append(np.arange(start, start + length))
+    return [(gate, np.concatenate(r)) for gate, r in rows.items()]
 
 
 def _layer(config: ModelConfig, stack: str, views: dict[str, Tensor], prefix: str):
@@ -413,23 +427,19 @@ class Model:
 
     # -- forward pieces ----------------------------------------------------
 
-    def _sublayer_ffn(self, layer_ffn, gate: GateVector | None, x: Tensor) -> Tensor:
-        """The layer's feedforward block on x; `gate` picks the expert of a
-        routed layer and is not read for a shared block."""
-        if isinstance(layer_ffn, SMoELayer):
-            return smoe_forward(layer_ffn, gate, x, activation=self.config.activation)
-        return ffn_forward(layer_ffn, x, activation=self.config.activation)
+    def _dispatch_ffn(self, layer_ffn, groups: RowGroups, x: Tensor) -> Tensor:
+        """The layer's feedforward block on x's row groups: each group's rows
+        are gathered, sent once through the expert its gate picks (a shared
+        block reads no gate) and scattered back; rows in no group get 0."""
+        def ffn(gate: GateVector | None, h: Tensor) -> Tensor:
+            if isinstance(layer_ffn, SMoELayer):
+                return smoe_forward(layer_ffn, gate, h, activation=self.config.activation)
+            return ffn_forward(layer_ffn, h, activation=self.config.activation)
 
-    def _dispatch_ffn(self, layer_ffn, groups: list[tuple[GateVector | None, np.ndarray | None]],
-                      x: Tensor) -> Tensor:
-        """Feedforward block of row groups `(gate, rows)`: each group's rows
-        of x are gathered, sent through its expert once and scattered back,
-        and rows in no group get 0. rows None is every row of x."""
         if groups[0][1] is None:
-            return self._sublayer_ffn(layer_ffn, groups[0][0], x)
-        parts = [(self._sublayer_ffn(layer_ffn, gate, gather_rows(x, rows)), rows)
-                 for gate, rows in groups]
-        return scatter_rows(parts, x.shape[0])
+            return ffn(groups[0][0], x)
+        return scatter_rows([(ffn(gate, gather_rows(x, rows)), rows) for gate, rows in groups],
+                            x.shape[0])
 
     def encode(self, features: FbankFeatures, bw: Bandwidth) -> Tensor:
         """Encoder states [n_frames x d] of one utterance, routed by bw."""
@@ -459,19 +469,13 @@ class Model:
             raise ConfigError(f"features have {sorted(n_mels)} mels, the input projection "
                               f"wants {N_MELS}")
         packed = np.concatenate([f.normalized() for f in features])
-        offsets = np.cumsum([0, *lengths])
         positions = sinusoidal_positions(t_max, cfg.d_model)
         rng = self._dropout_rng if self.training else None
         x = linear(constant(packed), self.input_proj_w, self.input_proj_b,
                    np.concatenate([positions[:length] for length in lengths]))
         x = dropout(x, cfg.dropout, rng)
-        gates = [gate_encoder(f.bandwidth) if cfg.enc_smoe else None for f in features]
-        groups: list[tuple[GateVector | None, np.ndarray | None]] = [(gates[0], None)]
-        if len(set(gates)) > 1:
-            rows: dict[GateVector | None, list[np.ndarray]] = {}
-            for gate, start, length in zip(gates, offsets, lengths):
-                rows.setdefault(gate, []).append(np.arange(start, start + length))
-            groups = [(gate, np.concatenate(r)) for gate, r in rows.items()]
+        groups = _row_groups([gate_encoder(f.bandwidth) if cfg.enc_smoe else None
+                              for f in features], lengths)
         for layer in self.enc_layers:
             x = attention_sublayer(layer.attn, layer.ln_attn, x, None, lengths, lengths, False,
                                    cfg.dropout, rng)
@@ -480,41 +484,43 @@ class Model:
         return layer_norm_params(self.ln_enc_final, x)
 
     def decode(self, enc_out: Tensor, ids: list[int], task: Task) -> Tensor:
-        """Teacher-forced logits [len(ids) x vocab] over one encoder output."""
-        return self.decode_batch(enc_out, np.asarray([ids]), task)
+        """Teacher-forced logits [len(ids) x vocab] over one encoder output;
+        `task` must be the one ids[0] tags, or RoutingError."""
+        if ids and task is not task_of(ids[0]):
+            raise RoutingError(f"ids tagged {task_of(ids[0]).value} cannot decode as {task!r}")
+        return self.decode_batch(enc_out, np.asarray([ids]))
 
-    def decode_batch(
-        self,
-        enc_out: Tensor,
-        ids: np.ndarray,
-        task: Task,
-        enc_lengths: Sequence[int] | None = None,
-    ) -> Tensor:
+    def decode_batch(self, enc_out: Tensor, ids: np.ndarray,
+                     enc_lengths: Sequence[int] | None = None) -> Tensor:
         """Teacher-forced logits [B*L x vocab] of id rows [B x L] over packed
-        encoder states [sum(enc_lengths) x d], every row routed to `task`'s
-        expert.
+        encoder states [sum(enc_lengths) x d], each row routed by its own
+        guiding tag, ids[i, 0]; each decoder expert runs once on its rows.
 
         enc_lengths are each sample's encoder rows (None: one sample owns
         all); cross-attention reads each sample's own rows only. Causal
         self-attention keeps each position from reading the ones after it,
-        so trailing padding in `ids` never reaches a real position.
+        so trailing padding in `ids` never reaches a real position. A row
+        whose tag is no task's raises RoutingError before any dropout draw.
         """
         cfg = self.config
         n, t = ids.shape
+        if t == 0:
+            raise ConfigError("cannot decode an empty id row")
         if t > cfg.max_tgt_tokens:
             raise LimitError(f"{t} target tokens exceeds max_tgt_tokens {cfg.max_tgt_tokens}")
+        gates = [gate_decoder(task_of(tag)) for tag in ids[:, 0].tolist()]  # read routed or not
+        lens = [t] * n  # each id row is one sample of t positions
+        groups = _row_groups(gates if cfg.dec_smoe else [None] * n, lens)
         x = embedding(self.embed, ids.reshape(-1), math.sqrt(cfg.d_model),
                       np.tile(sinusoidal_positions(t, cfg.d_model), (n, 1)))
         rng = self._dropout_rng if self.training else None
         x = dropout(x, cfg.dropout, rng)
-        gate = gate_decoder(task)
-        lens = [t] * n  # each id row is one sample of t positions
         for layer in self.dec_layers:
             x = attention_sublayer(layer.self_attn, layer.ln_self, x, None, lens, lens, True,
                                    cfg.dropout, rng)
             x = attention_sublayer(layer.cross_attn, layer.ln_cross, x, enc_out, lens, enc_lengths,
                                    False, cfg.dropout, rng)
-            x = pre_norm_residual(lambda h: self._sublayer_ffn(layer.ffn, gate, h),
+            x = pre_norm_residual(lambda h: self._dispatch_ffn(layer.ffn, groups, h),
                                   layer.ln_ffn, x, cfg.dropout, rng)
         return self._output_head(x)
 
@@ -559,9 +565,9 @@ class Model:
         output head of `decode`, without a tape."""
         return self._head_rows(last)[0]
 
-    def _greedy_rows(self, enc_out: Tensor, tasks: list[Task], max_len: int) -> list[SingleDecode]:
-        """Greedy decode of one row per task over one encoder output, with
-        cached keys/values and no tape.
+    def _greedy_rows(self, enc_out: Tensor, prefixes: list, max_len: int) -> list[SingleDecode]:
+        """Greedy decode of one row per guiding prefix, each of a distinct
+        task, over one encoder output, with cached keys/values and no tape.
 
         Each step computes what `decode` computes at its new positions, for
         every live row at once: the guiding prefix is the first step, then
@@ -569,7 +575,7 @@ class Model:
         over its `qkv` view and writes K and V in place into caches sized
         from max_len, head-major as `attend` reads them; cross-attention
         keys/values are projected once, by `affine_rows`. Every row's
-        feedforward runs through its task's expert in one `ffn_rows` call
+        feedforward runs through its tag's expert in one `ffn_rows` call
         over the `experts` view. Only last positions reach the vocabulary,
         through `matmul_columns`, and a row leaves the batch and its caches
         at its EOS. The cross keys/values, the feedforward (over experts)
@@ -580,14 +586,14 @@ class Model:
         max_decode_len raises ConfigError before the first step.
         """
         cfg = self.config
-        results = [SingleDecode(ids=[], truncated=True) for _ in tasks]
+        results = [SingleDecode(ids=[], truncated=True) for _ in prefixes]
         if max_len <= 0:
             return results
         if max_len > cfg.max_decode_len:
             raise ConfigError(f"max_len {max_len} exceeds max_tgt_tokens {cfg.max_tgt_tokens} - 2")
         d, n_heads, eos = cfg.d_model, cfg.n_heads, int(GuidingToken.EOS)
-        d_h, enc, live = d // n_heads, enc_out.data, list(range(len(tasks)))
-        step_ids = np.array([guiding_prefix(task) for task in tasks])
+        d_h, enc, live = d // n_heads, enc_out.data, list(range(len(prefixes)))
+        step_ids = np.array(prefixes)
         n_pos = step_ids.shape[1] + max_len - 1  # the last step's input sits at n_pos - 1
         positions = sinusoidal_positions(n_pos, d)
 
@@ -604,7 +610,7 @@ class Model:
                  for a in (layer.cross_attn for layer in self.dec_layers)]
         caches = [(np.empty((len(live), n_heads, d_h, n_pos)),
                    np.empty((len(live), n_heads, n_pos, d_h))) for _ in self.dec_layers]
-        gates = [gate_decoder(task) for task in tasks]
+        gates = [gate_decoder(task_of(prefix[0])) for prefix in prefixes]
 
         def routed(live: list[int]) -> tuple[slice, list[list]]:
             """The order that lines the live rows up with their experts, and
@@ -668,7 +674,7 @@ class Model:
         """Greedy decode of one task. The model is switched to eval mode
         first, as `_greedy_rows` is the eval-mode computation."""
         enc_out = self.eval().encode(features, bw)
-        return self._greedy_rows(enc_out, [task], max_len)[0]
+        return self._greedy_rows(enc_out, [guiding_prefix(task)], max_len)[0]
 
     def infer_dual(self, features: FbankFeatures, bw: Bandwidth, max_len: int) -> DualDecode:
         """One encoder pass feeding a two-row greedy decode: the transcription
@@ -677,7 +683,7 @@ class Model:
         the single-task decode of its task. The model is switched to eval
         mode first, as in infer_single."""
         enc_out = self.eval().encode(features, bw)
-        asr, st = self._greedy_rows(enc_out, [Task.ASR, Task.ST], max_len)
+        asr, st = self._greedy_rows(enc_out, [guiding_prefix(task) for task in Task], max_len)
         return DualDecode(
             asr_ids=asr.ids,
             st_ids=st.ids,

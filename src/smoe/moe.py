@@ -1,11 +1,11 @@
 """Supervised expert routing: predefined one-hot gates over an FFN bank.
 
 The gate is a function of labels that are known up front (audio bandwidth
-for the encoder, task for the decoder), so there is no gating network to
-train. A routed bank holds one expert per label value, N_EXPERTS of them;
-a gate given any other value raises RoutingError rather than pick one.
-A zero gate weight means the expert is never invoked: the layer calls
-exactly one expert per forward and counts invocations to prove it.
+for the encoder, the task of a row's guiding tag for the decoder), so there
+is no gating network to train. A routed bank holds one expert per label
+value, N_EXPERTS of them; a gate given any other value raises RoutingError
+rather than pick one. A zero gate weight means the expert is never invoked:
+the layer calls exactly one expert per forward and counts its invocations.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum, IntEnum
 from pathlib import Path
 
-from .errors import ConfigError, FormatError, SequenceError
+from .errors import ConfigError, FormatError, RoutingError, SequenceError
 from .moe import Task
 
 
@@ -40,6 +40,7 @@ class Language(Enum):
 
 LANGUAGE_TOKEN = {Language.EN: GuidingToken.LANG_EN, Language.KO: GuidingToken.LANG_KO}
 TASK_TOKEN = {Task.ASR: GuidingToken.TRANSCRIBE, Task.ST: GuidingToken.TRANSLATE}
+_TAG_TASK = {int(tag): task for task, tag in TASK_TOKEN.items()}
 # transcripts stay in the source language, translations are to the target
 TASK_LANGUAGE = {Task.ASR: Language.KO, Task.ST: Language.EN}
 
@@ -47,6 +48,15 @@ TASK_LANGUAGE = {Task.ASR: Language.KO, Task.ST: Language.EN}
 def guiding_prefix(task: Task) -> list[int]:
     """The ids every `task` sequence starts with: [task tag, language tag, BOS]."""
     return [int(TASK_TOKEN[task]), int(LANGUAGE_TOKEN[TASK_LANGUAGE[task]]), int(GuidingToken.BOS)]
+
+
+def task_of(tag: int) -> Task:
+    """The task whose guiding tag is `tag`, the inverse of TASK_TOKEN; any
+    other id raises RoutingError."""
+    try:
+        return _TAG_TASK[tag]
+    except (KeyError, TypeError):  # TypeError: an unhashable tag
+        raise RoutingError(f"id {tag!r} is not a task tag") from None
 
 
 class Vocabulary:

@@ -1,15 +1,15 @@
 """Training: task-homogeneous interleaved batches, SGD/Adam, cosine decay,
 the task-interference benchmark, and the narrowband fine-tuning workflow.
 
-Batches are homogeneous in task by construction (the decoder gate is a
-per-batch decision); bandwidth may vary inside a batch because the encoder
-gate is per sample. A batch runs as one forward pass, the encoder on the
-packed frame rows of its samples, each encoder expert on the rows of its
-bandwidth, the decoder on PAD-padded target rows. The loss is
-teacher-forced cross entropy over payload and EOS positions only: the model
-conditions on the guiding prefix but is never trained to predict it.
-backward() stores gradients on leaves only, so after a step `.grad` is set
-on the parameters the batch reached and on nothing else.
+Batches are homogeneous in task by construction, and the model routes each
+sample on its own: the encoder by its bandwidth, which may vary inside a
+batch, the decoder by its target's guiding tag. A batch runs as one forward
+pass, the encoder on the packed frame rows of its samples, the decoder on
+PAD-padded target rows, each expert on its rows. The loss is teacher-forced
+cross entropy over payload and EOS positions only: the model conditions on
+the guiding prefix but is never trained to predict it. backward() stores
+gradients on leaves only, so after a step `.grad` is set on the parameters
+the batch reached and on nothing else.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .metrics import corpus_token_accuracy
 from .model import Model, ModelConfig, count_params, expand_experts
 from .moe import Bandwidth, Task
 from .numerics import Tape, Tensor, arena_bounds, backward, softmax_cross_entropy
-from .seqio import BYTE_BASE, GuidingToken, Vocabulary
+from .seqio import BYTE_BASE, GuidingToken, Vocabulary, task_of
 from .signal import FbankFeatures
 
 
@@ -46,7 +46,6 @@ class Batch:
 
     features: list[FbankFeatures]
     targets: np.ndarray  # [B x L_max], PAD-padded
-    task: Task
     loss_targets: np.ndarray = field(init=False)  # [B*L_max]
     loss_weights: np.ndarray = field(init=False)  # [B*L_max]
 
@@ -61,6 +60,11 @@ class Batch:
             kept, 1.0 / (len(self) * np.maximum(per_sample, 1)), 0.0
         ).reshape(-1)
 
+    @property
+    def task(self) -> Task:
+        """The task of the first row's guiding tag, every row's in a built batch."""
+        return task_of(int(self.targets[0, 0]))
+
     @staticmethod
     def build(items: Sequence[Utterance]) -> "Batch":
         if not items:
@@ -72,7 +76,7 @@ class Batch:
         targets = np.full((len(items), l_max), int(GuidingToken.PAD), dtype=np.int64)
         for i, it in enumerate(items):
             targets[i, : len(it.target.ids)] = it.target.ids
-        return Batch(features=[it.features for it in items], targets=targets, task=items[0].task)
+        return Batch(features=[it.features for it in items], targets=targets)
 
     def __len__(self) -> int:
         return len(self.features)
@@ -243,16 +247,16 @@ def batch_loss(model: Model, batch: Batch) -> Tensor:
     the mean over samples of each sample's mean cross entropy."""
     feats = batch.features
     enc_out = model.encode_batch(feats)
-    logits = model.decode_batch(enc_out, batch.targets, batch.task, [f.n_frames for f in feats])
+    logits = model.decode_batch(enc_out, batch.targets, [f.n_frames for f in feats])
     return softmax_cross_entropy(
         logits, batch.loss_targets, int(GuidingToken.PAD), batch.loss_weights
     )
 
 
 def train_step(model: Model, batch: Batch, optimizer, lr: float) -> float:
-    """One training step: zeroed gradients, forward with routing per batch
-    labels, teacher-forced cross entropy, backward, parameter update.
-    Returns the batch loss. A non-finite loss or gradient raises
+    """One training step: zeroed gradients, forward with each sample routed
+    by its own labels, teacher-forced cross entropy, backward, parameter
+    update. Returns the batch loss. A non-finite loss or gradient raises
     NumericError before any parameter moves.
     """
     model.train()

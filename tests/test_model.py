@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import smoe.model
 from smoe.cli import main
 from smoe.data import Utterance
-from smoe.errors import CheckpointError, ConfigError, FormatError, LimitError
+from smoe.errors import CheckpointError, ConfigError, FormatError, LimitError, RoutingError
 from smoe.halves import SPLIT_MIN_MACS
 from smoe.model import (
     Model,
@@ -107,6 +107,8 @@ def test_encoder_routing_by_bandwidth():
 
 def test_length_limits_enforced():
     model = Model(tiny_config(max_src_frames=8, max_tgt_tokens=6), seed=5)
+    with pytest.raises(ConfigError, match="empty id row"):
+        model.decode(model.encode(random_features(frames=6), Bandwidth.WB), [], Task.ASR)
     with pytest.raises(LimitError):
         model.forward(random_features(frames=9), Bandwidth.WB, asr_target(b"a"))
     with pytest.raises(LimitError):
@@ -163,6 +165,46 @@ def test_encode_routes_by_its_bandwidth_argument():
     want = model.encode_batch([replace(feats, bandwidth=Bandwidth.NB)]).data
     assert np.array_equal(got, want) and bank.call_counts == [0, 2]
     assert not np.array_equal(got, model.encode(feats, Bandwidth.WB).data)
+
+
+def test_mixed_task_batch_routes_each_row_by_its_own_tag():
+    # an ASR row of 7 ids and an ST row of 5, PAD-padded, over 6 and 9
+    # encoder rows: each row's logits are its own single-row decode, and each
+    # decoder expert runs once, on its own row
+    model = Model(tiny_config(dec_smoe=True, n_dec_layers=2), seed=42).eval()
+    rows = [asr_target(b"abc").ids, st_target(b"a").ids]
+    ids = np.array([r + [int(GuidingToken.PAD)] * (7 - len(r)) for r in rows])
+    feats = [random_features(43, 6), random_features(44, 9)]
+    enc = model.encode_batch(feats).data
+    model.reset_expert_counts()
+    logits = model.decode_batch(constant(enc), ids, [6, 9]).data.reshape(2, 7, -1)
+    assert [bank.call_counts for _, bank in model.smoe_layers()] == [[1, 1], [1, 1]]
+    for i, (row, task, start, n) in enumerate(zip(rows, (Task.ASR, Task.ST), [0, 6], [6, 9])):
+        alone = model.decode(constant(enc[start : start + n]), row, task).data
+        np.testing.assert_allclose(logits[i, : len(row)], alone, rtol=1e-12, atol=1e-12)
+
+
+def test_decoder_row_without_a_task_tag_fails_closed():
+    # a training-mode batch whose second row starts with BOS raises before
+    # the embedding: no dropout draw, no expert call
+    model = Model(tiny_config(dropout=0.15, enc_smoe=True, dec_smoe=True), seed=45)
+    enc = model.eval().encode_batch([random_features(46, 4), random_features(47, 5)])
+    model.train().reset_expert_counts()
+    state = model._dropout_rng.bit_generator.state
+    ids = np.array([asr_target().ids, [int(GuidingToken.BOS), *asr_target().ids[1:]]])
+    with pytest.raises(RoutingError, match="not a task tag"):
+        model.decode_batch(enc, ids, [4, 5])
+    assert model._dropout_rng.bit_generator.state == state
+    assert [bank.call_counts for _, bank in model.smoe_layers()] == [[0, 0], [0, 0]]
+
+
+@pytest.mark.parametrize("task", [Task.ST, "ASR"], ids=["other-task", "string"])
+def test_decode_task_must_match_the_rows_tag(task):
+    model = Model(tiny_config(dec_smoe=True), seed=47).eval()
+    enc = model.encode(random_features(48), Bandwidth.WB)
+    with pytest.raises(RoutingError, match="tagged ASR"):
+        model.decode(enc, [3, 6, 1, 9, 12], task)
+    assert model.smoe_layers()[0][1].call_counts == [0, 0]
 
 
 def test_dropout_draws_only_in_training_mode():
@@ -385,9 +427,9 @@ def test_greedy_inference_encodes_in_eval_mode(monkeypatch):
     seen = []
     greedy_rows = Model._greedy_rows
 
-    def spy(self, enc_out, tasks, max_len):
+    def spy(self, enc_out, prefixes, max_len):
         seen.append((self.training, enc_out.data.view(np.uint64).copy()))
-        return greedy_rows(self, enc_out, tasks, max_len)
+        return greedy_rows(self, enc_out, prefixes, max_len)
 
     monkeypatch.setattr(Model, "_greedy_rows", spy)
     for mode in (model.train, model.eval):
@@ -574,7 +616,7 @@ def test_cached_greedy_hits_token_limit_at_reference_step(max_tgt_tokens, monkey
 
     monkeypatch.setattr(smoe.model, "sinusoidal_positions", recording)
     max_len = max_tgt_tokens - 2
-    asr, st = model._greedy_rows(enc, [Task.ASR, Task.ST], max_len)
+    asr, st = model._greedy_rows(enc, [guiding_prefix(Task.ASR), guiding_prefix(Task.ST)], max_len)
     for task, got in ((Task.ASR, asr), (Task.ST, st)):
         ids, truncated, _ = reference_greedy(model, enc, task, max_len)
         assert (got.ids, got.truncated) == (ids, truncated)
@@ -591,7 +633,7 @@ def test_greedy_decode_stays_off_the_tape(routed, monkeypatch):
 
     def run():
         model.reset_expert_counts()
-        rows = model._greedy_rows(enc, [Task.ASR, Task.ST], 6)
+        rows = model._greedy_rows(enc, [guiding_prefix(Task.ASR), guiding_prefix(Task.ST)], 6)
         return ([(r.ids, r.truncated) for r in rows],
                 [list(bank.call_counts) for _, bank in model.smoe_layers()])
 
@@ -758,14 +800,24 @@ def test_one_sample_forward_and_greedy_match_pinned_digest(overrides, digest):
     # the infer_single/infer_dual ids at 1, 13 and 37 frames, pinned with the
     # padded, masked attention; the packed path must reproduce them bitwise.
     # The digests hold for one BLAS build: another may round differently.
+    # The decode bytes are the ST expert's on an ASR-tagged row, which the
+    # decoder routes to the ASR expert, so a copy whose decoder experts trade
+    # weights computes them (on an unrouted decoder the swap is a no-op).
     model = Model(ModelConfig(vocab_size=VOCAB.size, dropout=0.0, **overrides), seed=7).eval()
+    swapped = Model.allocate(model.config)
+    swapped.arena[...] = model.arena
+    params = dict(swapped.named_parameters())
+    for name, t in params.items():
+        if name.startswith("dec.") and ".ffn.expert0." in name:
+            other = params[name.replace(".expert0.", ".expert1.")]
+            t.data[...], other.data[...] = other.data.copy(), t.data.copy()
     h = hashlib.sha256()
     for frames, bw in ((1, Bandwidth.WB), (13, Bandwidth.NB), (37, Bandwidth.WB)):
         rng = np.random.default_rng(frames)
         feats = FbankFeatures(frames=constant(rng.normal(size=(frames, 80)) - 10.0), bandwidth=bw)
         enc = model.encode(feats, bw)
         h.update(enc.data.astype("<f8").tobytes())
-        h.update(model.decode(enc, [3, 6, 1, 9, 12], Task.ST).data.astype("<f8").tobytes())
+        h.update(swapped.decode(enc, [3, 6, 1, 9, 12], Task.ASR).data.astype("<f8").tobytes())
         single = model.infer_single(feats, bw, Task.ST, max_len=9)
         dual = model.infer_dual(feats, bw, max_len=9)
         h.update(repr((single.ids, single.truncated, dual.asr_ids, dual.asr_truncated,

@@ -4,17 +4,19 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from smoe import errors
-from smoe.errors import ConfigError, FormatError, SequenceError
+from smoe.errors import ConfigError, FormatError, RoutingError, SequenceError
 from smoe.moe import Task
 from smoe.seqio import (
     BYTE_BASE,
     MERGE_BASE,
     RESERVED_SLOTS,
+    TASK_TOKEN,
     GuidingToken,
     TargetSequence,
     Vocabulary,
     build_target_sequence,
     guiding_prefix,
+    task_of,
     train_bpe,
 )
 
@@ -193,6 +195,17 @@ def test_target_sequence_task_round_trip():
     assert asr.task is Task.ASR and asr.ids[0] == GuidingToken.TRANSCRIBE
     assert st_seq.task is Task.ST and st_seq.ids[0] == GuidingToken.TRANSLATE
     assert TargetSequence(Task.ST, list(st_seq.ids)).task is Task.ST
+
+
+def test_task_of_inverts_the_task_tags_and_rejects_every_other_id():
+    # PAD, BOS, EOS, both language tags, reserved ids 7-15 and payload ids
+    assert {task_of(int(tag)): tag for tag in TASK_TOKEN.values()} == {
+        task: tag for task, tag in TASK_TOKEN.items()}
+    others = [i for i in range(Vocabulary().size) if i not in set(TASK_TOKEN.values())]
+    assert len(others) == Vocabulary().size - 2
+    for i in others:
+        with pytest.raises(RoutingError, match=f"id {i} is not a task tag"):
+            task_of(i)
 
 
 def test_target_sequence_rejects_bad_task_tag():

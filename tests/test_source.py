@@ -103,3 +103,20 @@ def test_src_has_no_orphaned_private_helpers():
          for path in sorted(SRC.rglob("*.py"))})
     assert n_defs >= 20  # the scan reached the package's private helpers
     assert orphans == []
+
+
+def test_only_seqio_names_the_task_tags():
+    # the tag <-> task mapping lives in one module: elsewhere a row's task is
+    # read by seqio.task_of and a task's ids are built by seqio.guiding_prefix
+    def names_a_tag(node) -> bool:
+        if isinstance(node, ast.Name):
+            return node.id == "TASK_TOKEN"
+        if isinstance(node, ast.alias):
+            return node.name == "TASK_TOKEN"
+        return isinstance(node, ast.Attribute) and (node.attr == "TASK_TOKEN" or (
+            node.attr in ("TRANSCRIBE", "TRANSLATE") and isinstance(node.value, ast.Name)
+            and node.value.id == "GuidingToken"))
+
+    naming = sorted(str(path.relative_to(SRC)) for path in SRC.rglob("*.py")
+                    if any(map(names_a_tag, ast.walk(ast.parse(path.read_text(encoding="utf-8"))))))
+    assert naming == ["seqio.py"]

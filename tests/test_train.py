@@ -121,7 +121,7 @@ def test_loss_targets_are_each_rows_shifted_targets(rows):
     frame = FbankFeatures(frames=constant(np.zeros((1, N_MELS))), bandwidth=Bandwidth.WB)
     batch = Batch(
         features=[frame] * len(rows),
-        targets=np.array([r + [pad] * (width - len(r)) for r in rows]), task=Task.ASR,
+        targets=np.array([r + [pad] * (width - len(r)) for r in rows]),
     )
     want = [shifted_targets(r) + [pad] * (width - len(r)) for r in rows]
     assert batch.loss_targets.reshape(len(rows), width).tolist() == want
@@ -520,7 +520,8 @@ def _padded_batch_loss(model, batch):
                               layer.ln_self, y)
         y = pre_norm_residual(lambda h: _padded_attention(layer.cross_attn, h, enc, enc, mask, n),
                               layer.ln_cross, y)
-        y = pre_norm_residual(lambda h: model._sublayer_ffn(layer.ffn, gate, h), layer.ln_ffn, y)
+        y = pre_norm_residual(lambda h: model._dispatch_ffn(layer.ffn, [(gate, None)], h),
+                              layer.ln_ffn, y)
     y = layer_norm_params(model.ln_dec_final, y)
     logits = matmul(y, model.out_proj if model.out_proj is not None else transpose2d(model.embed))
     return softmax_cross_entropy(
@@ -566,9 +567,9 @@ def _composed_batch_loss(model, batch):
 
     def dispatched(layer_ffn, h):
         if len(groups) == 1:
-            return model._sublayer_ffn(layer_ffn, groups[0][0], h)
-        return scatter_rows([(model._sublayer_ffn(layer_ffn, gate, gather_add_at(h, r)), r)
-                             for gate, r in groups], h.shape[0])
+            return model._dispatch_ffn(layer_ffn, [(groups[0][0], None)], h)
+        return scatter_rows([(model._dispatch_ffn(layer_ffn, [(gate, None)], gather_add_at(h, r)),
+                              r) for gate, r in groups], h.shape[0])
 
     for layer in model.enc_layers:
         x = attention_sublayer(layer.attn, layer.ln_attn, x, None, lengths, lengths, False,
@@ -585,8 +586,8 @@ def _composed_batch_loss(model, batch):
                                cfg.dropout, rng)
         y = attention_sublayer(layer.cross_attn, layer.ln_cross, y, enc, lens, lengths, False,
                                cfg.dropout, rng)
-        y = pre_norm_residual(lambda h: model._sublayer_ffn(layer.ffn, gate, h), layer.ln_ffn, y,
-                              cfg.dropout, rng)
+        y = pre_norm_residual(lambda h: model._dispatch_ffn(layer.ffn, [(gate, None)], h),
+                              layer.ln_ffn, y, cfg.dropout, rng)
     y = layer_norm_params(model.ln_dec_final, y)
     logits = matmul(y, model.out_proj if model.out_proj is not None else transpose2d(model.embed))
     loss = softmax_cross_entropy(logits, batch.loss_targets, int(GuidingToken.PAD),
@@ -597,7 +598,7 @@ def _composed_batch_loss(model, batch):
 def _fused_batch_loss(model, batch):
     """(encoder output, logits, loss) of batch_loss, through the model."""
     enc = model.encode_batch(batch.features)
-    logits = model.decode_batch(enc, batch.targets, batch.task, [f.n_frames for f in batch.features])
+    logits = model.decode_batch(enc, batch.targets, [f.n_frames for f in batch.features])
     loss = softmax_cross_entropy(logits, batch.loss_targets, int(GuidingToken.PAD),
                                  batch.loss_weights)
     return enc, logits, loss
@@ -647,7 +648,6 @@ def test_loss_weights_average_sample_means_with_an_empty_sample():
     batch = Batch(
         features=[it.features for it in items],
         targets=np.array([r + [pad] * (width - len(r)) for r in rows]),
-        task=Task.ASR,
     )
     kept = [len(r) - 3 for r in rows[:2]] + [0]
     weights = batch.loss_weights.reshape(3, width)
