@@ -17,7 +17,7 @@ class ContractError(RuntimeError):
 
 
 class RoutingError(ValueError):
-    """No expert for a label: a gate that is not one-hot, or an id that is not a task tag."""
+    """No expert for a label: a gate not one-hot, a non-tag id, or a label the input lacks."""
 
 
 class SequenceError(ValueError):

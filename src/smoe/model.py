@@ -15,11 +15,13 @@ sublayer, self- or cross-attention, is one tape node (`nn.attention_sublayer`);
 each FFN sublayer is its norm, the FFN block and the residual add. The
 decoder ends in one output-head node, the final norm and the output
 projection (`_output_head`), over the kernels greedy decode's logits use.
-`encode` and `decode` are its one-sample calls. Greedy decoding runs off the
-tape on preallocated, head-major key/value caches and stacked arena views,
-through the kernels the tape ops wrap (`numerics.attend`, `normalize`,
-`ffn_rows`, `affine_rows` and `matmul_columns`); `decode` is its reference,
-which it matches within 1e-12 relative, not bitwise. At paper scale the
+`encode` and `decode` are its one-sample calls, and each raises
+`RoutingError` for a bandwidth or task its input does not carry. Greedy
+decoding runs off the tape on preallocated, head-major key/value caches and
+stacked arena views, through the kernels the tape ops wrap
+(`numerics.attend`, `normalize`, `ffn_rows`, `affine_rows` and
+`matmul_columns`); `decode` is its reference, which it matches within 1e-12
+relative, not bitwise. At paper scale the
 numerics kernels run each large product on two cores (`halves.split_parts`),
 bitwise as on one.
 
@@ -442,9 +444,10 @@ class Model:
                             x.shape[0])
 
     def encode(self, features: FbankFeatures, bw: Bandwidth) -> Tensor:
-        """Encoder states [n_frames x d] of one utterance, routed by bw."""
+        """Encoder states [n_frames x d] of one utterance, routed by its
+        features' bandwidth; `bw` must be that bandwidth, or RoutingError."""
         if bw is not features.bandwidth:
-            features = replace(features, bandwidth=bw)
+            raise RoutingError(f"features of {features.bandwidth.value} cannot encode as {bw!r}")
         return self.encode_batch([features])
 
     def encode_batch(self, features: Sequence[FbankFeatures]) -> Tensor:
@@ -672,7 +675,8 @@ class Model:
         self, features: FbankFeatures, bw: Bandwidth, task: Task, max_len: int
     ) -> SingleDecode:
         """Greedy decode of one task. The model is switched to eval mode
-        first, as `_greedy_rows` is the eval-mode computation."""
+        first, as `_greedy_rows` is the eval-mode computation; `bw` must be
+        the features' own bandwidth, as in `encode`."""
         enc_out = self.eval().encode(features, bw)
         return self._greedy_rows(enc_out, [guiding_prefix(task)], max_len)[0]
 
@@ -681,7 +685,7 @@ class Model:
         row routes to the ASR expert, the translation row to the ST expert.
         The rows share only the encoder output, so each decodes the ids of
         the single-task decode of its task. The model is switched to eval
-        mode first, as in infer_single."""
+        mode first, and `bw` checked, as in infer_single."""
         enc_out = self.eval().encode(features, bw)
         asr, st = self._greedy_rows(enc_out, [guiding_prefix(task) for task in Task], max_len)
         return DualDecode(

@@ -201,9 +201,6 @@ class TargetSequence:
         if any(i == GuidingToken.PAD for i in ids):
             raise SequenceError("PAD must not appear inside a target sequence")
 
-    def __len__(self) -> int:
-        return len(self.ids)
-
     @property
     def payload_ids(self) -> list[int]:
         return self.ids[3:-1]

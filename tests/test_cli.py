@@ -243,6 +243,10 @@ def test_benchmark_cli_tiny(tmp_path, capsys):
     assert not any(ln.startswith("budget_steps") for ln in resolved)
 
 
+# the stderr label of each failure's exit code
+EXIT_LABELS = {1: "config error", 2: "checkpoint error", 3: "input error", 4: "numeric error"}
+
+
 def _tiny_checkpoint(root, edit=None, vocab=None):
     """A tiny model checkpoint plus its vocab.txt (by default no merges) in
     root; edit rewrites its bytes."""
@@ -260,7 +264,7 @@ def _tiny_checkpoint(root, edit=None, vocab=None):
     return ckpt
 
 
-def _wav(root, odd_data=False, no_data=False):
+def _wav(root, odd_data=False, no_data=False, non_pcm=False, data_first=False):
     path = root / "in.wav"
     write_wav(path, Waveform(samples=[0.1] * 800, sample_rate=SAMPLE_RATE_WB))
     raw = bytearray(path.read_bytes())
@@ -269,6 +273,10 @@ def _wav(root, odd_data=False, no_data=False):
         raw += b"\x00"
     if no_data:  # the samples sit in a chunk of another name
         raw[36:40] = b"dat_"
+    if non_pcm:  # fmt names format 3, IEEE float
+        raw[20:22] = (3).to_bytes(2, "little")
+    if data_first:  # the data chunk, then the fmt chunk
+        raw = raw[:12] + raw[36:] + raw[12:36]
     path.write_bytes(bytes(raw))
     return path
 
@@ -297,12 +305,18 @@ def _inspect_with_config(root):
     return ["inspect", "--config", str(cfg)]
 
 
-def _infer_odd_wav(root):
-    return ["infer", "--ckpt", str(_tiny_checkpoint(root)), str(_wav(root, odd_data=True))]
+def _infer_wav(**edits):
+    def argv(root):
+        return ["infer", "--ckpt", str(_tiny_checkpoint(root)), str(_wav(root, **edits))]
+    return argv
 
 
-def _infer_wav_without_data(root):
-    return ["infer", "--ckpt", str(_tiny_checkpoint(root)), str(_wav(root, no_data=True))]
+def _infer_with_vocab(vocab_bytes):
+    def argv(root):
+        ckpt = _tiny_checkpoint(root)
+        (root / "given.txt").write_bytes(vocab_bytes)
+        return ["infer", "--ckpt", str(ckpt), "--vocab", str(root / "given.txt"), str(_wav(root))]
+    return argv
 
 
 def _infer_empty_nb_wav(root):
@@ -469,8 +483,8 @@ def _resized_checkpoint(command, resize):
                  id="manifest-not-utf8"),
     pytest.param(_inspect_with_config, 1, id="config-not-utf8"),
     pytest.param(_train_with_config(b"steps = 2\nsteps = 3\n"), 1, id="config-duplicate-key"),
-    pytest.param(_infer_odd_wav, 3, id="wav-odd-data-bytes"),
-    pytest.param(_infer_wav_without_data, 3, id="wav-no-data-chunk"),
+    pytest.param(_infer_wav(odd_data=True), 3, id="wav-odd-data-bytes"),
+    pytest.param(_infer_wav(no_data=True), 3, id="wav-no-data-chunk"),
     pytest.param(_infer_empty_nb_wav, 3, id="wav-empty-narrowband"),
     pytest.param(_inspect_directory_checkpoint, 2, id="ckpt-is-directory"),
     pytest.param(_infer_directory_vocab, 3, id="vocab-is-directory"),
@@ -550,12 +564,28 @@ def _resized_checkpoint(command, resize):
     pytest.param(_vocab_mismatch("eval", 8, 0), 3, id="eval-vocab-smaller"),
     # every item is checked against the model's limits, not only the ones drawn
     pytest.param(_train_one_step_with(_long_st_text), 3, id="train-item-past-max-tgt-tokens"),
+    pytest.param(_inspect_with("n_items=1\nn_merges=2"), 1, id="set-two-keys"),
+    pytest.param(_inspect_with("preset=huge"), 1, id="set-unknown-preset"),
+    pytest.param(_inspect_with("n_heads=3"), 1, id="set-heads-not-dividing-d-model"),
+    pytest.param(_inspect_with("activation=gelu"), 1, id="set-unknown-activation"),
+    pytest.param(_infer_wav(non_pcm=True), 3, id="wav-not-pcm"),
+    pytest.param(_infer_wav(data_first=True), 3, id="wav-data-before-fmt"),
+    pytest.param(_infer_with_vocab(b"smoe-vocab v1 merges=x\n"), 3, id="vocab-bad-merge-count"),
+    pytest.param(_infer_with_vocab(b"smoe-vocab v1 merges=1\n61\n"), 3,
+                 id="vocab-one-field-merge-line"),
 ])
 def test_malformed_input_exit_code(make_argv, code, tmp_path, capsys):
     assert main(make_argv(tmp_path)) == code
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "error" in captured.err and "Traceback" not in captured.err
+    assert captured.err.startswith(f"{EXIT_LABELS[code]}: ") and "Traceback" not in captured.err
+
+
+def test_gradcheck_past_its_tolerance_exits_4(capsys):
+    assert main(_gradcheck_with("--tolerance", "1e-300")(None)) == 4
+    captured = capsys.readouterr()
+    assert "FAIL" in captured.out
+    assert captured.err == "numeric error: gradient check failed\n"
 
 
 @pytest.mark.parametrize("make_argv, message", [

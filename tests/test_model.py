@@ -154,17 +154,40 @@ def test_mixed_bandwidth_batch_runs_each_encoder_expert_once_on_its_own_rows(mon
                                    atol=1e-12)
 
 
-def test_encode_routes_by_its_bandwidth_argument():
-    # wideband-labelled features encoded as narrowband go through expert 1,
-    # as the same frames labelled narrowband do, and keep their own label
+def test_encode_rejects_a_bandwidth_argument_not_the_features_own():
+    # narrowband-labelled features go through expert 1, as encode_batch
+    # sends them; asked to encode them as wideband, encode calls no expert
     model = Model(tiny_config(enc_smoe=True), seed=38).eval()
-    feats = random_features(39)
+    feats = replace(random_features(39), bandwidth=Bandwidth.NB)
     bank = model.smoe_layers()[0][1]
     got = model.encode(feats, Bandwidth.NB).data
-    assert bank.call_counts == [0, 1] and feats.bandwidth is Bandwidth.WB
-    want = model.encode_batch([replace(feats, bandwidth=Bandwidth.NB)]).data
-    assert np.array_equal(got, want) and bank.call_counts == [0, 2]
-    assert not np.array_equal(got, model.encode(feats, Bandwidth.WB).data)
+    assert bank.call_counts == [0, 1]
+    assert np.array_equal(got, model.encode_batch([feats]).data) and bank.call_counts == [0, 2]
+    with pytest.raises(RoutingError, match="features of NB"):
+        model.encode(feats, Bandwidth.WB)
+    assert bank.call_counts == [0, 2]
+
+
+ONE_SAMPLE_ENCODES = {
+    "encode": lambda model, feats, bw: model.encode(feats, bw),
+    "forward": lambda model, feats, bw: model.forward(feats, bw, asr_target()),
+    "infer_single": lambda model, feats, bw: model.infer_single(feats, bw, Task.ST, max_len=3),
+    "infer_dual": lambda model, feats, bw: model.infer_dual(feats, bw, max_len=3),
+}
+
+
+@pytest.mark.parametrize("bw", [Bandwidth.WB, "NB", None], ids=["other-member", "string", "none"])
+@pytest.mark.parametrize("run", ONE_SAMPLE_ENCODES.values(), ids=ONE_SAMPLE_ENCODES)
+def test_one_sample_encodes_fail_closed_on_another_bandwidth(run, bw):
+    # a training-mode model given narrowband features and any other bw
+    # raises before any dropout draw or expert call
+    model = Model(tiny_config(dropout=0.15, enc_smoe=True, dec_smoe=True), seed=49).train()
+    feats = replace(random_features(50), bandwidth=Bandwidth.NB)
+    state = model._dropout_rng.bit_generator.state
+    with pytest.raises(RoutingError, match="features of NB"):
+        run(model, feats, bw)
+    assert model._dropout_rng.bit_generator.state == state
+    assert [bank.call_counts for _, bank in model.smoe_layers()] == [[0, 0], [0, 0]]
 
 
 def test_mixed_task_batch_routes_each_row_by_its_own_tag():
@@ -223,8 +246,8 @@ def test_dropout_draws_only_in_training_mode():
 def test_cloned_experts_match_baseline_bitwise():
     donor = Model(tiny_config(), seed=6).eval()
     routed = expand_experts(donor, encoder=True, decoder=True).eval()
-    feats = random_features(7)
     for bw in (Bandwidth.WB, Bandwidth.NB):
+        feats = replace(random_features(7), bandwidth=bw)
         for target in (asr_target(b"xyz"), st_target(b"xyz")):
             a = donor.forward(feats, bw, target)
             b = routed.forward(feats, bw, target)
@@ -376,8 +399,8 @@ def test_checkpoint_expand_after_load_matches_donor(tmp_path):
     save_checkpoint(donor, path)
     loaded, _ = load_checkpoint(path)
     routed = expand_experts(loaded, encoder=True, decoder=True).eval()
-    feats = random_features(11)
     for bw in (Bandwidth.WB, Bandwidth.NB):
+        feats = replace(random_features(11), bandwidth=bw)
         a = donor.forward(feats, bw, st_target(b"qq"))
         b = routed.forward(feats, bw, st_target(b"qq"))
         assert np.array_equal(a.data, b.data)
@@ -537,9 +560,9 @@ GREEDY_CONFIGS = [
 @pytest.mark.parametrize("overrides", GREEDY_CONFIGS, ids=lambda kw: ",".join(kw) or "shared")
 def test_cached_greedy_matches_full_recompute(overrides, fast_logits):
     model = Model(tiny_config(**overrides), seed=31).eval()
-    feats = random_features(32)
     max_len = 7
     for bw in (Bandwidth.WB, Bandwidth.NB):
+        feats = replace(random_features(32), bandwidth=bw)
         enc = model.encode(feats, bw)
         refs = {task: reference_greedy(model, enc, task, max_len) for task in (Task.ASR, Task.ST)}
         for task, (ids, truncated, logits) in refs.items():
@@ -629,7 +652,7 @@ def test_greedy_decode_stays_off_the_tape(routed, monkeypatch):
     """The cached decode calls no tape op: with the FFN tape wrappers and
     `constant` raising, it returns the same ids and expert counts."""
     model = Model(tiny_config(dec_smoe=routed), seed=35).eval()
-    enc = model.encode(random_features(36), Bandwidth.NB)
+    enc = model.encode(replace(random_features(36), bandwidth=Bandwidth.NB), Bandwidth.NB)
 
     def run():
         model.reset_expert_counts()

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -224,6 +224,16 @@ def test_fbank_narrowband_limits_at_the_boundary():
         fbank(Waveform(samples=np.zeros(30 * 8000 + 1), sample_rate=8000))
 
 
+@pytest.mark.parametrize("sample_rate", [16000, 8000])
+def test_thirty_seconds_is_the_longest_input_at_2998_frames(sample_rate):
+    # 1 + (480,000 - 400) // 160 frames at the 16 kHz geometry; the seconds
+    # cap is the only length cap fbank needs
+    n = 30 * sample_rate
+    assert fbank(Waveform(samples=np.zeros(n), sample_rate=sample_rate)).n_frames == 2998
+    with pytest.raises(LimitError, match="exceeds the 30.0s cap"):
+        fbank(Waveform(samples=np.zeros(n + 1), sample_rate=sample_rate))
+
+
 @pytest.mark.parametrize("frames, constant_value", [
     (37, None), (1, None), (12, -8.5), (1, -3.0), (1, 0.0),
 ])
@@ -251,6 +261,9 @@ def test_fbank_features_are_read_only():
     feats = fbank(tone(440.0, seconds=0.1))
     with pytest.raises(ValueError):
         feats.frames.data[0, 0] = 0.0
+    with pytest.raises(FrozenInstanceError):
+        feats.bandwidth = Bandwidth.NB
+    assert feats.bandwidth is Bandwidth.WB
 
 
 # -- fuzzed WAV bytes -----------------------------------------------------------

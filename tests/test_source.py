@@ -120,3 +120,15 @@ def test_only_seqio_names_the_task_tags():
     naming = sorted(str(path.relative_to(SRC)) for path in SRC.rglob("*.py")
                     if any(map(names_a_tag, ast.walk(ast.parse(path.read_text(encoding="utf-8"))))))
     assert naming == ["seqio.py"]
+
+
+def test_no_source_relabels_a_bandwidth():
+    # features are routed by the bandwidth they were built with: no call in
+    # the package copies them under another, by `replace(..., bandwidth=...)`
+    relabels = sorted(
+        f"{path.relative_to(SRC)}:{node.lineno}" for path in SRC.rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and (getattr(node.func, "id", None) == "replace"
+                                           or getattr(node.func, "attr", None) == "replace")
+        and any(k.arg == "bandwidth" for k in node.keywords))
+    assert relabels == []
